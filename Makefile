@@ -18,8 +18,10 @@ test:
 # Race-check the parallel search layer (worker-pool Explore/Fuzz/Stress),
 # the distributed coordinator/worker protocol, and the checking daemon —
 # the ./internal/jobd/... glob includes the crashfs power-fail simulator.
+# Runs at GOMAXPROCS 1, 2 and 4, so the determinism and divergence suites
+# see more than one core count.
 race:
-	$(GO) test -race ./internal/trace/... ./internal/harness/... ./internal/dist/... ./internal/jobd/...
+	$(GO) test -race -cpu 1,2,4 ./internal/trace/... ./internal/harness/... ./internal/dist/... ./internal/jobd/...
 
 # Full benchmark suite; takes a while. Archives the go-test JSON event
 # stream as BENCH_<date>.json — one file per run is the perf trajectory.

@@ -766,21 +766,21 @@ func prunedBenchFactory(n int) trace.Factory {
 }
 
 // BenchmarkExplorePruned is the stateful-exploration ablation: exhaustive
-// exploration of 4-process firstvalue with state-fingerprint pruning and
-// subtree checkpointing toggled independently, reporting runs-explored and
-// states-distinct per exploration. The "speedup" sub-benchmark reports the
-// plain-over-pruned+checkpointed wall-clock ratio directly — the headline
-// metric of the PR 4 perf work (the pruned search executes ~17x fewer runs
-// on this workload).
+// exploration of 4-process firstvalue with state-fingerprint pruning (and
+// the subtree checkpointing that comes with it) off and on, reporting
+// runs-explored and states-distinct per exploration. The "speedup"
+// sub-benchmark reports the plain-over-pruned wall-clock ratio directly —
+// the headline metric of the PR 4 perf work (the pruned search executes
+// ~17x fewer runs on this workload).
 func BenchmarkExplorePruned(b *testing.B) {
 	const n = 4
 	base := trace.ExploreOpts{MaxDepth: 20}
-	explore := func(b *testing.B, prune, checkpoint bool) {
+	explore := func(b *testing.B, prune bool) {
 		b.Helper()
 		runs, distinct := 0, 0
 		for i := 0; i < b.N; i++ {
 			opts := base
-			opts.Prune, opts.Checkpoint = prune, checkpoint
+			opts.Prune = prune
 			rep, err := trace.Explore(n, prunedBenchFactory(n), opts)
 			if err != nil {
 				b.Fatal(err)
@@ -794,22 +794,13 @@ func BenchmarkExplorePruned(b *testing.B) {
 		b.ReportMetric(float64(runs)/float64(b.N), "runs-explored")
 		b.ReportMetric(float64(distinct)/float64(b.N), "states-distinct")
 	}
-	for _, c := range []struct {
-		name              string
-		prune, checkpoint bool
-	}{
-		{"prune=off/checkpoint=off", false, false},
-		{"prune=off/checkpoint=on", false, true},
-		{"prune=on/checkpoint=off", true, false},
-		{"prune=on/checkpoint=on", true, true},
-	} {
-		b.Run(c.name, func(b *testing.B) { explore(b, c.prune, c.checkpoint) })
-	}
+	b.Run("prune=off", func(b *testing.B) { explore(b, false) })
+	b.Run("prune=on", func(b *testing.B) { explore(b, true) })
 	b.Run("speedup", func(b *testing.B) {
-		run := func(prune, checkpoint bool) time.Duration {
+		run := func(prune bool) time.Duration {
 			start := time.Now()
 			opts := base
-			opts.Prune, opts.Checkpoint = prune, checkpoint
+			opts.Prune = prune
 			for i := 0; i < b.N; i++ {
 				if _, err := trace.Explore(n, prunedBenchFactory(n), opts); err != nil {
 					b.Fatal(err)
@@ -817,8 +808,8 @@ func BenchmarkExplorePruned(b *testing.B) {
 			}
 			return time.Since(start)
 		}
-		plain := run(false, false)
-		pruned := run(true, true)
+		plain := run(false)
+		pruned := run(true)
 		b.ReportMetric(plain.Seconds()/pruned.Seconds(), "speedup")
 		b.ReportMetric(0, "ns/op")
 	})

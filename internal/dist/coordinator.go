@@ -22,7 +22,7 @@
 // remains the one-job convenience wrapper over a private fleet.
 //
 // Pruned searches share visited-state closures the same way the in-process
-// stateful explorer does: the frontier is processed in canonical waves of
+// pruned explorer does: the frontier is processed in canonical waves of
 // fixed width, workers prune against their mirror of the session's table
 // frozen as of the wave start, and each subtree's new closures are published
 // back in its Result and max-merged at the wave barrier. Because closure

@@ -91,7 +91,7 @@ func (s *session) startWave(lo int) {
 // use the base frozen at the wave start (runs in completed waves) — it is
 // part of the report's identity. Unpruned runs are free to use a tighter
 // bound, so workers stop sooner under a MaxRuns budget: the runs of already
-// completed earlier subtrees, exactly the in-process explorer's baseLower.
+// completed earlier subtrees, like the in-process explorer's budgetBase.
 func (s *session) baseFor(id int) int {
 	if s.job.Opts.Prune {
 		return s.done
@@ -246,7 +246,7 @@ func (s *session) restore(outcomes []*trace.SubtreeOutcome) bool {
 // merge folds the outcomes into the final report. An exhausted pruned search
 // published every wave, so the merged table holds the union of all closures:
 // the exact distinct-configuration count, exactly as in the in-process
-// stateful explorer. With interrupted set, missing outcomes yield the
+// pruned explorer. With interrupted set, missing outcomes yield the
 // partial report alongside trace.ErrInterrupted.
 func (s *session) merge(interrupted bool) (*trace.ExploreReport, error) {
 	rep, err := trace.MergeOutcomes(s.frontier, s.outcomes, s.job.Opts, interrupted)

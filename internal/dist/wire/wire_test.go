@@ -20,7 +20,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	msgs := []*Msg{
 		{Kind: KindHello, Hello: &Hello{Version: Version, Slots: 4}},
 		{Kind: KindJob, Job: &Job{ID: "j0007", Protocol: "kset", Params: protocol.Params{N: 4, K: 3},
-			Opts: trace.ExploreOpts{MaxDepth: 20, MaxRuns: 1000, Prune: true, Checkpoint: true, Engine: "seq"}}},
+			Opts: trace.ExploreOpts{MaxDepth: 20, MaxRuns: 1000, Prune: true, Engine: "seq"}}},
 		{Kind: KindLease, Lease: &Lease{Job: "j0007", ID: 7, Root: []int{0, 2, 1}, Base: 420,
 			Table: []trace.FpEntry{{Fp: 1 << 63, Rem: 9}, {Fp: 42, Rem: 1}}}},
 		{Kind: KindResult, Result: &Result{Job: "j0007", ID: 7, Outcome: &trace.SubtreeOutcome{

@@ -113,12 +113,13 @@ func WorkersFlag(fs *flag.FlagSet) *int {
 }
 
 // PruneFlag registers just the -prune flag — the shared switch for stateful
-// exploration (state-fingerprint pruning + subtree checkpointing). It only
-// affects exhaustive exploration (Options.Prune, the Check verb); verbs that
-// enumerate seeds or run single schedules accept and ignore it, keeping the
-// flag surface uniform across the cmds.
+// exploration (state-fingerprint pruning + subtree checkpointing), which
+// needs the sequential engine. It only affects exhaustive exploration
+// (Options.Prune, the Check verb); verbs that enumerate seeds or run single
+// schedules accept and ignore it, keeping the flag surface uniform across
+// the cmds.
 func PruneFlag(fs *flag.FlagSet) *bool {
-	return fs.Bool("prune", false, "prune exhaustive exploration via state fingerprints + subtree checkpointing (Check-style verbs only)")
+	return fs.Bool("prune", false, "prune exhaustive exploration via state fingerprints + subtree checkpointing (seq engine; Check-style verbs only)")
 }
 
 // SymmetryFlag registers just the -symmetry flag — the shared switch for

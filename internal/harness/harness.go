@@ -349,11 +349,8 @@ func exploreOpts(opts Options) trace.ExploreOpts {
 		Workers:       opts.Workers,
 		Prune:         prune,
 		Symmetry:      opts.Symmetry,
-		// Checkpointing needs forkable machine state, which only the
-		// sequential engine can resume; the goroutine engine still prunes.
-		Checkpoint:  prune && engine == sched.EngineSeq,
-		Interrupted: opts.Interrupted,
-		Obs:         opts.Obs,
+		Interrupted:   opts.Interrupted,
+		Obs:           opts.Obs,
 	}
 }
 

@@ -63,11 +63,8 @@ func ValidateJob(job wire.Job) (wire.Job, error) {
 	if o.Symmetry && !o.Prune {
 		ve.Add("symmetry", o.Symmetry, "symmetry reduction is a property of the visited-state cache: it requires prune")
 	}
-	if o.Checkpoint && engine != sched.EngineSeq {
-		ve.Add("checkpoint", o.Checkpoint, "subtree checkpointing needs forkable machine state: sequential engine only")
-	}
-	if o.Checkpoint && !o.Prune {
-		ve.Add("checkpoint", o.Checkpoint, "subtree checkpointing rides the visited-state cache: it requires prune")
+	if o.Prune && engine != sched.EngineSeq {
+		ve.Add("prune", o.Prune, "pruned runs resume from checkpointed engine state: sequential engine only")
 	}
 	if err := ve.OrNil(); err != nil {
 		return job, fmt.Errorf("harness: invalid job: %w", err)

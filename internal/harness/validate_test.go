@@ -2,6 +2,7 @@ package harness_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -30,11 +31,10 @@ func TestValidateJobBoundaries(t *testing.T) {
 		{"unknown protocol", func(j *wire.Job) { j.Protocol = "no-such-protocol" }, []string{"protocol"}},
 		{"negative n", func(j *wire.Job) { j.Params.N = -2 }, []string{"n"}},
 		{"symmetry without prune", func(j *wire.Job) { j.Opts.Symmetry = true }, []string{"symmetry"}},
-		{"checkpoint off the seq engine", func(j *wire.Job) {
+		{"prune off the seq engine", func(j *wire.Job) {
 			j.Opts.Prune = true
-			j.Opts.Checkpoint = true
 			j.Opts.Engine = "goroutine"
-		}, []string{"checkpoint"}},
+		}, []string{"prune"}},
 		{"negative budgets", func(j *wire.Job) {
 			j.Opts.MaxRuns = -1
 			j.Opts.MaxViolations = -1
@@ -78,6 +78,30 @@ func TestValidateJobBoundaries(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestValidateJobDecodesCheckpointField pins journal compatibility: jobs
+// written before subtree checkpointing was folded into prune carry a
+// "Checkpoint" option. Such a job must still decode and validate to the same
+// normalized job, minus the field, so old journals reopen.
+func TestValidateJobDecodesCheckpointField(t *testing.T) {
+	const old = `{"ID":"j0003","Protocol":"kset","Params":{"N":4,"K":3,"X":0,"Eps":0},"Opts":{"MaxDepth":12,"MaxRuns":200000,"MaxViolations":3,"Engine":"seq","Workers":0,"Prune":true,"Symmetry":true,"Checkpoint":true}}`
+	const want = `{"ID":"j0003","Protocol":"kset","Params":{"N":4,"K":3,"X":0,"Eps":0},"Opts":{"MaxDepth":12,"MaxRuns":200000,"MaxViolations":3,"Engine":"seq","Workers":0,"Prune":true,"Symmetry":true}}`
+	var job wire.Job
+	if err := json.Unmarshal([]byte(old), &job); err != nil {
+		t.Fatal(err)
+	}
+	norm, err := harness.ValidateJob(job)
+	if err != nil {
+		t.Fatalf("old job rejected: %v", err)
+	}
+	got, err := json.Marshal(norm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want {
+		t.Fatalf("normalized job changed:\ngot  %s\nwant %s", got, want)
 	}
 }
 

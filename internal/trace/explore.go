@@ -1,6 +1,20 @@
 // Package trace provides execution-history tooling: bounded exhaustive
 // schedule exploration (this file), and offline linearization plus
 // specification checking for the augmented snapshot object (see check.go).
+//
+// Exhaustive exploration has exactly one DFS loop, explorer.explore, which
+// searches the subtree of schedules below one root prefix. Everything else
+// arranges subtrees around it:
+//
+//   - Explore plans a frontier of disjoint subtree roots (parallel.go), runs
+//     the loop over them in canonical waves on a worker pool, and merges the
+//     per-subtree results into the report. A sequential search is the one
+//     root {} drained by one worker.
+//   - Pruning (stateful.go) gives the loop a visited-state cache and turns on
+//     checkpointing; without it the cache is nil and every run replays its
+//     prefix from a fresh system.
+//   - RunSubtree (subtree.go) runs the same loop for one leased subtree of a
+//     distributed search.
 package trace
 
 import (
@@ -30,7 +44,8 @@ type ExploreOpts struct {
 	// sharded into disjoint subtrees (see parallel.go) drained by this many
 	// workers, and the per-subtree results are merged back in canonical DFS
 	// order, so the report is byte-identical to the sequential one for any
-	// worker count. 0 selects GOMAXPROCS; 1 runs the legacy sequential loop.
+	// worker count. 0 selects GOMAXPROCS; 1 explores the whole tree as one
+	// subtree on the calling goroutine.
 	Workers int
 	// Prune enables state-fingerprint pruning (see stateful.go): the
 	// configuration hash after each decision is looked up in a visited-state
@@ -40,8 +55,12 @@ type ExploreOpts struct {
 	// task validators are); the violation set and Exhausted flag match the
 	// unpruned search, while Runs, Truncated and the violation multiset may
 	// shrink (a violation reachable only through already-covered states is
-	// reported once, not once per schedule). Requires System.Fingerprint.
-	// The report is identical for any Workers value.
+	// reported once, not once per schedule). A pruned search also
+	// checkpoints the engine and system state at each branching decision on
+	// the current path and forks the next run from the deepest common prefix
+	// instead of replaying the whole schedule. Requires System.Fingerprint,
+	// System.Fork, System.Machines and the sequential engine. The report is
+	// identical for any Workers value.
 	Prune bool
 	// Symmetry enables symmetry-reduced pruning: the visited-state cache
 	// stores canonical fingerprints (System.CanonicalFingerprint) that
@@ -55,12 +74,6 @@ type ExploreOpts struct {
 	// value, and is a no-op (identical to plain Prune modulo hash values) on
 	// systems with no declared symmetry.
 	Symmetry bool
-	// Checkpoint enables subtree checkpointing: the sequential engine and
-	// system state are snapshotted at each decision on the current path, and
-	// the DFS forks the next run from the deepest common prefix instead of
-	// replaying the whole schedule. Requires System.Fork, System.Machines and
-	// the sequential engine. Reports are identical with and without it.
-	Checkpoint bool
 	// Interrupted, when non-nil, is polled between schedules (at every DFS
 	// loop top, on every worker). When it returns true the search stops after
 	// the current run and Explore returns the partial report accumulated so
@@ -135,7 +148,7 @@ type System struct {
 	// Fork, when non-nil, returns a deep copy of the system in its current
 	// state, wired to gate: cloned processes and machines, cloned shared
 	// objects, and Check/Fingerprint/Fork hooks bound to the copy. Required
-	// by ExploreOpts.Checkpoint; called only at decision points.
+	// by ExploreOpts.Prune; called only at decision points.
 	Fork func(gate sched.Stepper) System
 }
 
@@ -145,61 +158,340 @@ type System struct {
 // several workers concurrently, so consecutive calls must not share mutable
 // state: everything a system touches — shared objects, processes, check
 // state — must be built fresh per call.
+//
+// Systems must also be deterministic: every run replays a recorded prefix of
+// scheduler picks, so consecutive calls must behave identically. A replayed
+// pick that is not enabled — the signature of a nondeterministic factory —
+// fails the search with a replay-divergence error on every path: sequential,
+// parallel, pruned, and a distributed worker's subtree.
 type Factory func(gate sched.Stepper) System
 
-// recStrategy replays a prefix, then always picks the first enabled process,
-// recording every decision so the explorer can backtrack to siblings. The
-// recorded enabled sets live in a flat arena (reused across schedules) so
-// recording a step allocates nothing once warm.
-type recStrategy struct {
-	prefix   []int
-	maxDepth int
-	flat     []int // concatenation of the enabled sets, per decision depth
-	offs     []int // offs[d]..offs[d+1] frames depth d's enabled set in flat
-	picks    []int
-	trunc    bool
-	diverged error // replay divergence: a prefix pick was not enabled
+// Explore enumerates schedules of the nprocs-process system produced by
+// factory, depth-first over scheduler choices, until the space is exhausted
+// or a bound is hit. Each schedule runs on a fresh engine of opts.Engine
+// (sequential by default: no per-schedule goroutine system is built), or,
+// when pruning, resumes from a checkpoint. The DFS tree is sharded into
+// subtrees drained by opts.Workers workers; the report is byte-identical for
+// any worker count.
+func Explore(nprocs int, factory Factory, opts ExploreOpts) (*ExploreReport, error) {
+	if err := validateOpts(nprocs, opts); err != nil {
+		return nil, err
+	}
+	workers := ResolveWorkers(opts.Workers)
+	target := 1 // one root: the sequential search
+	if workers > 1 {
+		target = min(frontierTarget*workers, maxFrontier)
+	}
+	frontier, width, err := plan(nprocs, factory, opts, target)
+	if err != nil {
+		return nil, err
+	}
+	return runWaves(nprocs, factory, opts, frontier, width, workers)
 }
 
-// reset prepares the strategy for the next schedule, keeping the arenas.
-func (s *recStrategy) reset(prefix []int) {
-	s.prefix = prefix
-	s.flat = s.flat[:0]
-	s.offs = s.offs[:0]
-	s.picks = s.picks[:0]
-	s.trunc = false
-	s.diverged = nil
+// validateOpts checks the option contracts that need no system: the depth
+// bound, the engine kind, and what pruning requires of both. The hooks a
+// pruned search needs from the system are checked on the first system the
+// search builds (see explorer.run).
+func validateOpts(nprocs int, opts ExploreOpts) error {
+	if opts.MaxDepth <= 0 {
+		return fmt.Errorf("trace: MaxDepth must be positive")
+	}
+	if opts.Symmetry && !opts.Prune {
+		return fmt.Errorf("trace: ExploreOpts.Symmetry requires Prune (symmetry reduction only changes which fingerprint the visited-state cache stores)")
+	}
+	if _, err := sched.NewEngine(opts.Engine, nprocs, sched.Lowest{}); err != nil {
+		return err
+	}
+	kind := opts.Engine
+	if kind == "" {
+		kind = sched.DefaultEngine
+	}
+	if opts.Prune && kind != sched.EngineSeq {
+		return fmt.Errorf("trace: ExploreOpts.Prune requires the sequential engine (pruned runs resume from checkpointed engine state), got %q", kind)
+	}
+	return nil
 }
 
-// enabledAt returns the recorded enabled set of decision depth d.
-func (s *recStrategy) enabledAt(d int) []int {
-	return s.flat[s.offs[d]:s.offs[d+1]]
+// capabilities checks a freshly built system against the hooks opts needs.
+func capabilities(sys *System, opts ExploreOpts) error {
+	if !opts.Prune {
+		return nil
+	}
+	if sys.Fingerprint == nil {
+		return fmt.Errorf("trace: ExploreOpts.Prune requires System.Fingerprint (the factory's systems expose no configuration fingerprint)")
+	}
+	if opts.Symmetry && sys.CanonicalFingerprint == nil {
+		return fmt.Errorf("trace: ExploreOpts.Symmetry requires System.CanonicalFingerprint (the factory's systems expose no symmetry-reduced fingerprint)")
+	}
+	if sys.Fork == nil {
+		return fmt.Errorf("trace: ExploreOpts.Prune requires System.Fork (the factory's systems expose no deep copy)")
+	}
+	if sys.Machines == nil {
+		return fmt.Errorf("trace: ExploreOpts.Prune requires machine-based systems (System.Machines); coroutine-bridged bodies cannot fork")
+	}
+	return nil
 }
 
-func (s *recStrategy) Pick(step int, enabled []int) int {
-	if step >= s.maxDepth {
-		s.trunc = true
+// explorer runs the DFS loop over one subtree, and is that loop's
+// sched.Strategy: each run replays the target prefix, then always picks the
+// first enabled process, recording every decision so the loop can backtrack
+// to siblings. The path state (picks, enabled sets, fingerprints,
+// checkpoints) persists across runs and is truncated to the resume depth, so
+// a run resumed from a checkpoint never re-records the shared prefix, and
+// recording a step allocates nothing once the arenas are warm. The frontier
+// planner drives the same strategy, one probe run at a time.
+type explorer struct {
+	nprocs  int
+	factory Factory
+	opts    ExploreOpts
+
+	i     int // subtree index (canonical order)
+	floor int // root prefix length; backtracking never unwinds above it
+	sh    *exploreShared
+
+	// cache is the visited-state view of a pruned search, nil otherwise.
+	// Checkpointing is on exactly when it is set.
+	cache *stateCache
+
+	// Persistent path state, indexed by absolute decision depth: offs[d]..
+	// offs[d+1] frames depth d's enabled set in flat.
+	flat  []int
+	offs  []int
+	picks []int
+	fps   []uint64
+	cps   []checkpoint
+
+	// Per-run state.
+	prefix   []int // picks to replay, by absolute depth
+	sys      System
+	eng      *sched.SeqEngine // the live engine, when checkpointing
+	trunc    bool             // the run hit MaxDepth
+	cut      bool             // the run reached an already-closed state
+	diverged error            // replay divergence: a prefix pick was not enabled
+	capErr   error            // the system lacks a hook the options need
+
+	h  maphash.Hash
+	sr *subtreeResult
+}
+
+func newExplorer(nprocs int, factory Factory, opts ExploreOpts, sh *exploreShared, i int) *explorer {
+	ex := &explorer{nprocs: nprocs, factory: factory, opts: opts, sh: sh, i: i, offs: []int{0}}
+	if sh != nil {
+		ex.floor = len(sh.frontier[i])
+	}
+	if opts.Prune {
+		ex.h = sched.NewFingerprintHash()
+	}
+	return ex
+}
+
+func (ex *explorer) Pick(step int, enabled []int) int {
+	if step >= ex.opts.MaxDepth {
+		ex.trunc = true
 		return sched.Halt
 	}
+	if ex.cache != nil {
+		var fp uint64
+		if ex.opts.Symmetry {
+			fp = ex.sys.CanonicalFingerprint(&ex.h)
+		} else {
+			ex.h.Reset()
+			ex.sys.Fingerprint(&ex.h)
+			fp = ex.h.Sum64()
+		}
+		ex.fps = append(ex.fps, fp)
+		if rem, ok := ex.cache.lookup(fp); ok && rem >= ex.opts.MaxDepth-step {
+			ex.cut = true
+			return sched.Halt
+		}
+		// Checkpoint only at branch points: backtracking always diverges at
+		// a depth with an unexplored sibling, so forks taken on forced
+		// single-successor chains could never seed a resume — and every
+		// resume then starts exactly at the divergence depth, replaying
+		// nothing.
+		if step >= ex.floor && len(enabled) > 1 &&
+			(len(ex.cps) == 0 || ex.cps[len(ex.cps)-1].depth < step) {
+			ex.cps = append(ex.cps, checkpoint{depth: step, sys: ex.sys.Fork(noopStepper{}), cp: ex.eng.Checkpoint()})
+		}
+	}
 	pick := enabled[0]
-	if step < len(s.prefix) {
-		pick = s.prefix[step]
+	if step < len(ex.prefix) {
+		pick = ex.prefix[step]
 		if !pidEnabled(enabled, pick) {
 			// Deterministic systems replay identically; reaching here means
 			// the factory is nondeterministic, which the explorer cannot
 			// handle: exploring on would silently visit a different tree.
 			// Record the divergence and halt; the run surfaces it as an error.
-			s.diverged = replayDivergence(step, pick, enabled)
+			ex.diverged = replayDivergence(step, pick, enabled)
 			return sched.Halt
 		}
 	}
-	if len(s.offs) == 0 {
-		s.offs = append(s.offs, 0)
-	}
-	s.flat = append(s.flat, enabled...)
-	s.offs = append(s.offs, len(s.flat))
-	s.picks = append(s.picks, pick)
+	ex.flat = append(ex.flat, enabled...)
+	ex.offs = append(ex.offs, len(ex.flat))
+	ex.picks = append(ex.picks, pick)
 	return pick
+}
+
+// enabledAt returns the recorded enabled set of decision depth d.
+func (ex *explorer) enabledAt(d int) []int {
+	return ex.flat[ex.offs[d]:ex.offs[d+1]]
+}
+
+// run executes one schedule of ex.prefix: resumed from checkpoint from when
+// one covers the prefix, on a freshly built system otherwise. A system that
+// lacks a hook the options need is not run; ex.capErr reports it.
+func (ex *explorer) run(from *checkpoint) (*sched.Result, error) {
+	ex.trunc, ex.cut, ex.diverged = false, false, nil
+	if from != nil {
+		ex.eng = sched.ResumeSeqEngine(from.cp, ex)
+		ex.sys = from.sys.Fork(ex.eng)
+		return ex.eng.RunMachines(ex.sys.Machines)
+	}
+	eng, err := sched.NewEngine(ex.opts.Engine, ex.nprocs, ex)
+	if err != nil {
+		return nil, err
+	}
+	ex.sys = ex.factory(eng)
+	if ex.capErr = capabilities(&ex.sys, ex.opts); ex.capErr != nil {
+		return nil, ex.capErr
+	}
+	if ex.cache != nil {
+		ex.eng = eng.(*sched.SeqEngine)
+	}
+	if ex.sys.Machines != nil {
+		return eng.RunMachines(ex.sys.Machines)
+	}
+	return eng.Run(ex.sys.Body)
+}
+
+// explore runs the DFS loop over subtree ex.i: run, account, check,
+// backtrack, budget. Cut runs skip the check and count as pruned, completed
+// nodes are closed into the cache, and the next run forks from the deepest
+// checkpoint at or above the divergence depth. The budget and stop checks
+// read the shared lower bounds of exploreShared, and every run is recorded
+// by ordinal so the merge can re-cut the search at any run.
+func (ex *explorer) explore() *subtreeResult {
+	sh := ex.sh
+	sr := &subtreeResult{errOrd: -1, trackTrunc: sh.maxRuns > 0}
+	ex.sr = sr
+	if sh.maxRuns > 0 && sh.budgetBase(ex.i) >= sh.maxRuns {
+		sh.cutAt(ex.i)
+		return sr // earlier subtrees alone exhaust the budget
+	}
+	ex.prefix = append(ex.prefix[:0], sh.frontier[ex.i]...)
+	var from *checkpoint
+	for {
+		if int64(ex.i) > sh.stopAfter.Load() {
+			return sr // an earlier subtree already ends the search
+		}
+		if ex.opts.Interrupted != nil && ex.opts.Interrupted() {
+			sr.stopped = true
+			sh.cutAt(ex.i)
+			return sr
+		}
+		sh.counters[ex.i].Add(1)
+		res, err := ex.run(from)
+		if ex.capErr != nil {
+			sr.capErr = ex.capErr
+			sh.cutAt(ex.i)
+			return sr
+		}
+		ord := sr.runs
+		sr.runs++
+		if ex.trunc {
+			sr.truncated++
+			sr.setTruncBit(ord)
+		}
+		if ex.cut {
+			sr.pruned++
+			sr.setPruneBit(ord)
+		}
+		ex.opts.Obs.RunDone(ex.trunc, ex.cut, ex.opts.Symmetry)
+		if err == nil {
+			err = ex.diverged
+		}
+		if err != nil {
+			sr.runErr = fmt.Errorf("trace: run failed on schedule %v: %w", ex.picks, err)
+			sr.errOrd, sr.errTruncCum = ord, sr.truncated
+			sr.errPrunedCum, sr.errDistinctCum = sr.pruned, sr.distinct
+			sh.cutAt(ex.i)
+			return sr
+		}
+		if !ex.cut {
+			if cerr := ex.sys.Check(res); cerr != nil {
+				sch := append([]int(nil), ex.picks...)
+				sr.viols = append(sr.viols, subViolation{ord: ord, truncCum: sr.truncated,
+					prunedCum: sr.pruned, distinctCum: sr.distinct,
+					v: Violation{Schedule: sch, Err: cerr}})
+				if len(sr.viols) >= sh.maxViol {
+					sh.cutAt(ex.i)
+					return sr
+				}
+			}
+		}
+		d := ex.backtrack()
+		if ex.cache != nil {
+			ex.closeStates(d)
+			sr.recordDistCum()
+		}
+		if d < 0 {
+			sr.exhausted = true
+			return sr
+		}
+		// The budget check sits after the backtrack, so a subtree that stops
+		// on budget has already learned whether it was exhausted, which the
+		// merge needs for the exact Exhausted flag.
+		if sh.maxRuns > 0 && sh.budgetBase(ex.i)+sr.runs >= sh.maxRuns {
+			sh.cutAt(ex.i)
+			return sr
+		}
+		base := 0
+		from = nil
+		if ex.cache != nil {
+			for len(ex.cps) > 0 && ex.cps[len(ex.cps)-1].depth > d {
+				ex.cps = ex.cps[:len(ex.cps)-1]
+			}
+			if len(ex.cps) > 0 {
+				from = &ex.cps[len(ex.cps)-1]
+				base = from.depth
+			}
+		}
+		ex.truncTo(base)
+	}
+}
+
+// backtrack loads the next prefix in DFS order into ex.prefix — the current
+// path up to the deepest decision with an unexplored sibling, then that
+// sibling — and returns that decision's depth, or -1 when the subtree is
+// exhausted. It never unwinds above the subtree root.
+func (ex *explorer) backtrack() int {
+	for d := len(ex.picks) - 1; d >= ex.floor; d-- {
+		opts := ex.enabledAt(d)
+		for i, pid := range opts {
+			if pid != ex.picks[d] {
+				continue
+			}
+			if i+1 < len(opts) {
+				ex.prefix = append(append(ex.prefix[:0], ex.picks[:d]...), opts[i+1])
+				return d
+			}
+			break
+		}
+	}
+	return -1
+}
+
+// truncTo truncates the persistent path state to the resume depth: decisions
+// below it will be re-recorded by the next run (with checkpointing, only the
+// suffix past the checkpoint is).
+func (ex *explorer) truncTo(base int) {
+	ex.picks = ex.picks[:base]
+	ex.flat = ex.flat[:ex.offs[base]]
+	ex.offs = ex.offs[:base+1]
+	if len(ex.fps) > base {
+		ex.fps = ex.fps[:base]
+	}
 }
 
 // pidEnabled reports whether pick appears in the sorted enabled set.
@@ -216,111 +508,4 @@ func pidEnabled(enabled []int, pick int) bool {
 // not enabled — the signature of a nondeterministic factory.
 func replayDivergence(step, pick int, enabled []int) error {
 	return fmt.Errorf("trace: schedule replay diverged at step %d: recorded pick %d is not in the enabled set %v; Explore requires the factory to build deterministic systems (consecutive calls must produce identical behaviour)", step, pick, enabled)
-}
-
-// Explore enumerates schedules of the nprocs-process system produced by
-// factory, depth-first over scheduler choices, until the space is exhausted
-// or a bound is hit. Each schedule runs on a fresh engine of opts.Engine
-// (sequential by default: no per-schedule goroutine system is built). With
-// opts.Workers != 1 the DFS tree is sharded across a worker pool; the report
-// is byte-identical to the sequential one regardless of worker count. With
-// opts.Prune or opts.Checkpoint the stateful explorer (stateful.go) runs
-// instead of the plain schedule enumerator.
-func Explore(nprocs int, factory Factory, opts ExploreOpts) (*ExploreReport, error) {
-	if opts.MaxDepth <= 0 {
-		return nil, fmt.Errorf("trace: MaxDepth must be positive")
-	}
-	if opts.Symmetry && !opts.Prune {
-		return nil, fmt.Errorf("trace: ExploreOpts.Symmetry requires Prune (symmetry reduction only changes which fingerprint the visited-state cache stores)")
-	}
-	workers := ResolveWorkers(opts.Workers)
-	if opts.Prune || opts.Checkpoint {
-		return exploreStateful(nprocs, factory, opts, workers)
-	}
-	if workers > 1 && nprocs > 1 {
-		return exploreParallel(nprocs, factory, opts, workers)
-	}
-	return exploreSequential(nprocs, factory, opts)
-}
-
-// exploreSequential is the single-core DFS loop: one schedule at a time,
-// backtracking in place. The parallel path runs this same loop per subtree
-// (see exploreSubtree) and merges, which is what keeps the two byte-identical.
-func exploreSequential(nprocs int, factory Factory, opts ExploreOpts) (*ExploreReport, error) {
-	maxViol := opts.MaxViolations
-	if maxViol <= 0 {
-		maxViol = 1
-	}
-	report := &ExploreReport{}
-	strat := &recStrategy{maxDepth: opts.MaxDepth}
-	prefix := []int{}
-	for {
-		if opts.Interrupted != nil && opts.Interrupted() {
-			return report, ErrInterrupted
-		}
-		if opts.MaxRuns > 0 && report.Runs >= opts.MaxRuns {
-			return report, nil
-		}
-		strat.reset(prefix)
-		eng, err := sched.NewEngine(opts.Engine, nprocs, strat)
-		if err != nil {
-			return nil, err
-		}
-		sys := factory(eng)
-		var res *sched.Result
-		if sys.Machines != nil {
-			res, err = eng.RunMachines(sys.Machines)
-		} else {
-			res, err = eng.Run(sys.Body)
-		}
-		if err == nil && strat.diverged != nil {
-			err = strat.diverged
-		}
-		report.Runs++
-		if strat.trunc {
-			report.Truncated++
-		}
-		opts.Obs.RunDone(strat.trunc, false, false)
-		if err != nil {
-			return report, fmt.Errorf("trace: run failed on schedule %v: %w", strat.picks, err)
-		}
-		if cerr := sys.Check(res); cerr != nil {
-			sch := make([]int, len(strat.picks))
-			copy(sch, strat.picks)
-			report.Violations = append(report.Violations, Violation{Schedule: sch, Err: cerr})
-			if len(report.Violations) >= maxViol {
-				return report, nil
-			}
-		}
-		// Backtrack: find the deepest decision with an unexplored sibling.
-		next := strat.backtrack(0)
-		if next == nil {
-			report.Exhausted = true
-			return report, nil
-		}
-		prefix = next
-	}
-}
-
-// backtrack returns the next prefix in DFS order, never unwinding decisions
-// above floor (the subtree-root length when exploring a shard, 0 for the
-// whole tree), or nil when the (sub)tree is exhausted.
-func (s *recStrategy) backtrack(floor int) []int {
-	for d := len(s.picks) - 1; d >= floor; d-- {
-		opts := s.enabledAt(d)
-		idx := -1
-		for i, pid := range opts {
-			if pid == s.picks[d] {
-				idx = i
-				break
-			}
-		}
-		if idx >= 0 && idx+1 < len(opts) {
-			next := make([]int, d+1)
-			copy(next, s.picks[:d])
-			next[d] = opts[idx+1]
-			return next
-		}
-	}
-	return nil
 }

@@ -111,34 +111,26 @@ func TestExploreRejectsBadDepth(t *testing.T) {
 }
 
 func TestBacktrackOrder(t *testing.T) {
-	// backtrack must produce the DFS-next prefix.
-	mk := func(enabled [][]int, picks []int) *recStrategy {
-		s := &recStrategy{}
-		s.offs = append(s.offs, 0)
+	// backtrack must load the DFS-next prefix and return its last depth.
+	mk := func(floor int, enabled [][]int, picks []int) *explorer {
+		ex := &explorer{floor: floor, offs: []int{0}, picks: picks}
 		for _, e := range enabled {
-			s.flat = append(s.flat, e...)
-			s.offs = append(s.offs, len(s.flat))
+			ex.flat = append(ex.flat, e...)
+			ex.offs = append(ex.offs, len(ex.flat))
 		}
-		s.picks = picks
-		return s
+		return ex
 	}
-	next := mk([][]int{{0, 1}, {0, 1}, {1}}, []int{0, 0, 1}).backtrack(0)
-	want := []int{0, 1}
-	if len(next) != len(want) {
-		t.Fatalf("next = %v", next)
+	ex := mk(0, [][]int{{0, 1}, {0, 1}, {1}}, []int{0, 0, 1})
+	if d := ex.backtrack(); d != 1 || fmt.Sprint(ex.prefix) != "[0 1]" {
+		t.Fatalf("backtrack = %d, prefix %v; want 1, [0 1]", d, ex.prefix)
 	}
-	for i := range want {
-		if next[i] != want[i] {
-			t.Fatalf("next = %v, want %v", next, want)
-		}
-	}
-	// Fully explored space returns nil.
-	if mk([][]int{{0}}, []int{0}).backtrack(0) != nil {
-		t.Fatal("expected nil for exhausted space")
+	// Fully explored space returns -1.
+	if d := mk(0, [][]int{{0}}, []int{0}).backtrack(); d != -1 {
+		t.Fatalf("backtrack = %d, want -1 for an exhausted space", d)
 	}
 	// A floor keeps subtree exploration from unwinding into sibling
 	// subtrees: the same state with floor 1 has no sibling below the root.
-	if mk([][]int{{0, 1}, {1}}, []int{0, 1}).backtrack(1) != nil {
-		t.Fatal("expected nil when the only sibling is above the floor")
+	if d := mk(1, [][]int{{0, 1}, {1}}, []int{0, 1}).backtrack(); d != -1 {
+		t.Fatalf("backtrack = %d, want -1 when the only sibling is above the floor", d)
 	}
 }

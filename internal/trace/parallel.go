@@ -1,15 +1,15 @@
-// Parallel schedule search: the worker-pool Explore path. Exhaustive
-// exploration is embarrassingly parallel over independent fresh-engine runs,
-// so the DFS prefix tree is split into disjoint subtrees — a coordinator
-// expands the first few decision levels into a frontier of prefixes in
-// canonical DFS order — and a pool of workers drains them, each running the
-// same per-subtree DFS loop as the sequential explorer. Per-subtree results
-// carry enough per-run detail (violation ordinals, truncation bits) that the
-// merge can re-cut the search at exactly the run where the sequential loop
-// would have stopped, so the final report is byte-identical to the
-// sequential one for any worker count: violations in canonical schedule
-// order, Runs/Truncated/Exhausted exact, MaxRuns and MaxViolations enforced
-// through an atomic budget handoff between subtrees.
+// Parallel schedule search: the frontier planner, the wave driver and the
+// deterministic merge around the one subtree DFS loop (explorer.explore).
+// Exhaustive exploration is embarrassingly parallel over independent
+// fresh-engine runs, so the planner splits the DFS prefix tree into disjoint
+// subtrees — it expands the first few decision levels into a frontier of
+// prefixes in canonical DFS order — and a pool of workers drains them, each
+// subtree by the same loop. Per-subtree results carry enough per-run detail
+// (violation ordinals, truncation bits) that the merge can re-cut the search
+// at exactly the run where a single-subtree search would have stopped, so
+// the report is byte-identical for any worker count: violations in canonical
+// schedule order, Runs/Truncated/Exhausted exact, MaxRuns and MaxViolations
+// enforced through a budget handoff between subtrees.
 package trace
 
 import (
@@ -19,8 +19,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"revisionist/internal/sched"
 )
 
 // ResolveWorkers maps a Workers option value to a concrete pool size:
@@ -63,7 +61,7 @@ func RunOnPool(workers, n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// frontierTarget is how many subtrees the coordinator aims to expand per
+// frontierTarget is how many subtrees the planner aims to expand per
 // worker: enough slack that an uneven subtree cannot idle the pool, small
 // enough that probe runs and merge state stay negligible.
 const frontierTarget = 4
@@ -73,17 +71,48 @@ const frontierTarget = 4
 // subtree run counters).
 const maxFrontier = 512
 
+// plan computes the frontier of disjoint subtree roots, in canonical DFS
+// order, and the wave width to drain it with. A pruned search uses the
+// fixed, worker-independent frontier and wave width below, because the
+// cache-sharing structure is part of its report, whatever target the caller
+// asks for; an unpruned search aims at target subtrees and runs them as one
+// wave. A frontier of one root {} is the
+// sequential search.
+func plan(nprocs int, factory Factory, opts ExploreOpts, target int) (frontier [][]int, width int, err error) {
+	if opts.Prune {
+		target = pruneFrontierTarget
+	}
+	if opts.MaxRuns > 0 {
+		target = min(target, opts.MaxRuns)
+	}
+	frontier = [][]int{{}}
+	if nprocs > 1 {
+		if frontier, err = expandFrontier(nprocs, factory, opts, max(target, 1)); err != nil {
+			return nil, 0, err
+		}
+	}
+	width = len(frontier)
+	if opts.Prune {
+		width = min(width, pruneWaveWidth)
+	}
+	return frontier, width, nil
+}
+
 // expandFrontier splits the DFS tree into disjoint subtree-root prefixes, in
 // canonical DFS order, by probing: one run with prefix p (first-enabled
 // beyond it) reveals the enabled set at decision level len(p), whose members
 // are p's children. Expansion proceeds level by level until the frontier
 // reaches target, probing is no longer making progress, or the probe budget
-// is spent. Probe runs are discarded — each one is re-executed as its
-// subtree's first run — so probe errors are deliberately ignored here: the
-// owning worker hits the same error at its canonical position.
-func expandFrontier(nprocs int, factory Factory, opts ExploreOpts, target int) [][]int {
+// is spent. Probes run the explorer's strategy with no cache. Their results
+// are discarded — each probe is re-executed as its subtree's first run — so
+// a failed probe only ends expansion below its prefix: the owning subtree
+// hits the same error at its canonical position. Two failures are returned
+// instead, because no canonical position exists for them: a replay
+// divergence (the factory is nondeterministic) and a system lacking a hook
+// the options need.
+func expandFrontier(nprocs int, factory Factory, opts ExploreOpts, target int) ([][]int, error) {
 	frontier := [][]int{{}}
-	strat := &recStrategy{maxDepth: opts.MaxDepth}
+	ex := newExplorer(nprocs, factory, opts, nil, 0)
 	probes := 0
 	probeBudget := 8 * target
 	for depth := 0; depth < opts.MaxDepth && len(frontier) < target && probes < probeBudget; depth++ {
@@ -94,24 +123,22 @@ func expandFrontier(nprocs int, factory Factory, opts ExploreOpts, target int) [
 				continue
 			}
 			probes++
-			strat.reset(p)
-			eng, err := sched.NewEngine(opts.Engine, nprocs, strat)
-			if err != nil {
-				return [][]int{{}} // invalid engine: let the caller's first run surface it
+			ex.truncTo(0)
+			ex.prefix = p
+			_, err := ex.run(nil)
+			if ex.capErr != nil {
+				return nil, ex.capErr
 			}
-			sys := factory(eng)
-			if sys.Machines != nil {
-				_, err = eng.RunMachines(sys.Machines)
-			} else {
-				_, err = eng.Run(sys.Body)
+			if ex.diverged != nil {
+				return nil, fmt.Errorf("trace: run failed on schedule %v: %w", ex.picks, ex.diverged)
 			}
-			if err != nil || strat.diverged != nil || len(strat.picks) <= depth {
-				// The run failed (or diverged), or ended without a decision at
-				// this level: the prefix is a complete (single-run) subtree.
+			if err != nil || len(ex.picks) <= depth {
+				// The run failed, or ended without a decision at this level:
+				// the prefix is a complete (single-run) subtree.
 				next = append(next, p)
 				continue
 			}
-			for _, c := range strat.enabledAt(depth) {
+			for _, c := range ex.enabledAt(depth) {
 				child := make([]int, depth+1)
 				copy(child, p)
 				child[depth] = c
@@ -120,16 +147,16 @@ func expandFrontier(nprocs int, factory Factory, opts ExploreOpts, target int) [
 		}
 		frontier = next
 	}
-	return frontier
+	return frontier, nil
 }
 
 // subViolation is one violation found inside a subtree, positioned by its
 // run ordinal so the merge can apply MaxViolations at the exact run where
-// the sequential loop would have stopped.
+// an unsharded search would have stopped.
 type subViolation struct {
 	ord      int // run ordinal within the subtree
 	truncCum int // truncated runs among ordinals [0, ord], inclusive
-	// prunedCum and distinctCum position the stateful explorer's counters at
+	// prunedCum and distinctCum position the pruned search's counters at
 	// this violation: cut runs among ordinals [0, ord] (the violating run is
 	// never cut) and states closed before the violating run's backtrack (a
 	// violation cutoff stops the loop before closures).
@@ -147,8 +174,8 @@ type subtreeResult struct {
 	exhausted bool // the subtree's whole space was covered
 	viols     []subViolation
 
-	// pruned and distinct are the stateful explorer's counters (zero for the
-	// plain schedule enumerator).
+	// pruned and distinct are the pruned search's counters (zero without
+	// pruning).
 	pruned   int
 	distinct int
 
@@ -161,11 +188,10 @@ type subtreeResult struct {
 	distCums   []int32
 	trackTrunc bool
 
-	// runErr is a failed run (engine error), wrapped exactly as the
-	// sequential loop wraps it; errOrd positions it, errTruncCum is the
-	// truncated count through it (the failing run counts its truncation), and
-	// errPrunedCum/errDistinctCum position the stateful counters like a
-	// violation's.
+	// runErr is a failed run (engine error or replay divergence); errOrd
+	// positions it, errTruncCum is the truncated count through it (the
+	// failing run counts its truncation), and errPrunedCum/errDistinctCum
+	// position the pruning counters like a violation's.
 	runErr         error
 	errOrd         int
 	errTruncCum    int
@@ -175,6 +201,10 @@ type subtreeResult struct {
 	// stopped marks a subtree abandoned by ExploreOpts.Interrupted: the merge
 	// credits whatever it completed and returns ErrInterrupted.
 	stopped bool
+
+	// capErr is a system lacking a hook the options need. It is a
+	// configuration error, not a run: the search returns it without a report.
+	capErr error
 }
 
 // setBit marks run ordinal ord in a per-run bitset.
@@ -225,15 +255,14 @@ func (sr *subtreeResult) recordDistCum() {
 // truncCount returns the number of truncated runs among ordinals [0, n).
 func (sr *subtreeResult) truncCount(n int) int { return countBits(sr.truncBits, n) }
 
-// exploreShared is the coordination state of one parallel exploration.
+// exploreShared is the coordination state of one exploration.
 type exploreShared struct {
 	frontier [][]int
-	next     atomic.Int64 // next unclaimed subtree index
-	// counters[i] counts runs started in subtree i. A prefix sum over j < i
-	// is a monotone lower bound on the runs the merge will credit before
-	// subtree i — the atomic budget handoff: worker i stops as soon as that
-	// bound plus its own runs reaches MaxRuns, which is provably at or past
-	// the sequential cutoff, and the merge trims the overshoot.
+	// counters[i] counts runs started in subtree i. Their prefix sum over the
+	// current wave is a monotone lower bound on the runs the merge will
+	// credit before subtree i — the atomic budget handoff: subtree i stops as
+	// soon as that bound plus its own runs reaches MaxRuns, which is provably
+	// at or past the cutoff, and the merge trims the overshoot.
 	counters []atomic.Int64
 	// stopAfter is the smallest subtree index known to end the search (a
 	// MaxRuns, MaxViolations or run-error cutoff); subtrees beyond it are
@@ -241,10 +270,26 @@ type exploreShared struct {
 	stopAfter atomic.Int64
 	maxRuns   int
 	maxViol   int
-	// base offsets every budget lower bound: runs already credited before the
-	// first frontier entry. Zero for a whole-tree exploration; a distributed
-	// worker running one leased subtree gets the coordinator's frozen base.
-	base int
+	// base is the exact number of runs credited before the current wave,
+	// whose first subtree is lo: the runs of completed waves, or a
+	// distributed lease's base.
+	base, lo int
+	// frozen pins every subtree's budget base to base. A pruned search needs
+	// it: its report must not depend on how far sibling subtrees of the same
+	// wave have got.
+	frozen bool
+}
+
+func newExploreShared(frontier [][]int, opts ExploreOpts) *exploreShared {
+	sh := &exploreShared{
+		frontier: frontier,
+		counters: make([]atomic.Int64, len(frontier)),
+		maxRuns:  opts.MaxRuns,
+		maxViol:  max(opts.MaxViolations, 1),
+		frozen:   opts.Prune,
+	}
+	sh.stopAfter.Store(math.MaxInt64)
+	return sh
 }
 
 func (sh *exploreShared) cutAt(i int) {
@@ -256,149 +301,85 @@ func (sh *exploreShared) cutAt(i int) {
 	}
 }
 
-// baseLower returns the current lower bound on runs preceding subtree i in
+// budgetBase returns the current lower bound on runs preceding subtree i in
 // canonical order.
-func (sh *exploreShared) baseLower(i int) int {
+func (sh *exploreShared) budgetBase(i int) int {
 	sum := sh.base
-	for j := 0; j < i; j++ {
-		sum += int(sh.counters[j].Load())
+	if !sh.frozen {
+		for j := sh.lo; j < i; j++ {
+			sum += int(sh.counters[j].Load())
+		}
 	}
 	return sum
 }
 
-// exploreSubtree runs the sequential DFS loop restricted to the subtree
-// rooted at frontier[i] — backtracking never unwinds above the root prefix —
-// recording the per-run detail the merge needs. The loop body mirrors
-// exploreSequential step for step (budget check before the run, truncation
-// and error accounting after it, violation check, backtrack), with the
-// global counters replaced by their atomic lower bounds.
-func (sh *exploreShared) exploreSubtree(i, nprocs int, factory Factory, opts ExploreOpts) *subtreeResult {
-	root := sh.frontier[i]
-	sr := &subtreeResult{errOrd: -1, trackTrunc: sh.maxRuns > 0}
-	strat := &recStrategy{maxDepth: opts.MaxDepth}
-	prefix := root
-	if sh.maxRuns > 0 && sh.baseLower(i) >= sh.maxRuns {
-		sh.cutAt(i)
-		return sr // earlier subtrees alone exhaust the budget
-	}
-	for {
-		if int64(i) > sh.stopAfter.Load() {
-			return sr // an earlier subtree already ends the search
-		}
-		if opts.Interrupted != nil && opts.Interrupted() {
-			sr.stopped = true
-			sh.cutAt(i)
-			return sr
-		}
-		sh.counters[i].Add(1)
-		strat.reset(prefix)
-		eng, err := sched.NewEngine(opts.Engine, nprocs, strat)
-		if err != nil {
-			// Unreachable: the engine kind was validated before the pool
-			// started; surface it like a failed first run regardless.
-			sr.runErr, sr.errOrd, sr.errTruncCum = err, sr.runs, sr.truncated
-			sr.runs++
-			sh.cutAt(i)
-			return sr
-		}
-		sys := factory(eng)
-		var res *sched.Result
-		if sys.Machines != nil {
-			res, err = eng.RunMachines(sys.Machines)
-		} else {
-			res, err = eng.Run(sys.Body)
-		}
-		if err == nil && strat.diverged != nil {
-			err = strat.diverged
-		}
-		ord := sr.runs
-		sr.runs++
-		if strat.trunc {
-			sr.truncated++
-			sr.setTruncBit(ord)
-		}
-		opts.Obs.RunDone(strat.trunc, false, false)
-		if err != nil {
-			sr.runErr = fmt.Errorf("trace: run failed on schedule %v: %w", strat.picks, err)
-			sr.errOrd, sr.errTruncCum = ord, sr.truncated
-			sh.cutAt(i)
-			return sr
-		}
-		if cerr := sys.Check(res); cerr != nil {
-			sch := make([]int, len(strat.picks))
-			copy(sch, strat.picks)
-			sr.viols = append(sr.viols, subViolation{ord: ord, truncCum: sr.truncated,
-				v: Violation{Schedule: sch, Err: cerr}})
-			if len(sr.viols) >= sh.maxViol {
-				sh.cutAt(i)
-				return sr
-			}
-		}
-		next := strat.backtrack(len(root))
-		if next == nil {
-			sr.exhausted = true
-			return sr
-		}
-		prefix = next
-		// The sequential loop checks the budget at the loop top — after the
-		// previous run's backtrack — so the check sits here too: a worker
-		// that stops on budget has already learned whether its subtree was
-		// exhausted, which the merge needs for the exact Exhausted flag.
-		if sh.maxRuns > 0 && sh.baseLower(i)+sr.runs >= sh.maxRuns {
-			sh.cutAt(i)
-			return sr
-		}
-	}
-}
-
-// exploreParallel shards the DFS tree across a worker pool and merges the
-// per-subtree results back into the canonical sequential report.
-func exploreParallel(nprocs int, factory Factory, opts ExploreOpts, workers int) (*ExploreReport, error) {
-	// Validate the engine kind once, before the pool exists, so workers
-	// cannot fail on construction.
-	if _, err := sched.NewEngine(opts.Engine, nprocs, sched.Lowest{}); err != nil {
-		return nil, err
-	}
-	target := min(frontierTarget*workers, maxFrontier)
-	if opts.MaxRuns > 0 {
-		target = min(target, opts.MaxRuns)
-	}
-	frontier := expandFrontier(nprocs, factory, opts, max(target, 1))
-	if len(frontier) <= 1 {
-		return exploreSequential(nprocs, factory, opts)
-	}
-	maxViol := opts.MaxViolations
-	if maxViol <= 0 {
-		maxViol = 1
-	}
-	sh := &exploreShared{
-		frontier: frontier,
-		counters: make([]atomic.Int64, len(frontier)),
-		maxRuns:  opts.MaxRuns,
-		maxViol:  maxViol,
-	}
-	sh.stopAfter.Store(math.MaxInt64)
+// runWaves drains frontier in canonical waves of width subtrees on the
+// worker pool and merges the results. Subtrees of one wave run in parallel;
+// in a pruned search each sees the visited-state table frozen at the wave
+// start plus its own closures, which are published (max-merged, so in any
+// order) only at the wave barrier. Workers therefore only parallelize
+// within a wave, and the report is the same for any worker count, Pruned and
+// Distinct included. An unpruned search is a single wave.
+func runWaves(nprocs int, factory Factory, opts ExploreOpts, frontier [][]int, width, workers int) (*ExploreReport, error) {
+	sh := newExploreShared(frontier, opts)
 	results := make([]*subtreeResult, len(frontier))
-	var wg sync.WaitGroup
-	for w := 0; w < min(workers, len(frontier)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(sh.next.Add(1) - 1)
-				if i >= len(sh.frontier) || int64(i) > sh.stopAfter.Load() {
-					return
-				}
-				results[i] = sh.exploreSubtree(i, nprocs, factory, opts)
-			}
-		}()
+	var table *fpTable
+	if opts.Prune {
+		table = newFpTable()
 	}
-	wg.Wait()
-	return mergeSubtrees(frontier, results, opts.MaxRuns, maxViol, false)
+	opts.Obs.SetFrontier(len(frontier))
+	for lo := 0; lo < len(frontier); lo += width {
+		hi := min(lo+width, len(frontier))
+		if int64(lo) > sh.stopAfter.Load() {
+			break
+		}
+		waveStart := opts.Obs.WaveStart()
+		sh.lo = lo
+		caches := make([]*stateCache, hi-lo)
+		RunOnPool(workers, hi-lo, func(j int) {
+			i := lo + j
+			if int64(i) > sh.stopAfter.Load() {
+				return
+			}
+			ex := newExplorer(nprocs, factory, opts, sh, i)
+			if table != nil {
+				ex.cache = &stateCache{global: table, local: make(map[uint64]int)}
+				caches[j] = ex.cache
+			}
+			results[i] = ex.explore()
+		})
+		for _, sr := range results[lo:hi] {
+			if sr == nil {
+				continue
+			}
+			if sr.capErr != nil {
+				return nil, sr.capErr
+			}
+			sh.base += sr.runs
+		}
+		if sh.stopAfter.Load() < int64(hi) {
+			break // the search ends inside this wave: nothing beyond merges
+		}
+		if table != nil {
+			RunOnPool(workers, hi-lo, func(j int) { table.publish(caches[j].local) })
+		}
+		opts.Obs.WaveDone(lo/width, waveStart, len(frontier)-hi)
+	}
+	rep, err := mergeSubtrees(frontier, results, opts.MaxRuns, sh.maxViol, false)
+	if err == nil && table != nil && rep.Exhausted {
+		// An exhausted search published every wave, so the table holds the
+		// union of all closures: the exact distinct-configuration count. The
+		// merge's per-subtree sum counts a configuration closed independently
+		// by sibling subtrees of one wave once per subtree; it remains the
+		// (deterministic) value only when a cutoff trimmed the search and the
+		// final wave never published.
+		rep.Distinct = table.size()
+	}
+	return rep, err
 }
 
 // mergeSubtrees folds per-subtree results, in canonical DFS order, into the
-// report the sequential loop would have produced: it credits each subtree's
+// report an unsharded search would have produced: it credits each subtree's
 // runs against the MaxRuns budget, re-applies the MaxViolations and
 // run-error cutoffs at their exact run ordinals, and trims the speculative
 // overshoot past the first cutoff. With interrupted set (the caller's
@@ -412,7 +393,7 @@ func mergeSubtrees(frontier [][]int, results []*subtreeResult, maxRuns, maxViol 
 		if maxRuns > 0 {
 			budgetRem = maxRuns - rep.Runs
 			if budgetRem <= 0 {
-				return rep, nil // sequential loop-top stop: budget spent
+				return rep, nil // budget spent before this subtree
 			}
 		}
 		if sr == nil {
@@ -454,8 +435,8 @@ func mergeSubtrees(frontier [][]int, results []*subtreeResult, maxRuns, maxViol 
 		}
 		// MaxRuns cutoff inside this subtree? (The boundary case — budget
 		// spent exactly at the subtree's recorded runs without exhausting it
-		// — is the sequential loop stopping at its loop-top check with more
-		// prefixes left to explore.)
+		// — is a subtree that stopped on budget with more prefixes left to
+		// explore.)
 		if budgetRem < sr.runs || (budgetRem == sr.runs && !sr.exhausted) {
 			rep.Runs += budgetRem
 			rep.Truncated += sr.truncCount(budgetRem)

@@ -5,6 +5,7 @@ import (
 	"hash/maphash"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"revisionist/internal/algorithms"
@@ -82,10 +83,9 @@ func firstValueFactory(n int) Factory {
 	}
 }
 
-// TestStatefulAblationMatchesPlain runs the full prune x checkpoint ablation
-// against the plain explorer: checkpoint-only must be byte-identical
-// (checkpointing is a pure execution optimization), and pruned runs must
-// preserve the Exhausted flag and find strictly fewer schedules.
+// TestStatefulAblationMatchesPlain runs the pruned explorer against the
+// plain one at one and eight workers: pruned runs must preserve the
+// Exhausted flag and violation presence and find no more schedules.
 func TestStatefulAblationMatchesPlain(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -103,31 +103,9 @@ func TestStatefulAblationMatchesPlain(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 8} {
-				cp := c.opts
-				cp.Checkpoint = true
-				cp.Workers = workers
-				cpRep, err := Explore(c.nprocs, c.factory, cp)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if cpRep.Runs != plain.Runs || cpRep.Truncated != plain.Truncated ||
-					cpRep.Exhausted != plain.Exhausted || len(cpRep.Violations) != len(plain.Violations) {
-					t.Fatalf("workers=%d: checkpoint-only diverges from plain: %+v vs %+v",
-						workers, cpRep, plain)
-				}
-				for i := range cpRep.Violations {
-					if fmt.Sprint(cpRep.Violations[i].Schedule) != fmt.Sprint(plain.Violations[i].Schedule) {
-						t.Fatalf("workers=%d: violation %d schedule diverges", workers, i)
-					}
-				}
-			}
-			for _, mode := range []struct {
-				tag        string
-				checkpoint bool
-			}{{"prune", false}, {"prune+checkpoint", true}} {
 				pr := c.opts
 				pr.Prune = true
-				pr.Checkpoint = mode.checkpoint
+				pr.Workers = workers
 				prRep, err := Explore(c.nprocs, c.factory, pr)
 				if err != nil {
 					t.Fatal(err)
@@ -136,58 +114,41 @@ func TestStatefulAblationMatchesPlain(t *testing.T) {
 				// space the plain search's MaxRuns budget cut short.
 				capped := c.opts.MaxRuns > 0 && plain.Runs >= c.opts.MaxRuns
 				if prRep.Exhausted != plain.Exhausted && !(capped && prRep.Exhausted) {
-					t.Fatalf("%s: Exhausted diverges: %v vs %v", mode.tag, prRep.Exhausted, plain.Exhausted)
+					t.Fatalf("workers=%d: Exhausted diverges: %v vs %v", workers, prRep.Exhausted, plain.Exhausted)
 				}
 				if prRep.Runs > plain.Runs {
-					t.Fatalf("%s: pruned search ran more schedules (%d) than plain (%d)",
-						mode.tag, prRep.Runs, plain.Runs)
+					t.Fatalf("workers=%d: pruned search ran more schedules (%d) than plain (%d)",
+						workers, prRep.Runs, plain.Runs)
 				}
 				if len(prRep.Violations) > 0 != (len(plain.Violations) > 0) {
-					t.Fatalf("%s: violation presence diverges", mode.tag)
+					t.Fatalf("workers=%d: violation presence diverges", workers)
 				}
 			}
 		})
 	}
 }
 
-// TestPrunedCheckpointIdentical pins that checkpointing changes nothing
-// about a pruned report — it only changes how runs are executed.
-func TestPrunedCheckpointIdentical(t *testing.T) {
-	opts := ExploreOpts{MaxDepth: 20, Prune: true}
-	a, err := Explore(4, firstValueFactory(4), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Checkpoint = true
-	b, err := Explore(4, firstValueFactory(4), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Runs != b.Runs || a.Pruned != b.Pruned || a.Distinct != b.Distinct ||
-		a.Truncated != b.Truncated || a.Exhausted != b.Exhausted {
-		t.Fatalf("checkpointing changed the pruned report: %+v vs %+v", a, b)
-	}
-	if a.Pruned == 0 || a.Distinct == 0 {
-		t.Fatalf("expected pruning on the symmetric protocol, got %+v", a)
-	}
-}
-
-// TestPruneRequiresCapabilities: Prune without a fingerprint and Checkpoint
-// without a fork (or on the goroutine engine) are contract errors, not
-// silent degradations.
+// TestPruneRequiresCapabilities: Prune without a fingerprint, without a
+// fork, or on the goroutine engine is a contract error, not a silent
+// degradation.
 func TestPruneRequiresCapabilities(t *testing.T) {
 	if _, err := Explore(2, counterSystem(nil), ExploreOpts{MaxDepth: 6, Prune: true}); err == nil ||
 		!strings.Contains(err.Error(), "Fingerprint") {
 		t.Fatalf("Prune without Fingerprint: got %v", err)
 	}
-	if _, err := Explore(2, counterSystem(nil), ExploreOpts{MaxDepth: 6, Checkpoint: true}); err == nil ||
+	noFork := func(gate sched.Stepper) System {
+		sys := consensusAgreeFactory(2)(gate)
+		sys.Fork = nil
+		return sys
+	}
+	if _, err := Explore(2, noFork, ExploreOpts{MaxDepth: 6, Prune: true}); err == nil ||
 		!strings.Contains(err.Error(), "Fork") {
-		t.Fatalf("Checkpoint without Fork: got %v", err)
+		t.Fatalf("Prune without Fork: got %v", err)
 	}
 	if _, err := Explore(2, consensusAgreeFactory(2),
-		ExploreOpts{MaxDepth: 6, Checkpoint: true, Engine: sched.EngineGoroutine}); err == nil ||
+		ExploreOpts{MaxDepth: 6, Prune: true, Engine: sched.EngineGoroutine}); err == nil ||
 		!strings.Contains(err.Error(), "sequential") {
-		t.Fatalf("Checkpoint on the goroutine engine: got %v", err)
+		t.Fatalf("Prune on the goroutine engine: got %v", err)
 	}
 }
 
@@ -208,23 +169,18 @@ func TestSymmetryRequiresCapabilities(t *testing.T) {
 	}
 }
 
-// TestExploreDivergenceFails: a nondeterministic factory must fail the
-// exploration with a descriptive replay-divergence error instead of silently
-// mis-exploring (the old enabled[0] fallback).
-func TestExploreDivergenceFails(t *testing.T) {
-	builds := 0
-	factory := func(gate sched.Stepper) System {
+// shrinkingFactory builds two processes that each write a register twice,
+// except that process 1 writes ops1(build) times: a nondeterministic factory
+// whenever ops1 varies. builds counts constructions across workers.
+func shrinkingFactory(ops1 func(build int64) int, builds *atomic.Int64) Factory {
+	return func(gate sched.Stepper) System {
 		reg := shmem.NewRegister("R", gate, nil)
-		ops1 := 2
-		if builds >= 2 {
-			ops1 = 1 // process 1 shrinks from the third construction on
-		}
-		builds++
+		n1 := ops1(builds.Add(1) - 1)
 		return System{
 			Body: func(pid int) {
 				n := 2
 				if pid == 1 {
-					n = ops1
+					n = n1
 				}
 				for i := 0; i < n; i++ {
 					reg.Write(pid, pid)
@@ -233,9 +189,72 @@ func TestExploreDivergenceFails(t *testing.T) {
 			Check: func(*sched.Result) error { return nil },
 		}
 	}
-	_, err := Explore(2, factory, ExploreOpts{MaxDepth: 10})
+}
+
+// TestExploreDivergenceFails: a nondeterministic factory must fail the
+// exploration with a descriptive replay-divergence error instead of silently
+// mis-exploring (the old enabled[0] fallback).
+func TestExploreDivergenceFails(t *testing.T) {
+	var builds atomic.Int64
+	shrink := func(b int64) int {
+		if b >= 2 {
+			return 1 // process 1 shrinks from the third construction on
+		}
+		return 2
+	}
+	_, err := Explore(2, shrinkingFactory(shrink, &builds), ExploreOpts{MaxDepth: 10, Workers: 1})
 	if err == nil || !strings.Contains(err.Error(), "diverged") {
 		t.Fatalf("want replay-divergence error, got %v", err)
+	}
+}
+
+// TestExploreDivergenceFailsOnEveryPath pins the Factory promise at several
+// worker counts: whichever build first replays a pick of a process that has
+// no operations there — a frontier probe or a subtree run — the search fails
+// with the divergence instead of exploring a different tree. Build 2 alone
+// is a frontier probe at two and four workers, and no later build diverges.
+func TestExploreDivergenceFailsOnEveryPath(t *testing.T) {
+	emptyIf := func(shrunk func(int64) bool) func(int64) int {
+		return func(b int64) int {
+			if shrunk(b) {
+				return 0
+			}
+			return 2
+		}
+	}
+	cases := map[string]func(int64) int{
+		"only build 2": emptyIf(func(b int64) bool { return b == 2 }),
+	}
+	for _, k := range []int64{2, 3, 5} {
+		cases[fmt.Sprintf("from build %d", k)] = emptyIf(func(b int64) bool { return b >= k })
+	}
+	for name, ops1 := range cases {
+		for _, workers := range []int{1, 2, 4} {
+			var builds atomic.Int64
+			_, err := Explore(2, shrinkingFactory(ops1, &builds), ExploreOpts{MaxDepth: 10, Workers: workers})
+			if err == nil || !strings.Contains(err.Error(), "diverged") {
+				t.Errorf("%s, workers=%d: want replay-divergence error, got %v", name, workers, err)
+			}
+		}
+	}
+}
+
+// TestRunSubtreeRootNotEnabled: a leased root whose pick is not enabled is a
+// replay divergence, and merging the outcome fails the search with it.
+func TestRunSubtreeRootNotEnabled(t *testing.T) {
+	var builds atomic.Int64
+	none := func(int64) int { return 0 }
+	opts := ExploreOpts{MaxDepth: 10}
+	o, err := RunSubtree(2, shrinkingFactory(none, &builds), opts, []int{1}, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(o.RunErr, "diverged") {
+		t.Fatalf("want a replay-divergence run error, got %+v", o)
+	}
+	if _, err := MergeOutcomes([][]int{{1}}, []*SubtreeOutcome{o}, opts, false); err == nil ||
+		!strings.Contains(err.Error(), "diverged") {
+		t.Fatalf("merge: want replay-divergence error, got %v", err)
 	}
 }
 

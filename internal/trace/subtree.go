@@ -1,17 +1,18 @@
 // Exported subtree lease/merge hooks: the surface a distributed schedule
-// search builds on (see internal/dist). The in-process parallel explorer
-// (parallel.go, stateful.go) already splits the DFS tree into disjoint
-// subtree prefixes and merges per-subtree results deterministically; this
-// file exports that protocol piecewise so a coordinator in another process —
-// or on another machine — can drive it over a transport:
+// search builds on (see internal/dist). The in-process explorer already
+// splits the DFS tree into disjoint subtree prefixes, runs one loop per
+// subtree and merges the results deterministically; this file exports those
+// three pieces so a coordinator in another process — or on another machine —
+// can drive them over a transport:
 //
 //   - SubtreePlan computes the canonical frontier of subtree roots and the
 //     wave width a distributed run must use to reproduce the single-process
 //     report byte for byte (pruned explorations share closed states only at
 //     wave barriers, so the wave structure is part of the report's identity).
-//   - RunSubtree executes one leased subtree exactly as a local pool worker
-//     would — same loop, same budget lower bound, same pruning against a
-//     frozen visited-state view — and returns a wire-serializable outcome.
+//     It is the in-process planner with a larger unpruned frontier.
+//   - RunSubtree runs the in-process subtree loop on one leased subtree —
+//     same budget lower bound, same pruning against a frozen visited-state
+//     view — and returns a wire-serializable outcome.
 //   - MergeOutcomes folds outcomes back, in canonical order, through the
 //     same deterministic merge the local explorer uses.
 //
@@ -24,12 +25,7 @@ package trace
 
 import (
 	"errors"
-	"fmt"
-	"math"
 	"sort"
-	"sync/atomic"
-
-	"revisionist/internal/sched"
 )
 
 // ErrInterrupted is returned (alongside the partial report) when
@@ -171,45 +167,23 @@ func (o *SubtreeOutcome) internal() *subtreeResult {
 // SubtreePlan computes the frontier of disjoint subtree-root prefixes, in
 // canonical DFS order, and the wave width a distributed exploration must use
 // to reproduce the single-process Explore report exactly. It also validates
-// the option contracts (engine kind, prune/checkpoint capabilities), so a
-// coordinator fails fast instead of shipping a broken job to workers.
+// the option contracts (engine kind, prune capabilities, on the probe
+// systems it builds), so a coordinator fails fast instead of shipping a
+// broken job to workers.
 //
 // For a pruned search the frontier size and wave width are the fixed,
-// worker-independent constants of the in-process stateful explorer — the
-// cache-sharing structure is part of the report — and closed states may only
-// be shared across (never within) waves, with budget bases frozen at wave
-// starts. For an unpruned search the report is independent of the sharding,
-// so the plan is one wave over a modest frontier and any valid budget lower
-// bound works. A frontier of length <= 1 means the tree is too small to
-// shard: run Explore locally instead.
+// worker-independent ones of the in-process explorer — the cache-sharing
+// structure is part of the report — and closed states may only be shared
+// across (never within) waves, with budget bases frozen at wave starts. For
+// an unpruned search the report is independent of the sharding, so the plan
+// is one wave over a modest frontier and any valid budget lower bound works.
+// A frontier of length <= 1 means the tree is too small to shard: run
+// Explore locally instead.
 func SubtreePlan(nprocs int, factory Factory, opts ExploreOpts) (frontier [][]int, waveWidth int, err error) {
-	if opts.MaxDepth <= 0 {
-		return nil, 0, fmt.Errorf("trace: MaxDepth must be positive")
-	}
-	if opts.Prune || opts.Checkpoint {
-		if err := validateStateful(nprocs, factory, opts); err != nil {
-			return nil, 0, err
-		}
-	} else if _, err := sched.NewEngine(opts.Engine, nprocs, sched.Lowest{}); err != nil {
+	if err := validateOpts(nprocs, opts); err != nil {
 		return nil, 0, err
 	}
-	if nprocs <= 1 {
-		return [][]int{{}}, 1, nil
-	}
-	var target int
-	if opts.Prune {
-		target = pruneFrontierTarget
-	} else {
-		target = distFrontierTarget
-	}
-	if opts.MaxRuns > 0 {
-		target = min(target, opts.MaxRuns)
-	}
-	frontier = expandFrontier(nprocs, factory, opts, max(target, 1))
-	if opts.Prune {
-		return frontier, pruneWaveWidth, nil
-	}
-	return frontier, max(len(frontier), 1), nil
+	return plan(nprocs, factory, opts, distFrontierTarget)
 }
 
 // distFrontierTarget is the frontier size of an unpruned distributed
@@ -218,49 +192,22 @@ func SubtreePlan(nprocs int, factory Factory, opts ExploreOpts) (frontier [][]in
 // reports do not depend on this value.
 const distFrontierTarget = 64
 
-// RunSubtree explores the subtree rooted at root to completion, exactly as a
-// local pool worker would: the same DFS loop, with the MaxRuns budget
-// checked against the leased base (a lower bound on the runs the merge will
-// credit before this subtree) and, when opts.Prune is set, pruning against
-// frozen — the caller's read-only view of previously closed states, which
-// must not change while the call runs (the coordinator guarantees this by
-// publishing closures only at wave barriers). The outcome carries the
-// subtree's own closures; the caller owns publishing them.
+// RunSubtree explores the subtree rooted at root to completion with the
+// in-process subtree loop: the MaxRuns budget is checked against the leased
+// base (a lower bound on the runs the merge will credit before this subtree)
+// and, when opts.Prune is set, runs are pruned against frozen — the caller's
+// read-only view of previously closed states, which must not change while
+// the call runs (the coordinator guarantees this by publishing closures only
+// at wave barriers). The outcome carries the subtree's own closures; the
+// caller owns publishing them. A root pick that is not enabled is a replay
+// divergence, reported as the outcome's failed run.
 func RunSubtree(nprocs int, factory Factory, opts ExploreOpts, root []int, base int, frozen func(fp uint64) (int, bool)) (*SubtreeOutcome, error) {
-	if opts.MaxDepth <= 0 {
-		return nil, fmt.Errorf("trace: MaxDepth must be positive")
-	}
-	maxViol := opts.MaxViolations
-	if maxViol <= 0 {
-		maxViol = 1
-	}
-	sh := &exploreShared{
-		frontier: [][]int{root},
-		counters: make([]atomic.Int64, 1),
-		maxRuns:  opts.MaxRuns,
-		maxViol:  maxViol,
-		base:     base,
-	}
-	sh.stopAfter.Store(math.MaxInt64)
-	if !opts.Prune && !opts.Checkpoint {
-		return sh.exploreSubtree(0, nprocs, factory, opts).outcome(), nil
-	}
-	if err := validateStateful(nprocs, factory, opts); err != nil {
+	if err := validateOpts(nprocs, opts); err != nil {
 		return nil, err
 	}
-	ex := &stExplorer{
-		nprocs:     nprocs,
-		factory:    factory,
-		opts:       opts,
-		i:          0,
-		root:       root,
-		floor:      len(root),
-		sh:         sh,
-		budgetBase: func() int { return base },
-		maxViol:    maxViol,
-		checkpoint: opts.Checkpoint,
-		h:          sched.NewFingerprintHash(),
-	}
+	sh := newExploreShared([][]int{root}, opts)
+	sh.base = base
+	ex := newExplorer(nprocs, factory, opts, sh, 0)
 	if opts.Prune {
 		var src fpSource
 		if frozen != nil {
@@ -268,7 +215,11 @@ func RunSubtree(nprocs int, factory Factory, opts ExploreOpts, root []int, base 
 		}
 		ex.cache = &stateCache{global: src, local: make(map[uint64]int)}
 	}
-	o := ex.explore().outcome()
+	sr := ex.explore()
+	if sr.capErr != nil {
+		return nil, sr.capErr
+	}
+	o := sr.outcome()
 	if ex.cache != nil {
 		o.Closures = make([]FpEntry, 0, len(ex.cache.local))
 		for fp, rem := range ex.cache.local {

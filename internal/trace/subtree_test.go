@@ -78,10 +78,10 @@ func TestSubtreeHooksMatchExplore(t *testing.T) {
 		opts    ExploreOpts
 	}{
 		{"firstvalue-3-plain", 3, firstValueFactory(3), ExploreOpts{MaxDepth: 12}},
-		{"firstvalue-3-pruned", 3, firstValueFactory(3), ExploreOpts{MaxDepth: 12, Prune: true, Checkpoint: true}},
+		{"firstvalue-3-pruned", 3, firstValueFactory(3), ExploreOpts{MaxDepth: 12, Prune: true}},
 		{"consensus-2-viol", 2, consensusAgreeFactory(2), ExploreOpts{MaxDepth: 12, MaxViolations: 3}},
 		{"consensus-2-budget", 2, consensusAgreeFactory(2), ExploreOpts{MaxDepth: 16, MaxRuns: 900}},
-		{"consensus-2-pruned-budget", 2, consensusAgreeFactory(2), ExploreOpts{MaxDepth: 16, MaxRuns: 900, Prune: true, Checkpoint: true}},
+		{"consensus-2-pruned-budget", 2, consensusAgreeFactory(2), ExploreOpts{MaxDepth: 16, MaxRuns: 900, Prune: true}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			want, err := Explore(c.nprocs, c.factory, c.opts)
@@ -114,10 +114,10 @@ func TestExploreInterrupted(t *testing.T) {
 	}{
 		{"sequential", ExploreOpts{MaxDepth: 20, Workers: 1}},
 		{"parallel", ExploreOpts{MaxDepth: 20, Workers: 4}},
-		{"pruned", ExploreOpts{MaxDepth: 20, Workers: 4, Prune: true, Checkpoint: true}},
+		{"pruned", ExploreOpts{MaxDepth: 20, Workers: 4, Prune: true}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			full, err := Explore(4, firstValueFactory(4), ExploreOpts{MaxDepth: 20, Workers: 1, Prune: c.opts.Prune, Checkpoint: c.opts.Checkpoint})
+			full, err := Explore(4, firstValueFactory(4), ExploreOpts{MaxDepth: 20, Workers: 1, Prune: c.opts.Prune})
 			if err != nil {
 				t.Fatal(err)
 			}
