@@ -2,7 +2,7 @@ GO ?= go
 BENCH_DATE ?= $(shell date +%Y-%m-%d)
 BENCH_OUT  ?= BENCH_$(BENCH_DATE).json
 
-.PHONY: all vet build test race bench bench-smoke ci protocols dist-smoke jobd-smoke chaos-smoke crash-smoke obs-smoke
+.PHONY: all vet build test race bench bench-smoke ci protocols dist-smoke jobd-smoke chaos-smoke crash-smoke obs-smoke fuzz-smoke perfbench-build
 
 all: ci
 
@@ -77,5 +77,16 @@ obs-smoke:
 crash-smoke:
 	$(GO) test ./internal/jobd -run TestCrashMatrix -count=1
 	$(GO) run ./cmd/checkd -smoke -kill
+
+# Fuzz smoke: ten seconds of coverage-guided fuzzing on each decoder of
+# untrusted bytes — the job journal loader and the witness replay path.
+fuzz-smoke:
+	$(GO) test ./internal/jobd -run '^$$' -fuzz '^FuzzQueueLoad$$' -fuzztime 10s
+	$(GO) test ./internal/harness -run '^$$' -fuzz '^FuzzWitness$$' -fuzztime 10s
+
+# The benchmark in perfbench/ is its own module, which a root `go build ./...`
+# skips. Building it here catches an API change that breaks it.
+perfbench-build:
+	cd perfbench && GOFLAGS= GOPROXY=off GOWORK=off $(GO) build -o /dev/null .
 
 ci: vet build test race bench-smoke

@@ -98,31 +98,20 @@ func BenchmarkAugSnapshotOps(b *testing.B) {
 	})
 }
 
-// benchEngines is the engine-ablation dimension: the direct-dispatch
-// sequential engine versus the goroutine gate.
-var benchEngines = []sched.EngineKind{sched.EngineSeq, sched.EngineGoroutine}
-
 // BenchmarkAugSnapshotStress (E4) runs the full mixed workload with offline
 // §3 spec checking, per scheduled seed.
 func BenchmarkAugSnapshotStress(b *testing.B) {
 	for _, f := range []int{2, 4, 8} {
-		for _, kind := range benchEngines {
-			b.Run(fmt.Sprintf("f=%d/engine=%s", f, kind), func(b *testing.B) {
-				benchAugStress(b, f, kind)
-			})
-		}
+		b.Run(fmt.Sprintf("f=%d", f), func(b *testing.B) { benchAugStress(b, f) })
 	}
 }
 
-func benchAugStress(b *testing.B, f int, kind sched.EngineKind) {
+func benchAugStress(b *testing.B, f int) {
 	for i := 0; i < b.N; i++ {
 		seed := int64(i)
-		runner, err := sched.NewEngine(kind, f, sched.NewRandom(seed), sched.WithMaxSteps(1<<22))
-		if err != nil {
-			b.Fatal(err)
-		}
-		a := augsnap.New(runner, f, 3)
-		_, err = runner.Run(func(pid int) {
+		eng := sched.NewSeqEngine(f, sched.NewRandom(seed), sched.WithMaxSteps(1<<22))
+		a := augsnap.New(eng, f, 3)
+		_, err := eng.Run(func(pid int) {
 			rng := rand.New(rand.NewSource(seed*1000 + int64(pid)))
 			for j := 0; j < 6; j++ {
 				if rng.Intn(4) == 0 {
@@ -185,8 +174,7 @@ func BenchmarkSimulation(b *testing.B) {
 		{
 			// The sweep-scale configuration: enough simulators and
 			// components that the run is dominated by base-object steps
-			// rather than setup, which is where the execution engines
-			// actually differ.
+			// rather than setup.
 			name: "kset_n30_m5_f6",
 			cfg:  core.Config{N: 30, M: 5, F: 6, D: 0},
 			mk: func(in []proto.Value) ([]proto.Process, error) {
@@ -196,55 +184,16 @@ func BenchmarkSimulation(b *testing.B) {
 		},
 	}
 	for _, c := range cases {
-		for _, kind := range benchEngines {
-			b.Run(c.name+"/engine="+string(kind), func(b *testing.B) {
-				cfg := c.cfg
-				cfg.Engine = kind
-				inputs := make([]proto.Value, cfg.F)
-				for i := range inputs {
-					inputs[i] = i
-				}
-				for i := 0; i < b.N; i++ {
-					if _, err := core.Run(cfg, inputs, c.mk, sched.NewRandom(int64(i))); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkExploreEngines measures exhaustive-exploration throughput
-// (schedules/second) per execution engine: the sequential engine skips the
-// per-schedule goroutine system entirely and dispatches protocol processes
-// as step machines.
-func BenchmarkExploreEngines(b *testing.B) {
-	factory := func(gate sched.Stepper) trace.System {
-		procs, m, err := algorithms.NewConsensus(2, []proto.Value{0, 1})
-		if err != nil {
-			panic(err)
-		}
-		res := proto.NewRunResult(2)
-		snap := shmem.NewMWSnapshot("M", gate, m, nil)
-		return trace.System{
-			Machines: proto.Machines(procs, snap, res),
-			Check:    func(*sched.Result) error { return nil },
-		}
-	}
-	const runsPerExplore = 2000
-	for _, kind := range benchEngines {
-		b.Run("engine="+string(kind), func(b *testing.B) {
-			total := 0
+		b.Run(c.name, func(b *testing.B) {
+			inputs := make([]proto.Value, c.cfg.F)
+			for i := range inputs {
+				inputs[i] = i
+			}
 			for i := 0; i < b.N; i++ {
-				rep, err := trace.Explore(2, factory, trace.ExploreOpts{
-					MaxDepth: 24, MaxRuns: runsPerExplore, Engine: kind,
-				})
-				if err != nil {
+				if _, err := core.Run(c.cfg, inputs, c.mk, sched.NewRandom(int64(i))); err != nil {
 					b.Fatal(err)
 				}
-				total += rep.Runs
 			}
-			b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "schedules/s")
 		})
 	}
 }
@@ -383,32 +332,6 @@ func BenchmarkStressParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkFuzzEngines measures adversarial schedule-search throughput per
-// execution engine on the step-maximization metric.
-func BenchmarkFuzzEngines(b *testing.B) {
-	factory := func(gate sched.Stepper) trace.System {
-		procs, m, err := algorithms.NewKSetAgreement(4, 3, []proto.Value{0, 1, 2, 3})
-		if err != nil {
-			panic(err)
-		}
-		res := proto.NewRunResult(4)
-		snap := shmem.NewMWSnapshot("M", gate, m, nil)
-		return trace.System{Machines: proto.Machines(procs, snap, res)}
-	}
-	metric := func(res *sched.Result) float64 { return float64(res.Steps) }
-	for _, kind := range benchEngines {
-		b.Run("engine="+string(kind), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := trace.Fuzz(4, factory, metric, trace.FuzzOpts{
-					Iterations: 50, Seed: int64(i), ScheduleLen: 48, MaxSteps: 1 << 16, Engine: kind,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkReductionFalsification (E6) runs the starved-consensus reduction.
 func BenchmarkReductionFalsification(b *testing.B) {
 	cfg := core.Config{N: 4, M: 1, F: 4, D: 0}
@@ -507,11 +430,7 @@ func BenchmarkUpperBoundProtocols(b *testing.B) {
 // register-built constructions (the §2 equivalence both directions).
 func BenchmarkSnapshotSubstrates(b *testing.B) {
 	for _, kind := range []string{"atomic", "regsw", "regmw"} {
-		for _, eng := range benchEngines {
-			b.Run(kind+"/engine="+string(eng), func(b *testing.B) {
-				benchSnapshotWorkload(b, kind, eng)
-			})
-		}
+		b.Run(kind, func(b *testing.B) { benchSnapshotWorkload(b, kind) })
 	}
 }
 
@@ -544,15 +463,12 @@ func newBenchSnap(kind string, r sched.Stepper, f int) benchSnap {
 	}
 }
 
-func benchSnapshotWorkload(b *testing.B, kind string, eng sched.EngineKind) {
+func benchSnapshotWorkload(b *testing.B, kind string) {
 	const f = 4
 	for i := 0; i < b.N; i++ {
-		runner, err := sched.NewEngine(eng, f, sched.NewRandom(int64(i)), sched.WithMaxSteps(1<<22))
-		if err != nil {
-			b.Fatal(err)
-		}
-		snap := newBenchSnap(kind, runner, f)
-		_, err = runner.Run(func(pid int) {
+		eng := sched.NewSeqEngine(f, sched.NewRandom(int64(i)), sched.WithMaxSteps(1<<22))
+		snap := newBenchSnap(kind, eng, f)
+		_, err := eng.Run(func(pid int) {
 			for r := 0; r < 4; r++ {
 				snap.Update(pid, r)
 				snap.Scan(pid)

@@ -17,7 +17,6 @@ import (
 	"os"
 
 	"revisionist/internal/harness"
-	"revisionist/internal/sched"
 )
 
 func main() {
@@ -40,21 +39,13 @@ func run(args []string, out io.Writer) error {
 		m       = fs.Int("m", 3, "components")
 		ops     = fs.Int("ops", 8, "operations per process")
 		seeds   = fs.Int("seeds", 200, "number of seeded schedules")
-		engine  = harness.EngineFlag(fs)
 		workers = harness.WorkersFlag(fs)
 		prune   = harness.PruneFlag(fs)
 	)
 	if err := harness.ParseFlags(fs, args); err != nil {
 		return err
 	}
-	kind, err := sched.ParseEngine(*engine)
-	if err != nil {
-		fs.Usage()
-		return &harness.UsageError{Err: err}
-	}
-
 	rep, err := harness.Stress(harness.Options{
-		Engine:  kind,
 		Workers: *workers,
 		Prune:   *prune, // seed-enumerated stress has no DFS to prune; accepted for a uniform flag surface
 		F:       *f,

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"revisionist/internal/harness"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -37,9 +39,13 @@ func TestStressGolden(t *testing.T) {
 	checkGolden(t, "stress.golden", out.Bytes())
 }
 
+// TestUnknownEngineIsUsageError: there is one engine and no -engine flag,
+// so naming any engine on the command line is a usage error.
 func TestUnknownEngineIsUsageError(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-engine", "bogus"}, &out); err == nil {
-		t.Fatal("expected usage error for unknown engine")
+	for _, engine := range []string{"bogus", "seq", "goroutine"} {
+		var out bytes.Buffer
+		if err := run([]string{"-engine", engine}, &out); !harness.IsUsage(err) {
+			t.Fatalf("-engine %s: got %v, want usage error", engine, err)
+		}
 	}
 }

@@ -124,7 +124,6 @@ func run(args []string, out io.Writer) error {
 	opts := harness.Options{
 		Protocol:      shared.Protocol,
 		Params:        shared.Params,
-		Engine:        shared.Engine,
 		Workers:       shared.Workers,
 		Prune:         shared.Prune,
 		Symmetry:      shared.Symmetry,

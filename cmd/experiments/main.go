@@ -56,14 +56,12 @@ func main() {
 // exps carries the flag-level configuration through the experiment funcs.
 type exps struct {
 	out     io.Writer
-	engine  sched.EngineKind
 	workers int
 }
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	section := fs.String("section", "all", "which section to print")
-	engine := harness.EngineFlag(fs)
 	workers := harness.WorkersFlag(fs)
 	// -prune is part of the shared cmd surface; E9 measures pruned and plain
 	// exploration side by side regardless of the flag.
@@ -71,12 +69,7 @@ func run(args []string, out io.Writer) error {
 	if err := harness.ParseFlags(fs, args); err != nil {
 		return err
 	}
-	kind, err := sched.ParseEngine(*engine)
-	if err != nil {
-		fs.Usage()
-		return &harness.UsageError{Err: err}
-	}
-	e := &exps{out: out, engine: kind, workers: *workers}
+	e := &exps{out: out, workers: *workers}
 	sections := []struct {
 		name string
 		fn   func() error
@@ -208,7 +201,7 @@ func (e *exps) stressLogs(f, m, ops, n int) ([]*augsnap.Log, error) {
 	logs := make([]*augsnap.Log, n)
 	errs := make([]error, n)
 	trace.RunOnPool(trace.ResolveWorkers(e.workers), n, func(i int) {
-		if a, err := harness.StressWorkload(e.engine, f, m, ops, int64(i)); err != nil {
+		if a, err := harness.StressWorkload("", f, m, ops, int64(i)); err != nil {
 			errs[i] = err
 		} else {
 			logs[i] = a.Log()
@@ -313,7 +306,6 @@ func (e *exps) e5Simulation() error {
 	}
 	fmt.Fprintf(e.out, "%-26s | %6s %6s %6s %8s %10s %12s %8s %8s\n", "experiment", "runs", "done", "valid", "maxBU", "maxOps", "2b(i)+1 ok", "revis.", "recon")
 	for _, c := range cases {
-		c.opts.Engine = e.engine
 		c.opts.Validate = true
 		var runs, done, valid, maxBU, maxOps, revis, recon int
 		capsOK := true
@@ -373,9 +365,9 @@ func (e *exps) e5bGrowth() error {
 		k := n - m + 1
 		// m = 1 forces k >= n, which k-set agreement excludes; the
 		// one-register firstvalue protocol is the m = 1 workload.
-		opts := harness.Options{Protocol: "kset", Params: protocol.Params{N: n, K: k}, F: f, Engine: e.engine}
+		opts := harness.Options{Protocol: "kset", Params: protocol.Params{N: n, K: k}, F: f}
 		if k >= n {
-			opts = harness.Options{Protocol: "firstvalue", Params: protocol.Params{N: n}, F: f, Engine: e.engine}
+			opts = harness.Options{Protocol: "firstvalue", Params: protocol.Params{N: n}, F: f}
 		}
 		maxBU, maxOps := 0, 0
 		for seed := int64(0); seed < 40; seed++ {
@@ -413,7 +405,6 @@ func (e *exps) e6Falsification() error {
 				Protocol: "firstvalue-consensus",
 				Params:   protocol.Params{N: n},
 				F:        f,
-				Engine:   e.engine,
 				Seed:     seed,
 			})
 			if err != nil {
@@ -551,7 +542,6 @@ func (e *exps) e9StatePruning() error {
 		opts := harness.Options{
 			Protocol: c.protocol,
 			Params:   c.params,
-			Engine:   e.engine,
 			Workers:  e.workers,
 			MaxDepth: c.depth,
 			MaxRuns:  2_000_000,
@@ -599,7 +589,6 @@ func (e *exps) e10Symmetry() error {
 		opts := harness.Options{
 			Protocol: c.protocol,
 			Params:   c.params,
-			Engine:   e.engine,
 			Workers:  e.workers,
 			MaxDepth: c.depth,
 			MaxRuns:  2_000_000,

@@ -52,11 +52,11 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("modelcheck", flag.ContinueOnError)
 	shared := harness.BindFlags(fs, "consensus")
 	var (
-		depth   = fs.Int("depth", 20, "max schedule depth")
-		maxRuns = fs.Int("maxruns", 200_000, "max schedules")
-		maxViol = fs.Int("maxviol", 3, "stop after this many violations")
-		fuzz    = fs.Int("fuzz", 0, "fuzz iterations; > 0 switches to adversarial schedule search (-depth/-maxruns/-maxviol do not apply)")
-		seed    = fs.Int64("seed", 1, "fuzz search seed")
+		depth    = fs.Int("depth", 20, "max schedule depth")
+		maxRuns  = fs.Int("maxruns", 200_000, "max schedules")
+		maxViol  = fs.Int("maxviol", 3, "stop after this many violations")
+		fuzz     = fs.Int("fuzz", 0, "fuzz iterations; > 0 switches to adversarial schedule search (-depth/-maxruns/-maxviol do not apply)")
+		seed     = fs.Int64("seed", 1, "fuzz search seed")
 		witness  = fs.String("witness", "", "write the violating schedules to FILE as a JSON witness")
 		replay   = fs.String("replay", "", "re-execute the schedules of a JSON witness FILE instead of exploring")
 		progress = fs.Duration("progress", 0, "print live search progress (runs/sec, pruned ratio, frontier) to stderr every DUR (0 = off)")
@@ -85,7 +85,6 @@ func run(args []string, out io.Writer) error {
 	opts := harness.Options{
 		Protocol:      shared.Protocol,
 		Params:        shared.Params,
-		Engine:        shared.Engine,
 		Workers:       shared.Workers,
 		Prune:         shared.Prune,
 		Symmetry:      shared.Symmetry,
@@ -135,7 +134,7 @@ func run(args []string, out io.Writer) error {
 		return exit
 	}
 	if *witness != "" {
-		if werr := harness.WriteWitness(*witness, rep, shared.Engine, *depth); werr != nil {
+		if werr := harness.WriteWitness(*witness, rep, *depth); werr != nil {
 			return werr
 		}
 		fmt.Fprintf(out, "wrote %d violation(s) to %s\n", len(rep.Explore.Violations), *witness)

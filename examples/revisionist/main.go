@@ -44,7 +44,7 @@ func augmentedSnapshotDemo() {
 	fmt.Printf("q1 Scan:                %v\n", a.Scan(1))
 
 	// Force a yield: q1 starts a Block-Update, q0 sneaks in.
-	runner := sched.NewRunner(2, sched.StrategyFunc(func(step int, enabled []int) int {
+	eng := sched.NewSeqEngine(2, sched.StrategyFunc(func(step int, enabled []int) int {
 		if step == 0 && contains(enabled, 1) {
 			return 1
 		}
@@ -53,9 +53,9 @@ func augmentedSnapshotDemo() {
 		}
 		return enabled[0]
 	}))
-	a2 := augsnap.New(runner, 2, 2)
+	a2 := augsnap.New(eng, 2, 2)
 	var y0, y1 bool
-	if _, err := runner.Run(func(pid int) {
+	if _, err := eng.Run(func(pid int) {
 		_, at := a2.BlockUpdate(pid, []int{pid}, []augsnap.Value{pid})
 		if pid == 0 {
 			y0 = !at

@@ -164,7 +164,7 @@ type AugSnapshot struct {
 	log *Log
 
 	// Scratch buffers for the operation hot paths. Execution between two
-	// gated steps is exclusive under both engines and no scratch use spans a
+	// gated steps is exclusive (one step at a time) and no scratch use spans a
 	// gate, so per-object reuse is race-free; contents are always copied out
 	// (or recomputed) before the next gate.
 	helpScratch []HelpRec

@@ -97,7 +97,7 @@ func TestProcessZeroNeverYields(t *testing.T) {
 	// Under every random schedule, every Block-Update by process 0 is atomic
 	// (Theorem 20).
 	for seed := int64(0); seed < 20; seed++ {
-		runner := sched.NewRunner(3, sched.NewRandom(seed), sched.WithMaxSteps(1<<20))
+		runner := sched.NewSeqEngine(3, sched.NewRandom(seed), sched.WithMaxSteps(1<<20))
 		a := New(runner, 3, 3)
 		_, err := runner.Run(func(pid int) {
 			for i := 0; i < 4; i++ {
@@ -114,7 +114,7 @@ func TestProcessZeroNeverYields(t *testing.T) {
 }
 
 func TestLemma2StepCounts(t *testing.T) {
-	runner := sched.NewRunner(2, sched.RoundRobin{N: 2}, sched.WithMaxSteps(1<<20))
+	runner := sched.NewSeqEngine(2, sched.RoundRobin{N: 2}, sched.WithMaxSteps(1<<20))
 	a := New(runner, 2, 2)
 	_, err := runner.Run(func(pid int) {
 		a.BlockUpdate(pid, []int{pid}, []Value{pid})
@@ -205,7 +205,7 @@ func TestYieldRequiresLowerIDContention(t *testing.T) {
 	// Drive process 1's Block-Update to interleave with process 0's: pick a
 	// schedule where p0 appends triples between p1's line-2 scan and line-8
 	// check. p1 must yield.
-	runner := sched.NewRunner(2, sched.StrategyFunc(func(step int, enabled []int) int {
+	runner := sched.NewSeqEngine(2, sched.StrategyFunc(func(step int, enabled []int) int {
 		// Let p1 do its first scan, then run p0 to completion, then p1.
 		if step == 0 {
 			for _, pid := range enabled {
@@ -263,7 +263,7 @@ func TestBlockUpdatePanicsOnBadArgs(t *testing.T) {
 // under a seeded random schedule and returns the augmented snapshot.
 func randomWorkload(t *testing.T, f, m, opsPer int, seed int64) *AugSnapshot {
 	t.Helper()
-	runner := sched.NewRunner(f, sched.NewRandom(seed), sched.WithMaxSteps(1<<22))
+	runner := sched.NewSeqEngine(f, sched.NewRandom(seed), sched.WithMaxSteps(1<<22))
 	a := New(runner, f, m)
 	_, err := runner.Run(func(pid int) {
 		rng := rand.New(rand.NewSource(seed*1000 + int64(pid)))
@@ -326,7 +326,7 @@ func TestConcurrentScansDoNotBlockEachOther(t *testing.T) {
 	// must not force each other to retry. Under a fully interleaved schedule
 	// both Scans must finish in exactly 3 H-operations (the k = 0 case of
 	// Lemma 2).
-	runner := sched.NewRunner(2, sched.Alternator{Burst: 1}, sched.WithMaxSteps(1<<16))
+	runner := sched.NewSeqEngine(2, sched.Alternator{Burst: 1}, sched.WithMaxSteps(1<<16))
 	a := New(runner, 2, 2)
 	_, err := runner.Run(func(pid int) {
 		a.Scan(pid)
@@ -344,7 +344,7 @@ func TestConcurrentScansDoNotBlockEachOther(t *testing.T) {
 func TestScanRetriesUnderConcurrentBlockUpdates(t *testing.T) {
 	// A Scan interleaved with triple-appending Block-Updates retries, but
 	// stays within the Lemma 2 bound and terminates once writers stop.
-	runner := sched.NewRunner(3, sched.Alternator{Burst: 2}, sched.WithMaxSteps(1<<18))
+	runner := sched.NewSeqEngine(3, sched.Alternator{Burst: 2}, sched.WithMaxSteps(1<<18))
 	a := New(runner, 3, 2)
 	_, err := runner.Run(func(pid int) {
 		if pid == 2 {

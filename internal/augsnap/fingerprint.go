@@ -12,9 +12,9 @@ import (
 // state of H plus the per-process Block-Update counters. The operation log
 // is offline-checking bookkeeping, not state, and is never fingerprinted —
 // which also means systems whose checkers read the log (trace.Check) must
-// not be pruned on these fingerprints; they exist for cross-engine
-// configuration comparison and for protocol-level systems whose checkers are
-// functions of the reachable state.
+// not be pruned on these fingerprints; they exist for configuration
+// comparison (the sched equivalence tests) and for protocol-level systems
+// whose checkers are functions of the reachable state.
 
 // appendTimestamp appends a vector timestamp.
 func appendTimestamp(h *maphash.Hash, t Timestamp) {

@@ -56,12 +56,6 @@ type Config struct {
 	// registers (Afek et al.) instead of using the atomic snapshot: the full
 	// stack of the paper's model, at a higher step cost per operation.
 	RegisterBuiltH bool
-	// Engine selects the execution engine for the real system. The default
-	// (sched.EngineSeq) runs the simulators as coroutine-bridged step
-	// functions with no channel operations; sched.EngineGoroutine is the
-	// goroutine-per-simulator gate. Both produce identical results and traces
-	// for the same strategy.
-	Engine sched.EngineKind
 }
 
 func (c *Config) fill() error {
@@ -204,10 +198,7 @@ func Run(cfg Config, inputs []proto.Value, mkProtocol func(inputs []proto.Value)
 		return nil, fmt.Errorf("core: protocol has %d processes, want n = %d", len(allProcs), cfg.N)
 	}
 
-	eng, err := sched.NewEngine(cfg.Engine, cfg.F, strat, sched.WithMaxSteps(cfg.MaxSteps))
-	if err != nil {
-		return nil, err
-	}
+	eng := sched.NewSeqEngine(cfg.F, strat, sched.WithMaxSteps(cfg.MaxSteps))
 	var aug *augsnap.AugSnapshot
 	if cfg.RegisterBuiltH {
 		aug = augsnap.NewOver(shmem.NewRegSWSnapshot("H", eng, cfg.F, augsnap.HComp{}), cfg.F, cfg.M)
@@ -267,10 +258,8 @@ func Run(cfg Config, inputs []proto.Value, mkProtocol func(inputs []proto.Value)
 // The simulators are implemented as resumable step machines (sched.Machine):
 // every Resume performs exactly one base-object operation on H, by stepping
 // the augmented snapshot's operation cursors (augsnap.ScanOp,
-// augsnap.BlockUpdateOp). On the sequential engine they run by direct
-// dispatch — no goroutines, no channels, no coroutines; on the goroutine
-// engine the same machines run as resume loops, one goroutine each, with
-// identical traces.
+// augsnap.BlockUpdateOp). The sequential engine runs them by direct
+// dispatch — no goroutines, no channels, no coroutines.
 
 // directMachine implements Algorithm 5.
 type directMachine struct {

@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"revisionist/internal/protocol"
+	"revisionist/internal/sched"
 	"revisionist/internal/trace"
 )
 
@@ -469,13 +470,19 @@ type Violation struct {
 type Witness struct {
 	Protocol   string
 	Params     protocol.Params
-	Engine     string
+	Engine     string // compatibility field: "" or sched.EngineName
 	MaxDepth   int
 	Violations []Violation
 }
 
-// WitnessOf records rep's violating schedules.
+// WitnessOf records rep's violating schedules. engine is the job's
+// compatibility engine name; the empty default is recorded as
+// sched.EngineName, so a witness reads the same whichever front end wrote
+// it.
 func WitnessOf(protocolName string, params protocol.Params, engine string, maxDepth int, viols []trace.Violation) *Witness {
+	if engine == "" {
+		engine = sched.EngineName
+	}
 	w := &Witness{Protocol: protocolName, Params: params, Engine: engine, MaxDepth: maxDepth}
 	for _, v := range viols {
 		w.Violations = append(w.Violations, Violation{Schedule: v.Schedule, Err: v.Err.Error()})

@@ -9,12 +9,11 @@ import (
 
 	"revisionist/internal/core"
 	"revisionist/internal/protocol"
-	"revisionist/internal/sched"
 	"revisionist/internal/trace"
 )
 
-// UsageError marks a command-line error (bad flag value, unknown protocol or
-// engine); mains conventionally exit 2 on it instead of 1.
+// UsageError marks a command-line error (bad flag value, unknown protocol);
+// mains conventionally exit 2 on it instead of 1.
 type UsageError struct{ Err error }
 
 // Error implements error.
@@ -43,15 +42,14 @@ func ParseFlags(fs *flag.FlagSet, args []string) error {
 }
 
 // Flags is the command-line surface shared by the cmds: protocol selection,
-// protocol parameters, engine selection (validated at parse time) and -list.
+// protocol parameters, search options and -list.
 // Bind it to a FlagSet, Parse, then Resolve; the resolved values feed an
 // Options directly.
 type Flags struct {
-	// Protocol is the resolved -protocol value, Engine the parse-validated
-	// -engine value, List the -list value, Workers the validated -workers
-	// value (0 = GOMAXPROCS), Prune the -prune value.
+	// Protocol is the resolved -protocol value, List the -list value,
+	// Workers the validated -workers value (0 = GOMAXPROCS), Prune the
+	// -prune value.
 	Protocol string
-	Engine   sched.EngineKind
 	List     bool
 	Workers  int
 	Prune    bool
@@ -61,20 +59,19 @@ type Flags struct {
 	// Params carries the -n/-k/-x/-eps values; 0 means "schema default".
 	Params protocol.Params
 
-	protocolF, engineF *string
-	listF, pruneF      *bool
-	symmetryF          *bool
-	workersF           *int
-	nF, kF, xF         *int
-	epsF               *float64
+	protocolF     *string
+	listF, pruneF *bool
+	symmetryF     *bool
+	workersF      *int
+	nF, kF, xF    *int
+	epsF          *float64
 }
 
-// BindFlags registers -protocol (defaulting to def), -engine, -list and the
-// schema parameter flags -n, -k, -x and -eps (all defaulting to 0 =
-// "protocol schema default") on fs.
+// BindFlags registers -protocol (defaulting to def), -list and the schema
+// parameter flags -n, -k, -x and -eps (all defaulting to 0 = "protocol
+// schema default") on fs.
 func BindFlags(fs *flag.FlagSet, def string) *Flags {
 	f := bindListFlags(fs, def)
-	f.engineF = EngineFlag(fs)
 	f.nF = fs.Int("n", 0, "processes (0 = protocol default)")
 	f.kF = fs.Int("k", 0, "k for k-set agreement (0 = protocol default)")
 	f.xF = fs.Int("x", 0, "x for lane-kset (0 = protocol default)")
@@ -83,7 +80,7 @@ func BindFlags(fs *flag.FlagSet, def string) *Flags {
 }
 
 // BindListFlags registers only -protocol and -list, for cmds that never
-// execute anything (no engine, no parameter overrides).
+// execute anything (no parameter overrides).
 func BindListFlags(fs *flag.FlagSet, def string) *Flags {
 	return bindListFlags(fs, def)
 }
@@ -99,12 +96,6 @@ func bindListFlags(fs *flag.FlagSet, def string) *Flags {
 	return f
 }
 
-// EngineFlag registers just the -engine flag (for cmds without protocols).
-func EngineFlag(fs *flag.FlagSet) *string {
-	return fs.String("engine", string(sched.DefaultEngine),
-		fmt.Sprintf("execution engine: %s | %s", sched.EngineSeq, sched.EngineGoroutine))
-}
-
 // WorkersFlag registers just the -workers flag — the shared worker-pool size
 // of the parallel searches. Results never depend on its value, only
 // wall-clock does.
@@ -113,13 +104,12 @@ func WorkersFlag(fs *flag.FlagSet) *int {
 }
 
 // PruneFlag registers just the -prune flag — the shared switch for stateful
-// exploration (state-fingerprint pruning + subtree checkpointing), which
-// needs the sequential engine. It only affects exhaustive exploration
-// (Options.Prune, the Check verb); verbs that enumerate seeds or run single
-// schedules accept and ignore it, keeping the flag surface uniform across
-// the cmds.
+// exploration (state-fingerprint pruning + subtree checkpointing). It only
+// affects exhaustive exploration (Options.Prune, the Check verb); verbs that
+// enumerate seeds or run single schedules accept and ignore it, keeping the
+// flag surface uniform across the cmds.
 func PruneFlag(fs *flag.FlagSet) *bool {
-	return fs.Bool("prune", false, "prune exhaustive exploration via state fingerprints + subtree checkpointing (seq engine; Check-style verbs only)")
+	return fs.Bool("prune", false, "prune exhaustive exploration via state fingerprints + subtree checkpointing (Check-style verbs only)")
 }
 
 // SymmetryFlag registers just the -symmetry flag — the shared switch for
@@ -132,16 +122,8 @@ func SymmetryFlag(fs *flag.FlagSet) *bool {
 	return fs.Bool("symmetry", false, "collapse process-permutation orbits to one canonical state fingerprint (implies -prune; Check-style verbs only)")
 }
 
-// Resolve validates the parsed flag values; call it after fs.Parse. An
-// unknown engine is a usage error carrying the accepted values.
+// Resolve validates the parsed flag values; call it after fs.Parse.
 func (f *Flags) Resolve() error {
-	if f.engineF != nil {
-		kind, err := sched.ParseEngine(*f.engineF)
-		if err != nil {
-			return &UsageError{Err: err}
-		}
-		f.Engine = kind
-	}
 	f.Protocol = *f.protocolF
 	f.List = *f.listF
 	if f.workersF != nil {

@@ -1,9 +1,8 @@
 // Package harness is the one front door to the paper's experiment shapes.
 // Every experiment in the repository — and every cmd — follows one pattern:
 // pick a protocol Π from the registry (internal/protocol), pick a mode, run
-// it. The harness owns the wiring those modes share (engine selection, seed
-// handling, factory construction, report types) behind one Options struct
-// and four verbs:
+// it. The harness owns the wiring those modes share (seed handling, factory
+// construction, report types) behind one Options struct and four verbs:
 //
 //   - Run    — the revisionist simulation (§4): f simulators wait-free
 //     simulate Π through an augmented snapshot (core.Run), with task,
@@ -43,8 +42,10 @@ type Options struct {
 	Protocol string
 	// Params are Π's parameters; unset fields take the schema defaults.
 	Params protocol.Params
-	// Engine selects the execution engine ("" = sched.DefaultEngine).
-	Engine sched.EngineKind
+	// Engine is a compatibility field from when there was a choice of
+	// engines: "" and sched.EngineName name the one engine, and every verb
+	// rejects anything else.
+	Engine string
 	// Workers sets the search worker-pool size for Check, Fuzz and Stress
 	// (0 = GOMAXPROCS, 1 = sequential). Reports are identical for any value:
 	// Check merges subtree results back into canonical schedule order, Fuzz's
@@ -52,12 +53,12 @@ type Options struct {
 	// outcomes in seed order.
 	Workers int
 	// Prune enables stateful exploration for Check: state-fingerprint pruning
-	// of converging interleavings plus, on the sequential engine, subtree
-	// checkpointing (the DFS forks runs from the deepest common prefix). The
-	// violation set and Exhausted flag match the unpruned search — the task
-	// validators are functions of the reachable configuration — while the
-	// run count shrinks by the protocol's symmetry. The report is identical
-	// for any Workers value. Other verbs ignore it.
+	// of converging interleavings plus subtree checkpointing (the DFS forks
+	// runs from the deepest common prefix). The violation set and Exhausted
+	// flag match the unpruned search — the task validators are functions of
+	// the reachable configuration — while the run count shrinks by the
+	// protocol's symmetry. The report is identical for any Workers value.
+	// Other verbs ignore it.
 	Prune bool
 	// Symmetry enables symmetry-reduced pruning for Check (implies Prune):
 	// the visited-state cache stores canonical fingerprints that collapse
@@ -124,6 +125,9 @@ type Options struct {
 
 // resolve looks the protocol up and resolves its parameters.
 func (o Options) resolve() (*protocol.Protocol, protocol.Params, error) {
+	if err := sched.CheckEngine(o.Engine); err != nil {
+		return nil, protocol.Params{}, &UsageError{Err: err}
+	}
 	pr, err := protocol.Lookup(o.Protocol)
 	if err != nil {
 		return nil, protocol.Params{}, &UsageError{Err: err}
@@ -182,11 +186,10 @@ func plan(opts Options, pr *protocol.Protocol, p protocol.Params) (core.Config, 
 		return core.Config{}, err
 	}
 	return core.Config{
-		N:      p.N,
-		M:      inst.M,
-		F:      defaultInt(opts.F, 3),
-		D:      opts.D,
-		Engine: opts.Engine,
+		N: p.N,
+		M: inst.M,
+		F: defaultInt(opts.F, 3),
+		D: opts.D,
 	}, nil
 }
 
@@ -334,10 +337,6 @@ type CheckReport struct {
 // exploreOpts resolves Options into the exploration bounds Check — local or
 // distributed — runs under.
 func exploreOpts(opts Options) trace.ExploreOpts {
-	engine := opts.Engine
-	if engine == "" {
-		engine = sched.DefaultEngine
-	}
 	// Symmetry implies Prune: the reduction is a property of the
 	// visited-state cache, so there is nothing for it to reduce without one.
 	prune := opts.Prune || opts.Symmetry
@@ -345,7 +344,7 @@ func exploreOpts(opts Options) trace.ExploreOpts {
 		MaxDepth:      defaultInt(opts.MaxDepth, 20),
 		MaxRuns:       defaultInt(opts.MaxRuns, 200_000),
 		MaxViolations: defaultInt(opts.MaxViolations, 1),
-		Engine:        engine,
+		Engine:        opts.Engine,
 		Workers:       opts.Workers,
 		Prune:         prune,
 		Symmetry:      opts.Symmetry,
@@ -398,7 +397,6 @@ func Fuzz(opts Options, metric func(res *sched.Result) float64) (*FuzzReport, er
 		Seed:        opts.Seed,
 		ScheduleLen: opts.ScheduleLen,
 		MaxSteps:    opts.MaxSteps,
-		Engine:      opts.Engine,
 		Workers:     opts.Workers,
 	})
 	if err != nil {
@@ -512,13 +510,14 @@ func Stress(opts Options) (*StressReport, error) {
 // (ops operations per each of f processes, ~1/4 Scans) on a fresh
 // m-component augmented snapshot and returns it for log inspection. It is
 // the shared workload generator behind Stress and the E3/E4 experiments.
-func StressWorkload(engine sched.EngineKind, f, m, ops int, seed int64) (*augsnap.AugSnapshot, error) {
-	runner, err := sched.NewEngine(engine, f, sched.NewRandom(seed), sched.WithMaxSteps(1<<22))
-	if err != nil {
+// engine is the compatibility engine name of Options.Engine.
+func StressWorkload(engine string, f, m, ops int, seed int64) (*augsnap.AugSnapshot, error) {
+	if err := sched.CheckEngine(engine); err != nil {
 		return nil, err
 	}
-	a := augsnap.New(runner, f, m)
-	_, err = runner.Run(func(pid int) {
+	eng := sched.NewSeqEngine(f, sched.NewRandom(seed), sched.WithMaxSteps(1<<22))
+	a := augsnap.New(eng, f, m)
+	_, err := eng.Run(func(pid int) {
 		rng := rand.New(rand.NewSource(seed*1000 + int64(pid)))
 		for i := 0; i < ops; i++ {
 			if rng.Intn(4) == 0 {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"revisionist/internal/protocol"
-	"revisionist/internal/sched"
 	"revisionist/internal/trace"
 )
 
@@ -90,30 +89,6 @@ func TestRunKSet(t *testing.T) {
 	}
 }
 
-// TestRunEngineAgreement checks that both engines produce the same
-// simulation through the harness front door.
-func TestRunEngineAgreement(t *testing.T) {
-	opts := Options{Protocol: "kset", Params: protocol.Params{N: 9, K: 7}, F: 3, Seed: 7}
-	opts.Engine = sched.EngineSeq
-	seq, err := Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Engine = sched.EngineGoroutine
-	gor, err := Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Result.Steps != gor.Result.Steps {
-		t.Errorf("step counts differ: seq %d, goroutine %d", seq.Result.Steps, gor.Result.Steps)
-	}
-	for i := range seq.Result.Outputs {
-		if seq.Result.Outputs[i] != gor.Result.Outputs[i] {
-			t.Errorf("output %d differs: seq %v, goroutine %v", i, seq.Result.Outputs[i], gor.Result.Outputs[i])
-		}
-	}
-}
-
 func TestFuzz(t *testing.T) {
 	rep, err := Fuzz(Options{
 		Protocol:   "consensus",
@@ -152,9 +127,9 @@ func TestResolveErrorsAreUsage(t *testing.T) {
 	if _, err := Check(Options{Protocol: "kset", Params: protocol.Params{K: 99}}); !IsUsage(err) {
 		t.Errorf("bad params: got %v, want usage error", err)
 	}
-	if _, err := sched.ParseEngine("bogus"); err == nil ||
-		!strings.Contains(err.Error(), "seq") || !strings.Contains(err.Error(), "goroutine") {
-		t.Errorf("ParseEngine should reject unknown kinds listing the valid ones, got %v", err)
+	if _, err := Run(Options{Protocol: "kset", Engine: "goroutine"}); !IsUsage(err) ||
+		!strings.Contains(err.Error(), `"seq"`) {
+		t.Errorf("retired engine: got %v, want usage error naming the one engine", err)
 	}
 }
 
@@ -256,7 +231,7 @@ func TestCheckViolationsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, v := range rep.Explore.Violations {
-		violErr, runErr := trace.ReplayViolation(p.N, factory(pr, p), opts.Engine, v)
+		violErr, runErr := trace.ReplayViolation(p.N, factory(pr, p), v)
 		if runErr != nil {
 			t.Fatalf("violation %d: replay failed: %v", i, runErr)
 		}
@@ -376,7 +351,7 @@ func TestCheckPrunedMatchesUnpruned(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, v := range pe.Violations {
-				violErr, runErr := trace.ReplayViolation(p.N, factory(pr, p), opts.Engine, v)
+				violErr, runErr := trace.ReplayViolation(p.N, factory(pr, p), v)
 				if runErr != nil {
 					t.Fatalf("violation %d: replay failed: %v", i, runErr)
 				}

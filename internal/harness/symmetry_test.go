@@ -151,7 +151,7 @@ func TestCheckSymmetryMatchesUnreduced(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, v := range sy.Violations {
-				violErr, runErr := trace.ReplayViolation(p.N, factory(pr, p), opts.Engine, v)
+				violErr, runErr := trace.ReplayViolation(p.N, factory(pr, p), v)
 				if runErr != nil {
 					t.Fatalf("violation %d: replay failed: %v", i, runErr)
 				}

@@ -53,18 +53,11 @@ func ValidateJob(job wire.Job) (wire.Job, error) {
 	if o.Workers < 0 {
 		ve.Add("workers", o.Workers, "worker-pool size must be >= 0 (0 = GOMAXPROCS)")
 	}
-	engine := o.Engine
-	if engine == "" {
-		engine = sched.DefaultEngine
-	}
-	if _, err := sched.ParseEngine(string(engine)); err != nil {
+	if err := sched.CheckEngine(o.Engine); err != nil {
 		ve.Add("engine", o.Engine, err.Error())
 	}
 	if o.Symmetry && !o.Prune {
 		ve.Add("symmetry", o.Symmetry, "symmetry reduction is a property of the visited-state cache: it requires prune")
-	}
-	if o.Prune && engine != sched.EngineSeq {
-		ve.Add("prune", o.Prune, "pruned runs resume from checkpointed engine state: sequential engine only")
 	}
 	if err := ve.OrNil(); err != nil {
 		return job, fmt.Errorf("harness: invalid job: %w", err)

@@ -34,7 +34,7 @@ func TestValidateJobBoundaries(t *testing.T) {
 		{"prune off the seq engine", func(j *wire.Job) {
 			j.Opts.Prune = true
 			j.Opts.Engine = "goroutine"
-		}, []string{"prune"}},
+		}, []string{"engine"}},
 		{"negative budgets", func(j *wire.Job) {
 			j.Opts.MaxRuns = -1
 			j.Opts.MaxViolations = -1
@@ -76,6 +76,43 @@ func TestValidateJobBoundaries(t *testing.T) {
 				if !got[want] {
 					t.Errorf("rejection %q misses field %q", err, want)
 				}
+			}
+		})
+	}
+}
+
+// TestValidateJobEngineCompat pins the compatibility field
+// wire.Job.Opts.Engine: there is one engine, recorded as "seq". A job naming
+// it, or naming none, is admitted; any other name, the retired "goroutine"
+// included, is a structured field error on engine.
+func TestValidateJobEngineCompat(t *testing.T) {
+	cases := []struct {
+		name string
+		opts string // the job's Opts as submitted
+		ok   bool
+	}{
+		{"field absent", `{"MaxDepth":8}`, true},
+		{"empty", `{"MaxDepth":8,"Engine":""}`, true},
+		{"seq", `{"MaxDepth":8,"Engine":"seq"}`, true},
+		{"goroutine", `{"MaxDepth":8,"Engine":"goroutine"}`, false},
+		{"unknown", `{"MaxDepth":8,"Engine":"x"}`, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var job wire.Job
+			if err := json.Unmarshal([]byte(`{"Protocol":"firstvalue","Opts":`+c.opts+`}`), &job); err != nil {
+				t.Fatal(err)
+			}
+			_, err := harness.ValidateJob(job)
+			if c.ok {
+				if err != nil {
+					t.Fatalf("job rejected: %v", err)
+				}
+				return
+			}
+			var ve *protocol.ValidationError
+			if !errors.As(err, &ve) || len(ve.Fields) != 1 || ve.Fields[0].Field != "engine" {
+				t.Fatalf("want one field error on engine, got %v", err)
 			}
 		})
 	}

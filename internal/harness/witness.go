@@ -1,6 +1,6 @@
 // Violation witness files: a Check run's violating schedules serialized as a
 // wire.Witness JSON document — the wire format's first on-disk consumer. A
-// witness is self-contained (protocol name, resolved parameters, engine), so
+// witness is self-contained (protocol name, resolved parameters), so
 // a schedule found by one machine, or by a distributed fleet, replays
 // anywhere the binary runs.
 package harness
@@ -18,11 +18,8 @@ import (
 
 // WriteWitness serializes rep's violating schedules (possibly none — a clean
 // witness records a clean check) to path.
-func WriteWitness(path string, rep *CheckReport, engine sched.EngineKind, maxDepth int) error {
-	if engine == "" {
-		engine = sched.DefaultEngine
-	}
-	w := wire.WitnessOf(rep.Protocol.Name, rep.Params, string(engine), maxDepth, rep.Explore.Violations)
+func WriteWitness(path string, rep *CheckReport, maxDepth int) error {
+	w := wire.WitnessOf(rep.Protocol.Name, rep.Params, sched.EngineName, maxDepth, rep.Explore.Violations)
 	data, err := json.MarshalIndent(w, "", "  ")
 	if err != nil {
 		return fmt.Errorf("harness: encode witness: %w", err)
@@ -44,8 +41,7 @@ func ReplayWitness(out io.Writer, path string) error {
 	if err := json.Unmarshal(data, &w); err != nil {
 		return fmt.Errorf("harness: decode witness %s: %w", path, err)
 	}
-	engine, err := sched.ParseEngine(w.Engine)
-	if err != nil {
+	if err := sched.CheckEngine(w.Engine); err != nil {
 		return &UsageError{Err: err}
 	}
 	nprocs, f, err := Resolve(wire.Job{Protocol: w.Protocol, Params: w.Params})
@@ -55,7 +51,7 @@ func ReplayWitness(out io.Writer, path string) error {
 	fmt.Fprintf(out, "witness %s: %s n=%d, %d recorded violation(s)\n", path, w.Protocol, w.Params.N, len(w.Violations))
 	failed := 0
 	for i, v := range w.Violations {
-		violErr, runErr := trace.ReplayViolation(nprocs, f, engine, trace.Violation{Schedule: v.Schedule})
+		violErr, runErr := trace.ReplayViolation(nprocs, f, trace.Violation{Schedule: v.Schedule})
 		switch {
 		case runErr != nil:
 			return fmt.Errorf("harness: witness violation %d: %w", i, runErr)

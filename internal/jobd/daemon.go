@@ -430,7 +430,7 @@ func (d *Daemon) attachReport(rec *Record, rep *trace.ExploreReport) {
 	rec.Report = wire.ReportOf(rep)
 	if len(rep.Violations) > 0 {
 		rec.Witness = wire.WitnessOf(rec.Job.Protocol, rec.Job.Params,
-			string(rec.Job.Opts.Engine), rec.Job.Opts.MaxDepth, rep.Violations)
+			rec.Job.Opts.Engine, rec.Job.Opts.MaxDepth, rep.Violations)
 	}
 }
 

@@ -229,6 +229,73 @@ func TestDaemonConcurrentJobsDeterministic(t *testing.T) {
 	wg.Wait()
 }
 
+// TestDaemonWitnessMatchesModelcheck pins the promise that a job's witness
+// artifact is the same document modelcheck -witness writes for the same
+// check. A job submitted with no engine named records the one engine, as
+// the file does.
+func TestDaemonWitnessMatchesModelcheck(t *testing.T) {
+	opts := harness.Options{Protocol: "firstvalue-consensus", Params: protocol.Params{N: 2},
+		MaxDepth: 12, MaxViolations: 3}
+	rep, err := harness.Check(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "witness.json")
+	if err := harness.WriteWitness(path, rep, opts.MaxDepth); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file wire.Witness
+	if err := json.Unmarshal(data, &file); err != nil {
+		t.Fatal(err)
+	}
+
+	td := startDaemon(t, jobd.Config{})
+	var wg sync.WaitGroup
+	worker(t, td.addr, 2, &wg)
+	cl, err := jobd.Dial(td.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	job, err := harness.CheckJob(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job.Opts.Engine = ""
+	ack, err := cl.Submit(job)
+	if err != nil || ack.Err != "" {
+		t.Fatalf("submit: %v / %s", err, ack.Err)
+	}
+	waitState(t, cl, ack.ID, "done")
+	fetched, err := cl.Fetch(ack.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fetched.Witness == nil {
+		t.Fatal("violating job has no witness")
+	}
+	if fetched.Witness.Engine != file.Engine {
+		t.Fatalf("witness Engine: checkd %q, modelcheck %q", fetched.Witness.Engine, file.Engine)
+	}
+	got, err := json.Marshal(fetched.Witness)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(&file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("witness documents differ:\ncheckd     %s\nmodelcheck %s", got, want)
+	}
+	td.shutdown(t)
+	wg.Wait()
+}
+
 // TestDaemonValidationOverWire pins the admission check across the
 // transport: a hostile submission is rejected with structured field errors
 // in the ack, and nothing is queued.

@@ -226,7 +226,7 @@ func TestTaggedRegistersABAFreedom(t *testing.T) {
 	// the pattern A, then B != A, then A again — even when writers keep
 	// rewriting the same logical value.
 	for seed := int64(0); seed < 20; seed++ {
-		runner := sched.NewRunner(3, sched.NewRandom(seed), sched.WithMaxSteps(1<<20))
+		runner := sched.NewSeqEngine(3, sched.NewRandom(seed), sched.WithMaxSteps(1<<20))
 		tr := NewTaggedRegisters("R", runner, 1, 3)
 		var obs []tagged
 		_, err := runner.Run(func(pid int) {
@@ -273,7 +273,7 @@ func TestTaggedRegistersScan(t *testing.T) {
 
 func TestTaggedRegistersScanUnderContention(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		runner := sched.NewRunner(3, sched.NewRandom(seed), sched.WithMaxSteps(1<<20))
+		runner := sched.NewSeqEngine(3, sched.NewRandom(seed), sched.WithMaxSteps(1<<20))
 		tr := NewTaggedRegisters("R", runner, 2, 3)
 		var views [][]shmem.Value
 		_, err := runner.Run(func(pid int) {
@@ -301,7 +301,7 @@ func TestDeterminizedRunsOverTaggedRegisters(t *testing.T) {
 	// ABA-free register implementation of the m-component object.
 	inputs := []proto.Value{"a", "b"}
 	for seed := int64(0); seed < 10; seed++ {
-		runner := sched.NewRunner(2, sched.NewRandom(seed), sched.WithMaxSteps(1<<20))
+		runner := sched.NewSeqEngine(2, sched.NewRandom(seed), sched.WithMaxSteps(1<<20))
 		tr := NewTaggedRegisters("R", runner, 1, 2)
 		procs := make([]proto.Process, 2)
 		for i := range procs {
@@ -330,7 +330,7 @@ func TestMaxBidOverMaxRegister(t *testing.T) {
 		t.Fatalf("solo distance = %d, want 3 (writemax, scan, decide)", d)
 	}
 	for seed := int64(0); seed < 20; seed++ {
-		runner := sched.NewRunner(3, sched.NewRandom(seed), sched.WithMaxSteps(1<<20))
+		runner := sched.NewSeqEngine(3, sched.NewRandom(seed), sched.WithMaxSteps(1<<20))
 		snap := shmem.NewMaxSnapshot("X", runner, 1, shmem.IntLess)
 		procs := make([]proto.Process, 3)
 		for i := range procs {

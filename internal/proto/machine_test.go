@@ -1,76 +1,11 @@
 package proto
 
 import (
-	"reflect"
 	"testing"
 
 	"revisionist/internal/sched"
 	"revisionist/internal/shmem"
 )
-
-// crossStrategies is the machine/body equivalence matrix.
-func crossStrategies(n int) map[string]func() sched.Strategy {
-	return map[string]func() sched.Strategy{
-		"roundrobin": func() sched.Strategy { return sched.RoundRobin{N: n} },
-		"random3":    func() sched.Strategy { return sched.NewRandom(3) },
-		"random41":   func() sched.Strategy { return sched.NewRandom(41) },
-		"lowest":     func() sched.Strategy { return sched.Lowest{} },
-		"highest":    func() sched.Strategy { return sched.Highest{} },
-		"solo":       func() sched.Strategy { return sched.Solo{PID: 0, After: 3, Fallback: sched.RoundRobin{N: n}} },
-	}
-}
-
-// runScripted executes the scripted 2-process protocol on the given engine
-// kind, via machines (RunMachines) or via the classic Body closure.
-func runScripted(t *testing.T, kind sched.EngineKind, machines bool, strat sched.Strategy) (*RunResult, *sched.Result) {
-	t.Helper()
-	procs := []Process{newScripted(0, 3), newScripted(1, 3)}
-	res := NewRunResult(2)
-	eng, err := sched.NewEngine(kind, 2, strat, sched.WithMaxSteps(1<<16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := shmem.NewMWSnapshot("M", eng, 2, nil)
-	var sres *sched.Result
-	if machines {
-		sres, err = eng.RunMachines(Machines(procs, snap, res))
-	} else {
-		sres, err = eng.Run(Body(procs, snap, res))
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, sres
-}
-
-// TestMachineMatchesBodyAcrossEngines checks the four execution paths —
-// {goroutine, seq} × {Body, Machines} — produce byte-identical traces and
-// identical protocol results for the same strategy.
-func TestMachineMatchesBodyAcrossEngines(t *testing.T) {
-	for name, mk := range crossStrategies(2) {
-		t.Run(name, func(t *testing.T) {
-			refRes, refTrace := runScripted(t, sched.EngineGoroutine, false, mk())
-			paths := []struct {
-				name     string
-				kind     sched.EngineKind
-				machines bool
-			}{
-				{"goroutine/machines", sched.EngineGoroutine, true},
-				{"seq/body", sched.EngineSeq, false},
-				{"seq/machines", sched.EngineSeq, true},
-			}
-			for _, p := range paths {
-				res, sres := runScripted(t, p.kind, p.machines, mk())
-				if !reflect.DeepEqual(sres.Trace, refTrace.Trace) {
-					t.Fatalf("%s: trace differs from goroutine/body:\nref: %v\ngot: %v", p.name, refTrace.Trace, sres.Trace)
-				}
-				if !reflect.DeepEqual(res, refRes) {
-					t.Fatalf("%s: run result differs: ref %+v, got %+v", p.name, refRes, res)
-				}
-			}
-		})
-	}
-}
 
 // TestMachineValidatesAlternation mirrors Body's Assumption 1 enforcement on
 // the machine path.
@@ -85,22 +20,17 @@ func TestMachineValidatesAlternation(t *testing.T) {
 }
 
 // TestMachineZeroStepProcess: a process that outputs immediately takes no
-// steps and finishes on both engines.
+// steps and finishes.
 func TestMachineZeroStepProcess(t *testing.T) {
-	for _, kind := range []sched.EngineKind{sched.EngineGoroutine, sched.EngineSeq} {
-		res := NewRunResult(1)
-		eng, err := sched.NewEngine(kind, 1, sched.RoundRobin{N: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap := shmem.NewMWSnapshot("M", eng, 1, nil)
-		sres, rerr := eng.RunMachines(Machines([]Process{&instantOutput{v: 9}}, snap, res))
-		if rerr != nil {
-			t.Fatalf("%s: %v", kind, rerr)
-		}
-		if sres.Steps != 0 || !res.Done[0] || res.Outputs[0] != 9 {
-			t.Fatalf("%s: steps=%d done=%v out=%v", kind, sres.Steps, res.Done[0], res.Outputs[0])
-		}
+	res := NewRunResult(1)
+	eng := sched.NewSeqEngine(1, sched.RoundRobin{N: 1})
+	snap := shmem.NewMWSnapshot("M", eng, 1, nil)
+	sres, err := eng.RunMachines(Machines([]Process{&instantOutput{v: 9}}, snap, res))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sres.Steps != 0 || !res.Done[0] || res.Outputs[0] != 9 {
+		t.Fatalf("steps=%d done=%v out=%v", sres.Steps, res.Done[0], res.Outputs[0])
 	}
 }
 

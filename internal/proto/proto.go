@@ -104,10 +104,10 @@ func (r *RunResult) DoneOutputs() []Value {
 	return out
 }
 
-// Body returns a process body (for sched.Runner.Run) that drives proc over
-// the snapshot m, recording into res. It validates Assumption 1 as it goes
-// and panics with ErrBadAlternation on violation (surfaced by the runner as
-// an error).
+// Body returns a process body (for sched.SeqEngine.Run) that drives proc
+// over the snapshot m, recording into res. It validates Assumption 1 as it
+// goes and panics with ErrBadAlternation on violation (surfaced by the
+// engine as an error).
 func Body(procs []Process, m Snapshot, res *RunResult) func(pid int) {
 	return func(pid int) {
 		p := procs[pid]

@@ -189,7 +189,7 @@ func TestRunOnSnapshotWithRegisterBuiltSubstrate(t *testing.T) {
 	// The same protocol runs over the register-built multi-writer snapshot:
 	// the §2 equivalence in executable form.
 	for seed := int64(0); seed < 10; seed++ {
-		runner := sched.NewRunner(2, sched.NewRandom(seed), sched.WithMaxSteps(1<<22))
+		runner := sched.NewSeqEngine(2, sched.NewRandom(seed), sched.WithMaxSteps(1<<22))
 		snap := shmem.NewRegMWSnapshot("M", runner, 2, 2, nil)
 		procs := []Process{newScripted(0, 2), newScripted(1, 2)}
 		res, _, err := RunOnSnapshot(procs, snap, runner)

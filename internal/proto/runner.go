@@ -8,24 +8,14 @@ import (
 )
 
 // Run executes the protocol given by procs over a fresh atomic m-component
-// multi-writer snapshot under the given strategy, on the default execution
-// engine (the direct-dispatch sequential engine). initial is the initial
+// multi-writer snapshot under the given strategy, dispatching the processes
+// as step machines on the sequential engine. initial is the initial
 // component value (the paper's ⊥ is nil). It returns the protocol-level
 // result and the scheduler-level result.
 func Run(procs []Process, m int, initial Value, strat sched.Strategy, opts ...sched.Option) (*RunResult, *sched.Result, error) {
-	return RunEngine(sched.DefaultEngine, procs, m, initial, strat, opts...)
-}
-
-// RunEngine is Run on an explicitly chosen execution engine. Both engines
-// produce byte-identical traces for the same (Strategy, seed); the sequential
-// engine dispatches the processes as step machines with no goroutines.
-func RunEngine(kind sched.EngineKind, procs []Process, m int, initial Value, strat sched.Strategy, opts ...sched.Option) (*RunResult, *sched.Result, error) {
 	n := len(procs)
 	res := NewRunResult(n)
-	eng, err := sched.NewEngine(kind, n, strat, opts...)
-	if err != nil {
-		return nil, nil, err
-	}
+	eng := sched.NewSeqEngine(n, strat, opts...)
 	snap := shmem.NewMWSnapshot("M", eng, m, initial)
 	sres, rerr := eng.RunMachines(Machines(procs, snap, res))
 	return res, sres, rerr
@@ -35,7 +25,7 @@ func RunEngine(kind sched.EngineKind, procs []Process, m int, initial Value, str
 // register-built RegMWSnapshot), sharing the caller's engine. Because such
 // snapshots may take several gated steps per operation, the processes run as
 // plain bodies (Body) rather than one-step machines.
-func RunOnSnapshot(procs []Process, snap Snapshot, eng sched.Engine) (*RunResult, *sched.Result, error) {
+func RunOnSnapshot(procs []Process, snap Snapshot, eng *sched.SeqEngine) (*RunResult, *sched.Result, error) {
 	res := NewRunResult(len(procs))
 	sres, err := eng.Run(Body(procs, snap, res))
 	return res, sres, err

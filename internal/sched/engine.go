@@ -8,7 +8,7 @@ import (
 // Stepper gates base-object operations. Shared objects (package shmem) call
 // Step immediately before executing an operation; the engine behind the
 // Stepper decides when the operation is admitted and records it in the trace.
-// Both execution engines implement Stepper.
+// *SeqEngine implements Stepper.
 type Stepper interface {
 	Step(pid int, op Op)
 }
@@ -28,83 +28,32 @@ type Stepper interface {
 //     and then runs local computation up to the next gate. It returns true if
 //     the process is poised on another operation, false if it finished.
 //
-// Machines run unchanged on the concurrent engine: there Resume's inner Step
-// blocks at the goroutine gate, so a plain resume loop reproduces the same
-// schedule. Machines must only be driven over atomic base objects (exactly
-// one Step per logical operation); register-built snapshots take several
-// steps per operation and must use a plain body via Engine.Run instead.
+// Machines must only be driven over atomic base objects (exactly one Step
+// per logical operation); register-built snapshots take several steps per
+// operation and must use a plain body via SeqEngine.Run instead.
 type Machine interface {
 	Resume() bool
 }
 
-// Engine executes n process bodies under a Strategy, one base-object step at
-// a time, and is the Stepper those processes' shared objects are gated by.
-// Engines are single-use: create one per run.
-type Engine interface {
-	Stepper
+// EngineName is the name the sequential engine is recorded under. Job
+// specs and witness files carry an engine field from when there was a
+// choice of engines; CheckEngine keeps old documents decoding.
+const EngineName = "seq"
 
-	// Run executes body(pid) for every pid in [0, n) until all processes
-	// finish, the strategy halts the run, or the step budget is exhausted.
-	Run(body func(pid int)) (*Result, error)
-
-	// RunMachines is Run for resumable step machines (see Machine). The
-	// sequential engine dispatches these directly, with no goroutines.
-	RunMachines(machines []Machine) (*Result, error)
-}
-
-// EngineKind selects an execution engine implementation.
-type EngineKind string
-
-// Execution engines.
-const (
-	// EngineGoroutine is the concurrent engine: one goroutine per process,
-	// every step admitted through a channel gate (*Runner).
-	EngineGoroutine EngineKind = "goroutine"
-	// EngineSeq is the direct-dispatch sequential engine (*SeqEngine): the
-	// paper's interleaving model needs only sequential base-object steps, so
-	// processes run as resumable step functions with no goroutines and no
-	// channel operations on the hot path.
-	EngineSeq EngineKind = "seq"
-)
-
-// DefaultEngine is the engine used when an empty EngineKind is given.
-const DefaultEngine = EngineSeq
-
-// ParseEngine validates a user-supplied engine name — for example a -engine
-// flag value — at parse time, so an unknown kind becomes a usage error
-// instead of flowing into NewEngine as a raw string. An empty name selects
-// DefaultEngine.
-func ParseEngine(name string) (EngineKind, error) {
-	switch kind := EngineKind(name); kind {
-	case "":
-		return DefaultEngine, nil
-	case EngineSeq, EngineGoroutine:
-		return kind, nil
-	default:
-		return "", fmt.Errorf("sched: unknown engine %q (want %q or %q)", name, EngineSeq, EngineGoroutine)
+// CheckEngine validates the engine name of a job spec or witness file: ""
+// and EngineName name the one engine, anything else (including the retired
+// "goroutine") is an error.
+func CheckEngine(name string) error {
+	if name == "" || name == EngineName {
+		return nil
 	}
+	return fmt.Errorf("sched: unknown engine %q (the only engine is %q)", name, EngineName)
 }
 
 // ErrReused reports a second Run on a single-use engine.
 var ErrReused = errors.New("sched: engine is single-use: create a new engine per run")
 
-// NewEngine returns a fresh engine of the given kind for n processes
-// scheduled by strat. An empty kind selects DefaultEngine.
-func NewEngine(kind EngineKind, n int, strat Strategy, opts ...Option) (Engine, error) {
-	if kind == "" {
-		kind = DefaultEngine
-	}
-	switch kind {
-	case EngineGoroutine:
-		return NewRunner(n, strat, opts...), nil
-	case EngineSeq:
-		return NewSeqEngine(n, strat, opts...), nil
-	default:
-		return nil, fmt.Errorf("sched: unknown engine kind %q (want %q or %q)", kind, EngineGoroutine, EngineSeq)
-	}
-}
-
-// engineConfig carries the options shared by both engines.
+// engineConfig carries the engine options.
 type engineConfig struct {
 	maxSteps int
 	onStep   func(StepRecord)
@@ -139,8 +88,9 @@ func traceCap(maxSteps int) int {
 	return min(maxSteps, 64)
 }
 
-// Machine-contract violation messages, shared by both engines so that the
-// same buggy machine surfaces as the same error whichever engine runs it.
+// Machine-contract violation messages. The reference runner in this
+// package's tests reports the same ones, so the same buggy machine surfaces
+// as the same error on either.
 // opDetail is " <op>" when the violating operation is known, "" otherwise.
 func machineStartStepMsg(pid int, opDetail string) string {
 	return fmt.Sprintf("sched: machine %d performed a gated operation%s while running to its first gate; the first Resume must not execute an operation", pid, opDetail)
@@ -154,10 +104,10 @@ func machineSecondStepMsg(pid int, opDetail string) string {
 	return fmt.Sprintf("sched: machine %d performed a second gated operation%s in one granted step; machines must take exactly one step per Resume", pid, opDetail)
 }
 
-// schedCore is the scheduling decision kernel shared by both engines: the
-// step-budget check, enabled-set construction, strategy pick and pick
-// validation. Keeping these in one place is what guarantees the engines'
-// byte-identical traces cannot drift apart.
+// schedCore is the scheduling decision kernel: the step-budget check,
+// enabled-set construction, strategy pick and pick validation. The
+// reference runner in this package's tests shares it, so an equivalence
+// failure there points at process dispatch, not at scheduling.
 type schedCore struct {
 	n        int
 	strat    Strategy

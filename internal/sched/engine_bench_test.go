@@ -2,18 +2,15 @@ package sched
 
 import "testing"
 
-// The engine gate microbenchmarks isolate the per-step cost of the two
-// execution engines, with no shared-object work: the number that explains
-// the explore/fuzz/simulation ablations in the root bench suite.
+// The engine gate microbenchmarks isolate the engine's per-step cost, with no
+// shared-object work: closure bodies pay a coroutine switch per step,
+// machines a direct call.
 
-func benchGateBodies(b *testing.B, kind EngineKind, n, steps int) {
+func benchGateBodies(b *testing.B, n, steps int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		eng, err := NewEngine(kind, n, RoundRobin{N: n}, WithMaxSteps(1<<30))
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, err = eng.Run(func(pid int) {
+		eng := NewSeqEngine(n, RoundRobin{N: n}, WithMaxSteps(1<<30))
+		_, err := eng.Run(func(pid int) {
 			for s := 0; s < steps; s++ {
 				eng.Step(pid, Op{Object: "X", Kind: OpRead, Comp: -1})
 			}
@@ -43,13 +40,10 @@ func (m *gateBenchMachine) Resume() bool {
 	return m.left > 0
 }
 
-func benchGateMachines(b *testing.B, kind EngineKind, n, steps int) {
+func benchGateMachines(b *testing.B, n, steps int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		eng, err := NewEngine(kind, n, RoundRobin{N: n}, WithMaxSteps(1<<30))
-		if err != nil {
-			b.Fatal(err)
-		}
+		eng := NewSeqEngine(n, RoundRobin{N: n}, WithMaxSteps(1<<30))
 		ms := make([]Machine, n)
 		for pid := range ms {
 			ms[pid] = &gateBenchMachine{gate: eng, pid: pid, left: steps}
@@ -61,11 +55,9 @@ func benchGateMachines(b *testing.B, kind EngineKind, n, steps int) {
 	b.ReportMetric(float64(b.N*n*steps)/b.Elapsed().Seconds(), "steps/s")
 }
 
-// BenchmarkGate measures closure bodies: direct coroutine dispatch on the
-// sequential engine versus channel handshakes on the goroutine engine.
+// BenchmarkGate measures closure bodies (coroutine-bridged) against native
+// step machines (direct dispatch).
 func BenchmarkGate(b *testing.B) {
-	b.Run("bodies/engine=seq", func(b *testing.B) { benchGateBodies(b, EngineSeq, 4, 500) })
-	b.Run("bodies/engine=goroutine", func(b *testing.B) { benchGateBodies(b, EngineGoroutine, 4, 500) })
-	b.Run("machines/engine=seq", func(b *testing.B) { benchGateMachines(b, EngineSeq, 4, 500) })
-	b.Run("machines/engine=goroutine", func(b *testing.B) { benchGateMachines(b, EngineGoroutine, 4, 500) })
+	b.Run("bodies", func(b *testing.B) { benchGateBodies(b, 4, 500) })
+	b.Run("machines", func(b *testing.B) { benchGateMachines(b, 4, 500) })
 }

@@ -1,48 +1,91 @@
-package sched
+package sched_test
 
 import (
 	"errors"
+	"fmt"
+	"hash/maphash"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+
+	"revisionist/internal/augsnap"
+	"revisionist/internal/proto"
+	"revisionist/internal/sched"
+	"revisionist/internal/shmem"
+	"revisionist/internal/trace"
 )
+
+// The equivalence tests compare SeqEngine against the reference Runner
+// (runner_test.go), a goroutine-per-process engine that admits one
+// operation at a time through a channel gate. They live in the external
+// test package so they can drive real shared objects (augsnap, proto)
+// while still reaching the test-only Runner.
+
+// engine is the surface both implementations share.
+type engine interface {
+	sched.Stepper
+	Run(body func(pid int)) (*sched.Result, error)
+	RunMachines(machines []sched.Machine) (*sched.Result, error)
+}
+
+// engines is the comparison pair: the reference runner first, then the
+// production engine.
+var engines = []struct {
+	name string
+	mk   func(n int, strat sched.Strategy, opts ...sched.Option) engine
+}{
+	{"runner", func(n int, strat sched.Strategy, opts ...sched.Option) engine {
+		return sched.NewRunner(n, strat, opts...)
+	}},
+	{"seq", func(n int, strat sched.Strategy, opts ...sched.Option) engine {
+		return sched.NewSeqEngine(n, strat, opts...)
+	}},
+}
 
 // engineBody returns a body in which each process takes `steps` gated steps
 // through the given gate, with a final extra step for even pids so the
 // enabled set shrinks unevenly.
-func engineBody(gate Stepper, steps int) func(pid int) {
+func engineBody(gate sched.Stepper, steps int) func(pid int) {
 	return func(pid int) {
 		for i := 0; i < steps; i++ {
-			gate.Step(pid, Op{Object: "X", Kind: OpRead, Comp: i})
+			gate.Step(pid, sched.Op{Object: "X", Kind: sched.OpRead, Comp: i})
 		}
 		if pid%2 == 0 {
-			gate.Step(pid, Op{Object: "Y", Kind: OpWrite, Comp: -1})
+			gate.Step(pid, sched.Op{Object: "Y", Kind: sched.OpWrite, Comp: -1})
 		}
 	}
-}
-
-// runOn builds an engine of the given kind and runs engineBody on it.
-func runOn(t *testing.T, kind EngineKind, n int, strat Strategy, steps int, opts ...Option) (*Result, error) {
-	t.Helper()
-	eng, err := NewEngine(kind, n, strat, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng.Run(engineBody(eng, steps))
 }
 
 // equivalenceStrategies is the cross-engine test matrix: fair, seeded random
 // and adversarial schedulers.
-func equivalenceStrategies(n int) map[string]func() Strategy {
-	return map[string]func() Strategy{
-		"roundrobin": func() Strategy { return RoundRobin{N: n} },
-		"random7":    func() Strategy { return NewRandom(7) },
-		"random99":   func() Strategy { return NewRandom(99) },
-		"lowest":     func() Strategy { return Lowest{} },
-		"highest":    func() Strategy { return Highest{} },
-		"alternate3": func() Strategy { return Alternator{Burst: 3} },
-		"solo":       func() Strategy { return Solo{PID: 1, After: 4, Fallback: RoundRobin{N: n}} },
-		"crash":      func() Strategy { return Crash{Crashed: map[int]int{0: 5}, Inner: RoundRobin{N: n}} },
+func equivalenceStrategies(n int) map[string]func() sched.Strategy {
+	return map[string]func() sched.Strategy{
+		"roundrobin": func() sched.Strategy { return sched.RoundRobin{N: n} },
+		"random7":    func() sched.Strategy { return sched.NewRandom(7) },
+		"random99":   func() sched.Strategy { return sched.NewRandom(99) },
+		"lowest":     func() sched.Strategy { return sched.Lowest{} },
+		"highest":    func() sched.Strategy { return sched.Highest{} },
+		"alternate3": func() sched.Strategy { return sched.Alternator{Burst: 3} },
+		"solo":       func() sched.Strategy { return sched.Solo{PID: 1, After: 4, Fallback: sched.RoundRobin{N: n}} },
+		"crash":      func() sched.Strategy { return sched.Crash{Crashed: map[int]int{0: 5}, Inner: sched.RoundRobin{N: n}} },
+	}
+}
+
+// sameResult fails t unless the two engines' results agree field by field.
+func sameResult(t *testing.T, ref, got *sched.Result, referr, goterr error) {
+	t.Helper()
+	if (referr == nil) != (goterr == nil) {
+		t.Fatalf("error mismatch: runner=%v seq=%v", referr, goterr)
+	}
+	if !reflect.DeepEqual(ref.Trace, got.Trace) {
+		t.Fatalf("traces differ:\nrunner: %v\nseq:    %v", ref.Trace, got.Trace)
+	}
+	if !reflect.DeepEqual(ref.StepsBy, got.StepsBy) || !reflect.DeepEqual(ref.Finished, got.Finished) {
+		t.Fatalf("results differ: runner=%+v seq=%+v", ref, got)
+	}
+	if ref.Halted != got.Halted || ref.Steps != got.Steps {
+		t.Fatalf("halted/steps differ: runner=%+v seq=%+v", ref, got)
 	}
 }
 
@@ -50,130 +93,111 @@ func TestEnginesProduceIdenticalTraces(t *testing.T) {
 	const n, steps = 4, 9
 	for name, mk := range equivalenceStrategies(n) {
 		t.Run(name, func(t *testing.T) {
-			g, gerr := runOn(t, EngineGoroutine, n, mk(), steps)
-			s, serr := runOn(t, EngineSeq, n, mk(), steps)
-			if (gerr == nil) != (serr == nil) {
-				t.Fatalf("error mismatch: goroutine=%v seq=%v", gerr, serr)
+			var res [2]*sched.Result
+			var errs [2]error
+			for i, e := range engines {
+				eng := e.mk(n, mk())
+				res[i], errs[i] = eng.Run(engineBody(eng, steps))
 			}
-			if !reflect.DeepEqual(g.Trace, s.Trace) {
-				t.Fatalf("traces differ:\ngoroutine: %v\nseq:       %v", g.Trace, s.Trace)
-			}
-			if !reflect.DeepEqual(g.StepsBy, s.StepsBy) || !reflect.DeepEqual(g.Finished, s.Finished) {
-				t.Fatalf("results differ: goroutine=%+v seq=%+v", g, s)
-			}
-			if g.Halted != s.Halted || g.Steps != s.Steps {
-				t.Fatalf("halted/steps differ: goroutine=%+v seq=%+v", g, s)
-			}
+			sameResult(t, res[0], res[1], errs[0], errs[1])
 		})
 	}
 }
 
 func TestEnginesAgreeOnStepBudget(t *testing.T) {
-	spin := func(gate Stepper) func(pid int) {
-		return func(pid int) {
+	for _, e := range engines {
+		eng := e.mk(2, sched.RoundRobin{N: 2}, sched.WithMaxSteps(9))
+		res, rerr := eng.Run(func(pid int) {
 			for {
-				gate.Step(pid, Op{Object: "X", Kind: OpRead, Comp: -1})
+				eng.Step(pid, sched.Op{Object: "X", Kind: sched.OpRead, Comp: -1})
 			}
-		}
-	}
-	for _, kind := range []EngineKind{EngineGoroutine, EngineSeq} {
-		eng, err := NewEngine(kind, 2, RoundRobin{N: 2}, WithMaxSteps(9))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, rerr := eng.Run(spin(eng))
-		if !errors.Is(rerr, ErrMaxSteps) {
-			t.Fatalf("%s: err = %v, want ErrMaxSteps", kind, rerr)
+		})
+		if !errors.Is(rerr, sched.ErrMaxSteps) {
+			t.Fatalf("%s: err = %v, want ErrMaxSteps", e.name, rerr)
 		}
 		if res.Steps != 9 {
-			t.Fatalf("%s: steps = %d, want 9", kind, res.Steps)
+			t.Fatalf("%s: steps = %d, want 9", e.name, res.Steps)
 		}
 		if res.Finished[0] || res.Finished[1] {
-			t.Fatalf("%s: starved processes reported finished", kind)
+			t.Fatalf("%s: starved processes reported finished", e.name)
 		}
 	}
 }
 
 func TestEnginesAgreeOnHalt(t *testing.T) {
-	for _, kind := range []EngineKind{EngineGoroutine, EngineSeq} {
-		strat := StrategyFunc(func(step int, enabled []int) int {
+	for _, e := range engines {
+		eng := e.mk(3, sched.StrategyFunc(func(step int, enabled []int) int {
 			if step >= 5 {
-				return Halt
+				return sched.Halt
 			}
 			return enabled[0]
-		})
-		res, err := runOn(t, kind, 3, strat, 10)
+		}))
+		res, err := eng.Run(engineBody(eng, 10))
 		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
+			t.Fatalf("%s: %v", e.name, err)
 		}
 		if !res.Halted || res.Steps != 5 {
-			t.Fatalf("%s: halted=%v steps=%d, want halted at 5", kind, res.Halted, res.Steps)
+			t.Fatalf("%s: halted=%v steps=%d, want halted at 5", e.name, res.Halted, res.Steps)
 		}
 		for pid, f := range res.Finished {
 			if f {
-				t.Fatalf("%s: pid %d finished after halt", kind, pid)
+				t.Fatalf("%s: pid %d finished after halt", e.name, pid)
 			}
 		}
 	}
 }
 
 func TestEnginesAgreeOnBodyPanic(t *testing.T) {
-	for _, kind := range []EngineKind{EngineGoroutine, EngineSeq} {
-		eng, err := NewEngine(kind, 2, RoundRobin{N: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, e := range engines {
+		eng := e.mk(2, sched.RoundRobin{N: 2})
 		res, rerr := eng.Run(func(pid int) {
-			eng.Step(pid, Op{Object: "X", Kind: OpRead, Comp: -1})
+			eng.Step(pid, sched.Op{Object: "X", Kind: sched.OpRead, Comp: -1})
 			if pid == 1 {
 				panic("protocol bug")
 			}
 			for i := 0; i < 10; i++ {
-				eng.Step(pid, Op{Object: "X", Kind: OpRead, Comp: -1})
+				eng.Step(pid, sched.Op{Object: "X", Kind: sched.OpRead, Comp: -1})
 			}
 		})
 		if rerr == nil || !strings.Contains(rerr.Error(), "process 1 panicked") {
-			t.Fatalf("%s: err = %v, want process 1 panic", kind, rerr)
+			t.Fatalf("%s: err = %v, want process 1 panic", e.name, rerr)
 		}
 		if len(res.PanicVals) != 1 || res.PanicVals[0] != "protocol bug" {
-			t.Fatalf("%s: PanicVals = %v", kind, res.PanicVals)
+			t.Fatalf("%s: PanicVals = %v", e.name, res.PanicVals)
 		}
 		if res.Finished[0] || res.Finished[1] {
-			t.Fatalf("%s: finished = %v, want none", kind, res.Finished)
+			t.Fatalf("%s: finished = %v, want none", e.name, res.Finished)
 		}
 	}
 }
 
 func TestEnginesAgreeOnInvalidPick(t *testing.T) {
-	for _, kind := range []EngineKind{EngineGoroutine, EngineSeq} {
-		strat := StrategyFunc(func(step int, enabled []int) int { return 42 })
-		_, err := runOn(t, kind, 2, strat, 4)
+	for _, e := range engines {
+		eng := e.mk(2, sched.StrategyFunc(func(step int, enabled []int) int { return 42 }))
+		_, err := eng.Run(engineBody(eng, 4))
 		if err == nil || !strings.Contains(err.Error(), "not in enabled set") {
-			t.Fatalf("%s: err = %v, want invalid-pick error", kind, err)
+			t.Fatalf("%s: err = %v, want invalid-pick error", e.name, err)
 		}
 	}
 }
 
 func TestEnginesAreSingleUse(t *testing.T) {
-	for _, kind := range []EngineKind{EngineGoroutine, EngineSeq} {
-		eng, err := NewEngine(kind, 1, RoundRobin{N: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		body := func(pid int) { eng.Step(pid, Op{Object: "X", Kind: OpRead, Comp: -1}) }
+	for _, e := range engines {
+		eng := e.mk(1, sched.RoundRobin{N: 1})
+		body := func(pid int) { eng.Step(pid, sched.Op{Object: "X", Kind: sched.OpRead, Comp: -1}) }
 		if _, err := eng.Run(body); err != nil {
-			t.Fatalf("%s: first run: %v", kind, err)
+			t.Fatalf("%s: first run: %v", e.name, err)
 		}
-		if _, err := eng.Run(body); !errors.Is(err, ErrReused) {
-			t.Fatalf("%s: second run err = %v, want ErrReused", kind, err)
+		if _, err := eng.Run(body); !errors.Is(err, sched.ErrReused) {
+			t.Fatalf("%s: second run err = %v, want ErrReused", e.name, err)
 		}
 	}
 }
 
 func TestSeqEngineStepAfterRunPanics(t *testing.T) {
-	eng := NewSeqEngine(1, RoundRobin{N: 1})
+	eng := sched.NewSeqEngine(1, sched.RoundRobin{N: 1})
 	if _, err := eng.Run(func(pid int) {
-		eng.Step(pid, Op{Object: "X", Kind: OpRead, Comp: -1})
+		eng.Step(pid, sched.Op{Object: "X", Kind: sched.OpRead, Comp: -1})
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -182,25 +206,12 @@ func TestSeqEngineStepAfterRunPanics(t *testing.T) {
 			t.Fatal("Step after run completed did not panic")
 		}
 	}()
-	eng.Step(0, Op{Object: "X", Kind: OpRead, Comp: -1})
-}
-
-func TestNewEngineRejectsUnknownKind(t *testing.T) {
-	if _, err := NewEngine("fibers", 1, RoundRobin{N: 1}); err == nil {
-		t.Fatal("unknown engine kind accepted")
-	}
-	eng, err := NewEngine("", 1, RoundRobin{N: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := eng.(*SeqEngine); !ok {
-		t.Fatalf("default engine is %T, want *SeqEngine", eng)
-	}
+	eng.Step(0, sched.Op{Object: "X", Kind: sched.OpRead, Comp: -1})
 }
 
 // stepsMachine is a native machine taking a fixed number of one-op steps.
 type stepsMachine struct {
-	gate    Stepper
+	gate    sched.Stepper
 	pid     int
 	left    int
 	started bool
@@ -214,53 +225,263 @@ func (m *stepsMachine) Resume() bool {
 		return m.left > 0
 	}
 	for i := 0; i < m.perResume; i++ {
-		m.gate.Step(m.pid, Op{Object: "N", Kind: OpRead, Comp: -1})
+		m.gate.Step(m.pid, sched.Op{Object: "N", Kind: sched.OpRead, Comp: -1})
 	}
 	m.left--
 	return m.left > 0
 }
 
 func TestRunMachinesMatchesAcrossEngines(t *testing.T) {
-	mk := func(gate Stepper) []Machine {
-		return []Machine{
-			&stepsMachine{gate: gate, pid: 0, left: 5, perResume: 1},
-			&stepsMachine{gate: gate, pid: 1, left: 3, perResume: 1},
-		}
-	}
-	ge := NewRunner(2, NewRandom(5))
-	g, gerr := ge.RunMachines(mk(ge))
-	se := NewSeqEngine(2, NewRandom(5))
-	s, serr := se.RunMachines(mk(se))
-	if gerr != nil || serr != nil {
-		t.Fatalf("errors: %v %v", gerr, serr)
-	}
-	if !reflect.DeepEqual(g.Trace, s.Trace) {
-		t.Fatalf("machine traces differ:\ngoroutine: %v\nseq:       %v", g.Trace, s.Trace)
+	const n = 4
+	for name, mk := range equivalenceStrategies(n) {
+		t.Run(name, func(t *testing.T) {
+			var res [2]*sched.Result
+			var errs [2]error
+			for i, e := range engines {
+				eng := e.mk(n, mk())
+				ms := make([]sched.Machine, n)
+				for pid := range ms {
+					ms[pid] = &stepsMachine{gate: eng, pid: pid, left: 3 + 2*pid, perResume: 1}
+				}
+				res[i], errs[i] = eng.RunMachines(ms)
+			}
+			sameResult(t, res[0], res[1], errs[0], errs[1])
+		})
 	}
 }
 
 func TestEnginesRejectMultiStepMachine(t *testing.T) {
-	for _, kind := range []EngineKind{EngineGoroutine, EngineSeq} {
-		eng, nerr := NewEngine(kind, 1, RoundRobin{N: 1})
-		if nerr != nil {
-			t.Fatal(nerr)
-		}
-		_, err := eng.RunMachines([]Machine{&stepsMachine{gate: eng, pid: 0, left: 2, perResume: 2}})
+	for _, e := range engines {
+		eng := e.mk(1, sched.RoundRobin{N: 1})
+		_, err := eng.RunMachines([]sched.Machine{&stepsMachine{gate: eng, pid: 0, left: 2, perResume: 2}})
 		if err == nil || !strings.Contains(err.Error(), "second gated operation") {
-			t.Fatalf("%s: err = %v, want second-gated-operation violation", kind, err)
+			t.Fatalf("%s: err = %v, want second-gated-operation violation", e.name, err)
 		}
 	}
 }
 
 func TestEnginesRejectStepFreeMachine(t *testing.T) {
-	for _, kind := range []EngineKind{EngineGoroutine, EngineSeq} {
-		eng, nerr := NewEngine(kind, 1, RoundRobin{N: 1})
-		if nerr != nil {
-			t.Fatal(nerr)
-		}
-		_, err := eng.RunMachines([]Machine{&stepsMachine{gate: eng, pid: 0, left: 2, perResume: 0}})
+	for _, e := range engines {
+		eng := e.mk(1, sched.RoundRobin{N: 1})
+		_, err := eng.RunMachines([]sched.Machine{&stepsMachine{gate: eng, pid: 0, left: 2, perResume: 0}})
 		if err == nil || !strings.Contains(err.Error(), "no gated operation") {
-			t.Fatalf("%s: err = %v, want no-gated-operation violation", kind, err)
+			t.Fatalf("%s: err = %v, want no-gated-operation violation", e.name, err)
 		}
 	}
+}
+
+// TestAugWorkloadTraceIdenticalAcrossEngines drives the step-heaviest object
+// (the augmented snapshot, several H-steps per operation with helping in
+// between) on both engines and requires byte-identical step traces and
+// H-histories, and a §3-conforming log.
+func TestAugWorkloadTraceIdenticalAcrossEngines(t *testing.T) {
+	const f, m, ops = 4, 3, 6
+	workload := func(a *augsnap.AugSnapshot, seed int64) func(pid int) {
+		return func(pid int) {
+			rng := rand.New(rand.NewSource(seed*1000 + int64(pid)))
+			for i := 0; i < ops; i++ {
+				if rng.Intn(4) == 0 {
+					a.Scan(pid)
+					continue
+				}
+				r := 1 + rng.Intn(m)
+				comps := rng.Perm(m)[:r]
+				vals := make([]augsnap.Value, r)
+				for g := range vals {
+					vals[g] = fmt.Sprintf("p%d-%d-%d", pid, i, g)
+				}
+				a.BlockUpdate(pid, comps, vals)
+			}
+		}
+	}
+	for seed := int64(0); seed < 12; seed++ {
+		var res [2]*sched.Result
+		var snaps [2]*augsnap.AugSnapshot
+		for i, e := range engines {
+			eng := e.mk(f, sched.NewRandom(seed), sched.WithMaxSteps(1<<22))
+			snaps[i] = augsnap.New(eng, f, m)
+			var err error
+			if res[i], err = eng.Run(workload(snaps[i], seed)); err != nil {
+				t.Fatalf("%s seed %d: %v", e.name, seed, err)
+			}
+		}
+		if !reflect.DeepEqual(res[0].Trace, res[1].Trace) {
+			t.Fatalf("seed %d: step traces differ", seed)
+		}
+		if !reflect.DeepEqual(snaps[0].Log().Events, snaps[1].Log().Events) {
+			t.Fatalf("seed %d: H-histories differ", seed)
+		}
+		if err := trace.Check(snaps[1].Log(), m); err != nil {
+			t.Fatalf("seed %d: seq-engine run violates the §3 spec: %v", seed, err)
+		}
+	}
+}
+
+// scripted is a protocol process that alternates scans and updates of its
+// own component `writes` times, then outputs the last value it saw there.
+type scripted struct {
+	comp, writes, step int
+	poised             proto.Op
+	started, done      bool
+	lastSeen           proto.Value
+}
+
+func (s *scripted) NextOp() proto.Op {
+	if s.done {
+		return proto.Op{Kind: proto.OpOutput, Val: s.lastSeen}
+	}
+	if !s.started || s.poised.Kind == proto.OpScan {
+		return proto.Op{Kind: proto.OpScan}
+	}
+	return s.poised
+}
+
+func (s *scripted) ApplyScan(view []proto.Value) {
+	s.lastSeen = view[s.comp]
+	s.started = true
+	if s.step >= s.writes {
+		s.done = true
+		return
+	}
+	s.step++
+	s.poised = proto.Op{Kind: proto.OpUpdate, Comp: s.comp, Val: s.step}
+}
+
+func (s *scripted) ApplyUpdate() { s.poised = proto.Op{Kind: proto.OpScan} }
+
+func (s *scripted) Clone() proto.Process {
+	c := *s
+	return &c
+}
+
+// TestMachineMatchesBodyAcrossEngines checks the four execution paths of a
+// protocol — {runner, seq} × {proto.Body, proto.Machines} — produce
+// byte-identical traces and identical protocol results for the same
+// strategy.
+func TestMachineMatchesBodyAcrossEngines(t *testing.T) {
+	run := func(t *testing.T, e int, machines bool, strat sched.Strategy) (*proto.RunResult, *sched.Result) {
+		t.Helper()
+		procs := []proto.Process{&scripted{comp: 0, writes: 3}, &scripted{comp: 1, writes: 3}}
+		res := proto.NewRunResult(2)
+		eng := engines[e].mk(2, strat, sched.WithMaxSteps(1<<16))
+		snap := shmem.NewMWSnapshot("M", eng, 2, nil)
+		var sres *sched.Result
+		var err error
+		if machines {
+			sres, err = eng.RunMachines(proto.Machines(procs, snap, res))
+		} else {
+			sres, err = eng.Run(proto.Body(procs, snap, res))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, sres
+	}
+	for name, mk := range equivalenceStrategies(2) {
+		t.Run(name, func(t *testing.T) {
+			refRes, refTrace := run(t, 0, false, mk())
+			for _, p := range []struct {
+				name     string
+				engine   int
+				machines bool
+			}{
+				{"runner/machines", 0, true},
+				{"seq/body", 1, false},
+				{"seq/machines", 1, true},
+			} {
+				res, sres := run(t, p.engine, p.machines, mk())
+				if !reflect.DeepEqual(sres.Trace, refTrace.Trace) {
+					t.Fatalf("%s: trace differs from runner/body:\nref: %v\ngot: %v", p.name, refTrace.Trace, sres.Trace)
+				}
+				if !reflect.DeepEqual(res, refRes) {
+					t.Fatalf("%s: run result differs: ref %+v, got %+v", p.name, refRes, res)
+				}
+			}
+		})
+	}
+}
+
+// fpRecorder wraps a strategy and records the configuration fingerprint at
+// every decision point, where both engines are quiescent by construction.
+type fpRecorder struct {
+	inner sched.Strategy
+	fp    func(*maphash.Hash)
+	h     maphash.Hash
+	out   []uint64
+}
+
+func (r *fpRecorder) Pick(step int, enabled []int) int {
+	r.h.Reset()
+	r.fp(&r.h)
+	r.out = append(r.out, r.h.Sum64())
+	return r.inner.Pick(step, enabled)
+}
+
+// TestFingerprintsIdenticalAcrossEngines drives the same seeded schedule on
+// both engines over a register-based and an augsnap-based system and
+// requires byte-identical configuration hashes at every step.
+func TestFingerprintsIdenticalAcrossEngines(t *testing.T) {
+	runBoth := func(t *testing.T, nprocs int, seed int64,
+		build func(gate sched.Stepper) (func(pid int), func(*maphash.Hash))) {
+		t.Helper()
+		var got [2][]uint64
+		for i, e := range engines {
+			rec := &fpRecorder{inner: sched.NewRandom(seed), h: sched.NewFingerprintHash()}
+			eng := e.mk(nprocs, rec, sched.WithMaxSteps(1<<22))
+			body, fp := build(eng)
+			rec.fp = fp
+			if _, err := eng.Run(body); err != nil {
+				t.Fatalf("%s: %v", e.name, err)
+			}
+			got[i] = rec.out
+		}
+		if len(got[0]) == 0 {
+			t.Fatal("no fingerprints recorded")
+		}
+		if !reflect.DeepEqual(got[0], got[1]) {
+			t.Fatalf("fingerprints differ:\nrunner: %x\nseq:    %x", got[0], got[1])
+		}
+	}
+
+	t.Run("registers", func(t *testing.T) {
+		for seed := int64(0); seed < 8; seed++ {
+			runBoth(t, 3, seed, func(gate sched.Stepper) (func(pid int), func(*maphash.Hash)) {
+				regs := []*shmem.Register{
+					shmem.NewRegister("A", gate, nil),
+					shmem.NewRegister("B", gate, 0),
+				}
+				body := func(pid int) {
+					for i := 0; i < 4; i++ {
+						regs[i%2].Write(pid, pid*10+i)
+						regs[(i+1)%2].Read(pid)
+					}
+				}
+				return body, func(h *maphash.Hash) {
+					for _, r := range regs {
+						r.AppendFingerprint(h)
+					}
+				}
+			})
+		}
+	})
+
+	t.Run("augsnap", func(t *testing.T) {
+		const f, m, ops = 3, 2, 4
+		for seed := int64(0); seed < 4; seed++ {
+			runBoth(t, f, seed, func(gate sched.Stepper) (func(pid int), func(*maphash.Hash)) {
+				a := augsnap.New(gate, f, m)
+				body := func(pid int) {
+					rng := rand.New(rand.NewSource(seed*1000 + int64(pid)))
+					for i := 0; i < ops; i++ {
+						if rng.Intn(3) == 0 {
+							a.Scan(pid)
+							continue
+						}
+						a.BlockUpdate(pid, []int{rng.Intn(m)}, []augsnap.Value{fmt.Sprintf("p%d-%d", pid, i)})
+					}
+				}
+				return body, a.AppendFingerprint
+			})
+		}
+	})
 }

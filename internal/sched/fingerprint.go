@@ -33,7 +33,7 @@ type Fingerprinter interface {
 }
 
 // fpSeed is the process-wide fingerprint seed: every fingerprint hash uses
-// it, so hashes from different engines and workers are comparable.
+// it, so hashes from different runs and workers are comparable.
 var fpSeed = maphash.MakeSeed()
 
 // NewFingerprintHash returns a hash using the process-wide fingerprint seed.

@@ -7,7 +7,7 @@ import (
 )
 
 // counterBody returns a body in which each process takes `steps` gated steps.
-func counterBody(r *Runner, steps int) func(pid int) {
+func counterBody(r Stepper, steps int) func(pid int) {
 	return func(pid int) {
 		for i := 0; i < steps; i++ {
 			r.Step(pid, Op{Object: "X", Kind: OpRead, Comp: -1})
@@ -17,7 +17,7 @@ func counterBody(r *Runner, steps int) func(pid int) {
 
 func TestRoundRobinCompletes(t *testing.T) {
 	const n, steps = 4, 10
-	r := NewRunner(n, RoundRobin{N: n})
+	r := NewSeqEngine(n, RoundRobin{N: n})
 	res, err := r.Run(counterBody(r, steps))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -37,7 +37,7 @@ func TestRoundRobinCompletes(t *testing.T) {
 
 func TestTraceIsSequentialAndComplete(t *testing.T) {
 	const n, steps = 3, 5
-	r := NewRunner(n, RoundRobin{N: n})
+	r := NewSeqEngine(n, RoundRobin{N: n})
 	res, err := r.Run(counterBody(r, steps))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -54,7 +54,7 @@ func TestTraceIsSequentialAndComplete(t *testing.T) {
 
 func TestRandomIsDeterministicPerSeed(t *testing.T) {
 	run := func(seed int64) []StepRecord {
-		r := NewRunner(3, NewRandom(seed))
+		r := NewSeqEngine(3, NewRandom(seed))
 		res, err := r.Run(counterBody(r, 8))
 		if err != nil {
 			t.Fatalf("Run: %v", err)
@@ -88,7 +88,7 @@ func TestRandomIsDeterministicPerSeed(t *testing.T) {
 }
 
 func TestMaxStepsAborts(t *testing.T) {
-	r := NewRunner(2, RoundRobin{N: 2}, WithMaxSteps(7))
+	r := NewSeqEngine(2, RoundRobin{N: 2}, WithMaxSteps(7))
 	res, err := r.Run(func(pid int) {
 		for {
 			r.Step(pid, Op{Object: "X", Kind: OpRead, Comp: -1})
@@ -109,7 +109,7 @@ func TestMaxStepsAborts(t *testing.T) {
 
 func TestSoloStrategyRunsOnlyTarget(t *testing.T) {
 	const n = 3
-	r := NewRunner(n, Solo{PID: 1, After: 0, Fallback: RoundRobin{N: n}})
+	r := NewSeqEngine(n, Solo{PID: 1, After: 0, Fallback: RoundRobin{N: n}})
 	res, err := r.Run(counterBody(r, 4))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -129,7 +129,7 @@ func TestSoloStrategyRunsOnlyTarget(t *testing.T) {
 
 func TestSubsetStrategy(t *testing.T) {
 	const n = 4
-	r := NewRunner(n, Subset{PIDs: []int{1, 3}, Fallback: RoundRobin{N: n}})
+	r := NewSeqEngine(n, Subset{PIDs: []int{1, 3}, Fallback: RoundRobin{N: n}})
 	res, err := r.Run(counterBody(r, 6))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -146,7 +146,7 @@ func TestSubsetStrategy(t *testing.T) {
 
 func TestCrashStrategy(t *testing.T) {
 	const n = 3
-	r := NewRunner(n, Crash{Crashed: map[int]int{0: 0}, Inner: RoundRobin{N: n}})
+	r := NewSeqEngine(n, Crash{Crashed: map[int]int{0: 0}, Inner: RoundRobin{N: n}})
 	res, err := r.Run(counterBody(r, 5))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -160,7 +160,7 @@ func TestCrashStrategy(t *testing.T) {
 }
 
 func TestReplayReproducesTrace(t *testing.T) {
-	r1 := NewRunner(3, NewRandom(7))
+	r1 := NewSeqEngine(3, NewRandom(7))
 	res1, err := r1.Run(counterBody(r1, 6))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -169,7 +169,7 @@ func TestReplayReproducesTrace(t *testing.T) {
 	for i, rec := range res1.Trace {
 		choices[i] = rec.PID
 	}
-	r2 := NewRunner(3, Replay{Choices: choices})
+	r2 := NewSeqEngine(3, Replay{Choices: choices})
 	res2, err := r2.Run(counterBody(r2, 6))
 	if err != nil {
 		t.Fatalf("replay Run: %v", err)
@@ -185,7 +185,7 @@ func TestReplayReproducesTrace(t *testing.T) {
 }
 
 func TestPanicInBodySurfacesAsError(t *testing.T) {
-	r := NewRunner(2, RoundRobin{N: 2})
+	r := NewSeqEngine(2, RoundRobin{N: 2})
 	_, err := r.Run(func(pid int) {
 		r.Step(pid, Op{Object: "X", Kind: OpRead, Comp: -1})
 		if pid == 1 {
@@ -199,7 +199,7 @@ func TestPanicInBodySurfacesAsError(t *testing.T) {
 
 func TestStepHook(t *testing.T) {
 	var seen []int
-	r := NewRunner(2, RoundRobin{N: 2}, WithStepHook(func(rec StepRecord) {
+	r := NewSeqEngine(2, RoundRobin{N: 2}, WithStepHook(func(rec StepRecord) {
 		seen = append(seen, rec.PID)
 	}))
 	res, err := r.Run(counterBody(r, 3))
@@ -257,7 +257,7 @@ func TestStrategiesNeverPickDisabled(t *testing.T) {
 }
 
 func TestHaltFromStrategyFunc(t *testing.T) {
-	r := NewRunner(2, StrategyFunc(func(step int, enabled []int) int {
+	r := NewSeqEngine(2, StrategyFunc(func(step int, enabled []int) int {
 		if step >= 3 {
 			return Halt
 		}
@@ -274,7 +274,7 @@ func TestHaltFromStrategyFunc(t *testing.T) {
 
 func TestManyProcessesStress(t *testing.T) {
 	const n = 32
-	r := NewRunner(n, NewRandom(99))
+	r := NewSeqEngine(n, NewRandom(99))
 	res, err := r.Run(counterBody(r, 20))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -284,8 +284,8 @@ func TestManyProcessesStress(t *testing.T) {
 	}
 }
 
-func ExampleRunner() {
-	r := NewRunner(2, RoundRobin{N: 2})
+func ExampleSeqEngine() {
+	r := NewSeqEngine(2, RoundRobin{N: 2})
 	res, _ := r.Run(func(pid int) {
 		r.Step(pid, Op{Object: "R", Kind: OpWrite, Comp: -1})
 	})
@@ -294,7 +294,7 @@ func ExampleRunner() {
 }
 
 func TestStepAfterRunPanics(t *testing.T) {
-	r := NewRunner(1, RoundRobin{N: 1})
+	r := NewSeqEngine(1, RoundRobin{N: 1})
 	if _, err := r.Run(func(pid int) {}); err != nil {
 		t.Fatal(err)
 	}

@@ -5,22 +5,22 @@ import (
 	"iter"
 )
 
-// SeqEngine is the direct-dispatch sequential execution engine. The paper's
-// interleaving model only requires that base-object steps happen one at a
-// time in an adversarially chosen order; it never requires real concurrency.
-// SeqEngine therefore runs processes as resumable step machines (see Machine)
-// and grants steps by plain function calls: no goroutines are created and no
-// channel operations are performed, which makes exhaustive exploration and
-// schedule fuzzing an order of magnitude cheaper than the goroutine gate.
+// SeqEngine is the direct-dispatch sequential execution engine, the only
+// engine. The paper's interleaving model only requires that base-object
+// steps happen one at a time in an adversarially chosen order; it never
+// requires real concurrency. SeqEngine therefore runs processes as resumable
+// step machines (see Machine) and grants steps by plain function calls: no
+// goroutines are created and no channel operations are performed.
 //
 // Process bodies written as closures (func(pid int)) are also supported:
 // SeqEngine.Run bridges each body onto a pull-based coroutine (iter.Pull),
 // whose suspend/resume is a direct runtime switch — still no channels and no
 // scheduler handshakes on the hot path.
 //
-// For the same (Strategy, seed) and the same process bodies, SeqEngine
-// produces a byte-identical trace and Result to the goroutine Runner.
-// A SeqEngine is single-use: create one per run.
+// The package's tests require SeqEngine to produce the same trace and
+// Result as a goroutine-per-process reference runner for the same
+// (Strategy, seed) and process bodies. A SeqEngine is single-use: create one
+// per run.
 type SeqEngine struct {
 	core schedCore
 
@@ -103,7 +103,7 @@ func (e *SeqEngine) record(pid int, op Op) {
 // resume drives machine pid through one phase: its run-to-first-gate when
 // granted is false, or one granted step plus the run to the next gate. It
 // reports whether the machine parked again, and captures panics from the
-// machine (protocol bugs surface as panics, exactly as under the Runner).
+// machine (protocol bugs surface as panics).
 func (e *SeqEngine) resume(m Machine, pid int, granted bool) (parked bool, panicVal any, panicked bool) {
 	e.cur, e.inGrant, e.stepped = pid, granted, false
 	defer func() {
@@ -147,7 +147,9 @@ func (e *SeqEngine) abort(m Machine) (panicVal any, panicked bool) {
 
 // RunMachines executes the machines under the engine's strategy by direct
 // dispatch until every process finishes, the strategy halts the run, or the
-// step budget is exhausted. Semantics and results match Runner.Run exactly.
+// step budget is exhausted. It returns the execution result; err is non-nil
+// only for a blown step budget, a panicking process, a machine-contract
+// violation, an invalid pick, or a misused engine.
 func (e *SeqEngine) RunMachines(machines []Machine) (*Result, error) {
 	if e.started {
 		return nil, fmt.Errorf("%w (SeqEngine run twice)", ErrReused)
@@ -185,8 +187,7 @@ func (e *SeqEngine) RunMachines(machines []Machine) (*Result, error) {
 		e.parked = make([]bool, e.n)
 		e.finished = make([]bool, e.n)
 
-		// Start every machine: run it to its first gate (or completion), the
-		// direct-dispatch counterpart of the runner's goroutine startup drain.
+		// Start every machine: run it to its first gate (or completion).
 		for pid := 0; pid < e.n; pid++ {
 			parked, v, panicked := e.resume(machines[pid], pid, false)
 			switch {
@@ -277,7 +278,7 @@ func (cp *SeqCheckpoint) Depth() int { return cp.step }
 
 // Checkpoint captures the engine's current scheduling state. It must be
 // called while the engine is quiescent — every live process parked at its
-// gate — which in practice means from within Strategy.Pick, the engines'
+// gate — which in practice means from within Strategy.Pick, the engine's
 // decision point.
 func (e *SeqEngine) Checkpoint() *SeqCheckpoint {
 	return &SeqCheckpoint{
@@ -295,7 +296,7 @@ func (e *SeqEngine) Checkpoint() *SeqCheckpoint {
 // from cp under strat: RunMachines must be called with machines forked from
 // the system state at the checkpoint (same pids; entries for finished
 // processes may be nil). The step budget is inherited from the checkpointed
-// engine; options may still install a step hook. Like every engine, the
+// engine; options may still install a step hook. Like every SeqEngine, the
 // returned engine is single-use.
 func ResumeSeqEngine(cp *SeqCheckpoint, strat Strategy, opts ...Option) *SeqEngine {
 	c := newEngineConfig(opts)

@@ -270,9 +270,12 @@ func identityPerm(n int) []int {
 	return p
 }
 
+// factorial returns n!, or any value above MaxSymmetryGroup once n! exceeds
+// it: callers only compare group sizes against the cap, and n! overflows
+// int from n = 21.
 func factorial(n int) int {
 	f := 1
-	for i := 2; i <= n; i++ {
+	for i := 2; i <= n && f <= MaxSymmetryGroup; i++ {
 		f *= i
 	}
 	return f

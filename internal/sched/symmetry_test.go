@@ -57,19 +57,23 @@ func TestCanonicalizerGroupSize(t *testing.T) {
 }
 
 func TestCanonicalizerCapsOversizedGroups(t *testing.T) {
-	cl := make([]int, 9) // 9! > MaxSymmetryGroup
-	for i := range cl {
-		cl[i] = i
-	}
-	cz, err := NewCanonicalizer(SymmetrySpec{N: 9, Classes: [][]int{cl}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cz.Capped() || cz.Size() != 1 {
-		t.Fatalf("capped=%v size=%d, want degenerate identity group", cz.Capped(), cz.Size())
-	}
-	if !cz.Trivial() {
-		t.Error("capped role-free group should be Trivial")
+	// 9! > MaxSymmetryGroup; 21! and 66! overflow int (to a negative value
+	// and to zero), which must still cap rather than enumerate the group.
+	for _, n := range []int{9, 21, 66, 2000} {
+		cl := make([]int, n)
+		for i := range cl {
+			cl[i] = i
+		}
+		cz, err := NewCanonicalizer(SymmetrySpec{N: n, Classes: [][]int{cl}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cz.Capped() || cz.Size() != 1 {
+			t.Fatalf("n=%d: capped=%v size=%d, want degenerate identity group", n, cz.Capped(), cz.Size())
+		}
+		if !cz.Trivial() {
+			t.Errorf("n=%d: capped role-free group should be Trivial", n)
+		}
 	}
 }
 

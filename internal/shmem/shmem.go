@@ -22,9 +22,9 @@ import (
 // passing it to Write/Update, and readers must not mutate returned values.
 type Value = any
 
-// Stepper gates base-object operations. Both execution engines
-// (*sched.Runner and *sched.SeqEngine) implement it; Free can be used to run
-// without a scheduler (single-threaded tests, local simulation).
+// Stepper gates base-object operations. *sched.SeqEngine implements it;
+// Free can be used to run without a scheduler (single-threaded tests, local
+// simulation).
 type Stepper = sched.Stepper
 
 // Free is a Stepper that admits every operation immediately. It makes shared

@@ -149,9 +149,9 @@ func (a mwAdapter) Scan(pid int) []Value    { return a.s.Scan(pid) }
 // snapshot property: all returned views, converted to per-writer sequence
 // vectors, must be pairwise comparable, and each process must see its own
 // preceding writes.
-func runSnapshotStress(t *testing.T, n, rounds int, seed int64, mk func(r *sched.Runner) snapshotUnderTest) {
+func runSnapshotStress(t *testing.T, n, rounds int, seed int64, mk func(r *sched.SeqEngine) snapshotUnderTest) {
 	t.Helper()
-	runner := sched.NewRunner(n, sched.NewRandom(seed), sched.WithMaxSteps(1<<22))
+	runner := sched.NewSeqEngine(n, sched.NewRandom(seed), sched.WithMaxSteps(1<<22))
 	snap := mk(runner)
 	views := make([][][]Value, n)
 	_, err := runner.Run(func(pid int) {
@@ -185,7 +185,7 @@ func runSnapshotStress(t *testing.T, n, rounds int, seed int64, mk func(r *sched
 
 func TestRegSWSnapshotAtomicity(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
-		runSnapshotStress(t, 3, 4, seed, func(r *sched.Runner) snapshotUnderTest {
+		runSnapshotStress(t, 3, 4, seed, func(r *sched.SeqEngine) snapshotUnderTest {
 			return NewRegSWSnapshot("S", r, 3, nil)
 		})
 	}
@@ -193,7 +193,7 @@ func TestRegSWSnapshotAtomicity(t *testing.T) {
 
 func TestRegSWSnapshotAtomicityWide(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
-		runSnapshotStress(t, 6, 3, seed, func(r *sched.Runner) snapshotUnderTest {
+		runSnapshotStress(t, 6, 3, seed, func(r *sched.SeqEngine) snapshotUnderTest {
 			return NewRegSWSnapshot("S", r, 6, nil)
 		})
 	}
@@ -201,7 +201,7 @@ func TestRegSWSnapshotAtomicityWide(t *testing.T) {
 
 func TestRegMWSnapshotAtomicity(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
-		runSnapshotStress(t, 3, 4, seed, func(r *sched.Runner) snapshotUnderTest {
+		runSnapshotStress(t, 3, 4, seed, func(r *sched.SeqEngine) snapshotUnderTest {
 			return mwAdapter{NewRegMWSnapshot("S", r, 3, 3, nil)}
 		})
 	}
@@ -216,7 +216,7 @@ func TestRegMWSnapshotSharedComponentNoRegression(t *testing.T) {
 	// of the same writer at the same component than an earlier one did.
 	const n, m, rounds = 3, 2, 4
 	for seed := int64(0); seed < 40; seed++ {
-		runner := sched.NewRunner(n, sched.NewRandom(seed), sched.WithMaxSteps(1<<22))
+		runner := sched.NewSeqEngine(n, sched.NewRandom(seed), sched.WithMaxSteps(1<<22))
 		snap := NewRegMWSnapshot("S", runner, m, n, nil)
 		views := make([][][]Value, n)
 		_, err := runner.Run(func(pid int) {
@@ -264,7 +264,7 @@ func TestRegSWSnapshotStepAccounting(t *testing.T) {
 	// An update embeds a scan; with no contention a scan is two collects of f
 	// reads each, and the update adds one write.
 	const f = 3
-	runner := sched.NewRunner(1, sched.RoundRobin{N: 1})
+	runner := sched.NewSeqEngine(1, sched.RoundRobin{N: 1})
 	snap := NewRegSWSnapshot("S", runner, f, nil)
 	res, err := runner.Run(func(pid int) {
 		snap.Update(pid, "x")
@@ -314,7 +314,7 @@ func TestFetchIncUniqueTickets(t *testing.T) {
 	// the strictly-increasing (hence ABA-free, §5.3) behaviour protocols
 	// rely on.
 	for seed := int64(0); seed < 20; seed++ {
-		runner := sched.NewRunner(4, sched.NewRandom(seed), sched.WithMaxSteps(1<<20))
+		runner := sched.NewSeqEngine(4, sched.NewRandom(seed), sched.WithMaxSteps(1<<20))
 		f := NewFetchInc("C", runner)
 		tickets := make([][]int, 4)
 		_, err := runner.Run(func(pid int) {

@@ -13,7 +13,7 @@ import (
 // with mixed operations under the given strategy and returns the log.
 func runAugWorkload(t *testing.T, f, m, opsPer int, seed int64, strat sched.Strategy) *augsnap.AugSnapshot {
 	t.Helper()
-	runner := sched.NewRunner(f, strat, sched.WithMaxSteps(1<<22))
+	runner := sched.NewSeqEngine(f, strat, sched.WithMaxSteps(1<<22))
 	a := augsnap.New(runner, f, m)
 	_, err := runner.Run(func(pid int) {
 		rng := rand.New(rand.NewSource(seed*7919 + int64(pid)))

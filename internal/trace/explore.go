@@ -35,11 +35,10 @@ type ExploreOpts struct {
 	MaxRuns int
 	// MaxViolations stops the search after this many violations (0 = 1).
 	MaxViolations int
-	// Engine selects the execution engine used per schedule; the default
-	// (sched.EngineSeq) dispatches steps directly with no goroutine setup per
-	// run, which makes exploration an order of magnitude faster than the
-	// goroutine gate.
-	Engine sched.EngineKind
+	// Engine is a compatibility field: job specs from when there was a
+	// choice of engines name one here. Only "" and sched.EngineName (the one
+	// engine) are accepted; Explore rejects anything else.
+	Engine string
 	// Workers sets the search worker-pool size: the DFS prefix tree is
 	// sharded into disjoint subtrees (see parallel.go) drained by this many
 	// workers, and the per-subtree results are merged back in canonical DFS
@@ -59,8 +58,8 @@ type ExploreOpts struct {
 	// checkpoints the engine and system state at each branching decision on
 	// the current path and forks the next run from the deepest common prefix
 	// instead of replaying the whole schedule. Requires System.Fingerprint,
-	// System.Fork, System.Machines and the sequential engine. The report is
-	// identical for any Workers value.
+	// System.Fork and System.Machines. The report is identical for any
+	// Workers value.
 	Prune bool
 	// Symmetry enables symmetry-reduced pruning: the visited-state cache
 	// stores canonical fingerprints (System.CanonicalFingerprint) that
@@ -121,7 +120,7 @@ type System struct {
 	// Body is the per-process closure body. Used when Machines is nil.
 	Body func(pid int)
 	// Machines, when non-nil, are resumable step machines (one per process)
-	// that engines run natively — the fastest path on the sequential engine.
+	// that the engine dispatches directly — the fastest path.
 	// See proto.Machines for the protocol-process adapter.
 	Machines []sched.Machine
 	// Check is called after the run with the scheduler result; returning an
@@ -152,6 +151,15 @@ type System struct {
 	Fork func(gate sched.Stepper) System
 }
 
+// run executes the system on eng: natively as machines when it has them,
+// otherwise as coroutine-bridged bodies.
+func (sys *System) run(eng *sched.SeqEngine) (*sched.Result, error) {
+	if sys.Machines != nil {
+		return eng.RunMachines(sys.Machines)
+	}
+	return eng.Run(sys.Body)
+}
+
 // Factory builds one fresh system wired to the given step gate. Explore and
 // Fuzz construct a new engine (and through the factory a new system) for
 // every schedule they execute. With Workers > 1 the factory is called from
@@ -168,13 +176,12 @@ type Factory func(gate sched.Stepper) System
 
 // Explore enumerates schedules of the nprocs-process system produced by
 // factory, depth-first over scheduler choices, until the space is exhausted
-// or a bound is hit. Each schedule runs on a fresh engine of opts.Engine
-// (sequential by default: no per-schedule goroutine system is built), or,
+// or a bound is hit. Each schedule runs on a fresh sequential engine or,
 // when pruning, resumes from a checkpoint. The DFS tree is sharded into
 // subtrees drained by opts.Workers workers; the report is byte-identical for
 // any worker count.
 func Explore(nprocs int, factory Factory, opts ExploreOpts) (*ExploreReport, error) {
-	if err := validateOpts(nprocs, opts); err != nil {
+	if err := validateOpts(opts); err != nil {
 		return nil, err
 	}
 	workers := ResolveWorkers(opts.Workers)
@@ -190,25 +197,18 @@ func Explore(nprocs int, factory Factory, opts ExploreOpts) (*ExploreReport, err
 }
 
 // validateOpts checks the option contracts that need no system: the depth
-// bound, the engine kind, and what pruning requires of both. The hooks a
-// pruned search needs from the system are checked on the first system the
-// search builds (see explorer.run).
-func validateOpts(nprocs int, opts ExploreOpts) error {
+// bound, the compatibility engine name, and what symmetry requires. The
+// hooks a pruned search needs from the system are checked on the first
+// system the search builds (see explorer.run).
+func validateOpts(opts ExploreOpts) error {
 	if opts.MaxDepth <= 0 {
 		return fmt.Errorf("trace: MaxDepth must be positive")
 	}
 	if opts.Symmetry && !opts.Prune {
 		return fmt.Errorf("trace: ExploreOpts.Symmetry requires Prune (symmetry reduction only changes which fingerprint the visited-state cache stores)")
 	}
-	if _, err := sched.NewEngine(opts.Engine, nprocs, sched.Lowest{}); err != nil {
-		return err
-	}
-	kind := opts.Engine
-	if kind == "" {
-		kind = sched.DefaultEngine
-	}
-	if opts.Prune && kind != sched.EngineSeq {
-		return fmt.Errorf("trace: ExploreOpts.Prune requires the sequential engine (pruned runs resume from checkpointed engine state), got %q", kind)
+	if err := sched.CheckEngine(opts.Engine); err != nil {
+		return fmt.Errorf("trace: ExploreOpts.Engine: %w", err)
 	}
 	return nil
 }
@@ -265,7 +265,7 @@ type explorer struct {
 	// Per-run state.
 	prefix   []int // picks to replay, by absolute depth
 	sys      System
-	eng      *sched.SeqEngine // the live engine, when checkpointing
+	eng      *sched.SeqEngine // the live engine
 	trunc    bool             // the run hit MaxDepth
 	cut      bool             // the run reached an already-closed state
 	diverged error            // replay divergence: a prefix pick was not enabled
@@ -348,21 +348,12 @@ func (ex *explorer) run(from *checkpoint) (*sched.Result, error) {
 		ex.sys = from.sys.Fork(ex.eng)
 		return ex.eng.RunMachines(ex.sys.Machines)
 	}
-	eng, err := sched.NewEngine(ex.opts.Engine, ex.nprocs, ex)
-	if err != nil {
-		return nil, err
-	}
-	ex.sys = ex.factory(eng)
+	ex.eng = sched.NewSeqEngine(ex.nprocs, ex)
+	ex.sys = ex.factory(ex.eng)
 	if ex.capErr = capabilities(&ex.sys, ex.opts); ex.capErr != nil {
 		return nil, ex.capErr
 	}
-	if ex.cache != nil {
-		ex.eng = eng.(*sched.SeqEngine)
-	}
-	if ex.sys.Machines != nil {
-		return eng.RunMachines(ex.sys.Machines)
-	}
-	return eng.Run(ex.sys.Body)
+	return ex.sys.run(ex.eng)
 }
 
 // explore runs the DFS loop over subtree ex.i: run, account, check,

@@ -59,7 +59,7 @@ func TestExploreFindsViolation(t *testing.T) {
 	}
 	// Replaying a violating schedule reproduces it.
 	v := rep.Violations[0]
-	runner := sched.NewRunner(2, sched.Replay{Choices: v.Schedule, Fallback: sched.RoundRobin{N: 2}})
+	runner := sched.NewSeqEngine(2, sched.Replay{Choices: v.Schedule, Fallback: sched.RoundRobin{N: 2}})
 	reg := shmem.NewRegister("R", runner, nil)
 	var lastRead [2]shmem.Value
 	if _, err := runner.Run(func(pid int) {

@@ -21,10 +21,6 @@ type FuzzOpts struct {
 	ScheduleLen int
 	// MaxSteps bounds each run.
 	MaxSteps int
-	// Engine selects the execution engine per evaluated schedule; the default
-	// (sched.EngineSeq) dispatches steps directly, so candidate evaluation
-	// carries no goroutine or channel cost.
-	Engine sched.EngineKind
 	// Population is the number of independent hill-climbers evolved side by
 	// side (default 4, clamped to Iterations), sharing their best prefix at
 	// epoch barriers. The population structure depends only on (Seed,
@@ -65,17 +61,9 @@ func (c *climber) evaluate(prefix []int, nprocs int, factory Factory,
 	metric func(res *sched.Result) float64, opts FuzzOpts) (float64, error) {
 
 	strat := sched.Replay{Choices: prefix, Fallback: sched.NewRandom(sched.SplitSeed(c.seed, int64(c.evals)))}
-	eng, err := sched.NewEngine(opts.Engine, nprocs, strat, sched.WithMaxSteps(opts.MaxSteps))
-	if err != nil {
-		return 0, err
-	}
+	eng := sched.NewSeqEngine(nprocs, strat, sched.WithMaxSteps(opts.MaxSteps))
 	sys := factory(eng)
-	var res *sched.Result
-	if sys.Machines != nil {
-		res, err = eng.RunMachines(sys.Machines)
-	} else {
-		res, err = eng.Run(sys.Body)
-	}
+	res, err := sys.run(eng)
 	if err != nil && res == nil {
 		return 0, fmt.Errorf("trace: fuzz run failed: %w", err)
 	}

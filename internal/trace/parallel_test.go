@@ -140,7 +140,7 @@ func TestExploreViolationsReplay(t *testing.T) {
 		t.Fatal("no violations to replay")
 	}
 	for i, v := range rep.Violations {
-		violErr, runErr := ReplayViolation(3, factory, "", v)
+		violErr, runErr := ReplayViolation(3, factory, v)
 		if runErr != nil {
 			t.Fatalf("violation %d: replay failed: %v", i, runErr)
 		}

@@ -19,18 +19,10 @@ import (
 // bound. Replay is what makes parallel-found violations trustworthy: every
 // schedule in an ExploreReport, whatever worker found it, can be re-run in
 // isolation.
-func ReplayViolation(nprocs int, factory Factory, engine sched.EngineKind, v Violation) (violErr, runErr error) {
-	eng, err := sched.NewEngine(engine, nprocs, sched.Replay{Choices: v.Schedule})
-	if err != nil {
-		return nil, err
-	}
+func ReplayViolation(nprocs int, factory Factory, v Violation) (violErr, runErr error) {
+	eng := sched.NewSeqEngine(nprocs, sched.Replay{Choices: v.Schedule})
 	sys := factory(eng)
-	var res *sched.Result
-	if sys.Machines != nil {
-		res, err = eng.RunMachines(sys.Machines)
-	} else {
-		res, err = eng.Run(sys.Body)
-	}
+	res, err := sys.run(eng)
 	if err != nil {
 		return nil, fmt.Errorf("trace: replay failed on schedule %v: %w", v.Schedule, err)
 	}

@@ -3,13 +3,11 @@ package trace
 import (
 	"fmt"
 	"hash/maphash"
-	"math/rand"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"revisionist/internal/algorithms"
-	"revisionist/internal/augsnap"
 	"revisionist/internal/proto"
 	"revisionist/internal/sched"
 	"revisionist/internal/shmem"
@@ -128,9 +126,10 @@ func TestStatefulAblationMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestPruneRequiresCapabilities: Prune without a fingerprint, without a
-// fork, or on the goroutine engine is a contract error, not a silent
-// degradation.
+// TestPruneRequiresCapabilities: Prune without a fingerprint or without a
+// fork is a contract error, not a silent degradation; so is a job naming the
+// retired goroutine engine. A journaled job re-runs through Explore without
+// re-validation, so Explore itself must refuse it before building a system.
 func TestPruneRequiresCapabilities(t *testing.T) {
 	if _, err := Explore(2, counterSystem(nil), ExploreOpts{MaxDepth: 6, Prune: true}); err == nil ||
 		!strings.Contains(err.Error(), "Fingerprint") {
@@ -145,10 +144,24 @@ func TestPruneRequiresCapabilities(t *testing.T) {
 		!strings.Contains(err.Error(), "Fork") {
 		t.Fatalf("Prune without Fork: got %v", err)
 	}
-	if _, err := Explore(2, consensusAgreeFactory(2),
-		ExploreOpts{MaxDepth: 6, Prune: true, Engine: sched.EngineGoroutine}); err == nil ||
-		!strings.Contains(err.Error(), "sequential") {
-		t.Fatalf("Prune on the goroutine engine: got %v", err)
+	var built atomic.Int64
+	counting := func(gate sched.Stepper) System {
+		built.Add(1)
+		return consensusAgreeFactory(2)(gate)
+	}
+	for _, prune := range []bool{false, true} {
+		rep, err := Explore(2, counting, ExploreOpts{MaxDepth: 6, Prune: prune, Engine: "goroutine"})
+		if err == nil || rep != nil || !strings.Contains(err.Error(), "goroutine") {
+			t.Fatalf("prune=%v on the goroutine engine: got %+v, %v", prune, rep, err)
+		}
+	}
+	if n := built.Load(); n != 0 {
+		t.Fatalf("a rejected engine still built %d system(s)", n)
+	}
+	for _, engine := range []string{"", "seq"} {
+		if _, err := Explore(2, counting, ExploreOpts{MaxDepth: 6, Prune: true, Engine: engine}); err != nil {
+			t.Fatalf("Engine %q: %v", engine, err)
+		}
 	}
 }
 
@@ -256,97 +269,4 @@ func TestRunSubtreeRootNotEnabled(t *testing.T) {
 		!strings.Contains(err.Error(), "diverged") {
 		t.Fatalf("merge: want replay-divergence error, got %v", err)
 	}
-}
-
-// fpRecorder wraps a strategy and records the configuration fingerprint at
-// every decision point, where both engines are quiescent by construction.
-type fpRecorder struct {
-	inner sched.Strategy
-	fp    func(*maphash.Hash)
-	h     maphash.Hash
-	out   []uint64
-}
-
-func (r *fpRecorder) Pick(step int, enabled []int) int {
-	r.h.Reset()
-	r.fp(&r.h)
-	r.out = append(r.out, r.h.Sum64())
-	return r.inner.Pick(step, enabled)
-}
-
-// TestFingerprintsIdenticalAcrossEngines drives the same seeded schedule on
-// both engines over a register-based and an augsnap-based system and
-// requires byte-identical configuration hashes at every step.
-func TestFingerprintsIdenticalAcrossEngines(t *testing.T) {
-	runBoth := func(t *testing.T, nprocs int, seed int64,
-		build func(gate sched.Stepper) (func(pid int), func(*maphash.Hash))) {
-		t.Helper()
-		var got [2][]uint64
-		for i, kind := range []sched.EngineKind{sched.EngineSeq, sched.EngineGoroutine} {
-			rec := &fpRecorder{inner: sched.NewRandom(seed), h: sched.NewFingerprintHash()}
-			eng, err := sched.NewEngine(kind, nprocs, rec, sched.WithMaxSteps(1<<22))
-			if err != nil {
-				t.Fatal(err)
-			}
-			body, fp := build(eng)
-			rec.fp = fp
-			if _, err := eng.Run(body); err != nil {
-				t.Fatalf("%s: %v", kind, err)
-			}
-			got[i] = rec.out
-		}
-		if len(got[0]) == 0 {
-			t.Fatal("no fingerprints recorded")
-		}
-		if len(got[0]) != len(got[1]) {
-			t.Fatalf("fingerprint counts differ: seq %d, goroutine %d", len(got[0]), len(got[1]))
-		}
-		for i := range got[0] {
-			if got[0][i] != got[1][i] {
-				t.Fatalf("fingerprint %d differs: seq %x, goroutine %x", i, got[0][i], got[1][i])
-			}
-		}
-	}
-
-	t.Run("registers", func(t *testing.T) {
-		for seed := int64(0); seed < 8; seed++ {
-			runBoth(t, 3, seed, func(gate sched.Stepper) (func(pid int), func(*maphash.Hash)) {
-				regs := []*shmem.Register{
-					shmem.NewRegister("A", gate, nil),
-					shmem.NewRegister("B", gate, 0),
-				}
-				body := func(pid int) {
-					for i := 0; i < 4; i++ {
-						regs[i%2].Write(pid, pid*10+i)
-						regs[(i+1)%2].Read(pid)
-					}
-				}
-				return body, func(h *maphash.Hash) {
-					for _, r := range regs {
-						r.AppendFingerprint(h)
-					}
-				}
-			})
-		}
-	})
-
-	t.Run("augsnap", func(t *testing.T) {
-		const f, m, ops = 3, 2, 4
-		for seed := int64(0); seed < 4; seed++ {
-			runBoth(t, f, seed, func(gate sched.Stepper) (func(pid int), func(*maphash.Hash)) {
-				a := augsnap.New(gate, f, m)
-				body := func(pid int) {
-					rng := rand.New(rand.NewSource(seed*1000 + int64(pid)))
-					for i := 0; i < ops; i++ {
-						if rng.Intn(3) == 0 {
-							a.Scan(pid)
-							continue
-						}
-						a.BlockUpdate(pid, []int{rng.Intn(m)}, []augsnap.Value{fmt.Sprintf("p%d-%d", pid, i)})
-					}
-				}
-				return body, a.AppendFingerprint
-			})
-		}
-	})
 }

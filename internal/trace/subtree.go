@@ -167,7 +167,7 @@ func (o *SubtreeOutcome) internal() *subtreeResult {
 // SubtreePlan computes the frontier of disjoint subtree-root prefixes, in
 // canonical DFS order, and the wave width a distributed exploration must use
 // to reproduce the single-process Explore report exactly. It also validates
-// the option contracts (engine kind, prune capabilities, on the probe
+// the option contracts (engine name, prune capabilities, on the probe
 // systems it builds), so a coordinator fails fast instead of shipping a
 // broken job to workers.
 //
@@ -180,7 +180,7 @@ func (o *SubtreeOutcome) internal() *subtreeResult {
 // A frontier of length <= 1 means the tree is too small to shard: run
 // Explore locally instead.
 func SubtreePlan(nprocs int, factory Factory, opts ExploreOpts) (frontier [][]int, waveWidth int, err error) {
-	if err := validateOpts(nprocs, opts); err != nil {
+	if err := validateOpts(opts); err != nil {
 		return nil, 0, err
 	}
 	return plan(nprocs, factory, opts, distFrontierTarget)
@@ -202,7 +202,7 @@ const distFrontierTarget = 64
 // caller owns publishing them. A root pick that is not enabled is a replay
 // divergence, reported as the outcome's failed run.
 func RunSubtree(nprocs int, factory Factory, opts ExploreOpts, root []int, base int, frozen func(fp uint64) (int, bool)) (*SubtreeOutcome, error) {
-	if err := validateOpts(nprocs, opts); err != nil {
+	if err := validateOpts(opts); err != nil {
 		return nil, err
 	}
 	sh := newExploreShared([][]int{root}, opts)
