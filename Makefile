@@ -15,13 +15,14 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-check the parallel search layer (worker-pool Explore/Fuzz/Stress),
-# the distributed coordinator/worker protocol, and the checking daemon —
-# the ./internal/jobd/... glob includes the crashfs power-fail simulator.
+# Race-check the execution engine (whose buffers a restarted engine
+# reuses), the parallel search layer (worker-pool Explore/Fuzz/Stress), the
+# distributed coordinator/worker protocol, and the checking daemon — the
+# ./internal/jobd/... glob includes the crashfs power-fail simulator.
 # Runs at GOMAXPROCS 1, 2 and 4, so the determinism and divergence suites
 # see more than one core count.
 race:
-	$(GO) test -race -cpu 1,2,4 ./internal/trace/... ./internal/harness/... ./internal/dist/... ./internal/jobd/...
+	$(GO) test -race -cpu 1,2,4 ./internal/sched/... ./internal/trace/... ./internal/harness/... ./internal/dist/... ./internal/jobd/...
 
 # Full benchmark suite; takes a while. Archives the go-test JSON event
 # stream as BENCH_<date>.json — one file per run is the perf trajectory.
@@ -79,10 +80,12 @@ crash-smoke:
 	$(GO) run ./cmd/checkd -smoke -kill
 
 # Fuzz smoke: ten seconds of coverage-guided fuzzing on each decoder of
-# untrusted bytes — the job journal loader and the witness replay path.
+# untrusted bytes — the job journal loader, the witness replay path and the
+# wire frame reader.
 fuzz-smoke:
 	$(GO) test ./internal/jobd -run '^$$' -fuzz '^FuzzQueueLoad$$' -fuzztime 10s
 	$(GO) test ./internal/harness -run '^$$' -fuzz '^FuzzWitness$$' -fuzztime 10s
+	$(GO) test ./internal/dist/wire -run '^$$' -fuzz '^FuzzWireRecv$$' -fuzztime 10s
 
 # The benchmark in perfbench/ is its own module, which a root `go build ./...`
 # skips. Building it here catches an API change that breaks it.

@@ -445,8 +445,8 @@ func (c *Conn) Recv() (*Msg, error) {
 	if n > MaxFrame {
 		return nil, fmt.Errorf("wire: frame of %d bytes exceeds the %d-byte cap", n, MaxFrame)
 	}
-	body := make([]byte, n)
-	if nb, err := io.ReadFull(c.rw, body); err != nil {
+	body, nb, err := readBody(c.rw, int(n))
+	if err != nil {
 		return nil, fmt.Errorf("wire: torn frame: %d of %d body bytes: %w", nb, n, err)
 	}
 	m := &Msg{}
@@ -455,6 +455,29 @@ func (c *Conn) Recv() (*Msg, error) {
 	}
 	c.observe("in", m.Kind, len(hdr)+len(body))
 	return m, nil
+}
+
+// bodyChunk is the most a frame body allocates before its bytes arrive.
+const bodyChunk = 64 << 10
+
+// readBody reads an n-byte frame body. The buffer starts at bodyChunk bytes
+// and doubles as bytes arrive, never past n, so a length prefix that promises
+// more than the peer sends costs about twice what arrived, not the promised
+// size.
+func readBody(r io.Reader, n int) ([]byte, int, error) {
+	body := make([]byte, min(n, bodyChunk))
+	got := 0
+	for {
+		k, err := io.ReadFull(r, body[got:])
+		got += k
+		if err != nil {
+			return nil, got, err
+		}
+		if got == n {
+			return body, got, nil
+		}
+		body = append(body, make([]byte, min(len(body), n-len(body)))...)
+	}
 }
 
 // Violation is one violating schedule in witness form: the scheduler picks

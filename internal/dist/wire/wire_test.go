@@ -14,10 +14,9 @@ import (
 	"revisionist/internal/trace"
 )
 
-// TestFrameRoundTrip sends every message kind through the framing and
-// requires it back intact.
-func TestFrameRoundTrip(t *testing.T) {
-	msgs := []*Msg{
+// sampleMsgs returns one message of every kind, the bodies filled in.
+func sampleMsgs() []*Msg {
+	return []*Msg{
 		{Kind: KindHello, Hello: &Hello{Version: Version, Slots: 4}},
 		{Kind: KindJob, Job: &Job{ID: "j0007", Protocol: "kset", Params: protocol.Params{N: 4, K: 3},
 			Opts: trace.ExploreOpts{MaxDepth: 20, MaxRuns: 1000, Prune: true, Engine: "seq"}}},
@@ -49,7 +48,23 @@ func TestFrameRoundTrip(t *testing.T) {
 			Witness: &Witness{Protocol: "kset", Params: protocol.Params{N: 4, K: 3}, Engine: "seq", MaxDepth: 20},
 		}},
 		{Kind: KindShutdown},
+		{Kind: KindPing},
+		{Kind: KindPong},
+		{Kind: KindCancel, Ref: &Ref{ID: "j0008"}},
+		{Kind: KindFetch, Ref: &Ref{ID: "j0007"}},
+		{Kind: KindList},
+		{Kind: KindJobs, Jobs: []JobInfo{{ID: "j0009", State: "queued", Priority: 7}},
+			Queue: &QueueInfo{Queued: 1, MaxQueued: 64}},
+		{Kind: KindTrace, Ref: &Ref{ID: "j0007"}},
+		{Kind: KindEvents, Events: &Events{Job: "j0007", Dropped: 2, Events: []TraceEvent{
+			{At: time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC), Kind: "wave", Detail: "1/4"}}}},
 	}
+}
+
+// TestFrameRoundTrip sends every message kind through the framing and
+// requires it back intact.
+func TestFrameRoundTrip(t *testing.T) {
+	msgs := sampleMsgs()
 	var buf bytes.Buffer
 	c := NewConn(&buf)
 	for _, m := range msgs {

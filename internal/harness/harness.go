@@ -243,22 +243,32 @@ func Run(opts Options) (*RunReport, error) {
 
 // factory builds the trace.Factory both Check and Fuzz run over: a fresh
 // instance of Π per schedule, on a fresh multi-writer snapshot, checked
-// against Π's task. The symmetry group is enumerated once, outside the
-// per-schedule closure, and shared by every system the factory builds (the
-// canonicalizer is read-only).
+// against Π's task. p must be resolved. The per-job values — inputs, task
+// and symmetry group — are built once, outside the per-schedule closure, and
+// shared read-only by every system the factory builds: Build only reads its
+// inputs, the task only reads them, and the canonicalizer is read-only.
 func factory(pr *protocol.Protocol, p protocol.Params) trace.Factory {
-	cz := canonicalizer(pr, p)
+	j := &protoJob{inputs: pr.DefaultInputs(p, p.N), task: pr.Task(p), cz: canonicalizer(pr, p)}
 	return func(gate sched.Stepper) trace.System {
-		inst, err := pr.Instantiate(p)
+		procs, m, err := pr.Build(p, j.inputs)
 		if err != nil {
 			// Parameters were validated in resolve; a failure here is a
 			// descriptor bug, surfaced by the engine as a run error.
-			panic(err)
+			panic(fmt.Errorf("protocol %s: %w", pr.Name, err))
 		}
-		res := proto.NewRunResult(len(inst.Procs))
-		snap := shmem.NewMWSnapshot("M", gate, inst.M, nil)
-		return protoSystem(inst, snap, res, proto.Machines(inst.Procs, snap, res), cz)
+		res := proto.NewRunResult(len(procs))
+		snap := shmem.NewMWSnapshot("M", gate, m, nil)
+		return protoSystem(j, snap, res, proto.Machines(procs, snap, res))
 	}
+}
+
+// protoJob is what every system of one protocol job shares, read-only: the
+// process inputs, the task the outputs are checked against, and the symmetry
+// canonicalizer.
+type protoJob struct {
+	inputs []spec.Value
+	task   spec.Task
+	cz     *sched.Canonicalizer
 }
 
 // canonicalizer enumerates the symmetry group of Π at p from its registry
@@ -296,12 +306,11 @@ func canonicalizer(pr *protocol.Protocol, p protocol.Params) *sched.Canonicalize
 // no-op), and Fork deep-copies the whole system — cloned snapshot, cloned
 // result, cloned machines — recursively, so forks of forks work
 // (checkpointed exploration resumes by forking a frozen fork).
-func protoSystem(inst *protocol.Instance, snap *shmem.MWSnapshot, res *proto.RunResult,
-	machines []sched.Machine, cz *sched.Canonicalizer) trace.System {
+func protoSystem(j *protoJob, snap *shmem.MWSnapshot, res *proto.RunResult, machines []sched.Machine) trace.System {
 	return trace.System{
 		Machines: machines,
 		Check: func(*sched.Result) error {
-			return inst.Task.Validate(inst.Inputs, res.DoneOutputs())
+			return j.task.Validate(j.inputs, res.DoneOutputs())
 		},
 		Fingerprint: func(h *maphash.Hash) {
 			snap.AppendFingerprint(h)
@@ -310,7 +319,7 @@ func protoSystem(inst *protocol.Instance, snap *shmem.MWSnapshot, res *proto.Run
 			}
 		},
 		CanonicalFingerprint: func(h *maphash.Hash) uint64 {
-			return cz.Canonical(h, func(h *maphash.Hash, c *sched.Canon) {
+			return j.cz.Canonical(h, func(h *maphash.Hash, c *sched.Canon) {
 				snap.AppendCanonicalFingerprint(h, c)
 				for s := range machines {
 					machines[c.SlotSrc(s)].(sched.CanonicalFingerprinter).AppendCanonicalFingerprint(h, c)
@@ -320,7 +329,7 @@ func protoSystem(inst *protocol.Instance, snap *shmem.MWSnapshot, res *proto.Run
 		Fork: func(gate sched.Stepper) trace.System {
 			snap2 := snap.Fork(gate)
 			res2 := res.Clone()
-			return protoSystem(inst, snap2, res2, proto.ForkMachines(machines, snap2, res2), cz)
+			return protoSystem(j, snap2, res2, proto.ForkMachines(machines, snap2, res2))
 		},
 	}
 }

@@ -52,7 +52,8 @@ func symSystem(t *testing.T, pr *protocol.Protocol, p protocol.Params,
 	}
 	res := proto.NewRunResult(len(inst.Procs))
 	snap := shmem.NewMWSnapshot("M", shmem.Free{}, inst.M, nil)
-	sys := protoSystem(inst, snap, res, proto.Machines(inst.Procs, snap, res), canonicalizer(pr, p))
+	j := &protoJob{inputs: inst.Inputs, task: inst.Task, cz: canonicalizer(pr, p)}
+	sys := protoSystem(j, snap, res, proto.Machines(inst.Procs, snap, res))
 	for _, pid := range schedule {
 		sys.Machines[pid].Resume()
 	}
@@ -235,7 +236,7 @@ func TestCanonicalFingerprintNoOpWithoutSymmetry(t *testing.T) {
 	}
 	res := proto.NewRunResult(len(inst.Procs))
 	snap := shmem.NewMWSnapshot("M", shmem.Free{}, inst.M, nil)
-	sys := protoSystem(inst, snap, res, proto.Machines(inst.Procs, snap, res), cz)
+	sys := protoSystem(&protoJob{inputs: inst.Inputs, task: inst.Task, cz: cz}, snap, res, proto.Machines(inst.Procs, snap, res))
 	sys.Machines[0].Resume()
 	sys.Machines[1].Resume()
 	h := sched.NewFingerprintHash()

@@ -49,10 +49,10 @@ func (c *cpAt) Pick(step int, enabled []int) int {
 	return c.inner.Pick(step, enabled)
 }
 
-// TestSeqEngineCheckpointResume: checkpoint a run mid-flight, resume it on a
-// fresh engine with forked machines, and require the resumed run's result —
-// trace, per-pid step counts, finished flags — to be byte-identical to the
-// uninterrupted run's.
+// TestSeqEngineCheckpointResume: checkpoint a run mid-flight, resume it with
+// forked machines on a restarted engine, and require the resumed run's
+// result — trace, per-pid step counts, finished flags — to be byte-identical
+// to the uninterrupted run's.
 func TestSeqEngineCheckpointResume(t *testing.T) {
 	const n, ops, at = 3, 4, 5
 	mkMachines := func(e *SeqEngine) ([]Machine, []*countMachine) {
@@ -88,9 +88,11 @@ func TestSeqEngineCheckpointResume(t *testing.T) {
 		t.Fatalf("checkpoint depth %d, want %d", rec.cp.Depth(), at)
 	}
 
-	// Resume twice from the same checkpoint: checkpoints are reusable.
+	// Resume twice from the same checkpoint on one engine: checkpoints are
+	// reusable, and so is the engine.
+	res := NewSeqEngine(n, nil)
 	for round := 0; round < 2; round++ {
-		res := ResumeSeqEngine(rec.cp, RoundRobin{N: n})
+		res.Restart(RoundRobin{N: n}, rec.cp)
 		forked := make([]Machine, n)
 		for i := range rec.forked {
 			m := rec.forked[i] // fresh copy per resume
@@ -119,7 +121,8 @@ func TestResumeRejectsBodies(t *testing.T) {
 	if _, err := eng.RunMachines([]Machine{&countMachine{e: eng, pid: 0, left: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	res := ResumeSeqEngine(st.cp, RoundRobin{N: 1})
+	res := NewSeqEngine(1, nil)
+	res.Restart(RoundRobin{N: 1}, st.cp)
 	if _, err := res.Run(func(int) {}); err == nil {
 		t.Fatal("Run on a resumed engine must fail")
 	}

@@ -50,8 +50,9 @@ func CheckEngine(name string) error {
 	return fmt.Errorf("sched: unknown engine %q (the only engine is %q)", name, EngineName)
 }
 
-// ErrReused reports a second Run on a single-use engine.
-var ErrReused = errors.New("sched: engine is single-use: create a new engine per run")
+// ErrReused reports a second run on an engine that was not restarted in
+// between (see SeqEngine.Restart).
+var ErrReused = errors.New("sched: engine already ran: restart it (or create a new one) per run")
 
 // engineConfig carries the engine options.
 type engineConfig struct {

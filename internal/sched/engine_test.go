@@ -72,20 +72,22 @@ func equivalenceStrategies(n int) map[string]func() sched.Strategy {
 	}
 }
 
-// sameResult fails t unless the two engines' results agree field by field.
+// sameResult fails t unless two runs' results agree field by field: the
+// reference runner's and the SeqEngine's, or a fresh and a restarted
+// engine's.
 func sameResult(t *testing.T, ref, got *sched.Result, referr, goterr error) {
 	t.Helper()
 	if (referr == nil) != (goterr == nil) {
-		t.Fatalf("error mismatch: runner=%v seq=%v", referr, goterr)
+		t.Fatalf("error mismatch: ref=%v got=%v", referr, goterr)
 	}
 	if !reflect.DeepEqual(ref.Trace, got.Trace) {
-		t.Fatalf("traces differ:\nrunner: %v\nseq:    %v", ref.Trace, got.Trace)
+		t.Fatalf("traces differ:\nref: %v\ngot: %v", ref.Trace, got.Trace)
 	}
 	if !reflect.DeepEqual(ref.StepsBy, got.StepsBy) || !reflect.DeepEqual(ref.Finished, got.Finished) {
-		t.Fatalf("results differ: runner=%+v seq=%+v", ref, got)
+		t.Fatalf("results differ: ref=%+v got=%+v", ref, got)
 	}
 	if ref.Halted != got.Halted || ref.Steps != got.Steps {
-		t.Fatalf("halted/steps differ: runner=%+v seq=%+v", ref, got)
+		t.Fatalf("halted/steps differ: ref=%+v got=%+v", ref, got)
 	}
 }
 
@@ -231,6 +233,24 @@ func (m *stepsMachine) Resume() bool {
 	return m.left > 0
 }
 
+// stepsMachines returns n one-op machines gated by gate; pid takes 3+2·pid
+// steps, so the enabled set shrinks unevenly.
+func stepsMachines(gate sched.Stepper, n int) []*stepsMachine {
+	ms := make([]*stepsMachine, n)
+	for pid := range ms {
+		ms[pid] = &stepsMachine{gate: gate, pid: pid, left: 3 + 2*pid, perResume: 1}
+	}
+	return ms
+}
+
+func asMachines(ms []*stepsMachine) []sched.Machine {
+	out := make([]sched.Machine, len(ms))
+	for i, m := range ms {
+		out[i] = m
+	}
+	return out
+}
+
 func TestRunMachinesMatchesAcrossEngines(t *testing.T) {
 	const n = 4
 	for name, mk := range equivalenceStrategies(n) {
@@ -239,11 +259,7 @@ func TestRunMachinesMatchesAcrossEngines(t *testing.T) {
 			var errs [2]error
 			for i, e := range engines {
 				eng := e.mk(n, mk())
-				ms := make([]sched.Machine, n)
-				for pid := range ms {
-					ms[pid] = &stepsMachine{gate: eng, pid: pid, left: 3 + 2*pid, perResume: 1}
-				}
-				res[i], errs[i] = eng.RunMachines(ms)
+				res[i], errs[i] = eng.RunMachines(asMachines(stepsMachines(eng, n)))
 			}
 			sameResult(t, res[0], res[1], errs[0], errs[1])
 		})

@@ -94,7 +94,9 @@ const Halt = -1
 // indicates a liveness bug (or a deliberately starved protocol).
 var ErrMaxSteps = errors.New("sched: step budget exceeded")
 
-// Result describes a finished (or halted) run.
+// Result describes a finished (or halted) run. Trace, StepsBy and Finished
+// alias the engine's buffers: they stay valid until the engine is restarted
+// (see SeqEngine.Restart).
 type Result struct {
 	Trace     []StepRecord
 	Steps     int

@@ -19,24 +19,28 @@ import (
 //
 // The package's tests require SeqEngine to produce the same trace and
 // Result as a goroutine-per-process reference runner for the same
-// (Strategy, seed) and process bodies. A SeqEngine is single-use: create one
-// per run.
+// (Strategy, seed) and process bodies. An engine executes one run per
+// Restart: a second run without a Restart in between fails with ErrReused.
+// Restart keeps the engine's buffers, so a search that executes many short
+// runs keeps one engine and restarts it per run.
 type SeqEngine struct {
 	core schedCore
 
 	n      int
 	onStep func(StepRecord)
 
+	// Run state. The slices are allocated by the first run and reused by
+	// every run after a Restart.
 	trace       []StepRecord
 	stepsBy     []int
 	parked      []bool
 	finished    []bool
 	numFinished int
 
-	// resumeFrom, when non-nil, preloads the run state from a mid-run
-	// checkpoint: RunMachines skips the run-to-first-gate phase and continues
+	// resumed is set by a Restart from a checkpoint, which preloads the run
+	// state: RunMachines skips the run-to-first-gate phase and continues
 	// granting steps where the checkpointed engine left off.
-	resumeFrom *SeqCheckpoint
+	resumed bool
 
 	// Coroutine bridge state (Run only): yields[pid] is the live yield
 	// function of pid's coroutine; poised[pid] is the op pid is parked on.
@@ -155,6 +159,9 @@ func (e *SeqEngine) RunMachines(machines []Machine) (*Result, error) {
 		return nil, fmt.Errorf("%w (SeqEngine run twice)", ErrReused)
 	}
 	e.started = true
+	// closed marks the run over on every exit, so Restart can tell a finished
+	// run from one in progress.
+	defer func() { e.closed = true }()
 	if len(machines) != e.n {
 		return nil, fmt.Errorf("sched: got %d machines for %d processes", len(machines), e.n)
 	}
@@ -171,21 +178,11 @@ func (e *SeqEngine) RunMachines(machines []Machine) (*Result, error) {
 		aborting = true
 	}
 
-	if cp := e.resumeFrom; cp != nil {
-		// Resuming from a checkpoint: the machines are forks of the system
-		// state at the checkpoint, already poised on their next operations, so
-		// the run-to-first-gate phase is skipped entirely.
-		e.trace = append(make([]StepRecord, 0, len(cp.trace)+traceCap(e.core.maxSteps)), cp.trace...)
-		e.stepsBy = append([]int(nil), cp.stepsBy...)
-		e.parked = append([]bool(nil), cp.parked...)
-		e.finished = append([]bool(nil), cp.finished...)
-		e.numFinished = cp.numFinished
-		e.core.step = cp.step
-	} else {
-		e.trace = make([]StepRecord, 0, traceCap(e.core.maxSteps))
-		e.stepsBy = make([]int, e.n)
-		e.parked = make([]bool, e.n)
-		e.finished = make([]bool, e.n)
+	if !e.resumed {
+		// Resumed runs skip this phase: their machines are forks of the
+		// system state at the checkpoint, already poised on their next
+		// operations, and Restart preloaded the run state.
+		e.allocRunState()
 
 		// Start every machine: run it to its first gate (or completion).
 		for pid := 0; pid < e.n; pid++ {
@@ -244,7 +241,6 @@ func (e *SeqEngine) RunMachines(machines []Machine) (*Result, error) {
 		}
 	}
 
-	e.closed = true
 	res := &Result{
 		Trace:     e.trace,
 		Steps:     len(e.trace),
@@ -262,10 +258,9 @@ func (e *SeqEngine) RunMachines(machines []Machine) (*Result, error) {
 // same point (trace.System.Fork) it lets exhaustive exploration resume runs
 // from the deepest common schedule prefix instead of replaying every
 // schedule from scratch. A checkpoint is immutable and may seed any number
-// of resumed engines.
+// of resumed runs.
 type SeqCheckpoint struct {
 	step        int
-	maxSteps    int
 	trace       []StepRecord
 	stepsBy     []int
 	parked      []bool
@@ -283,7 +278,6 @@ func (cp *SeqCheckpoint) Depth() int { return cp.step }
 func (e *SeqEngine) Checkpoint() *SeqCheckpoint {
 	return &SeqCheckpoint{
 		step:        e.core.step,
-		maxSteps:    e.core.maxSteps,
 		trace:       append([]StepRecord(nil), e.trace...),
 		stepsBy:     append([]int(nil), e.stepsBy...),
 		parked:      append([]bool(nil), e.parked...),
@@ -292,22 +286,54 @@ func (e *SeqEngine) Checkpoint() *SeqCheckpoint {
 	}
 }
 
-// ResumeSeqEngine returns a fresh sequential engine that continues a run
-// from cp under strat: RunMachines must be called with machines forked from
-// the system state at the checkpoint (same pids; entries for finished
-// processes may be nil). The step budget is inherited from the checkpointed
-// engine; options may still install a step hook. Like every SeqEngine, the
-// returned engine is single-use.
-func ResumeSeqEngine(cp *SeqCheckpoint, strat Strategy, opts ...Option) *SeqEngine {
-	c := newEngineConfig(opts)
-	e := &SeqEngine{
-		core:       newSchedCore(len(cp.parked), strat, cp.maxSteps),
-		n:          len(cp.parked),
-		onStep:     c.onStep,
-		cur:        -1,
-		resumeFrom: cp,
+// Restart rewinds the engine for another run under strat, keeping its
+// options (step budget, step hook) and its buffers. With from nil the next
+// run starts from scratch. With from non-nil it resumes from that checkpoint:
+// RunMachines must then be called with machines forked from the system state
+// at the checkpoint (same pids; entries for finished processes may be nil),
+// and the engine's own step budget applies.
+//
+// The buffers a run's *Result aliases (Trace, StepsBy, Finished) are the
+// ones Restart clears and refills: a Result is valid only until the next
+// Restart of the engine that produced it. Copy whatever must outlive it.
+//
+// Restart must not be called while a run is in progress, for example from
+// Strategy.Pick; it panics.
+func (e *SeqEngine) Restart(strat Strategy, from *SeqCheckpoint) {
+	if e.started && !e.closed {
+		panic("sched: SeqEngine.Restart called during a run (from a strategy or a process); restart only between runs")
 	}
-	return e
+	e.core.strat, e.core.step = strat, 0
+	e.started, e.closed = false, false
+	e.resumed = from != nil
+	e.allocRunState()
+	if from == nil {
+		e.trace = e.trace[:0]
+		clear(e.stepsBy)
+		clear(e.parked)
+		clear(e.finished)
+		e.numFinished = 0
+	} else {
+		e.trace = append(e.trace[:0], from.trace...)
+		copy(e.stepsBy, from.stepsBy)
+		copy(e.parked, from.parked)
+		copy(e.finished, from.finished)
+		e.numFinished, e.core.step = from.numFinished, from.step
+	}
+	clear(e.yields)
+	clear(e.hasPoised)
+}
+
+// allocRunState allocates the per-run buffers on the engine's first run;
+// later runs reuse them (Restart clears them).
+func (e *SeqEngine) allocRunState() {
+	if e.stepsBy != nil {
+		return
+	}
+	e.trace = make([]StepRecord, 0, traceCap(e.core.maxSteps))
+	e.stepsBy = make([]int, e.n)
+	e.parked = make([]bool, e.n)
+	e.finished = make([]bool, e.n)
 }
 
 // Run executes body(pid) for every pid by bridging each body onto a
@@ -317,12 +343,14 @@ func ResumeSeqEngine(cp *SeqCheckpoint, strat Strategy, opts ...Option) *SeqEngi
 // simulators — on the sequential engine without rewriting them as explicit
 // state machines.
 func (e *SeqEngine) Run(body func(pid int)) (*Result, error) {
-	if e.resumeFrom != nil {
+	if e.resumed {
 		return nil, fmt.Errorf("sched: a resumed engine requires RunMachines with forked machines; coroutine-bridged bodies cannot resume from a checkpoint")
 	}
-	e.yields = make([]func(Op) bool, e.n)
-	e.poised = make([]Op, e.n)
-	e.hasPoised = make([]bool, e.n)
+	if e.yields == nil {
+		e.yields = make([]func(Op) bool, e.n)
+		e.poised = make([]Op, e.n)
+		e.hasPoised = make([]bool, e.n)
+	}
 	machines := make([]Machine, e.n)
 	for pid := range machines {
 		machines[pid] = newCoroMachine(e, pid, body)

@@ -124,7 +124,9 @@ type System struct {
 	// See proto.Machines for the protocol-process adapter.
 	Machines []sched.Machine
 	// Check is called after the run with the scheduler result; returning an
-	// error marks the schedule as violating.
+	// error marks the schedule as violating. res is valid only during the
+	// call: the explorer restarts its engine for the next run, which reuses
+	// the buffers res aliases.
 	Check func(res *sched.Result) error
 	// Score, when non-nil, overrides the Fuzz metric for this system. A
 	// metric that inspects per-run state (operation logs, outputs) must be
@@ -160,12 +162,14 @@ func (sys *System) run(eng *sched.SeqEngine) (*sched.Result, error) {
 	return eng.Run(sys.Body)
 }
 
-// Factory builds one fresh system wired to the given step gate. Explore and
-// Fuzz construct a new engine (and through the factory a new system) for
-// every schedule they execute. With Workers > 1 the factory is called from
-// several workers concurrently, so consecutive calls must not share mutable
-// state: everything a system touches — shared objects, processes, check
-// state — must be built fresh per call.
+// Factory builds one fresh system wired to the given step gate. Explore
+// builds a new system for every schedule it runs from scratch (a pruned
+// search resumes the others from forks), on the searching explorer's one
+// engine; Fuzz builds one engine and one system per evaluation. With
+// Workers > 1 the factory is called from several workers concurrently, so
+// consecutive calls must not share mutable state: everything a system
+// touches — shared objects, processes, check state — must be built fresh per
+// call.
 //
 // Systems must also be deterministic: every run replays a recorded prefix of
 // scheduler picks, so consecutive calls must behave identically. A replayed
@@ -176,10 +180,10 @@ type Factory func(gate sched.Stepper) System
 
 // Explore enumerates schedules of the nprocs-process system produced by
 // factory, depth-first over scheduler choices, until the space is exhausted
-// or a bound is hit. Each schedule runs on a fresh sequential engine or,
-// when pruning, resumes from a checkpoint. The DFS tree is sharded into
-// subtrees drained by opts.Workers workers; the report is byte-identical for
-// any worker count.
+// or a bound is hit. Each schedule runs on a freshly built system or, when
+// pruning, resumes from a checkpoint; an explorer restarts one engine for all
+// of its runs. The DFS tree is sharded into subtrees drained by opts.Workers
+// workers; the report is byte-identical for any worker count.
 func Explore(nprocs int, factory Factory, opts ExploreOpts) (*ExploreReport, error) {
 	if err := validateOpts(opts); err != nil {
 		return nil, err
@@ -265,7 +269,7 @@ type explorer struct {
 	// Per-run state.
 	prefix   []int // picks to replay, by absolute depth
 	sys      System
-	eng      *sched.SeqEngine // the live engine
+	eng      *sched.SeqEngine // the explorer's engine, restarted per run
 	trunc    bool             // the run hit MaxDepth
 	cut      bool             // the run reached an already-closed state
 	diverged error            // replay divergence: a prefix pick was not enabled
@@ -339,16 +343,20 @@ func (ex *explorer) enabledAt(d int) []int {
 }
 
 // run executes one schedule of ex.prefix: resumed from checkpoint from when
-// one covers the prefix, on a freshly built system otherwise. A system that
-// lacks a hook the options need is not run; ex.capErr reports it.
+// one covers the prefix, on a freshly built system otherwise. Either way it
+// runs on the explorer's one engine, restarted per run. A system that lacks
+// a hook the options need is not run; ex.capErr reports it.
 func (ex *explorer) run(from *checkpoint) (*sched.Result, error) {
 	ex.trunc, ex.cut, ex.diverged = false, false, nil
+	if ex.eng == nil {
+		ex.eng = sched.NewSeqEngine(ex.nprocs, ex)
+	}
 	if from != nil {
-		ex.eng = sched.ResumeSeqEngine(from.cp, ex)
+		ex.eng.Restart(ex, from.cp)
 		ex.sys = from.sys.Fork(ex.eng)
 		return ex.eng.RunMachines(ex.sys.Machines)
 	}
-	ex.eng = sched.NewSeqEngine(ex.nprocs, ex)
+	ex.eng.Restart(ex, nil)
 	ex.sys = ex.factory(ex.eng)
 	if ex.capErr = capabilities(&ex.sys, ex.opts); ex.capErr != nil {
 		return nil, ex.capErr

@@ -1,10 +1,10 @@
 // Parallel schedule search: the frontier planner, the wave driver and the
 // deterministic merge around the one subtree DFS loop (explorer.explore).
 // Exhaustive exploration is embarrassingly parallel over independent
-// fresh-engine runs, so the planner splits the DFS prefix tree into disjoint
-// subtrees — it expands the first few decision levels into a frontier of
-// prefixes in canonical DFS order — and a pool of workers drains them, each
-// subtree by the same loop. Per-subtree results carry enough per-run detail
+// subtrees, each searched by its own explorer on its own engine, so the
+// planner splits the DFS prefix tree into disjoint subtrees — it expands the
+// first few decision levels into a frontier of prefixes in canonical DFS
+// order — and a pool of workers drains them, each subtree by the same loop. Per-subtree results carry enough per-run detail
 // (violation ordinals, truncation bits) that the merge can re-cut the search
 // at exactly the run where a single-subtree search would have stopped, so
 // the report is byte-identical for any worker count: violations in canonical

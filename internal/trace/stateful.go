@@ -160,8 +160,9 @@ func (noopStepper) Step(int, sched.Op) {}
 
 // checkpoint is one entry of the checkpoint stack: the configuration after
 // `depth` steps, frozen as a forked system plus the engine's scheduling
-// state. Resuming forks the frozen system once more onto a fresh engine, so
-// one checkpoint can seed every sibling subtree below it.
+// state. Resuming forks the frozen system once more onto the explorer's
+// restarted engine, so one checkpoint can seed every sibling subtree below
+// it.
 type checkpoint struct {
 	depth int
 	sys   System
