@@ -2,7 +2,7 @@ GO ?= go
 BENCH_DATE ?= $(shell date +%Y-%m-%d)
 BENCH_OUT  ?= BENCH_$(BENCH_DATE).json
 
-.PHONY: all vet build test race bench bench-smoke ci protocols dist-smoke jobd-smoke chaos-smoke crash-smoke obs-smoke fuzz-smoke perfbench-build
+.PHONY: all vet build test race bench bench-smoke examples-smoke ci protocols dist-smoke jobd-smoke chaos-smoke crash-smoke obs-smoke fuzz-smoke perfbench-build
 
 all: ci
 
@@ -34,6 +34,12 @@ bench:
 # One iteration of every benchmark: catches bit-rot without the cost.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
+
+# Run every example main; the revisionist demo's output must match its
+# golden file byte for byte (every run in it is seeded).
+examples-smoke:
+	@for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d > /dev/null || exit 1; done
+	$(GO) run ./examples/revisionist | diff - examples/revisionist/testdata/output.golden
 
 # Print the protocol registry; doubles as a smoke test that registration
 # side effects are wired.
@@ -92,4 +98,4 @@ fuzz-smoke:
 perfbench-build:
 	cd perfbench && GOFLAGS= GOPROXY=off GOWORK=off $(GO) build -o /dev/null .
 
-ci: vet build test race bench-smoke
+ci: vet build test race bench-smoke examples-smoke

@@ -111,22 +111,26 @@ func benchAugStress(b *testing.B, f int) {
 		seed := int64(i)
 		eng := sched.NewSeqEngine(f, sched.NewRandom(seed), sched.WithMaxSteps(1<<22))
 		a := augsnap.New(eng, f, 3)
-		_, err := eng.Run(func(pid int) {
-			rng := rand.New(rand.NewSource(seed*1000 + int64(pid)))
-			for j := 0; j < 6; j++ {
-				if rng.Intn(4) == 0 {
-					a.Scan(pid)
-					continue
-				}
-				r := 1 + rng.Intn(3)
-				comps := rng.Perm(3)[:r]
-				vals := make([]augsnap.Value, r)
-				for g := range vals {
-					vals[g] = j
-				}
-				a.BlockUpdate(pid, comps, vals)
+		rngs := make([]*rand.Rand, f)
+		for pid := range rngs {
+			rngs[pid] = rand.New(rand.NewSource(seed*1000 + int64(pid)))
+		}
+		_, err := eng.RunMachines(sched.Processes(f, func(pid, j int) sched.Cursor {
+			rng := rngs[pid]
+			switch {
+			case j == 6:
+				return nil
+			case rng.Intn(4) == 0:
+				return a.StartScan(pid)
 			}
-		})
+			r := 1 + rng.Intn(3)
+			comps := rng.Perm(3)[:r]
+			vals := make([]augsnap.Value, r)
+			for g := range vals {
+				vals[g] = j
+			}
+			return a.StartBlockUpdate(pid, comps, vals)
+		}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -438,26 +442,29 @@ type freeStepper struct{}
 
 func (freeStepper) Step(int, sched.Op) {}
 
-// benchSnap is the single-writer snapshot interface the substrate benchmarks
-// exercise.
-type benchSnap interface {
-	Update(pid int, v shmem.Value)
-	Scan(pid int) []shmem.Value
-}
+// stepFunc is a one-step operation: f performs exactly one gated step.
+type stepFunc func()
 
-type mwBenchAdapter struct{ s *shmem.RegMWSnapshot }
+func (f stepFunc) Step() bool { f(); return true }
 
-func (a mwBenchAdapter) Update(pid int, v shmem.Value) { a.s.Update(pid, pid, v) }
-func (a mwBenchAdapter) Scan(pid int) []shmem.Value    { return a.s.Scan(pid) }
-
-func newBenchSnap(kind string, r sched.Stepper, f int) benchSnap {
+// benchSnapOps builds the single-writer snapshot a substrate benchmark
+// exercises and returns its update and scan as cursors: one step each on the
+// atomic snapshot, one step per register read or write on the register-built
+// ones.
+func benchSnapOps(kind string, r sched.Stepper, f int) (update func(pid int, v shmem.Value) sched.Cursor, scan func(pid int) sched.Cursor) {
 	switch kind {
 	case "atomic":
-		return shmem.NewSWSnapshot("S", r, f, nil)
+		s := shmem.NewSWSnapshot("S", r, f, nil)
+		return func(pid int, v shmem.Value) sched.Cursor { return stepFunc(func() { s.Update(pid, v) }) },
+			func(pid int) sched.Cursor { return stepFunc(func() { s.Scan(pid) }) }
 	case "regsw":
-		return shmem.NewRegSWSnapshot("S", r, f, nil)
+		s := shmem.NewRegSWSnapshot("S", r, f, nil)
+		return func(pid int, v shmem.Value) sched.Cursor { return s.StartUpdate(pid, v) },
+			func(pid int) sched.Cursor { return s.StartScan(pid) }
 	case "regmw":
-		return mwBenchAdapter{shmem.NewRegMWSnapshot("S", r, f, f, nil)}
+		s := shmem.NewRegMWSnapshot("S", r, f, f, nil)
+		return func(pid int, v shmem.Value) sched.Cursor { return s.StartUpdate(pid, pid, v) },
+			func(pid int) sched.Cursor { return s.StartScan(pid) }
 	default:
 		panic("unknown snapshot kind " + kind)
 	}
@@ -467,13 +474,17 @@ func benchSnapshotWorkload(b *testing.B, kind string) {
 	const f = 4
 	for i := 0; i < b.N; i++ {
 		eng := sched.NewSeqEngine(f, sched.NewRandom(int64(i)), sched.WithMaxSteps(1<<22))
-		snap := newBenchSnap(kind, eng, f)
-		_, err := eng.Run(func(pid int) {
-			for r := 0; r < 4; r++ {
-				snap.Update(pid, r)
-				snap.Scan(pid)
+		update, scan := benchSnapOps(kind, eng, f)
+		// Four rounds of one update and one scan per process.
+		_, err := eng.RunMachines(sched.Processes(f, func(pid, j int) sched.Cursor {
+			switch {
+			case j == 8:
+				return nil
+			case j%2 == 0:
+				return update(pid, j/2)
 			}
-		})
+			return scan(pid)
+		}))
 		if err != nil {
 			b.Fatal(err)
 		}

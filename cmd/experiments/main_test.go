@@ -37,6 +37,21 @@ func TestT1Golden(t *testing.T) {
 	checkGolden(t, "t1.golden", out.Bytes())
 }
 
+// TestE3E4Golden pins the augmented-snapshot step-count and yield tables.
+// The stress workloads are seeded and merged in seed order, so the output is
+// the same at every worker count.
+func TestE3E4Golden(t *testing.T) {
+	for _, section := range []string{"e3", "e4"} {
+		for _, workers := range []string{"1", "2"} {
+			var out bytes.Buffer
+			if err := run([]string{"-section", section, "-workers", workers}, &out); err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, section+".golden", out.Bytes())
+		}
+	}
+}
+
 // TestE5Golden pins the harness-driven simulation experiment.
 func TestE5Golden(t *testing.T) {
 	var out bytes.Buffer

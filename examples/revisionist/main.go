@@ -54,18 +54,19 @@ func augmentedSnapshotDemo() {
 		return enabled[0]
 	}))
 	a2 := augsnap.New(eng, 2, 2)
-	var y0, y1 bool
-	if _, err := eng.Run(func(pid int) {
-		_, at := a2.BlockUpdate(pid, []int{pid}, []augsnap.Value{pid})
-		if pid == 0 {
-			y0 = !at
-		} else {
-			y1 = !at
+	bus := make([]*augsnap.BlockUpdateOp, 2)
+	if _, err := eng.RunMachines(sched.Processes(2, func(pid, i int) sched.Cursor {
+		if i > 0 {
+			return nil
 		}
-	}); err != nil {
+		bus[pid] = a2.StartBlockUpdate(pid, []int{pid}, []augsnap.Value{pid})
+		return bus[pid]
+	})); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("under lower-id contention: q0 yielded=%v (never), q1 yielded=%v (Theorem 20)\n\n", y0, y1)
+	_, at0 := bus[0].Result()
+	_, at1 := bus[1].Result()
+	fmt.Printf("under lower-id contention: q0 yielded=%v (never), q1 yielded=%v (Theorem 20)\n\n", !at0, !at1)
 }
 
 func coveringSimulatorDemo() {

@@ -121,7 +121,7 @@ func TestConsensusSafetyExhaustiveTwoProcs(t *testing.T) {
 		res := proto.NewRunResult(2)
 		snap := shmem.NewMWSnapshot("M", runner, m, nil)
 		return trace.System{
-			Body: proto.Body(procs, snap, res),
+			Machines: proto.Machines(procs, snap, res),
 			Check: func(*sched.Result) error {
 				return spec.Consensus{}.Validate(inputs, res.DoneOutputs())
 			},
@@ -240,7 +240,7 @@ func TestFirstValueViolatesConsensusSomewhere(t *testing.T) {
 		res := proto.NewRunResult(2)
 		snap := shmem.NewMWSnapshot("M", runner, 1, nil)
 		return trace.System{
-			Body: proto.Body(procs, snap, res),
+			Machines: proto.Machines(procs, snap, res),
 			Check: func(*sched.Result) error {
 				return spec.Consensus{}.Validate(inputs, res.DoneOutputs())
 			},
@@ -288,7 +288,7 @@ func TestConsensusValidityExhaustiveSameInputs(t *testing.T) {
 		res := proto.NewRunResult(2)
 		snap := shmem.NewMWSnapshot("M", runner, m, nil)
 		return trace.System{
-			Body: proto.Body(procs, snap, res),
+			Machines: proto.Machines(procs, snap, res),
 			Check: func(*sched.Result) error {
 				for pid, d := range res.Done {
 					if d && res.Outputs[pid] != 5 {

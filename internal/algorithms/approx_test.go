@@ -65,7 +65,7 @@ func TestAA2ExhaustiveSchedules(t *testing.T) {
 		res := proto.NewRunResult(2)
 		snap := shmem.NewMWSnapshot("M", runner, m, nil)
 		return trace.System{
-			Body: proto.Body(procs, snap, res),
+			Machines: proto.Machines(procs, snap, res),
 			Check: func(*sched.Result) error {
 				outs := res.DoneOutputs()
 				if len(outs) != 2 {
@@ -165,7 +165,7 @@ func TestFirstValueAsStarvedAA(t *testing.T) {
 		res := proto.NewRunResult(2)
 		snap := shmem.NewMWSnapshot("M", runner, 1, nil)
 		return trace.System{
-			Body: proto.Body(procs, snap, res),
+			Machines: proto.Machines(procs, snap, res),
 			Check: func(*sched.Result) error {
 				return (spec.ApproxAgreement{Eps: 0.5}).Validate(inputs, res.DoneOutputs())
 			},

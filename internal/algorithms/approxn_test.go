@@ -137,7 +137,7 @@ func TestAANExhaustiveTiny(t *testing.T) {
 		res := proto.NewRunResult(2)
 		snap := shmem.NewMWSnapshot("M", runner, m, nil)
 		return trace.System{
-			Body: proto.Body(procs, snap, res),
+			Machines: proto.Machines(procs, snap, res),
 			Check: func(*sched.Result) error {
 				return (spec.ApproxAgreement{Eps: eps}).Validate([]spec.Value{0.0, 1.0}, res.DoneOutputs())
 			},

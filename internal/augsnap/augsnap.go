@@ -141,14 +141,24 @@ func (h HView) viewInto(m int, best []Timestamp) []Value {
 }
 
 // Store is the single-writer snapshot interface the augmented snapshot is
-// built from. *shmem.SWSnapshot (atomic, one scheduler step per operation)
-// and *shmem.RegSWSnapshot (built from registers per Afek et al.) both
-// implement it, so the full stack "registers → snapshot → augmented snapshot
-// → simulation" can be assembled.
+// built from. *shmem.SWSnapshot is atomic: each operation is one scheduler
+// step. *shmem.RegSWSnapshot, built from registers per Afek et al., also
+// has cursors (StartScan, StartUpdate), and then every H operation takes one
+// step per register read or write. Either way the full stack "registers →
+// snapshot → augmented snapshot → simulation" runs one step per
+// Machine.Resume.
 type Store interface {
 	Update(pid int, v shmem.Value)
 	Scan(pid int) []shmem.Value
 	SetRecorder(shmem.Recorder)
+}
+
+// cursorStore is a Store whose operations take several steps, exposed as
+// cursors taking one register operation per Step.
+type cursorStore interface {
+	Store
+	StartScan(pid int) *shmem.SnapOp
+	StartUpdate(pid int, v shmem.Value) *shmem.SnapOp
 }
 
 // AugSnapshot is the m-component augmented snapshot object. It is shared by
@@ -157,6 +167,7 @@ type Store interface {
 type AugSnapshot struct {
 	f, m int
 	h    Store
+	cs   cursorStore // h when its operations take several steps, else nil
 
 	buCount []int // Block-Updates performed, per process (single-writer)
 	own     []HComp
@@ -202,6 +213,7 @@ func NewOver(h Store, f, m int) *AugSnapshot {
 		bestScratch: make([]Timestamp, m),
 		rawScratch:  make([]shmem.Value, f),
 	}
+	a.cs, _ = h.(cursorStore)
 	a.h.SetRecorder(a.log)
 	return a
 }
@@ -216,12 +228,22 @@ func (a *AugSnapshot) Processes() int { return a.f }
 // linearization and specification checking (package trace).
 func (a *AugSnapshot) Log() *Log { return a.log }
 
-// scanH performs one atomic scan of H and converts the result. The converted
-// HView owns its memory (help records retain it); the raw value slice is
-// scratch when H supports the ScanInto fast path.
-func (a *AugSnapshot) scanH(pid int) HView {
+// scanH performs one step of an H scan by pid and returns the converted
+// result once the scan completes, nil before. On an atomic store the scan is
+// that one step; on a cursorStore *op holds the scan in progress between
+// steps. The converted HView owns its memory (help records retain it); the
+// raw value slice is scratch when H supports the ScanInto fast path.
+func (a *AugSnapshot) scanH(pid int, op **shmem.SnapOp) HView {
 	raw := a.rawScratch
-	if si, ok := a.h.(scanIntoer); ok {
+	if a.cs != nil {
+		if *op == nil {
+			*op = a.cs.StartScan(pid)
+		}
+		if !(*op).Step() {
+			return nil
+		}
+		raw, *op = (*op).View(), nil
+	} else if si, ok := a.h.(scanIntoer); ok {
 		si.ScanInto(pid, raw)
 	} else {
 		raw = a.h.Scan(pid)
@@ -248,9 +270,9 @@ func (a *AugSnapshot) newTimestamp(pid int, h HView) Timestamp {
 // return the view of the last result. It is non-blocking: only an infinite
 // sequence of concurrent Block-Updates can starve it.
 //
-// Scan drives a ScanOp cursor to completion; bodies that must take one gated
-// step per resume (the simulation's step machines) step the cursor
-// themselves via StartScan.
+// Scan drives a ScanOp cursor to completion, which suits a stepper that
+// admits every step at once (shmem.Free); step machines, which take one gated
+// step per Resume, step the cursor themselves via StartScan.
 func (a *AugSnapshot) Scan(pid int) []Value {
 	op := a.StartScan(pid)
 	for !op.Step() {
@@ -262,8 +284,8 @@ func (a *AugSnapshot) Scan(pid int) []Value {
 // vals[g] for each g and returns (view, true) if the Block-Update is atomic,
 // or (nil, false) if it yields.
 //
-// BlockUpdate drives a BlockUpdateOp cursor to completion; step machines use
-// StartBlockUpdate directly.
+// BlockUpdate drives a BlockUpdateOp cursor to completion, like Scan; step
+// machines use StartBlockUpdate directly.
 func (a *AugSnapshot) BlockUpdate(pid int, comps []int, vals []Value) ([]Value, bool) {
 	op := a.StartBlockUpdate(pid, comps, vals)
 	for !op.Step() {
@@ -271,33 +293,48 @@ func (a *AugSnapshot) BlockUpdate(pid int, comps []int, vals []Value) ([]Value, 
 	return op.Result()
 }
 
-// appendTriples publishes new triples with one H.update; it is the only place
-// NumBU advances. H[pid] is single-writer, so the writer keeps a local copy
-// of its own component and appends to it (appends extend the latest slice
-// header, so earlier published headers keep seeing their own prefix).
-func (a *AugSnapshot) appendTriples(pid int, triples []Triple) {
+// stageTriples prepares the publication of new triples, the only place NumBU
+// advances; updateH then publishes them with one H.update. H[pid] is
+// single-writer, so the writer keeps a local copy of its own component and
+// appends to it (appends extend the latest slice header, so earlier
+// published headers keep seeing their own prefix).
+func (a *AugSnapshot) stageTriples(pid int, triples []Triple) {
 	cur := a.own[pid]
-	next := HComp{
+	a.own[pid] = HComp{
 		Triples: append(cur.Triples, triples...),
 		NumBU:   cur.NumBU + 1,
 		Help:    cur.Help,
 	}
-	a.own[pid] = next
-	a.h.Update(pid, next)
 }
 
-// appendHelp publishes help records with one H.update. The update is
-// performed even when recs is empty, keeping the step counts of Lemma 2
-// exact (a Block-Update is always 6 H-operations, a Scan iteration always 2).
-func (a *AugSnapshot) appendHelp(pid int, recs []HelpRec) {
+// stageHelp prepares the publication of help records, which updateH then
+// publishes with one H.update. The update is performed even when recs is
+// empty, keeping the step counts of Lemma 2 exact (a Block-Update is always 6
+// H-operations, a Scan iteration always 2).
+func (a *AugSnapshot) stageHelp(pid int, recs []HelpRec) {
 	cur := a.own[pid]
-	next := HComp{
+	a.own[pid] = HComp{
 		Triples: cur.Triples,
 		NumBU:   cur.NumBU,
 		Help:    append(cur.Help, recs...),
 	}
-	a.own[pid] = next
-	a.h.Update(pid, next)
+}
+
+// updateH performs one step of publishing pid's staged component to H[pid]
+// and reports whether the update completed (see scanH).
+func (a *AugSnapshot) updateH(pid int, op **shmem.SnapOp) bool {
+	if a.cs == nil {
+		a.h.Update(pid, a.own[pid])
+		return true
+	}
+	if *op == nil {
+		*op = a.cs.StartUpdate(pid, a.own[pid])
+	}
+	if !(*op).Step() {
+		return false
+	}
+	*op = nil
+	return true
 }
 
 // lookupHelp finds the last help record for (dst, idx) in a Help list.

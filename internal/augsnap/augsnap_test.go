@@ -99,16 +99,24 @@ func TestProcessZeroNeverYields(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		runner := sched.NewSeqEngine(3, sched.NewRandom(seed), sched.WithMaxSteps(1<<20))
 		a := New(runner, 3, 3)
-		_, err := runner.Run(func(pid int) {
-			for i := 0; i < 4; i++ {
-				_, atomic := a.BlockUpdate(pid, []int{i % 3}, []Value{fmt.Sprintf("p%d-%d", pid, i)})
-				if pid == 0 && !atomic {
-					panic("process 0 yielded")
-				}
+		var zero []*BlockUpdateOp
+		_, err := runner.RunMachines(sched.Processes(3, func(pid, i int) sched.Cursor {
+			if i == 4 {
+				return nil
 			}
-		})
+			op := a.StartBlockUpdate(pid, []int{i % 3}, []Value{fmt.Sprintf("p%d-%d", pid, i)})
+			if pid == 0 {
+				zero = append(zero, op)
+			}
+			return op
+		}))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, op := range zero {
+			if _, atomic := op.Result(); !atomic {
+				t.Fatalf("seed %d: process 0 yielded", seed)
+			}
 		}
 	}
 }
@@ -116,10 +124,15 @@ func TestProcessZeroNeverYields(t *testing.T) {
 func TestLemma2StepCounts(t *testing.T) {
 	runner := sched.NewSeqEngine(2, sched.RoundRobin{N: 2}, sched.WithMaxSteps(1<<20))
 	a := New(runner, 2, 2)
-	_, err := runner.Run(func(pid int) {
-		a.BlockUpdate(pid, []int{pid}, []Value{pid})
-		a.Scan(pid)
-	})
+	_, err := runner.RunMachines(sched.Processes(2, func(pid, i int) sched.Cursor {
+		switch i {
+		case 0:
+			return a.StartBlockUpdate(pid, []int{pid}, []Value{pid})
+		case 1:
+			return a.StartScan(pid)
+		}
+		return nil
+	}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -222,17 +235,18 @@ func TestYieldRequiresLowerIDContention(t *testing.T) {
 		return enabled[0]
 	}), sched.WithMaxSteps(1<<20))
 	a := New(runner, 2, 2)
-	yielded := false
-	_, err := runner.Run(func(pid int) {
-		_, atomic := a.BlockUpdate(pid, []int{pid}, []Value{pid})
-		if pid == 1 && !atomic {
-			yielded = true
+	bus := make([]*BlockUpdateOp, 2)
+	_, err := runner.RunMachines(sched.Processes(2, func(pid, i int) sched.Cursor {
+		if i > 0 {
+			return nil
 		}
-	})
+		bus[pid] = a.StartBlockUpdate(pid, []int{pid}, []Value{pid})
+		return bus[pid]
+	}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if !yielded {
+	if _, atomic := bus[1].Result(); atomic {
 		t.Fatal("expected process 1 to yield under lower-id contention")
 	}
 }
@@ -265,22 +279,26 @@ func randomWorkload(t *testing.T, f, m, opsPer int, seed int64) *AugSnapshot {
 	t.Helper()
 	runner := sched.NewSeqEngine(f, sched.NewRandom(seed), sched.WithMaxSteps(1<<22))
 	a := New(runner, f, m)
-	_, err := runner.Run(func(pid int) {
-		rng := rand.New(rand.NewSource(seed*1000 + int64(pid)))
-		for i := 0; i < opsPer; i++ {
-			if rng.Intn(3) == 0 {
-				a.Scan(pid)
-				continue
-			}
-			r := 1 + rng.Intn(m)
-			comps := rng.Perm(m)[:r]
-			vals := make([]Value, r)
-			for g := range vals {
-				vals[g] = fmt.Sprintf("p%d-i%d-g%d", pid, i, g)
-			}
-			a.BlockUpdate(pid, comps, vals)
+	rngs := make([]*rand.Rand, f)
+	for pid := range rngs {
+		rngs[pid] = rand.New(rand.NewSource(seed*1000 + int64(pid)))
+	}
+	_, err := runner.RunMachines(sched.Processes(f, func(pid, i int) sched.Cursor {
+		rng := rngs[pid]
+		switch {
+		case i == opsPer:
+			return nil
+		case rng.Intn(3) == 0:
+			return a.StartScan(pid)
 		}
-	})
+		r := 1 + rng.Intn(m)
+		comps := rng.Perm(m)[:r]
+		vals := make([]Value, r)
+		for g := range vals {
+			vals[g] = fmt.Sprintf("p%d-i%d-g%d", pid, i, g)
+		}
+		return a.StartBlockUpdate(pid, comps, vals)
+	}))
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
@@ -328,9 +346,12 @@ func TestConcurrentScansDoNotBlockEachOther(t *testing.T) {
 	// Lemma 2).
 	runner := sched.NewSeqEngine(2, sched.Alternator{Burst: 1}, sched.WithMaxSteps(1<<16))
 	a := New(runner, 2, 2)
-	_, err := runner.Run(func(pid int) {
-		a.Scan(pid)
-	})
+	_, err := runner.RunMachines(sched.Processes(2, func(pid, i int) sched.Cursor {
+		if i > 0 {
+			return nil
+		}
+		return a.StartScan(pid)
+	}))
 	if err != nil {
 		t.Fatalf("concurrent scans did not finish: %v", err)
 	}
@@ -346,15 +367,15 @@ func TestScanRetriesUnderConcurrentBlockUpdates(t *testing.T) {
 	// stays within the Lemma 2 bound and terminates once writers stop.
 	runner := sched.NewSeqEngine(3, sched.Alternator{Burst: 2}, sched.WithMaxSteps(1<<18))
 	a := New(runner, 3, 2)
-	_, err := runner.Run(func(pid int) {
-		if pid == 2 {
-			a.Scan(pid)
-			return
+	_, err := runner.RunMachines(sched.Processes(3, func(pid, i int) sched.Cursor {
+		switch {
+		case pid == 2 && i == 0:
+			return a.StartScan(pid)
+		case pid != 2 && i < 3:
+			return a.StartBlockUpdate(pid, []int{pid % 2}, []Value{i})
 		}
-		for i := 0; i < 3; i++ {
-			a.BlockUpdate(pid, []int{pid % 2}, []Value{i})
-		}
-	})
+		return nil
+	}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

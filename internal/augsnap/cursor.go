@@ -1,20 +1,25 @@
 package augsnap
 
-import "fmt"
+import (
+	"fmt"
+
+	"revisionist/internal/shmem"
+)
 
 // This file decomposes the augmented snapshot operations into resumable
-// cursors: one gated H-operation per Step call. They are the single
+// cursors (sched.Cursor): one gated step per Step call. They are the single
 // implementation of Algorithms 3 and 4 — AugSnapshot.Scan and
 // AugSnapshot.BlockUpdate are loops over them — and they are what lets the
-// revisionist simulators run as native step machines on the sequential
-// engine (one base-object step per Machine.Resume, no goroutines and no
-// coroutines).
+// simulators and stress workloads run as step machines. Each cursor state is
+// one H operation: one step on an atomic store; on a cursorStore, hop holds
+// it across its register steps, and an update is staged while hop is nil.
 
 // ScanOp is a resumable Scan (Algorithm 3). Each Step performs exactly one
-// H operation; once Step returns true the result is available from View.
+// gated step; once Step returns true the result is available from View.
 type ScanOp struct {
 	a   *AugSnapshot
 	pid int
+	hop *shmem.SnapOp // the H operation in progress on a cursorStore
 
 	st       int // 0: first collect; 1: help; 2: second collect + compare
 	h, hp    HView
@@ -28,31 +33,40 @@ func (a *AugSnapshot) StartScan(pid int) *ScanOp {
 	return &ScanOp{a: a, pid: pid}
 }
 
-// Step performs the Scan's next H operation and reports whether the Scan
+// Step performs the Scan's next gated step and reports whether the Scan
 // completed.
 func (s *ScanOp) Step() bool {
 	a := s.a
 	switch s.st {
 	case 0: // first collect
-		s.hp = a.scanH(s.pid)
+		if s.hp = a.scanH(s.pid, &s.hop); s.hp == nil {
+			return false
+		}
 		s.startSeq = a.log.lastSeq()
 		s.hops = 1
 		s.st = 1
 		return false
 	case 1: // help every other process with one update
-		s.h = s.hp
-		recs := a.helpScratch[:0]
-		for j := 0; j < a.f; j++ {
-			if j != s.pid {
-				recs = append(recs, HelpRec{Dst: j, Idx: s.h.numBU(j), H: s.h})
+		if s.hop == nil {
+			s.h = s.hp
+			recs := a.helpScratch[:0]
+			for j := 0; j < a.f; j++ {
+				if j != s.pid {
+					recs = append(recs, HelpRec{Dst: j, Idx: s.h.numBU(j), H: s.h})
+				}
 			}
+			a.stageHelp(s.pid, recs)
 		}
-		a.appendHelp(s.pid, recs)
+		if !a.updateH(s.pid, &s.hop) {
+			return false
+		}
 		s.hops++
 		s.st = 2
 		return false
 	case 2: // re-collect; done when two consecutive results coincide
-		s.hp = a.scanH(s.pid)
+		if s.hp = a.scanH(s.pid, &s.hop); s.hp == nil {
+			return false
+		}
 		s.hops++
 		if s.h.eq(s.hp) {
 			s.view = s.h.viewInto(a.m, a.bestScratch)
@@ -77,17 +91,19 @@ func (s *ScanOp) View() []Value {
 }
 
 // BlockUpdateOp is a resumable Block-Update (Algorithm 4). Each Step performs
-// exactly one H operation; once Step returns true the outcome is available
+// exactly one gated step; once Step returns true the outcome is available
 // from Result.
 type BlockUpdateOp struct {
 	a     *AugSnapshot
 	pid   int
 	comps []int
 	vals  []Value
-	b     int // index of this Block-Update; equals #h_i below
+	b     int           // index of this Block-Update; equals #h_i below
+	hop   *shmem.SnapOp // the H operation in progress on a cursorStore
 
 	st     int // 0: line 2 scan; 1: line 4 append; 2: line 5 scan; 3: lines 6-7 help; 4: lines 8-10 check; 5: lines 11-16 read
 	h, g   HView
+	ts     Timestamp
 	hSeq   int // log position of the line-2 scan
 	rec    *BURecord
 	view   []Value
@@ -110,44 +126,61 @@ func (a *AugSnapshot) StartBlockUpdate(pid int, comps []int, vals []Value) *Bloc
 	return &BlockUpdateOp{a: a, pid: pid, comps: comps, vals: vals, b: a.buCount[pid]}
 }
 
-// Step performs the Block-Update's next H operation and reports whether the
+// Step performs the Block-Update's next gated step and reports whether the
 // operation completed (atomically or by yielding).
 func (u *BlockUpdateOp) Step() bool {
 	a := u.a
 	switch u.st {
 	case 0: // line 2: h <- H.scan()
-		u.h = a.scanH(u.pid)
+		if u.h = a.scanH(u.pid, &u.hop); u.h == nil {
+			return false
+		}
 		u.hSeq = a.log.lastSeq()
 		u.st = 1
 		return false
 	case 1: // lines 3-4: generate the timestamp, append the triples
-		t := a.newTimestamp(u.pid, u.h)
-		triples := make([]Triple, len(u.comps))
-		for g := range u.comps {
-			triples[g] = Triple{Comp: u.comps[g], Val: u.vals[g], TS: t}
+		if u.hop == nil {
+			u.ts = a.newTimestamp(u.pid, u.h)
+			triples := make([]Triple, len(u.comps))
+			for g := range u.comps {
+				triples[g] = Triple{Comp: u.comps[g], Val: u.vals[g], TS: u.ts}
+			}
+			a.stageTriples(u.pid, triples)
 		}
-		a.appendTriples(u.pid, triples)
+		if !a.updateH(u.pid, &u.hop) {
+			return false
+		}
 		a.buCount[u.pid]++
-		u.rec = a.log.openBU(u.pid, u.b, u.comps, u.vals, t)
+		u.rec = a.log.openBU(u.pid, u.b, u.comps, u.vals, u.ts)
 		u.rec.HSeq, u.rec.XSeq = u.hSeq, a.log.lastSeq()
 		u.st = 2
 		return false
 	case 2: // line 5: scan for helping
-		u.g = a.scanH(u.pid)
+		if u.g = a.scanH(u.pid, &u.hop); u.g == nil {
+			return false
+		}
 		u.rec.GSeq = a.log.lastSeq()
 		u.st = 3
 		return false
 	case 3: // lines 6-7: help lower-id processes with one update
-		recs := a.helpScratch[:0]
-		for j := 0; j < u.pid; j++ {
-			recs = append(recs, HelpRec{Dst: j, Idx: u.g.numBU(j), H: u.g})
+		if u.hop == nil {
+			recs := a.helpScratch[:0]
+			for j := 0; j < u.pid; j++ {
+				recs = append(recs, HelpRec{Dst: j, Idx: u.g.numBU(j), H: u.g})
+			}
+			a.stageHelp(u.pid, recs)
 		}
-		a.appendHelp(u.pid, recs)
+		if !a.updateH(u.pid, &u.hop) {
+			return false
+		}
 		u.rec.HelpSeq = a.log.lastSeq()
 		u.st = 4
 		return false
 	case 4: // lines 8-10: yield if a lower-id process appended triples since h
-		hp := a.scanH(u.pid)
+		hp := a.scanH(u.pid, &u.hop)
+		if hp == nil {
+			return false
+		}
 		u.rec.CheckSeq = a.log.lastSeq()
 		for j := 0; j < u.pid; j++ {
 			if hp.numBU(j) > u.h.numBU(j) {
@@ -159,7 +192,10 @@ func (u *BlockUpdateOp) Step() bool {
 		u.st = 5
 		return false
 	case 5: // lines 11-16: determine the latest recorded scan, return its view
-		r := a.scanH(u.pid)
+		r := a.scanH(u.pid, &u.hop)
+		if r == nil {
+			return false
+		}
 		u.rec.ReadSeq = a.log.lastSeq()
 		last := u.h
 		for j := 0; j < a.f; j++ {

@@ -233,20 +233,7 @@ func Run(cfg Config, inputs []proto.Value, mkProtocol func(inputs []proto.Value)
 		}
 	}
 
-	var sres *sched.Result
-	var rerr error
-	if cfg.RegisterBuiltH {
-		// A register-built H takes several gated register steps per H
-		// operation, so the simulators cannot run as one-step machines; run
-		// them as plain bodies (coroutine-bridged on the sequential engine).
-		sres, rerr = eng.Run(func(pid int) {
-			m := machines[pid]
-			for m.Resume() {
-			}
-		})
-	} else {
-		sres, rerr = eng.RunMachines(machines)
-	}
+	sres, rerr := eng.RunMachines(machines)
 	res.Steps = sres.Steps
 	res.StepsBy = sres.StepsBy
 	if rerr != nil {
@@ -256,10 +243,11 @@ func Run(cfg Config, inputs []proto.Value, mkProtocol func(inputs []proto.Value)
 }
 
 // The simulators are implemented as resumable step machines (sched.Machine):
-// every Resume performs exactly one base-object operation on H, by stepping
-// the augmented snapshot's operation cursors (augsnap.ScanOp,
-// augsnap.BlockUpdateOp). The sequential engine runs them by direct
-// dispatch — no goroutines, no channels, no coroutines.
+// every Resume performs exactly one base-object step, by stepping the
+// augmented snapshot's operation cursors (augsnap.ScanOp,
+// augsnap.BlockUpdateOp): one H operation on the atomic H, one register read
+// or write of an H operation on the register-built H. The sequential engine
+// runs them by direct dispatch — no goroutines, no channels, no coroutines.
 
 // directMachine implements Algorithm 5.
 type directMachine struct {

@@ -526,23 +526,27 @@ func StressWorkload(engine string, f, m, ops int, seed int64) (*augsnap.AugSnaps
 	}
 	eng := sched.NewSeqEngine(f, sched.NewRandom(seed), sched.WithMaxSteps(1<<22))
 	a := augsnap.New(eng, f, m)
-	_, err := eng.Run(func(pid int) {
-		rng := rand.New(rand.NewSource(seed*1000 + int64(pid)))
-		for i := 0; i < ops; i++ {
-			if rng.Intn(4) == 0 {
-				a.Scan(pid)
-				continue
-			}
-			r := 1 + rng.Intn(m)
-			comps := rng.Perm(m)[:r]
-			vals := make([]augsnap.Value, r)
-			for g := range vals {
-				vals[g] = fmt.Sprintf("p%d-%d-%d", pid, i, g)
-			}
-			a.BlockUpdate(pid, comps, vals)
+	rngs := make([]*rand.Rand, f)
+	for pid := range rngs {
+		rngs[pid] = rand.New(rand.NewSource(seed*1000 + int64(pid)))
+	}
+	machines := sched.Processes(f, func(pid, i int) sched.Cursor {
+		rng := rngs[pid]
+		switch {
+		case i == ops:
+			return nil
+		case rng.Intn(4) == 0:
+			return a.StartScan(pid)
 		}
+		r := 1 + rng.Intn(m)
+		comps := rng.Perm(m)[:r]
+		vals := make([]augsnap.Value, r)
+		for g := range vals {
+			vals[g] = fmt.Sprintf("p%d-%d-%d", pid, i, g)
+		}
+		return a.StartBlockUpdate(pid, comps, vals)
 	})
-	if err != nil {
+	if _, err := eng.RunMachines(machines); err != nil {
 		return nil, err
 	}
 	return a, nil

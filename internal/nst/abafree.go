@@ -27,9 +27,6 @@ type TaggedRegisters struct {
 	regs []*shmem.Register
 	m    int
 	seq  []int
-	// maxCollects bounds Scan's retries; 0 means unbounded (obstruction-free,
-	// so it terminates whenever writers pause).
-	maxCollects int
 }
 
 // NewTaggedRegisters returns m registers shared by nproc processes.
@@ -56,40 +53,34 @@ func (t *TaggedRegisters) Write(pid, j int, v shmem.Value) {
 // protocols can run over it directly.
 func (t *TaggedRegisters) Update(pid, j int, v shmem.Value) { t.Write(pid, j, v) }
 
+// StartUpdate is Update as a one-step cursor, the counterpart of StartScan.
+func (t *TaggedRegisters) StartUpdate(pid, j int, v shmem.Value) *shmem.SnapOp {
+	return shmem.NewSnapOp(nil, pid, nil, func([]shmem.Value) { t.Write(pid, j, v) }, nil)
+}
+
 // Scan double-collects until two consecutive collects return identical tags.
 // Because writes are ABA-free, equal collects imply the registers held
 // exactly these values at every point between the two collects, so the scan
 // linearizes anywhere in between. Scan is obstruction-free: it completes
 // after two collects whenever it runs without concurrent writes.
-func (t *TaggedRegisters) Scan(pid int) []shmem.Value {
-	prev := t.collect(pid)
-	for i := 0; ; i++ {
-		cur := t.collect(pid)
-		same := true
-		for j := range cur {
-			if cur[j] != prev[j] {
-				same = false
-				break
-			}
-		}
-		if same {
-			out := make([]shmem.Value, t.m)
-			for j, tg := range cur {
-				out[j] = tg.Val
-			}
-			return out
-		}
-		if t.maxCollects > 0 && i >= t.maxCollects {
-			panic(fmt.Sprintf("nst: Scan exceeded %d collects", t.maxCollects))
-		}
-		prev = cur
-	}
+func (t *TaggedRegisters) Scan(pid int) []shmem.Value { return t.StartScan(pid).Run() }
+
+// StartScan begins a Scan by pid without taking a step; the cursor takes one
+// register read per Step.
+func (t *TaggedRegisters) StartScan(pid int) *shmem.SnapOp {
+	return shmem.NewSnapOp(t.regs, pid, t.settle, nil, nil)
 }
 
-func (t *TaggedRegisters) collect(pid int) []tagged {
-	out := make([]tagged, t.m)
-	for j := range t.regs {
-		out[j] = t.regs[j].Read(pid).(tagged)
+// settle accepts two collects with identical tags.
+func (t *TaggedRegisters) settle(prev, cur []shmem.Value) ([]shmem.Value, bool) {
+	for j := range cur {
+		if cur[j] != prev[j] {
+			return nil, false
+		}
 	}
-	return out
+	out := make([]shmem.Value, t.m)
+	for j, v := range cur {
+		out[j] = v.(tagged).Val
+	}
+	return out, true
 }

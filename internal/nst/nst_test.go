@@ -229,17 +229,15 @@ func TestTaggedRegistersABAFreedom(t *testing.T) {
 		runner := sched.NewSeqEngine(3, sched.NewRandom(seed), sched.WithMaxSteps(1<<20))
 		tr := NewTaggedRegisters("R", runner, 1, 3)
 		var obs []tagged
-		_, err := runner.Run(func(pid int) {
-			if pid == 2 {
-				for i := 0; i < 12; i++ {
-					obs = append(obs, tr.regs[0].Read(pid).(tagged))
-				}
-				return
+		_, err := runner.RunMachines(sched.Processes(3, func(pid, i int) sched.Cursor {
+			switch {
+			case pid == 2 && i < 12:
+				return stepFunc(func() { obs = append(obs, tr.regs[0].Read(pid).(tagged)) })
+			case pid != 2 && i < 4:
+				return stepFunc(func() { tr.Write(pid, 0, "same-value") })
 			}
-			for i := 0; i < 4; i++ {
-				tr.Write(pid, 0, "same-value")
-			}
-		})
+			return nil
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,23 +273,24 @@ func TestTaggedRegistersScanUnderContention(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		runner := sched.NewSeqEngine(3, sched.NewRandom(seed), sched.WithMaxSteps(1<<20))
 		tr := NewTaggedRegisters("R", runner, 2, 3)
-		var views [][]shmem.Value
-		_, err := runner.Run(func(pid int) {
-			if pid == 2 {
-				for i := 0; i < 3; i++ {
-					views = append(views, tr.Scan(pid))
-				}
-				return
+		var scans []*shmem.SnapOp
+		_, err := runner.RunMachines(sched.Processes(3, func(pid, i int) sched.Cursor {
+			switch {
+			case i == 3:
+				return nil
+			case pid == 2:
+				// The scan cursor takes one register read per step, so the
+				// writers interleave inside its collects.
+				scans = append(scans, tr.StartScan(pid))
+				return scans[i]
 			}
-			for i := 0; i < 3; i++ {
-				tr.Write(pid, pid%2, fmt.Sprintf("p%d-%d", pid, i))
-			}
-		})
+			return stepFunc(func() { tr.Write(pid, pid%2, fmt.Sprintf("p%d-%d", pid, i)) })
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(views) != 3 {
-			t.Fatalf("scanner returned %d views", len(views))
+		if len(scans) != 3 || scans[2].View() == nil {
+			t.Fatalf("scanner completed %d scans", len(scans))
 		}
 	}
 }
@@ -307,7 +306,8 @@ func TestDeterminizedRunsOverTaggedRegisters(t *testing.T) {
 		for i := range procs {
 			procs[i] = NewProcess(NewConverter(AdoptOrKeep{Comp: 0}, 1), inputs[i])
 		}
-		res, _, err := proto.RunOnSnapshot(procs, tr, runner)
+		res := proto.NewRunResult(len(procs))
+		_, err := runner.RunMachines(proto.Machines(procs, tr, res))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -336,7 +336,8 @@ func TestMaxBidOverMaxRegister(t *testing.T) {
 		for i := range procs {
 			procs[i] = NewProcess(NewConverterFor(MaxBid{}, 1, MaxSemantics{Less: shmem.IntLess}), 3+i)
 		}
-		res, _, err := proto.RunOnSnapshot(procs, snap, runner)
+		res := proto.NewRunResult(len(procs))
+		_, err := runner.RunMachines(proto.Machines(procs, snap, res))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -401,3 +402,8 @@ func TestMaxSnapshotMonotone(t *testing.T) {
 		t.Fatalf("component = %v, want 9", got)
 	}
 }
+
+// stepFunc is a one-step operation: f performs exactly one gated step.
+type stepFunc func()
+
+func (f stepFunc) Step() bool { f(); return true }

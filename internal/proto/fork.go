@@ -18,6 +18,7 @@ import (
 // do); anything else falls back to a %#v rendering, which is deterministic
 // only for pointer-free, map-free process states.
 func (mc *procMachine) AppendFingerprint(h *maphash.Hash) {
+	mc.mustBeQuiescent()
 	h.WriteByte(0x50)
 	maphash.WriteComparable(h, mc.started)
 	maphash.WriteComparable(h, mc.wantScan)
@@ -37,6 +38,7 @@ func (mc *procMachine) AppendFingerprint(h *maphash.Hash) {
 // weakens the orbit collapse for that process but never merges distinct
 // orbits).
 func (mc *procMachine) AppendCanonicalFingerprint(h *maphash.Hash, c *sched.Canon) {
+	mc.mustBeQuiescent()
 	h.WriteByte(0x50)
 	maphash.WriteComparable(h, mc.started)
 	maphash.WriteComparable(h, mc.wantScan)
@@ -53,14 +55,21 @@ func (mc *procMachine) AppendCanonicalFingerprint(h *maphash.Hash, c *sched.Cano
 	fmt.Fprintf(h, "%T%#v", mc.p, mc.p)
 }
 
+// mustBeQuiescent panics in the middle of a multi-step snapshot operation,
+// whose cursor state the fingerprint leaves out: pruning needs atomic ones.
+func (mc *procMachine) mustBeQuiescent() {
+	if mc.op != nil {
+		panic(fmt.Sprintf("proto: machine %d fingerprinted in the middle of a multi-step snapshot operation", mc.pid))
+	}
+}
+
 // fork deep-copies the machine — driver flags, poised operation and cloned
 // process — rebound to snapshot m and result res.
 func (mc *procMachine) fork(m Snapshot, res *RunResult) *procMachine {
 	cp := *mc
 	cp.p = mc.p.Clone()
-	cp.m = m
 	cp.res = res
-	return &cp
+	return cp.bind(m)
 }
 
 // ForkMachines deep-copies machines built by Machines, rebinding them to the

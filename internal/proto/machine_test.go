@@ -7,8 +7,8 @@ import (
 	"revisionist/internal/shmem"
 )
 
-// TestMachineValidatesAlternation mirrors Body's Assumption 1 enforcement on
-// the machine path.
+// TestMachineValidatesAlternation: a process breaking Assumption 1 surfaces
+// as a run error.
 func TestMachineValidatesAlternation(t *testing.T) {
 	res := NewRunResult(1)
 	eng := sched.NewSeqEngine(1, sched.RoundRobin{N: 1})

@@ -76,7 +76,8 @@ var ErrBadAlternation = errors.New("proto: process violates scan/update alternat
 
 // Snapshot is the object interface protocols run against: the atomic
 // MWSnapshot, the register-built RegMWSnapshot, and the simulation's virtual
-// memories all implement it.
+// memories all implement it. A snapshot whose operations take several steps
+// also supplies cursors for them (see Machines).
 type Snapshot interface {
 	Update(pid, j int, v Value)
 	Scan(pid int) []Value
@@ -102,44 +103,6 @@ func (r *RunResult) DoneOutputs() []Value {
 		}
 	}
 	return out
-}
-
-// Body returns a process body (for sched.SeqEngine.Run) that drives proc
-// over the snapshot m, recording into res. It validates Assumption 1 as it
-// goes and panics with ErrBadAlternation on violation (surfaced by the
-// engine as an error).
-func Body(procs []Process, m Snapshot, res *RunResult) func(pid int) {
-	return func(pid int) {
-		p := procs[pid]
-		wantScan := true
-		for {
-			op := p.NextOp()
-			switch op.Kind {
-			case OpScan:
-				if !wantScan {
-					panic(fmt.Errorf("%w: pid %d scan after scan", ErrBadAlternation, pid))
-				}
-				view := m.Scan(pid)
-				p.ApplyScan(view)
-				res.OpsBy[pid]++
-				wantScan = false
-			case OpUpdate:
-				if wantScan {
-					panic(fmt.Errorf("%w: pid %d update after update", ErrBadAlternation, pid))
-				}
-				m.Update(pid, op.Comp, op.Val)
-				p.ApplyUpdate()
-				res.OpsBy[pid]++
-				wantScan = true
-			case OpOutput:
-				res.Outputs[pid] = op.Val
-				res.Done[pid] = true
-				return
-			default:
-				panic(fmt.Errorf("proto: pid %d poised with invalid op kind %v", pid, op.Kind))
-			}
-		}
-	}
 }
 
 // NewRunResult allocates a result for n processes.

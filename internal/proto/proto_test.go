@@ -187,12 +187,14 @@ func TestCloneAll(t *testing.T) {
 
 func TestRunOnSnapshotWithRegisterBuiltSubstrate(t *testing.T) {
 	// The same protocol runs over the register-built multi-writer snapshot:
-	// the §2 equivalence in executable form.
+	// the §2 equivalence in executable form. The machines step the
+	// snapshot's cursors, one register read or write per scheduler step.
 	for seed := int64(0); seed < 10; seed++ {
 		runner := sched.NewSeqEngine(2, sched.NewRandom(seed), sched.WithMaxSteps(1<<22))
 		snap := shmem.NewRegMWSnapshot("M", runner, 2, 2, nil)
 		procs := []Process{newScripted(0, 2), newScripted(1, 2)}
-		res, _, err := RunOnSnapshot(procs, snap, runner)
+		res := NewRunResult(len(procs))
+		_, err := runner.RunMachines(Machines(procs, snap, res))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -21,16 +21,6 @@ func Run(procs []Process, m int, initial Value, strat sched.Strategy, opts ...sc
 	return res, sres, rerr
 }
 
-// RunOnSnapshot is Run but over a caller-constructed snapshot (for example a
-// register-built RegMWSnapshot), sharing the caller's engine. Because such
-// snapshots may take several gated steps per operation, the processes run as
-// plain bodies (Body) rather than one-step machines.
-func RunOnSnapshot(procs []Process, snap Snapshot, eng *sched.SeqEngine) (*RunResult, *sched.Result, error) {
-	res := NewRunResult(len(procs))
-	sres, err := eng.Run(Body(procs, snap, res))
-	return res, sres, err
-}
-
 // SoloStop tells how a local solo simulation ended.
 type SoloStop int
 

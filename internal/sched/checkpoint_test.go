@@ -111,19 +111,3 @@ func TestSeqEngineCheckpointResume(t *testing.T) {
 		}
 	}
 }
-
-// TestResumeRejectsBodies: coroutine-bridged bodies cannot resume from a
-// checkpoint; Run on a resumed engine must error instead of misbehaving.
-func TestResumeRejectsBodies(t *testing.T) {
-	eng := NewSeqEngine(1, RoundRobin{N: 1})
-	st := &cpAt{inner: RoundRobin{N: 1}, eng: eng, at: 0}
-	eng.core.strat = st
-	if _, err := eng.RunMachines([]Machine{&countMachine{e: eng, pid: 0, left: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	res := NewSeqEngine(1, nil)
-	res.Restart(RoundRobin{N: 1}, st.cp)
-	if _, err := res.Run(func(int) {}); err == nil {
-		t.Fatal("Run on a resumed engine must fail")
-	}
-}

@@ -28,11 +28,47 @@ type Stepper interface {
 //     and then runs local computation up to the next gate. It returns true if
 //     the process is poised on another operation, false if it finished.
 //
-// Machines must only be driven over atomic base objects (exactly one Step
-// per logical operation); register-built snapshots take several steps per
-// operation and must use a plain body via SeqEngine.Run instead.
+// An operation that takes several gated steps (a register-built snapshot's
+// scan, an augmented-snapshot Block-Update) is a Cursor, stepped once per
+// Resume; Processes builds machines whose processes are sequences of cursors.
 type Machine interface {
 	Resume() bool
+}
+
+// Cursor is an operation in progress that takes gated steps: every Step
+// performs exactly one gated base-object operation and reports whether the
+// operation completed.
+type Cursor interface {
+	Step() bool
+}
+
+// Processes returns n machines: process pid performs the cursors op(pid, 0),
+// op(pid, 1), ... one Step per granted Resume, until op returns nil. op is
+// called in the Resume that completes the previous operation (the first in
+// the first Resume); it is local computation and must take no gated step.
+func Processes(n int, op func(pid, i int) Cursor) []Machine {
+	ms := make([]Machine, n)
+	for pid := range ms {
+		ms[pid] = &cursorMachine{pid: pid, op: op}
+	}
+	return ms
+}
+
+// cursorMachine is one process of Processes.
+type cursorMachine struct {
+	pid, next int // next is the index of the next operation to start
+	op        func(pid, i int) Cursor
+	cur       Cursor
+}
+
+// Resume implements Machine.
+func (m *cursorMachine) Resume() bool {
+	if m.next > 0 && !m.cur.Step() {
+		return true
+	}
+	m.cur = m.op(m.pid, m.next)
+	m.next++
+	return m.cur != nil
 }
 
 // EngineName is the name the sequential engine is recorded under. Job

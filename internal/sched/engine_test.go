@@ -25,7 +25,6 @@ import (
 // engine is the surface both implementations share.
 type engine interface {
 	sched.Stepper
-	Run(body func(pid int)) (*sched.Result, error)
 	RunMachines(machines []sched.Machine) (*sched.Result, error)
 }
 
@@ -43,18 +42,37 @@ var engines = []struct {
 	}},
 }
 
-// engineBody returns a body in which each process takes `steps` gated steps
-// through the given gate, with a final extra step for even pids so the
-// enabled set shrinks unevenly.
-func engineBody(gate sched.Stepper, steps int) func(pid int) {
-	return func(pid int) {
-		for i := 0; i < steps; i++ {
-			gate.Step(pid, sched.Op{Object: "X", Kind: sched.OpRead, Comp: i})
+// gateOp returns a one-step operation by pid: a read of object[comp].
+func gateOp(gate sched.Stepper, pid int, object string, comp int) sched.Cursor {
+	return &sched.GateOp{Gate: gate, PID: pid, Op: sched.Op{Object: object, Kind: sched.OpRead, Comp: comp}, Width: 1}
+}
+
+// engineMachines returns n machines in which each process takes `steps`
+// one-step operations through the given gate (a negative count never
+// finishes), with a final extra step for even pids so the enabled set
+// shrinks unevenly.
+func engineMachines(gate sched.Stepper, n, steps int) []sched.Machine {
+	return sched.Processes(n, func(pid, i int) sched.Cursor {
+		switch {
+		case i < steps || steps < 0:
+			return gateOp(gate, pid, "X", i)
+		case i == steps && pid%2 == 0:
+			return &sched.GateOp{Gate: gate, PID: pid, Op: sched.Op{Object: "Y", Kind: sched.OpWrite, Comp: -1}, Width: 1}
 		}
-		if pid%2 == 0 {
-			gate.Step(pid, sched.Op{Object: "Y", Kind: sched.OpWrite, Comp: -1})
+		return nil
+	})
+}
+
+// wideMachines returns n machines whose operations span several gated steps:
+// process pid performs 3+pid operations, operation i taking 1+(pid+i)%3
+// steps, so processes interleave inside each other's operations.
+func wideMachines(gate sched.Stepper, n int) []sched.Machine {
+	return sched.Processes(n, func(pid, i int) sched.Cursor {
+		if i == 3+pid {
+			return nil
 		}
-	}
+		return &sched.GateOp{Gate: gate, PID: pid, Op: sched.Op{Object: "W", Kind: sched.OpRead, Comp: i}, Width: 1 + (pid+i)%3}
+	})
 }
 
 // equivalenceStrategies is the cross-engine test matrix: fair, seeded random
@@ -91,17 +109,27 @@ func sameResult(t *testing.T, ref, got *sched.Result, referr, goterr error) {
 	}
 }
 
+// TestEnginesProduceIdenticalTraces runs machines of one-step operations and
+// machines whose operations span several gated steps on both engines.
 func TestEnginesProduceIdenticalTraces(t *testing.T) {
 	const n, steps = 4, 9
+	workloads := map[string]func(gate sched.Stepper) []sched.Machine{
+		"one-step":   func(gate sched.Stepper) []sched.Machine { return engineMachines(gate, n, steps) },
+		"multi-step": func(gate sched.Stepper) []sched.Machine { return wideMachines(gate, n) },
+	}
 	for name, mk := range equivalenceStrategies(n) {
 		t.Run(name, func(t *testing.T) {
-			var res [2]*sched.Result
-			var errs [2]error
-			for i, e := range engines {
-				eng := e.mk(n, mk())
-				res[i], errs[i] = eng.Run(engineBody(eng, steps))
+			for wname, build := range workloads {
+				t.Run(wname, func(t *testing.T) {
+					var res [2]*sched.Result
+					var errs [2]error
+					for i, e := range engines {
+						eng := e.mk(n, mk())
+						res[i], errs[i] = eng.RunMachines(build(eng))
+					}
+					sameResult(t, res[0], res[1], errs[0], errs[1])
+				})
 			}
-			sameResult(t, res[0], res[1], errs[0], errs[1])
 		})
 	}
 }
@@ -109,11 +137,7 @@ func TestEnginesProduceIdenticalTraces(t *testing.T) {
 func TestEnginesAgreeOnStepBudget(t *testing.T) {
 	for _, e := range engines {
 		eng := e.mk(2, sched.RoundRobin{N: 2}, sched.WithMaxSteps(9))
-		res, rerr := eng.Run(func(pid int) {
-			for {
-				eng.Step(pid, sched.Op{Object: "X", Kind: sched.OpRead, Comp: -1})
-			}
-		})
+		res, rerr := eng.RunMachines(engineMachines(eng, 2, -1))
 		if !errors.Is(rerr, sched.ErrMaxSteps) {
 			t.Fatalf("%s: err = %v, want ErrMaxSteps", e.name, rerr)
 		}
@@ -134,7 +158,7 @@ func TestEnginesAgreeOnHalt(t *testing.T) {
 			}
 			return enabled[0]
 		}))
-		res, err := eng.Run(engineBody(eng, 10))
+		res, err := eng.RunMachines(engineMachines(eng, 3, 10))
 		if err != nil {
 			t.Fatalf("%s: %v", e.name, err)
 		}
@@ -152,15 +176,15 @@ func TestEnginesAgreeOnHalt(t *testing.T) {
 func TestEnginesAgreeOnBodyPanic(t *testing.T) {
 	for _, e := range engines {
 		eng := e.mk(2, sched.RoundRobin{N: 2})
-		res, rerr := eng.Run(func(pid int) {
-			eng.Step(pid, sched.Op{Object: "X", Kind: sched.OpRead, Comp: -1})
-			if pid == 1 {
+		res, rerr := eng.RunMachines(sched.Processes(2, func(pid, i int) sched.Cursor {
+			switch {
+			case i == 1 && pid == 1:
 				panic("protocol bug")
+			case i == 11:
+				return nil
 			}
-			for i := 0; i < 10; i++ {
-				eng.Step(pid, sched.Op{Object: "X", Kind: sched.OpRead, Comp: -1})
-			}
-		})
+			return gateOp(eng, pid, "X", -1)
+		}))
 		if rerr == nil || !strings.Contains(rerr.Error(), "process 1 panicked") {
 			t.Fatalf("%s: err = %v, want process 1 panic", e.name, rerr)
 		}
@@ -176,7 +200,7 @@ func TestEnginesAgreeOnBodyPanic(t *testing.T) {
 func TestEnginesAgreeOnInvalidPick(t *testing.T) {
 	for _, e := range engines {
 		eng := e.mk(2, sched.StrategyFunc(func(step int, enabled []int) int { return 42 }))
-		_, err := eng.Run(engineBody(eng, 4))
+		_, err := eng.RunMachines(engineMachines(eng, 2, 4))
 		if err == nil || !strings.Contains(err.Error(), "not in enabled set") {
 			t.Fatalf("%s: err = %v, want invalid-pick error", e.name, err)
 		}
@@ -186,11 +210,10 @@ func TestEnginesAgreeOnInvalidPick(t *testing.T) {
 func TestEnginesAreSingleUse(t *testing.T) {
 	for _, e := range engines {
 		eng := e.mk(1, sched.RoundRobin{N: 1})
-		body := func(pid int) { eng.Step(pid, sched.Op{Object: "X", Kind: sched.OpRead, Comp: -1}) }
-		if _, err := eng.Run(body); err != nil {
+		if _, err := eng.RunMachines(engineMachines(eng, 1, 1)); err != nil {
 			t.Fatalf("%s: first run: %v", e.name, err)
 		}
-		if _, err := eng.Run(body); !errors.Is(err, sched.ErrReused) {
+		if _, err := eng.RunMachines(engineMachines(eng, 1, 1)); !errors.Is(err, sched.ErrReused) {
 			t.Fatalf("%s: second run err = %v, want ErrReused", e.name, err)
 		}
 	}
@@ -198,9 +221,7 @@ func TestEnginesAreSingleUse(t *testing.T) {
 
 func TestSeqEngineStepAfterRunPanics(t *testing.T) {
 	eng := sched.NewSeqEngine(1, sched.RoundRobin{N: 1})
-	if _, err := eng.Run(func(pid int) {
-		eng.Step(pid, sched.Op{Object: "X", Kind: sched.OpRead, Comp: -1})
-	}); err != nil {
+	if _, err := eng.RunMachines(engineMachines(eng, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
@@ -286,49 +307,64 @@ func TestEnginesRejectStepFreeMachine(t *testing.T) {
 	}
 }
 
+// augWorkload returns f machines running a seeded random mix of Scans and
+// Block-Updates on a, one augmented-snapshot cursor per operation.
+func augWorkload(a *augsnap.AugSnapshot, f, m, ops int, seed int64) []sched.Machine {
+	rngs := make([]*rand.Rand, f)
+	for pid := range rngs {
+		rngs[pid] = rand.New(rand.NewSource(seed*1000 + int64(pid)))
+	}
+	return sched.Processes(f, func(pid, i int) sched.Cursor {
+		rng := rngs[pid]
+		switch {
+		case i == ops:
+			return nil
+		case rng.Intn(4) == 0:
+			return a.StartScan(pid)
+		}
+		r := 1 + rng.Intn(m)
+		comps := rng.Perm(m)[:r]
+		vals := make([]augsnap.Value, r)
+		for g := range vals {
+			vals[g] = fmt.Sprintf("p%d-%d-%d", pid, i, g)
+		}
+		return a.StartBlockUpdate(pid, comps, vals)
+	})
+}
+
 // TestAugWorkloadTraceIdenticalAcrossEngines drives the step-heaviest object
 // (the augmented snapshot, several H-steps per operation with helping in
 // between) on both engines and requires byte-identical step traces and
-// H-histories, and a §3-conforming log.
+// H-histories, and a §3-conforming log. Over the register-built H every H
+// operation itself spans several register steps.
 func TestAugWorkloadTraceIdenticalAcrossEngines(t *testing.T) {
 	const f, m, ops = 4, 3, 6
-	workload := func(a *augsnap.AugSnapshot, seed int64) func(pid int) {
-		return func(pid int) {
-			rng := rand.New(rand.NewSource(seed*1000 + int64(pid)))
-			for i := 0; i < ops; i++ {
-				if rng.Intn(4) == 0 {
-					a.Scan(pid)
-					continue
+	for _, registers := range []bool{false, true} {
+		for seed := int64(0); seed < 12; seed++ {
+			var res [2]*sched.Result
+			var snaps [2]*augsnap.AugSnapshot
+			for i, e := range engines {
+				eng := e.mk(f, sched.NewRandom(seed), sched.WithMaxSteps(1<<22))
+				if registers {
+					snaps[i] = augsnap.NewOver(shmem.NewRegSWSnapshot("H", eng, f, augsnap.HComp{}), f, m)
+				} else {
+					snaps[i] = augsnap.New(eng, f, m)
 				}
-				r := 1 + rng.Intn(m)
-				comps := rng.Perm(m)[:r]
-				vals := make([]augsnap.Value, r)
-				for g := range vals {
-					vals[g] = fmt.Sprintf("p%d-%d-%d", pid, i, g)
+				var err error
+				if res[i], err = eng.RunMachines(augWorkload(snaps[i], f, m, ops, seed)); err != nil {
+					t.Fatalf("%s registers=%v seed %d: %v", e.name, registers, seed, err)
 				}
-				a.BlockUpdate(pid, comps, vals)
 			}
-		}
-	}
-	for seed := int64(0); seed < 12; seed++ {
-		var res [2]*sched.Result
-		var snaps [2]*augsnap.AugSnapshot
-		for i, e := range engines {
-			eng := e.mk(f, sched.NewRandom(seed), sched.WithMaxSteps(1<<22))
-			snaps[i] = augsnap.New(eng, f, m)
-			var err error
-			if res[i], err = eng.Run(workload(snaps[i], seed)); err != nil {
-				t.Fatalf("%s seed %d: %v", e.name, seed, err)
+			if !reflect.DeepEqual(res[0].Trace, res[1].Trace) {
+				t.Fatalf("registers=%v seed %d: step traces differ", registers, seed)
 			}
-		}
-		if !reflect.DeepEqual(res[0].Trace, res[1].Trace) {
-			t.Fatalf("seed %d: step traces differ", seed)
-		}
-		if !reflect.DeepEqual(snaps[0].Log().Events, snaps[1].Log().Events) {
-			t.Fatalf("seed %d: H-histories differ", seed)
-		}
-		if err := trace.Check(snaps[1].Log(), m); err != nil {
-			t.Fatalf("seed %d: seq-engine run violates the §3 spec: %v", seed, err)
+			if !reflect.DeepEqual(snaps[0].Log().Events, snaps[1].Log().Events) {
+				t.Fatalf("registers=%v seed %d: H-histories differ", registers, seed)
+			}
+			// The offline checker assumes an atomic H (see augsnap.NewOver).
+			if err := trace.Check(snaps[1].Log(), m); !registers && err != nil {
+				t.Fatalf("seed %d: seq-engine run violates the §3 spec: %v", seed, err)
+			}
 		}
 	}
 }
@@ -370,9 +406,33 @@ func (s *scripted) Clone() proto.Process {
 	return &c
 }
 
+// stepFunc is a one-step operation: f performs exactly one gated step.
+type stepFunc func()
+
+func (f stepFunc) Step() bool { f(); return true }
+
+// bodyMachines drives each process the way a straight-line process body
+// would — poll NextOp, perform the operation, apply its response — with one
+// cursor per snapshot operation. It shares no code with proto.Machines, so
+// it is the independent reference the adapter is checked against.
+func bodyMachines(procs []proto.Process, snap proto.Snapshot, res *proto.RunResult) []sched.Machine {
+	return sched.Processes(len(procs), func(pid, _ int) sched.Cursor {
+		p := procs[pid]
+		switch op := p.NextOp(); op.Kind {
+		case proto.OpScan:
+			return stepFunc(func() { p.ApplyScan(snap.Scan(pid)); res.OpsBy[pid]++ })
+		case proto.OpUpdate:
+			return stepFunc(func() { snap.Update(pid, op.Comp, op.Val); p.ApplyUpdate(); res.OpsBy[pid]++ })
+		default:
+			res.Outputs[pid], res.Done[pid] = op.Val, true
+			return nil
+		}
+	})
+}
+
 // TestMachineMatchesBodyAcrossEngines checks the four execution paths of a
-// protocol — {runner, seq} × {proto.Body, proto.Machines} — produce
-// byte-identical traces and identical protocol results for the same
+// protocol — {runner, seq} × {body-style reference, proto.Machines} —
+// produce byte-identical traces and identical protocol results for the same
 // strategy.
 func TestMachineMatchesBodyAcrossEngines(t *testing.T) {
 	run := func(t *testing.T, e int, machines bool, strat sched.Strategy) (*proto.RunResult, *sched.Result) {
@@ -381,13 +441,11 @@ func TestMachineMatchesBodyAcrossEngines(t *testing.T) {
 		res := proto.NewRunResult(2)
 		eng := engines[e].mk(2, strat, sched.WithMaxSteps(1<<16))
 		snap := shmem.NewMWSnapshot("M", eng, 2, nil)
-		var sres *sched.Result
-		var err error
+		ms := bodyMachines(procs, snap, res)
 		if machines {
-			sres, err = eng.RunMachines(proto.Machines(procs, snap, res))
-		} else {
-			sres, err = eng.Run(proto.Body(procs, snap, res))
+			ms = proto.Machines(procs, snap, res)
 		}
+		sres, err := eng.RunMachines(ms)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -417,6 +475,33 @@ func TestMachineMatchesBodyAcrossEngines(t *testing.T) {
 	}
 }
 
+// TestRegisterBuiltMachinesMatchAcrossEngines runs protocol machines over
+// the register-built multi-writer snapshot, whose scans and updates take one
+// step per register read or write, on both engines under every strategy.
+func TestRegisterBuiltMachinesMatchAcrossEngines(t *testing.T) {
+	for name, mk := range equivalenceStrategies(3) {
+		t.Run(name, func(t *testing.T) {
+			var res [2]*proto.RunResult
+			var sres [2]*sched.Result
+			var errs [2]error
+			for i, e := range engines {
+				procs := []proto.Process{&scripted{comp: 0, writes: 2}, &scripted{comp: 1, writes: 2}, &scripted{comp: 0, writes: 1}}
+				res[i] = proto.NewRunResult(3)
+				eng := e.mk(3, mk(), sched.WithMaxSteps(1<<16))
+				snap := shmem.NewRegMWSnapshot("M", eng, 2, 3, nil)
+				sres[i], errs[i] = eng.RunMachines(proto.Machines(procs, snap, res[i]))
+			}
+			sameResult(t, sres[0], sres[1], errs[0], errs[1])
+			if !reflect.DeepEqual(res[0], res[1]) {
+				t.Fatalf("run results differ: runner %+v, seq %+v", res[0], res[1])
+			}
+			if sres[1].Steps <= res[1].OpsBy[0]+res[1].OpsBy[1]+res[1].OpsBy[2] {
+				t.Fatalf("%d steps for %v operations: register-built operations must take several steps", sres[1].Steps, res[1].OpsBy)
+			}
+		})
+	}
+}
+
 // fpRecorder wraps a strategy and records the configuration fingerprint at
 // every decision point, where both engines are quiescent by construction.
 type fpRecorder struct {
@@ -438,15 +523,15 @@ func (r *fpRecorder) Pick(step int, enabled []int) int {
 // requires byte-identical configuration hashes at every step.
 func TestFingerprintsIdenticalAcrossEngines(t *testing.T) {
 	runBoth := func(t *testing.T, nprocs int, seed int64,
-		build func(gate sched.Stepper) (func(pid int), func(*maphash.Hash))) {
+		build func(gate sched.Stepper) ([]sched.Machine, func(*maphash.Hash))) {
 		t.Helper()
 		var got [2][]uint64
 		for i, e := range engines {
 			rec := &fpRecorder{inner: sched.NewRandom(seed), h: sched.NewFingerprintHash()}
 			eng := e.mk(nprocs, rec, sched.WithMaxSteps(1<<22))
-			body, fp := build(eng)
+			machines, fp := build(eng)
 			rec.fp = fp
-			if _, err := eng.Run(body); err != nil {
+			if _, err := eng.RunMachines(machines); err != nil {
 				t.Fatalf("%s: %v", e.name, err)
 			}
 			got[i] = rec.out
@@ -461,18 +546,23 @@ func TestFingerprintsIdenticalAcrossEngines(t *testing.T) {
 
 	t.Run("registers", func(t *testing.T) {
 		for seed := int64(0); seed < 8; seed++ {
-			runBoth(t, 3, seed, func(gate sched.Stepper) (func(pid int), func(*maphash.Hash)) {
+			runBoth(t, 3, seed, func(gate sched.Stepper) ([]sched.Machine, func(*maphash.Hash)) {
 				regs := []*shmem.Register{
 					shmem.NewRegister("A", gate, nil),
 					shmem.NewRegister("B", gate, 0),
 				}
-				body := func(pid int) {
-					for i := 0; i < 4; i++ {
-						regs[i%2].Write(pid, pid*10+i)
-						regs[(i+1)%2].Read(pid)
+				// Four rounds of: write one register, read the other.
+				machines := sched.Processes(3, func(pid, i int) sched.Cursor {
+					switch round := i / 2; {
+					case round == 4:
+						return nil
+					case i%2 == 0:
+						return stepFunc(func() { regs[round%2].Write(pid, pid*10+round) })
+					default:
+						return stepFunc(func() { regs[(round+1)%2].Read(pid) })
 					}
-				}
-				return body, func(h *maphash.Hash) {
+				})
+				return machines, func(h *maphash.Hash) {
 					for _, r := range regs {
 						r.AppendFingerprint(h)
 					}
@@ -484,19 +574,23 @@ func TestFingerprintsIdenticalAcrossEngines(t *testing.T) {
 	t.Run("augsnap", func(t *testing.T) {
 		const f, m, ops = 3, 2, 4
 		for seed := int64(0); seed < 4; seed++ {
-			runBoth(t, f, seed, func(gate sched.Stepper) (func(pid int), func(*maphash.Hash)) {
+			runBoth(t, f, seed, func(gate sched.Stepper) ([]sched.Machine, func(*maphash.Hash)) {
 				a := augsnap.New(gate, f, m)
-				body := func(pid int) {
-					rng := rand.New(rand.NewSource(seed*1000 + int64(pid)))
-					for i := 0; i < ops; i++ {
-						if rng.Intn(3) == 0 {
-							a.Scan(pid)
-							continue
-						}
-						a.BlockUpdate(pid, []int{rng.Intn(m)}, []augsnap.Value{fmt.Sprintf("p%d-%d", pid, i)})
-					}
+				rngs := make([]*rand.Rand, f)
+				for pid := range rngs {
+					rngs[pid] = rand.New(rand.NewSource(seed*1000 + int64(pid)))
 				}
-				return body, a.AppendFingerprint
+				machines := sched.Processes(f, func(pid, i int) sched.Cursor {
+					switch rng := rngs[pid]; {
+					case i == ops:
+						return nil
+					case rng.Intn(3) == 0:
+						return a.StartScan(pid)
+					default:
+						return a.StartBlockUpdate(pid, []int{rng.Intn(m)}, []augsnap.Value{fmt.Sprintf("p%d-%d", pid, i)})
+					}
+				})
+				return machines, a.AppendFingerprint
 			})
 		}
 	})

@@ -17,20 +17,21 @@ import (
 func dirty(t *testing.T, eng *sched.SeqEngine, n int) {
 	t.Helper()
 	eng.Restart(sched.RoundRobin{N: n}, nil)
-	if _, err := eng.Run(engineBody(eng, 11)); err != nil {
+	if _, err := eng.RunMachines(engineMachines(eng, n, 11)); err != nil {
 		t.Fatalf("dirtying run: %v", err)
 	}
 }
 
 // TestRestartMatchesFreshEngine: under every equivalence strategy, a run on
-// an engine restarted after a dirtying run — bodies and machines, twice in a
-// row — equals the same run on a fresh engine.
+// an engine restarted after a dirtying run — machines of multi-step and of
+// one-step operations, twice in a row — equals the same run on a fresh
+// engine.
 func TestRestartMatchesFreshEngine(t *testing.T) {
-	const n, steps = 4, 9
+	const n = 4
 	for name, mk := range equivalenceStrategies(n) {
 		t.Run(name, func(t *testing.T) {
 			fresh := sched.NewSeqEngine(n, mk())
-			wantBody, wantBodyErr := fresh.Run(engineBody(fresh, steps))
+			wantWide, wantWideErr := fresh.RunMachines(wideMachines(fresh, n))
 			fresh = sched.NewSeqEngine(n, mk())
 			wantMach, wantMachErr := fresh.RunMachines(asMachines(stepsMachines(fresh, n)))
 
@@ -38,8 +39,8 @@ func TestRestartMatchesFreshEngine(t *testing.T) {
 			for round := 0; round < 2; round++ {
 				dirty(t, eng, n)
 				eng.Restart(mk(), nil)
-				got, err := eng.Run(engineBody(eng, steps))
-				sameResult(t, wantBody, got, wantBodyErr, err)
+				got, err := eng.RunMachines(wideMachines(eng, n))
+				sameResult(t, wantWide, got, wantWideErr, err)
 
 				dirty(t, eng, n)
 				eng.Restart(mk(), nil)
@@ -112,12 +113,6 @@ func TestRestartFromCheckpointMatchesUninterrupted(t *testing.T) {
 				got, err := eng.RunMachines(resumed)
 				sameResult(t, want, got, wantErr, err)
 			}
-
-			// Bodies cannot resume from a checkpoint, restarted or not.
-			eng.Restart(mk(), cp)
-			if _, err := eng.Run(engineBody(eng, 9)); err == nil {
-				t.Fatal("Run after a Restart from a checkpoint must fail")
-			}
 		})
 	}
 }
@@ -147,7 +142,7 @@ func TestRestartDuringRunPanics(t *testing.T) {
 }
 
 // TestRunWithoutRestartIsReused: a second run without a Restart in between
-// still fails with ErrReused, for machines and bodies.
+// still fails with ErrReused.
 func TestRunWithoutRestartIsReused(t *testing.T) {
 	eng := sched.NewSeqEngine(2, sched.Lowest{})
 	if _, err := eng.RunMachines(asMachines(stepsMachines(eng, 2))); err != nil {
@@ -155,9 +150,6 @@ func TestRunWithoutRestartIsReused(t *testing.T) {
 	}
 	if _, err := eng.RunMachines(asMachines(stepsMachines(eng, 2))); !errors.Is(err, sched.ErrReused) {
 		t.Fatalf("second RunMachines err = %v, want ErrReused", err)
-	}
-	if _, err := eng.Run(engineBody(eng, 2)); !errors.Is(err, sched.ErrReused) {
-		t.Fatalf("Run after RunMachines err = %v, want ErrReused", err)
 	}
 	eng.Restart(sched.Lowest{}, nil)
 	if _, err := eng.RunMachines(asMachines(stepsMachines(eng, 2))); err != nil {

@@ -14,6 +14,10 @@ type grant struct {
 	abort bool
 }
 
+// abortSignal unwinds a process whose run was halted. The body goroutine's
+// recover turns it into an aborted event.
+type abortSignal struct{}
+
 // Runner is the reference execution engine the equivalence tests compare
 // SeqEngine against: it executes n process bodies as goroutines under a
 // Strategy, admitting one base-object operation at a time through a channel

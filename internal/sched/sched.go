@@ -105,7 +105,3 @@ type Result struct {
 	Halted    bool // Strategy returned Halt before all processes finished
 	PanicVals []any
 }
-
-// abortSignal unwinds a process whose run was halted. It is recovered by the
-// coroutine wrapper of a bridged body and never escapes the package.
-type abortSignal struct{}

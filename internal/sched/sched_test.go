@@ -6,19 +6,10 @@ import (
 	"testing"
 )
 
-// counterBody returns a body in which each process takes `steps` gated steps.
-func counterBody(r Stepper, steps int) func(pid int) {
-	return func(pid int) {
-		for i := 0; i < steps; i++ {
-			r.Step(pid, Op{Object: "X", Kind: OpRead, Comp: -1})
-		}
-	}
-}
-
 func TestRoundRobinCompletes(t *testing.T) {
 	const n, steps = 4, 10
 	r := NewSeqEngine(n, RoundRobin{N: n})
-	res, err := r.Run(counterBody(r, steps))
+	res, err := r.RunMachines(counterMachines(r, r.n, steps))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -38,7 +29,7 @@ func TestRoundRobinCompletes(t *testing.T) {
 func TestTraceIsSequentialAndComplete(t *testing.T) {
 	const n, steps = 3, 5
 	r := NewSeqEngine(n, RoundRobin{N: n})
-	res, err := r.Run(counterBody(r, steps))
+	res, err := r.RunMachines(counterMachines(r, r.n, steps))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -55,7 +46,7 @@ func TestTraceIsSequentialAndComplete(t *testing.T) {
 func TestRandomIsDeterministicPerSeed(t *testing.T) {
 	run := func(seed int64) []StepRecord {
 		r := NewSeqEngine(3, NewRandom(seed))
-		res, err := r.Run(counterBody(r, 8))
+		res, err := r.RunMachines(counterMachines(r, r.n, 8))
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -89,11 +80,7 @@ func TestRandomIsDeterministicPerSeed(t *testing.T) {
 
 func TestMaxStepsAborts(t *testing.T) {
 	r := NewSeqEngine(2, RoundRobin{N: 2}, WithMaxSteps(7))
-	res, err := r.Run(func(pid int) {
-		for {
-			r.Step(pid, Op{Object: "X", Kind: OpRead, Comp: -1})
-		}
-	})
+	res, err := r.RunMachines(counterMachines(r, 2, -1))
 	if !errors.Is(err, ErrMaxSteps) {
 		t.Fatalf("err = %v, want ErrMaxSteps", err)
 	}
@@ -110,7 +97,7 @@ func TestMaxStepsAborts(t *testing.T) {
 func TestSoloStrategyRunsOnlyTarget(t *testing.T) {
 	const n = 3
 	r := NewSeqEngine(n, Solo{PID: 1, After: 0, Fallback: RoundRobin{N: n}})
-	res, err := r.Run(counterBody(r, 4))
+	res, err := r.RunMachines(counterMachines(r, r.n, 4))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -130,7 +117,7 @@ func TestSoloStrategyRunsOnlyTarget(t *testing.T) {
 func TestSubsetStrategy(t *testing.T) {
 	const n = 4
 	r := NewSeqEngine(n, Subset{PIDs: []int{1, 3}, Fallback: RoundRobin{N: n}})
-	res, err := r.Run(counterBody(r, 6))
+	res, err := r.RunMachines(counterMachines(r, r.n, 6))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -147,7 +134,7 @@ func TestSubsetStrategy(t *testing.T) {
 func TestCrashStrategy(t *testing.T) {
 	const n = 3
 	r := NewSeqEngine(n, Crash{Crashed: map[int]int{0: 0}, Inner: RoundRobin{N: n}})
-	res, err := r.Run(counterBody(r, 5))
+	res, err := r.RunMachines(counterMachines(r, r.n, 5))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -161,7 +148,7 @@ func TestCrashStrategy(t *testing.T) {
 
 func TestReplayReproducesTrace(t *testing.T) {
 	r1 := NewSeqEngine(3, NewRandom(7))
-	res1, err := r1.Run(counterBody(r1, 6))
+	res1, err := r1.RunMachines(counterMachines(r1, r1.n, 6))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -170,7 +157,7 @@ func TestReplayReproducesTrace(t *testing.T) {
 		choices[i] = rec.PID
 	}
 	r2 := NewSeqEngine(3, Replay{Choices: choices})
-	res2, err := r2.Run(counterBody(r2, 6))
+	res2, err := r2.RunMachines(counterMachines(r2, r2.n, 6))
 	if err != nil {
 		t.Fatalf("replay Run: %v", err)
 	}
@@ -186,12 +173,15 @@ func TestReplayReproducesTrace(t *testing.T) {
 
 func TestPanicInBodySurfacesAsError(t *testing.T) {
 	r := NewSeqEngine(2, RoundRobin{N: 2})
-	_, err := r.Run(func(pid int) {
-		r.Step(pid, Op{Object: "X", Kind: OpRead, Comp: -1})
-		if pid == 1 {
+	_, err := r.RunMachines(Processes(2, func(pid, i int) Cursor {
+		if i == 1 && pid == 1 {
 			panic("boom")
 		}
-	})
+		if i == 1 {
+			return nil
+		}
+		return &GateOp{Gate: r, PID: pid, Op: Op{Object: "X", Kind: OpRead, Comp: -1}, Width: 1}
+	}))
 	if err == nil {
 		t.Fatal("expected error from panicking body")
 	}
@@ -202,7 +192,7 @@ func TestStepHook(t *testing.T) {
 	r := NewSeqEngine(2, RoundRobin{N: 2}, WithStepHook(func(rec StepRecord) {
 		seen = append(seen, rec.PID)
 	}))
-	res, err := r.Run(counterBody(r, 3))
+	res, err := r.RunMachines(counterMachines(r, r.n, 3))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -263,7 +253,7 @@ func TestHaltFromStrategyFunc(t *testing.T) {
 		}
 		return enabled[0]
 	}))
-	res, err := r.Run(counterBody(r, 100))
+	res, err := r.RunMachines(counterMachines(r, r.n, 100))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -275,7 +265,7 @@ func TestHaltFromStrategyFunc(t *testing.T) {
 func TestManyProcessesStress(t *testing.T) {
 	const n = 32
 	r := NewSeqEngine(n, NewRandom(99))
-	res, err := r.Run(counterBody(r, 20))
+	res, err := r.RunMachines(counterMachines(r, r.n, 20))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -284,18 +274,32 @@ func TestManyProcessesStress(t *testing.T) {
 	}
 }
 
+// writeOnce is a machine whose process writes R once.
+type writeOnce struct {
+	gate    Stepper
+	pid     int
+	started bool
+}
+
+func (w *writeOnce) Resume() bool {
+	if !w.started {
+		w.started = true
+		return true // poised on the write
+	}
+	w.gate.Step(w.pid, Op{Object: "R", Kind: OpWrite, Comp: -1})
+	return false
+}
+
 func ExampleSeqEngine() {
 	r := NewSeqEngine(2, RoundRobin{N: 2})
-	res, _ := r.Run(func(pid int) {
-		r.Step(pid, Op{Object: "R", Kind: OpWrite, Comp: -1})
-	})
+	res, _ := r.RunMachines([]Machine{&writeOnce{gate: r, pid: 0}, &writeOnce{gate: r, pid: 1}})
 	fmt.Println(res.Steps)
 	// Output: 2
 }
 
 func TestStepAfterRunPanics(t *testing.T) {
 	r := NewSeqEngine(1, RoundRobin{N: 1})
-	if _, err := r.Run(func(pid int) {}); err != nil {
+	if _, err := r.RunMachines(counterMachines(r, 1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	defer func() {

@@ -1,25 +1,20 @@
 package sched
 
-import (
-	"fmt"
-	"iter"
-)
+import "fmt"
 
 // SeqEngine is the direct-dispatch sequential execution engine, the only
 // engine. The paper's interleaving model only requires that base-object
 // steps happen one at a time in an adversarially chosen order; it never
 // requires real concurrency. SeqEngine therefore runs processes as resumable
 // step machines (see Machine) and grants steps by plain function calls: no
-// goroutines are created and no channel operations are performed.
-//
-// Process bodies written as closures (func(pid int)) are also supported:
-// SeqEngine.Run bridges each body onto a pull-based coroutine (iter.Pull),
-// whose suspend/resume is a direct runtime switch — still no channels and no
-// scheduler handshakes on the hot path.
+// goroutines are created and no channel operations are performed. Every
+// granted Resume performs exactly one gated base-object step; an operation
+// that takes several steps (a register-built snapshot, an augmented-snapshot
+// operation) is a Cursor that the machine steps once per Resume.
 //
 // The package's tests require SeqEngine to produce the same trace and
 // Result as a goroutine-per-process reference runner for the same
-// (Strategy, seed) and process bodies. An engine executes one run per
+// (Strategy, seed) and machines. An engine executes one run per
 // Restart: a second run without a Restart in between fails with ErrReused.
 // Restart keeps the engine's buffers, so a search that executes many short
 // runs keeps one engine and restarts it per run.
@@ -42,12 +37,6 @@ type SeqEngine struct {
 	// granting steps where the checkpointed engine left off.
 	resumed bool
 
-	// Coroutine bridge state (Run only): yields[pid] is the live yield
-	// function of pid's coroutine; poised[pid] is the op pid is parked on.
-	yields    []func(Op) bool
-	poised    []Op
-	hasPoised []bool
-
 	cur     int  // pid currently being resumed, -1 outside a resume
 	inGrant bool // current resume is a granted step (not the run-to-first-gate)
 	stepped bool // the granted op of the current resume has been recorded
@@ -67,18 +56,11 @@ func NewSeqEngine(n int, strat Strategy, opts ...Option) *SeqEngine {
 }
 
 // Step admits one base-object operation by pid. Shared objects call it
-// immediately before executing an operation. For a machine being resumed it
-// records the granted step directly; for a coroutine-bridged body it suspends
-// the body at the gate until the scheduler grants its next step.
+// immediately before executing an operation; it records the granted step of
+// the machine being resumed.
 func (e *SeqEngine) Step(pid int, op Op) {
 	if e.closed {
-		panic(fmt.Sprintf("sched: Step(%d, %s) after the run completed; gated objects cannot be used once Run returns", pid, op))
-	}
-	if e.yields != nil && pid >= 0 && pid < e.n && e.yields[pid] != nil {
-		if !e.yields[pid](op) {
-			panic(abortSignal{})
-		}
-		return
+		panic(fmt.Sprintf("sched: Step(%d, %s) after the run completed; gated objects cannot be used once the run returns", pid, op))
 	}
 	if pid != e.cur {
 		panic(fmt.Sprintf("sched: gated operation %s by pid %d outside its scheduling slot (machine for pid %d is being resumed)", op, pid, e.cur))
@@ -89,12 +71,6 @@ func (e *SeqEngine) Step(pid int, op Op) {
 	if e.stepped {
 		panic(machineSecondStepMsg(pid, " "+op.String()))
 	}
-	e.record(pid, op)
-}
-
-// record appends one granted step to the trace, before the step's operation
-// executes.
-func (e *SeqEngine) record(pid int, op Op) {
 	rec := StepRecord{Seq: len(e.trace), PID: pid, Op: op}
 	e.trace = append(e.trace, rec)
 	e.stepsBy[pid]++
@@ -116,37 +92,11 @@ func (e *SeqEngine) resume(m Machine, pid int, granted bool) (parked bool, panic
 			panicVal, panicked = v, true
 		}
 	}()
-	if granted && e.hasPoised != nil && e.hasPoised[pid] {
-		// Coroutine-bridged body: it is parked inside Step on the op it
-		// announced; record the grant before letting the op execute.
-		e.hasPoised[pid] = false
-		e.record(pid, e.poised[pid])
-	}
 	parked = m.Resume()
 	if granted && !e.stepped {
 		panic(machineNoStepMsg(pid))
 	}
 	return parked, nil, false
-}
-
-// aborter is implemented by machines that need unwinding when a run is
-// aborted (coroutine-bridged bodies).
-type aborter interface {
-	Abort()
-}
-
-// abort unwinds a parked machine; panics from its teardown are returned like
-// process panics.
-func (e *SeqEngine) abort(m Machine) (panicVal any, panicked bool) {
-	defer func() {
-		if v := recover(); v != nil {
-			panicVal, panicked = v, true
-		}
-	}()
-	if a, ok := m.(aborter); ok {
-		a.Abort()
-	}
-	return nil, false
 }
 
 // RunMachines executes the machines under the engine's strategy by direct
@@ -202,14 +152,12 @@ func (e *SeqEngine) RunMachines(machines []Machine) (*Result, error) {
 
 	for e.numFinished < e.n {
 		if aborting {
+			// Parked machines are simply dropped: a machine holds no
+			// resources between Resumes.
 			for pid := 0; pid < e.n; pid++ {
-				if !e.parked[pid] {
-					continue
-				}
-				e.parked[pid] = false
-				e.numFinished++
-				if v, panicked := e.abort(machines[pid]); panicked {
-					recordPanic(pid, v)
+				if e.parked[pid] {
+					e.parked[pid] = false
+					e.numFinished++
 				}
 			}
 			continue
@@ -320,8 +268,6 @@ func (e *SeqEngine) Restart(strat Strategy, from *SeqCheckpoint) {
 		copy(e.finished, from.finished)
 		e.numFinished, e.core.step = from.numFinished, from.step
 	}
-	clear(e.yields)
-	clear(e.hasPoised)
 }
 
 // allocRunState allocates the per-run buffers on the engine's first run;
@@ -335,66 +281,3 @@ func (e *SeqEngine) allocRunState() {
 	e.parked = make([]bool, e.n)
 	e.finished = make([]bool, e.n)
 }
-
-// Run executes body(pid) for every pid by bridging each body onto a
-// pull-based coroutine: the body suspends at every gate (Step) and the
-// scheduler resumes it by a direct switch. This keeps arbitrary process
-// bodies — including multi-step register-built objects and the revisionist
-// simulators — on the sequential engine without rewriting them as explicit
-// state machines.
-func (e *SeqEngine) Run(body func(pid int)) (*Result, error) {
-	if e.resumed {
-		return nil, fmt.Errorf("sched: a resumed engine requires RunMachines with forked machines; coroutine-bridged bodies cannot resume from a checkpoint")
-	}
-	if e.yields == nil {
-		e.yields = make([]func(Op) bool, e.n)
-		e.poised = make([]Op, e.n)
-		e.hasPoised = make([]bool, e.n)
-	}
-	machines := make([]Machine, e.n)
-	for pid := range machines {
-		machines[pid] = newCoroMachine(e, pid, body)
-	}
-	return e.RunMachines(machines)
-}
-
-// coroMachine adapts a closure body to the Machine contract via iter.Pull:
-// every yield is one parked gate.
-type coroMachine struct {
-	e    *SeqEngine
-	pid  int
-	next func() (Op, bool)
-	stop func()
-}
-
-func newCoroMachine(e *SeqEngine, pid int, body func(pid int)) *coroMachine {
-	c := &coroMachine{e: e, pid: pid}
-	c.next, c.stop = iter.Pull(func(yield func(Op) bool) {
-		defer func() {
-			e.yields[pid] = nil
-			if v := recover(); v != nil {
-				if _, ok := v.(abortSignal); ok {
-					return // a halted run unwinds the body quietly
-				}
-				panic(v)
-			}
-		}()
-		e.yields[pid] = yield
-		body(pid)
-	})
-	return c
-}
-
-// Resume runs the body to its next gate (or completion) and parks the
-// announced op with the engine.
-func (c *coroMachine) Resume() bool {
-	op, ok := c.next()
-	if ok {
-		c.e.poised[c.pid] = op
-		c.e.hasPoised[c.pid] = true
-	}
-	return ok
-}
-
-// Abort unwinds the suspended body.
-func (c *coroMachine) Abort() { c.stop() }

@@ -133,16 +133,42 @@ func comparableVecs(a, b []int) bool {
 	return le || ge
 }
 
-// snapshotUnderTest abstracts the two single-writer snapshot implementations.
+// snapshotUnderTest abstracts the register-built snapshots as single-writer
+// snapshots, through their cursors.
 type snapshotUnderTest interface {
-	Update(pid int, v Value)
-	Scan(pid int) []Value
+	StartUpdate(pid int, v Value) *SnapOp
+	StartScan(pid int) *SnapOp
 }
 
 type mwAdapter struct{ s *RegMWSnapshot }
 
-func (a mwAdapter) Update(pid int, v Value) { a.s.Update(pid, pid, v) }
-func (a mwAdapter) Scan(pid int) []Value    { return a.s.Scan(pid) }
+func (a mwAdapter) StartUpdate(pid int, v Value) *SnapOp { return a.s.StartUpdate(pid, pid, v) }
+func (a mwAdapter) StartScan(pid int) *SnapOp            { return a.s.StartScan(pid) }
+
+// stepFunc is a one-step operation: f performs exactly one gated step.
+type stepFunc func()
+
+func (f stepFunc) Step() bool { f(); return true }
+
+// updateScanRounds returns n machines that each alternate an update writing
+// tag{pid, r} (r = 1..rounds) with a scan, stepping the snapshot's cursors
+// one register operation at a time; scans[pid] collects pid's scan cursors,
+// whose views are read after the run.
+func updateScanRounds(n, rounds int, update func(pid int, v Value) *SnapOp, scan func(pid int) *SnapOp) ([]sched.Machine, [][]*SnapOp) {
+	scans := make([][]*SnapOp, n)
+	return sched.Processes(n, func(pid, i int) sched.Cursor {
+		switch r := i/2 + 1; {
+		case r > rounds:
+			return nil
+		case i%2 == 0:
+			return update(pid, tag{PID: pid, Seq: r})
+		default:
+			op := scan(pid)
+			scans[pid] = append(scans[pid], op)
+			return op
+		}
+	}), scans
+}
 
 // runSnapshotStress drives n processes that alternate updates (tagged with
 // increasing per-writer sequence numbers) and scans, then checks the atomic
@@ -153,21 +179,14 @@ func runSnapshotStress(t *testing.T, n, rounds int, seed int64, mk func(r *sched
 	t.Helper()
 	runner := sched.NewSeqEngine(n, sched.NewRandom(seed), sched.WithMaxSteps(1<<22))
 	snap := mk(runner)
-	views := make([][][]Value, n)
-	_, err := runner.Run(func(pid int) {
-		for r := 1; r <= rounds; r++ {
-			snap.Update(pid, tag{PID: pid, Seq: r})
-			view := snap.Scan(pid)
-			views[pid] = append(views[pid], view)
-		}
-	})
-	if err != nil {
+	machines, scans := updateScanRounds(n, rounds, snap.StartUpdate, snap.StartScan)
+	if _, err := runner.RunMachines(machines); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	var vecs [][]int
 	for pid := 0; pid < n; pid++ {
-		for r, view := range views[pid] {
-			vec := seqVector(view, n)
+		for r, op := range scans[pid] {
+			vec := seqVector(op.View(), n)
 			if vec[pid] < r+1 {
 				t.Fatalf("pid %d round %d: own write missing from view %v", pid, r+1, vec)
 			}
@@ -218,14 +237,9 @@ func TestRegMWSnapshotSharedComponentNoRegression(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		runner := sched.NewSeqEngine(n, sched.NewRandom(seed), sched.WithMaxSteps(1<<22))
 		snap := NewRegMWSnapshot("S", runner, m, n, nil)
-		views := make([][][]Value, n)
-		_, err := runner.Run(func(pid int) {
-			for r := 1; r <= rounds; r++ {
-				snap.Update(pid, (pid+r)%m, tag{PID: pid, Seq: r})
-				views[pid] = append(views[pid], snap.Scan(pid))
-			}
-		})
-		if err != nil {
+		update := func(pid int, v Value) *SnapOp { return snap.StartUpdate(pid, (pid+v.(tag).Seq)%m, v) }
+		machines, scans := updateScanRounds(n, rounds, update, snap.StartScan)
+		if _, err := runner.RunMachines(machines); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 		for pid := 0; pid < n; pid++ {
@@ -234,8 +248,8 @@ func TestRegMWSnapshotSharedComponentNoRegression(t *testing.T) {
 			for c := range best {
 				best[c] = make(map[int]int)
 			}
-			for vi, view := range views[pid] {
-				for c, v := range view {
+			for vi, op := range scans[pid] {
+				for c, v := range op.View() {
 					if v == nil {
 						continue
 					}
@@ -266,9 +280,12 @@ func TestRegSWSnapshotStepAccounting(t *testing.T) {
 	const f = 3
 	runner := sched.NewSeqEngine(1, sched.RoundRobin{N: 1})
 	snap := NewRegSWSnapshot("S", runner, f, nil)
-	res, err := runner.Run(func(pid int) {
-		snap.Update(pid, "x")
-	})
+	res, err := runner.RunMachines(sched.Processes(1, func(pid, i int) sched.Cursor {
+		if i > 0 {
+			return nil
+		}
+		return snap.StartUpdate(pid, "x")
+	}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -317,11 +334,12 @@ func TestFetchIncUniqueTickets(t *testing.T) {
 		runner := sched.NewSeqEngine(4, sched.NewRandom(seed), sched.WithMaxSteps(1<<20))
 		f := NewFetchInc("C", runner)
 		tickets := make([][]int, 4)
-		_, err := runner.Run(func(pid int) {
-			for i := 0; i < 5; i++ {
-				tickets[pid] = append(tickets[pid], f.FetchIncrement(pid))
+		_, err := runner.RunMachines(sched.Processes(4, func(pid, i int) sched.Cursor {
+			if i == 5 {
+				return nil
 			}
-		})
+			return stepFunc(func() { tickets[pid] = append(tickets[pid], f.FetchIncrement(pid)) })
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}

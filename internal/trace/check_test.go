@@ -15,23 +15,26 @@ func runAugWorkload(t *testing.T, f, m, opsPer int, seed int64, strat sched.Stra
 	t.Helper()
 	runner := sched.NewSeqEngine(f, strat, sched.WithMaxSteps(1<<22))
 	a := augsnap.New(runner, f, m)
-	_, err := runner.Run(func(pid int) {
-		rng := rand.New(rand.NewSource(seed*7919 + int64(pid)))
-		for i := 0; i < opsPer; i++ {
-			switch rng.Intn(4) {
-			case 0:
-				a.Scan(pid)
-			default:
-				r := 1 + rng.Intn(m)
-				comps := rng.Perm(m)[:r]
-				vals := make([]augsnap.Value, r)
-				for g := range vals {
-					vals[g] = fmt.Sprintf("p%d-i%d-g%d", pid, i, g)
-				}
-				a.BlockUpdate(pid, comps, vals)
-			}
+	rngs := make([]*rand.Rand, f)
+	for pid := range rngs {
+		rngs[pid] = rand.New(rand.NewSource(seed*7919 + int64(pid)))
+	}
+	_, err := runner.RunMachines(sched.Processes(f, func(pid, i int) sched.Cursor {
+		rng := rngs[pid]
+		switch {
+		case i == opsPer:
+			return nil
+		case rng.Intn(4) == 0:
+			return a.StartScan(pid)
 		}
-	})
+		r := 1 + rng.Intn(m)
+		comps := rng.Perm(m)[:r]
+		vals := make([]augsnap.Value, r)
+		for g := range vals {
+			vals[g] = fmt.Sprintf("p%d-i%d-g%d", pid, i, g)
+		}
+		return a.StartBlockUpdate(pid, comps, vals)
+	}))
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
@@ -83,10 +86,15 @@ func TestAugSnapshotSpecExhaustiveTiny(t *testing.T) {
 	factory := func(runner sched.Stepper) System {
 		a := augsnap.New(runner, 2, 2)
 		return System{
-			Body: func(pid int) {
-				a.BlockUpdate(pid, []int{pid, 1 - pid}, []augsnap.Value{pid * 10, pid*10 + 1})
-				a.Scan(pid)
-			},
+			Machines: sched.Processes(2, func(pid, i int) sched.Cursor {
+				switch i {
+				case 0:
+					return a.StartBlockUpdate(pid, []int{pid, 1 - pid}, []augsnap.Value{pid * 10, pid*10 + 1})
+				case 1:
+					return a.StartScan(pid)
+				}
+				return nil
+			}),
 			Check: func(*sched.Result) error {
 				return Check(a.Log(), 2)
 			},

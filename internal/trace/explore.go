@@ -117,11 +117,10 @@ type ExploreReport struct {
 // Factory functions wire their shared objects to the provided step gate,
 // which is the engine the system will run on.
 type System struct {
-	// Body is the per-process closure body. Used when Machines is nil.
-	Body func(pid int)
-	// Machines, when non-nil, are resumable step machines (one per process)
-	// that the engine dispatches directly — the fastest path.
-	// See proto.Machines for the protocol-process adapter.
+	// Machines are the resumable step machines, one per process, that the
+	// engine dispatches directly. See proto.Machines for the
+	// protocol-process adapter and sched.Processes for processes that
+	// are sequences of multi-step operations.
 	Machines []sched.Machine
 	// Check is called after the run with the scheduler result; returning an
 	// error marks the schedule as violating. res is valid only during the
@@ -151,15 +150,6 @@ type System struct {
 	// objects, and Check/Fingerprint/Fork hooks bound to the copy. Required
 	// by ExploreOpts.Prune; called only at decision points.
 	Fork func(gate sched.Stepper) System
-}
-
-// run executes the system on eng: natively as machines when it has them,
-// otherwise as coroutine-bridged bodies.
-func (sys *System) run(eng *sched.SeqEngine) (*sched.Result, error) {
-	if sys.Machines != nil {
-		return eng.RunMachines(sys.Machines)
-	}
-	return eng.Run(sys.Body)
 }
 
 // Factory builds one fresh system wired to the given step gate. Explore
@@ -230,9 +220,6 @@ func capabilities(sys *System, opts ExploreOpts) error {
 	}
 	if sys.Fork == nil {
 		return fmt.Errorf("trace: ExploreOpts.Prune requires System.Fork (the factory's systems expose no deep copy)")
-	}
-	if sys.Machines == nil {
-		return fmt.Errorf("trace: ExploreOpts.Prune requires machine-based systems (System.Machines); coroutine-bridged bodies cannot fork")
 	}
 	return nil
 }
@@ -361,7 +348,7 @@ func (ex *explorer) run(from *checkpoint) (*sched.Result, error) {
 	if ex.capErr = capabilities(&ex.sys, ex.opts); ex.capErr != nil {
 		return nil, ex.capErr
 	}
-	return ex.sys.run(ex.eng)
+	return ex.eng.RunMachines(ex.sys.Machines)
 }
 
 // explore runs the DFS loop over subtree ex.i: run, account, check,

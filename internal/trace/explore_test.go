@@ -8,19 +8,36 @@ import (
 	"revisionist/internal/shmem"
 )
 
+// stepFunc is a one-step operation: f performs exactly one gated step.
+type stepFunc func()
+
+func (f stepFunc) Step() bool { f(); return true }
+
+// oneStepOps returns n machines: process pid performs the one-step
+// operations ops(pid) returns, in order.
+func oneStepOps(n int, ops func(pid int) []func()) []sched.Machine {
+	lists := make([][]func(), n)
+	for pid := range lists {
+		lists[pid] = ops(pid)
+	}
+	return sched.Processes(n, func(pid, i int) sched.Cursor {
+		if i == len(lists[pid]) {
+			return nil
+		}
+		return stepFunc(lists[pid][i])
+	})
+}
+
 // counterSystem: two processes each write their pid then read back; check can
 // be told to flag a specific final read by process 0. The final value is
-// captured inside Body — Check must not touch gated objects, since the
-// scheduler has already shut down when it runs.
+// captured by the read operation — Check must not touch gated objects, since
+// the scheduler has already shut down when it runs.
 func counterSystem(flagValue shmem.Value) Factory {
 	return func(runner sched.Stepper) System {
 		reg := shmem.NewRegister("R", runner, nil)
 		var lastRead [2]shmem.Value
 		return System{
-			Body: func(pid int) {
-				reg.Write(pid, pid)
-				lastRead[pid] = reg.Read(pid)
-			},
+			Machines: writeThenRead(reg, lastRead[:]),
 			Check: func(*sched.Result) error {
 				if flagValue != nil && lastRead[0] == flagValue {
 					return fmt.Errorf("flagged value reached")
@@ -62,10 +79,7 @@ func TestExploreFindsViolation(t *testing.T) {
 	runner := sched.NewSeqEngine(2, sched.Replay{Choices: v.Schedule, Fallback: sched.RoundRobin{N: 2}})
 	reg := shmem.NewRegister("R", runner, nil)
 	var lastRead [2]shmem.Value
-	if _, err := runner.Run(func(pid int) {
-		reg.Write(pid, pid)
-		lastRead[pid] = reg.Read(pid)
-	}); err != nil {
+	if _, err := runner.RunMachines(writeThenRead(reg, lastRead[:])); err != nil {
 		t.Fatal(err)
 	}
 	if lastRead[0] != 1 {
@@ -87,11 +101,12 @@ func TestExploreTruncatesAtDepth(t *testing.T) {
 	factory := func(runner sched.Stepper) System {
 		reg := shmem.NewRegister("R", runner, nil)
 		return System{
-			Body: func(pid int) {
-				for i := 0; i < 100; i++ {
-					reg.Write(pid, i)
+			Machines: sched.Processes(1, func(pid, i int) sched.Cursor {
+				if i == 100 {
+					return nil
 				}
-			},
+				return stepFunc(func() { reg.Write(pid, i) })
+			}),
 			Check: func(*sched.Result) error { return nil },
 		}
 	}
@@ -133,4 +148,15 @@ func TestBacktrackOrder(t *testing.T) {
 	if d := mk(1, [][]int{{0, 1}, {1}}, []int{0, 1}).backtrack(); d != -1 {
 		t.Fatalf("backtrack = %d, want -1 when the only sibling is above the floor", d)
 	}
+}
+
+// writeThenRead returns one machine per entry of lastRead: process pid writes
+// its pid to reg, then reads reg into lastRead[pid].
+func writeThenRead(reg *shmem.Register, lastRead []shmem.Value) []sched.Machine {
+	return oneStepOps(len(lastRead), func(pid int) []func() {
+		return []func(){
+			func() { reg.Write(pid, pid) },
+			func() { lastRead[pid] = reg.Read(pid) },
+		}
+	})
 }

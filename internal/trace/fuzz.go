@@ -63,7 +63,7 @@ func (c *climber) evaluate(prefix []int, nprocs int, factory Factory,
 	strat := sched.Replay{Choices: prefix, Fallback: sched.NewRandom(sched.SplitSeed(c.seed, int64(c.evals)))}
 	eng := sched.NewSeqEngine(nprocs, strat, sched.WithMaxSteps(opts.MaxSteps))
 	sys := factory(eng)
-	res, err := sys.run(eng)
+	res, err := eng.RunMachines(sys.Machines)
 	if err != nil && res == nil {
 		return 0, fmt.Errorf("trace: fuzz run failed: %w", err)
 	}

@@ -25,47 +25,66 @@ func paxosLikeSystem(runner sched.Stepper) System {
 		}
 		return v.(reg)
 	}
+	// Each process loops through up to 30 rounds of five one-step phases:
+	// 0 scan its own register, 1 announce round r, 2 scan for conflicts,
+	// 3 write the value for round r, 4 scan to confirm. A conflict moves it
+	// to round r+2 and back to phase 0.
+	type proc struct {
+		r, round, phase int
+		my              reg
+		val             shmem.Value
+		done            bool
+	}
+	procs := [2]proc{{r: 1}, {r: 2}}
 	outputs := [2]shmem.Value{}
-	return System{
-		Body: func(pid int) {
-			r := pid + 1
-			var val shmem.Value
-			for round := 0; round < 30; round++ {
-				my := get(snap.Scan(pid)[pid])
-				snap.Update(pid, pid, reg{LRE: r, LRWW: my.LRWW, Val: my.Val})
-				view := snap.Scan(pid)
-				conflict := false
-				val = pid * 100
-				best := 0
-				for _, raw := range view {
-					g := get(raw)
-					if g.LRE > r || g.LRWW > r {
-						conflict = true
-					}
-					if g.LRWW > best {
-						best, val = g.LRWW, g.Val
-					}
+	retry := func(p *proc) { p.r, p.round, p.phase = p.r+2, p.round+1, 0 }
+	step := func(pid int) {
+		p := &procs[pid]
+		switch p.phase {
+		case 0:
+			p.my = get(snap.Scan(pid)[pid])
+			p.phase = 1
+		case 1:
+			snap.Update(pid, pid, reg{LRE: p.r, LRWW: p.my.LRWW, Val: p.my.Val})
+			p.phase = 2
+		case 2:
+			conflict := false
+			p.val = pid * 100
+			best := 0
+			for _, raw := range snap.Scan(pid) {
+				g := get(raw)
+				if g.LRE > p.r || g.LRWW > p.r {
+					conflict = true
 				}
-				if conflict {
-					r += 2
-					continue
+				if g.LRWW > best {
+					best, p.val = g.LRWW, g.Val
 				}
-				snap.Update(pid, pid, reg{LRE: r, LRWW: r, Val: val})
-				view = snap.Scan(pid)
-				conflict = false
-				for _, raw := range view {
-					g := get(raw)
-					if g.LRE > r {
-						conflict = true
-					}
-				}
-				if !conflict {
-					outputs[pid] = val
+			}
+			if conflict {
+				retry(p)
+				return
+			}
+			p.phase = 3
+		case 3:
+			snap.Update(pid, pid, reg{LRE: p.r, LRWW: p.r, Val: p.val})
+			p.phase = 4
+		case 4:
+			for _, raw := range snap.Scan(pid) {
+				if get(raw).LRE > p.r {
+					retry(p)
 					return
 				}
-				r += 2
 			}
-		},
+			outputs[pid], p.done = p.val, true
+		}
+	}
+	return System{
+		Machines: sched.Processes(2, func(pid, _ int) sched.Cursor {
+			if p := &procs[pid]; p.done || p.round == 30 {
+				return nil
+			}
+			return stepFunc(func() { step(pid) })
+		}),
 		Check: func(*sched.Result) error {
 			if outputs[0] != nil && outputs[1] != nil && outputs[0] != outputs[1] {
 				return fmt.Errorf("agreement violated: %v vs %v", outputs[0], outputs[1])
@@ -102,11 +121,12 @@ func TestFuzzMaximizesYields(t *testing.T) {
 	factory := func(runner sched.Stepper) System {
 		a := augsnap.New(runner, 3, 2)
 		return System{
-			Body: func(pid int) {
-				for i := 0; i < 4; i++ {
-					a.BlockUpdate(pid, []int{pid % 2}, []augsnap.Value{i})
+			Machines: sched.Processes(3, func(pid, i int) sched.Cursor {
+				if i == 4 {
+					return nil
 				}
-			},
+				return a.StartBlockUpdate(pid, []int{pid % 2}, []augsnap.Value{i})
+			}),
 			Check: func(*sched.Result) error {
 				return Check(a.Log(), 2)
 			},
@@ -137,13 +157,21 @@ func TestFuzzValidatesSafetyEveryRun(t *testing.T) {
 	factory := func(runner sched.Stepper) System {
 		reg := shmem.NewRegister("R", runner, nil)
 		var outs [2]shmem.Value
+		// Each process reads; if the register is empty it writes its pid;
+		// then it reads again and outputs what it reads.
+		var empty [2]bool
 		return System{
-			Body: func(pid int) {
-				if reg.Read(pid) == nil {
-					reg.Write(pid, pid)
+			Machines: sched.Processes(2, func(pid, i int) sched.Cursor {
+				switch {
+				case i == 0:
+					return stepFunc(func() { empty[pid] = reg.Read(pid) == nil })
+				case i == 1 && empty[pid]:
+					return stepFunc(func() { reg.Write(pid, pid) })
+				case i == 1 || i == 2 && empty[pid]:
+					return stepFunc(func() { outs[pid] = reg.Read(pid) })
 				}
-				outs[pid] = reg.Read(pid)
-			},
+				return nil
+			}),
 			Check: func(*sched.Result) error {
 				return (spec.Consensus{}).Validate([]spec.Value{0, 1}, []spec.Value{outs[0], outs[1]})
 			},

@@ -17,11 +17,12 @@ func orderSystem(nprocs int, flag func(order []int) bool) Factory {
 		reg := shmem.NewRegister("R", g, nil)
 		var order []int
 		return System{
-			Body: func(pid int) {
-				reg.Write(pid, pid)
-				order = append(order, pid)
-				reg.Read(pid)
-			},
+			Machines: oneStepOps(nprocs, func(pid int) []func() {
+				return []func(){
+					func() { reg.Write(pid, pid); order = append(order, pid) },
+					func() { reg.Read(pid) },
+				}
+			}),
 			Check: func(*sched.Result) error {
 				if flag(order) {
 					return fmt.Errorf("flagged order %v", order)
@@ -101,12 +102,16 @@ func TestExploreWorkersRunError(t *testing.T) {
 	factory := func(g sched.Stepper) System {
 		reg := shmem.NewRegister("R", g, nil)
 		return System{
-			Body: func(pid int) {
-				reg.Write(pid, pid)
-				if v := reg.Read(pid); pid == 1 && v == 2 {
-					panic("reached the poisoned interleaving")
+			Machines: oneStepOps(3, func(pid int) []func() {
+				return []func(){
+					func() { reg.Write(pid, pid) },
+					func() {
+						if v := reg.Read(pid); pid == 1 && v == 2 {
+							panic("reached the poisoned interleaving")
+						}
+					},
 				}
-			},
+			}),
 			Check: func(*sched.Result) error { return nil },
 		}
 	}

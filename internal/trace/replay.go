@@ -22,7 +22,7 @@ import (
 func ReplayViolation(nprocs int, factory Factory, v Violation) (violErr, runErr error) {
 	eng := sched.NewSeqEngine(nprocs, sched.Replay{Choices: v.Schedule})
 	sys := factory(eng)
-	res, err := sys.run(eng)
+	res, err := eng.RunMachines(sys.Machines)
 	if err != nil {
 		return nil, fmt.Errorf("trace: replay failed on schedule %v: %w", v.Schedule, err)
 	}

@@ -27,7 +27,7 @@ func replayChecked(nprocs int, factory Factory, checked *atomic.Int64, mismatch 
 			}
 			eng := sched.NewSeqEngine(nprocs, sched.Replay{Choices: picks})
 			fresh := factory(eng)
-			want, err := fresh.run(eng)
+			want, err := eng.RunMachines(fresh.Machines)
 			if err != nil || want.Steps != res.Steps || !reflect.DeepEqual(want.StepsBy, res.StepsBy) ||
 				!reflect.DeepEqual(want.Finished, res.Finished) || !reflect.DeepEqual(want.Trace, res.Trace) {
 				mismatch(want, res)

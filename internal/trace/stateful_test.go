@@ -190,15 +190,16 @@ func shrinkingFactory(ops1 func(build int64) int, builds *atomic.Int64) Factory 
 		reg := shmem.NewRegister("R", gate, nil)
 		n1 := ops1(builds.Add(1) - 1)
 		return System{
-			Body: func(pid int) {
+			Machines: sched.Processes(2, func(pid, i int) sched.Cursor {
 				n := 2
 				if pid == 1 {
 					n = n1
 				}
-				for i := 0; i < n; i++ {
-					reg.Write(pid, pid)
+				if i == n {
+					return nil
 				}
-			},
+				return stepFunc(func() { reg.Write(pid, pid) })
+			}),
 			Check: func(*sched.Result) error { return nil },
 		}
 	}

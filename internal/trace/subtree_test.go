@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+
+	"revisionist/internal/sched"
 )
 
 // driveSubtrees replays the distributed coordinator's protocol in-process
@@ -121,10 +123,14 @@ func TestExploreInterrupted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The interrupt fires only once subtree 0 has completed a run:
+			// otherwise a worker pool that schedules subtree 0's worker late
+			// merges an empty partial report.
 			var polls atomic.Int64
+			var leftmostDone atomic.Bool
 			opts := c.opts
-			opts.Interrupted = func() bool { return polls.Add(1) > 40 }
-			rep, err := Explore(4, firstValueFactory(4), opts)
+			opts.Interrupted = func() bool { return polls.Add(1) > 40 && leftmostDone.Load() }
+			rep, err := Explore(4, leftmostChecked(4, firstValueFactory(4), &leftmostDone), opts)
 			if !errors.Is(err, ErrInterrupted) {
 				t.Fatalf("want ErrInterrupted, got %v", err)
 			}
@@ -135,6 +141,31 @@ func TestExploreInterrupted(t *testing.T) {
 				t.Fatalf("implausible partial report %+v (full search: %d runs)", rep, full.Runs)
 			}
 		})
+	}
+}
+
+// leftmostChecked wraps factory so that done flips once a system built by it
+// has checked the leftmost schedule, the one that always picks the lowest
+// enabled pid. That schedule is the first run of subtree 0 (frontier probes
+// also run it, but a probe is never checked), and the first run of a subtree
+// is never pruned, so done means subtree 0 has completed a run.
+func leftmostChecked(n int, factory Factory, done *atomic.Bool) Factory {
+	eng := sched.NewSeqEngine(n, sched.Lowest{})
+	res, err := eng.RunMachines(factory(eng).Machines)
+	if err != nil {
+		panic(err)
+	}
+	leftmost := fmt.Sprint(res.Trace)
+	return func(gate sched.Stepper) System {
+		sys := factory(gate)
+		check := sys.Check
+		sys.Check = func(res *sched.Result) error {
+			if fmt.Sprint(res.Trace) == leftmost {
+				done.Store(true)
+			}
+			return check(res)
+		}
+		return sys
 	}
 }
 
