@@ -352,6 +352,12 @@ func FuzzQueueLoad(f *testing.F) {
 	f.Add([]byte("garbage\n{\"ID\":\"\"}\n"))
 	f.Add([]byte{0xff, 0xfe, 0x00, '\n', '{'})
 	f.Add(append([]byte(strings.Repeat("y", 600)+"\n"), valid...))
+	// A record carrying a progress snapshot, as an earlier build journaled it.
+	progress, err := os.ReadFile(filepath.Join("testdata", "progress_record.golden"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(progress)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// An in-memory crashfs keeps the fuzzer fast: no temp dirs, no real
 		// fsyncs — the loader and compactor see identical bytes either way.
