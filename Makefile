@@ -94,8 +94,8 @@ fuzz-smoke:
 	$(GO) test ./internal/dist/wire -run '^$$' -fuzz '^FuzzWireRecv$$' -fuzztime 10s
 
 # The benchmark in perfbench/ is its own module, which a root `go build ./...`
-# skips. Building it here catches an API change that breaks it.
+# skips. Building it (also part of `ci`) catches an API change that breaks it.
 perfbench-build:
 	cd perfbench && GOFLAGS= GOPROXY=off GOWORK=off $(GO) build -o /dev/null .
 
-ci: vet build test race bench-smoke examples-smoke
+ci: vet build test race bench-smoke examples-smoke perfbench-build

@@ -1,25 +1,26 @@
-// Package dist is the distributed schedule search: the subtree-sharding and
-// deterministic-merge protocol of the in-process parallel explorer
-// (internal/trace/parallel.go) lifted across a transport boundary.
+// Package dist is the distributed schedule search: it drives the wave
+// protocol of the in-process explorer (trace.Waves) across a transport
+// boundary, from leased subtrees whose outcomes arrive in any order.
 //
 // A coordinator probes the first DFS decision levels of the schedule tree
 // into a canonical frontier of disjoint subtree prefixes (trace.SubtreePlan),
 // leases prefixes to workers over any net.Listener transport — an in-process
 // pipe in tests (ListenPipe), length-prefixed JSON over TCP between machines
-// — and merges the per-subtree outcomes back into the exact report the
-// single-process trace.Explore produces: violations in canonical schedule
-// order, Runs/Truncated/Exhausted/Pruned/Distinct identical, MaxRuns and
-// MaxViolations re-cut at the exact run ordinal.
+// — and adds the per-subtree outcomes to the job's trace.Waves, whose merge
+// is the exact report the single-process trace.Explore produces: violations
+// in canonical schedule order, Runs/Truncated/Exhausted/Pruned/Distinct
+// identical, MaxRuns and MaxViolations re-cut at the exact run ordinal.
 //
 // Since wire version 3 the coordinator state is split in two layers: a Fleet
 // owns the worker population and multiplexes any number of concurrent job
-// sessions over it, and each session owns everything that makes one job's
-// report deterministic — its canonical waves, its merged visited-state table
-// and mirrors, its frozen budget bases. Leases, results and failures are
-// job-tagged on the wire; workers keep one mirror table per announced job and
-// drop it on retire. Because a lease is a pure function of (session state,
-// subtree id), sharing a fleet cannot change any job's merged report. Serve
-// remains the one-job convenience wrapper over a private fleet.
+// sessions over it, and each session embeds the trace.Waves that makes one
+// job's report deterministic — its canonical waves, its merged visited-state
+// table, its frozen budget bases — next to its lease bookkeeping. Leases,
+// results and failures are job-tagged on the wire; workers keep one mirror
+// table per announced job and drop it on retire. Because a lease is a pure
+// function of (wave state, subtree id), sharing a fleet cannot change any
+// job's merged report. Serve remains the one-job convenience wrapper over a
+// private fleet.
 //
 // Pruned searches share visited-state closures the same way the in-process
 // pruned explorer does: the frontier is processed in canonical waves of

@@ -56,16 +56,16 @@ type leaseKey struct {
 
 // workerConn is the coordinator's per-worker state: the framed connection,
 // the lease capacity from its hello, and per-job multiplexing state — which
-// jobs were announced, each job's mirror cursor into the session fpLog, and
-// the outstanding lease keys.
+// jobs were announced, each job's mirror cursor into the session's join
+// log, and the outstanding lease keys.
 type workerConn struct {
-	c       *wire.Conn
-	raw     net.Conn
-	slots   int
+	c        *wire.Conn
+	raw      net.Conn
+	slots    int
 	inflight int
-	jobs    map[string]bool
-	cursors map[string]int
-	keys    map[leaseKey]bool
+	jobs     map[string]bool
+	cursors  map[string]int
+	keys     map[leaseKey]bool
 
 	// lastSeen is the arrival time of the worker's latest frame; deadlines
 	// holds each outstanding lease's completion deadline. Both feed
@@ -281,7 +281,7 @@ func (f *Fleet) start(id string, job wire.Job, p *Progress) (<-chan SessionResul
 			f.event(id, "resume", fmt.Sprintf("%d of %d subtrees restored from snapshot", s.resumed, len(frontier)))
 		}
 		if complete {
-			rep, err := s.merge(false)
+			rep, err := s.Merge(false)
 			f.finish(s, SessionResult{ID: id, Report: rep, Err: err, Resumed: s.resumed})
 		}
 		errc <- nil
@@ -495,15 +495,16 @@ func (f *Fleet) onResult(w *workerConn, res *wire.Result) {
 	}
 	f.statLeases.Add(1)
 	f.obs.Completed()
-	waveBefore := s.waveLo
-	if s.onOutcome(res.ID, res.Outcome) {
-		rep, err := s.merge(false)
+	complete, crossed := s.onOutcome(res.ID, res.Outcome)
+	if complete {
+		rep, err := s.Merge(false)
 		f.finish(s, SessionResult{ID: s.id, Report: rep, Err: err, Resumed: s.resumed})
 		return
 	}
-	if s.waveLo != waveBefore {
+	if crossed {
+		lo, _ := s.Window()
 		f.obs.Wave()
-		f.event(s.id, "wave", fmt.Sprintf("barrier crossed: wave window now starts at subtree %d of %d", s.waveLo, len(s.frontier)))
+		f.event(s.id, "wave", fmt.Sprintf("barrier crossed: wave window now starts at subtree %d of %d", lo, len(s.Frontier())))
 		// A wave barrier just passed: publish the resumable snapshot. (The
 		// final barrier is covered by the finish above — a completed job
 		// needs none.)
@@ -535,12 +536,12 @@ func (f *Fleet) assign() {
 
 // assignOne leases at most one subtree of s to a free worker, announcing the
 // job first if this worker has not seen it. The lease ships the session's
-// fpLog delta since the worker's per-job cursor, bringing its mirror exactly
-// to the table frozen at this wave's start.
+// join-log delta since the worker's per-job cursor, bringing its mirror
+// exactly to the table frozen at this wave's start.
 func (f *Fleet) assignOne(s *session) bool {
 	for len(s.pending) > 0 {
 		id := s.pending[0]
-		if id > s.stopAfter {
+		if !s.Open(id) {
 			s.pending = s.pending[1:]
 			continue
 		}
@@ -566,9 +567,9 @@ func (f *Fleet) assignOne(s *session) bool {
 		lease := &wire.Lease{
 			Job:   s.id,
 			ID:    id,
-			Root:  s.frontier[id],
-			Base:  s.baseFor(id),
-			Table: s.fpLog[w.cursors[s.id]:],
+			Root:  s.Frontier()[id],
+			Base:  s.Base(id),
+			Table: s.Log()[w.cursors[s.id]:],
 		}
 		if err := w.c.Send(&wire.Msg{Kind: wire.KindLease, Lease: lease}); err != nil {
 			f.dropWorker(w)
@@ -577,7 +578,7 @@ func (f *Fleet) assignOne(s *session) bool {
 		f.obs.Lease()
 		f.event(s.id, "lease", fmt.Sprintf("subtree %d -> worker %s (base %d, %d table entries)",
 			id, w.raw.RemoteAddr(), lease.Base, len(lease.Table)))
-		w.cursors[s.id] = len(s.fpLog)
+		w.cursors[s.id] = len(s.Log())
 		w.inflight++
 		k := leaseKey{s.id, id}
 		w.keys[k] = true
@@ -594,7 +595,7 @@ func (f *Fleet) assignOne(s *session) bool {
 // resumable snapshot so the caller can continue it later with Resume.
 func (f *Fleet) interruptAll() {
 	for _, s := range append([]*session(nil), f.order...) {
-		rep, err := s.merge(true)
+		rep, err := s.Merge(true)
 		f.finish(s, SessionResult{ID: s.id, Report: rep, Err: err,
 			Resumed: s.resumed, Progress: s.progress()})
 	}

@@ -7,37 +7,22 @@ import (
 	"revisionist/internal/trace"
 )
 
-// session is the per-job coordinator state of one distributed exploration:
-// the canonical subtree frontier, the wave cursor, the merged visited-state
-// table with its append-only join log, the frozen budget bases, and the
-// outcomes collected so far. Everything that makes a report deterministic
-// lives here, scoped to one job — the fleet multiplexes many sessions over
-// one worker population, and because leases are pure functions of
-// (session state, subtree id), a job's merged report cannot depend on which
-// other jobs shared the fleet. Only the fleet loop touches a session.
+// session is the per-job coordinator state of one distributed exploration.
+// Everything that makes the report deterministic — the canonical waves, the
+// frozen budget bases, the cutoff, the merged visited-state table with its
+// join log, and the merge — is the embedded trace.Waves, the same protocol
+// the in-process explorer drives. The session adds only lease bookkeeping,
+// scoped to one job: the fleet multiplexes many sessions over one worker
+// population, and because leases are pure functions of (wave state, subtree
+// id), a job's merged report cannot depend on which other jobs shared the
+// fleet. Only the fleet loop touches a session.
 type session struct {
+	*trace.Waves
 	id  string
 	job wire.Job
 
-	frontier [][]int
-	width    int
-	maxViol  int
-
-	outcomes []*trace.SubtreeOutcome
-	waveLo   int
-	waveHi   int
-	pending  []int // unassigned subtree ids of the current wave, ascending
+	pending  []int // unassigned open subtrees of the current wave, ascending
 	assigned map[int]*workerConn
-
-	// table is the merged visited-state table; fpLog is its append-only join
-	// log (each entry strictly raised the table), shipped incrementally to
-	// per-job worker mirrors. done counts runs in completed waves: the frozen
-	// budget base of the next wave. stopAfter is the smallest subtree known
-	// to end the search.
-	table     map[uint64]int
-	fpLog     []trace.FpEntry
-	done      int
-	stopAfter int
 
 	// failed marks workers that rejected this job (registry or capability
 	// skew); they are never leased this job again but keep serving others.
@@ -55,109 +40,64 @@ type session struct {
 
 // newSession plans one job's session from its already-computed frontier.
 func newSession(id string, job wire.Job, frontier [][]int, width int) *session {
-	maxViol := job.Opts.MaxViolations
-	if maxViol <= 0 {
-		maxViol = 1
-	}
 	s := &session{
-		id:        id,
-		job:       job,
-		frontier:  frontier,
-		width:     width,
-		maxViol:   maxViol,
-		outcomes:  make([]*trace.SubtreeOutcome, len(frontier)),
-		assigned:  map[int]*workerConn{},
-		table:     map[uint64]int{},
-		failed:    map[*workerConn]bool{},
-		stopAfter: len(frontier), // no cutoff known
-		result:    make(chan SessionResult, 1),
+		Waves:    trace.NewWaves(frontier, width, job.Opts),
+		id:       id,
+		job:      job,
+		assigned: map[int]*workerConn{},
+		failed:   map[*workerConn]bool{},
+		result:   make(chan SessionResult, 1),
 	}
-	s.startWave(0)
+	s.fillPending()
 	return s
 }
 
-// startWave opens the wave of subtrees [lo, lo+width).
-func (s *session) startWave(lo int) {
-	s.waveLo = lo
-	s.waveHi = min(lo+s.width, len(s.frontier))
+// fillPending queues every open subtree of the current wave.
+func (s *session) fillPending() {
 	s.pending = s.pending[:0]
-	for i := s.waveLo; i < s.waveHi; i++ {
-		s.pending = append(s.pending, i)
-	}
-}
-
-// baseFor is the budget base of a lease for subtree id: a lower bound on the
-// runs the merge will credit before it in canonical order. Pruned runs must
-// use the base frozen at the wave start (runs in completed waves) — it is
-// part of the report's identity. Unpruned runs are free to use a tighter
-// bound, so workers stop sooner under a MaxRuns budget: the runs of already
-// completed earlier subtrees, like the in-process explorer's budgetBase.
-func (s *session) baseFor(id int) int {
-	if s.job.Opts.Prune {
-		return s.done
-	}
-	base := 0
-	for j := 0; j < id; j++ {
-		if o := s.outcomes[j]; o != nil {
-			base += o.Runs
+	lo, hi := s.Window()
+	for i := lo; i < hi; i++ {
+		if s.Open(i) {
+			s.pending = append(s.pending, i)
 		}
 	}
-	return base
 }
 
 // requeueIfOpen returns a forfeited subtree to the pending queue when the
-// merge can still reach it (no outcome yet, inside the current wave, not
-// past a known cutoff).
+// merge can still use its outcome.
 func (s *session) requeueIfOpen(id int) {
-	if s.outcomes[id] == nil && id >= s.waveLo && id <= s.stopAfter {
+	if s.Open(id) {
 		s.pending = append(s.pending, id)
 		sort.Ints(s.pending)
 	}
 }
 
 // onOutcome records one complete subtree outcome (first result wins —
-// duplicates from re-leased subtrees are identical by determinism) and
-// reports whether the whole search is complete.
-func (s *session) onOutcome(id int, o *trace.SubtreeOutcome) bool {
-	if id >= s.waveLo && id < s.waveHi && s.outcomes[id] == nil {
-		s.outcomes[id] = o
-		if id < s.stopAfter && o.Cut(s.maxViol) {
-			s.stopAfter = id
-		}
+// duplicates from re-leased subtrees are identical by determinism). It
+// reports whether the whole search is complete, and whether a wave barrier
+// was crossed, in which case the next wave's subtrees are pending.
+func (s *session) onOutcome(id int, o *trace.SubtreeOutcome) (complete, crossed bool) {
+	lo, _ := s.Window()
+	if s.Add(id, o) {
+		return true, false
 	}
-	return s.advance()
+	if next, _ := s.Window(); next != lo {
+		s.fillPending()
+		return false, true
+	}
+	return false, false
 }
 
-// advance checks the wave barrier: once every subtree the merge can reach has
-// an outcome, either the search ends inside this wave (a cutoff: merge now,
-// publish nothing — matching the in-process explorer, whose final wave never
-// publishes), or the wave's closures are max-merged into the table, its runs
-// credited to the frozen base, and the next wave opened.
-func (s *session) advance() bool {
-	hi := min(s.waveHi, s.stopAfter+1)
-	for i := s.waveLo; i < hi; i++ {
-		if s.outcomes[i] == nil {
-			return false
-		}
-	}
-	if s.stopAfter < s.waveHi {
-		return true
-	}
-	for i := s.waveLo; i < s.waveHi; i++ {
-		o := s.outcomes[i]
-		s.done += o.Runs
-		for _, e := range o.Closures {
-			if cur, ok := s.table[e.Fp]; !ok || e.Rem > cur {
-				s.table[e.Fp] = e.Rem
-				s.fpLog = append(s.fpLog, e)
-			}
-		}
-	}
-	if s.waveHi >= len(s.frontier) {
-		return true
-	}
-	s.startWave(s.waveHi)
-	return false
+// restore replays a snapshot's completed outcomes through the wave protocol
+// (see trace.Waves.Restore), so the session's table, budget bases and join
+// log end up exactly as if those subtrees had just been leased and
+// completed, and queues the rest of the current wave. Returns true when the
+// snapshot already completes the whole search.
+func (s *session) restore(outcomes []*trace.SubtreeOutcome) bool {
+	n, complete := s.Restore(outcomes)
+	s.resumed = n
+	s.fillPending()
+	return complete
 }
 
 // Progress is one session's resumable state in journal-serializable form:
@@ -195,63 +135,6 @@ func (p *Progress) Completed() int {
 // copied (the pointed-to outcomes are immutable once recorded), so the
 // snapshot is stable against further session mutation.
 func (s *session) progress() *Progress {
-	return &Progress{
-		Wave:     s.waveLo,
-		Frontier: len(s.frontier),
-		Outcomes: append([]*trace.SubtreeOutcome(nil), s.outcomes...),
-	}
-}
-
-// unpend removes one subtree from the pending queue (it was restored from a
-// snapshot, not leased).
-func (s *session) unpend(id int) {
-	for i, p := range s.pending {
-		if p == id {
-			s.pending = append(s.pending[:i], s.pending[i+1:]...)
-			return
-		}
-	}
-}
-
-// restore replays a snapshot's completed outcomes through the ordinary wave
-// machinery — onOutcome, barriers, closure max-merge and all — so the
-// session's table, budget bases, and fpLog end up exactly as if those
-// subtrees had just been leased and completed. Returns true when the
-// snapshot already completes the whole search. Only outcomes inside the
-// current wave window apply on each pass (advance shifts the window), hence
-// the rescan loop; outcomes past a discovered cutoff stay ignored, exactly
-// as live results would be.
-func (s *session) restore(outcomes []*trace.SubtreeOutcome) bool {
-	for {
-		applied := false
-		for i := s.waveLo; i < s.waveHi && i < len(outcomes); i++ {
-			o := outcomes[i]
-			if o == nil || s.outcomes[i] != nil {
-				continue
-			}
-			s.unpend(i)
-			s.resumed++
-			if s.onOutcome(i, o) {
-				return true
-			}
-			applied = true
-			break
-		}
-		if !applied {
-			return false
-		}
-	}
-}
-
-// merge folds the outcomes into the final report. An exhausted pruned search
-// published every wave, so the merged table holds the union of all closures:
-// the exact distinct-configuration count, exactly as in the in-process
-// pruned explorer. With interrupted set, missing outcomes yield the
-// partial report alongside trace.ErrInterrupted.
-func (s *session) merge(interrupted bool) (*trace.ExploreReport, error) {
-	rep, err := trace.MergeOutcomes(s.frontier, s.outcomes, s.job.Opts, interrupted)
-	if err == nil && s.job.Opts.Prune && rep.Exhausted {
-		rep.Distinct = len(s.table)
-	}
-	return rep, err
+	lo, _ := s.Window()
+	return &Progress{Wave: lo, Frontier: len(s.Frontier()), Outcomes: s.Outcomes()}
 }

@@ -38,7 +38,7 @@ type workerJob struct {
 	stopped atomic.Bool
 
 	mu     sync.RWMutex
-	mirror map[uint64]int
+	mirror trace.StateTable
 }
 
 func (j *workerJob) frozen(fp uint64) (int, bool) {
@@ -272,7 +272,7 @@ func WorkCfg(ctx context.Context, conn net.Conn, cfg WorkConfig, resolve Resolve
 			js.opts = job.Opts
 			js.opts.Interrupted = func() bool { return stopping.Load() || js.stopped.Load() }
 			js.opts.Obs = cfg.Obs
-			js.mirror = map[uint64]int{}
+			js.mirror = trace.StateTable{}
 			jobs[job.ID] = js
 		case wire.KindLease:
 			if msg.Lease == nil {
@@ -287,9 +287,7 @@ func WorkCfg(ctx context.Context, conn net.Conn, cfg WorkConfig, resolve Resolve
 			}
 			js.mu.Lock()
 			for _, e := range msg.Lease.Table {
-				if cur, ok := js.mirror[e.Fp]; !ok || e.Rem > cur {
-					js.mirror[e.Fp] = e.Rem
-				}
+				js.mirror.Join(e)
 			}
 			js.mu.Unlock()
 			queue.push(task{lease: *msg.Lease, js: js})

@@ -138,7 +138,7 @@ func TestQueueLoadSkipsGarbageOversizedAndTorn(t *testing.T) {
 		`"`+strings.Repeat("x", 400)+`"`, 1)
 	journal := strings.Join([]string{
 		mk("j0001"),
-		oversized,        // exceeds the test's MaxLine: skipped
+		oversized,         // exceeds the test's MaxLine: skipped
 		"not json at all", // garbage: skipped
 		mk("j0003"),
 		mk("j0004")[:20], // torn final line, no trailing newline

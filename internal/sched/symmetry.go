@@ -156,7 +156,7 @@ func NewCanonicalizer(spec SymmetrySpec) (*Canonicalizer, error) {
 	}
 	size := 1
 	for _, cl := range spec.Classes {
-		for i, pid := range cl {
+		for _, pid := range cl {
 			if pid < 0 || pid >= spec.N {
 				return nil, fmt.Errorf("sched: symmetry class pid %d out of range [0, %d)", pid, spec.N)
 			}
@@ -168,7 +168,6 @@ func NewCanonicalizer(spec SymmetrySpec) (*Canonicalizer, error) {
 				return nil, fmt.Errorf("sched: symmetry class %v: pid %d owns %d components, pid %d owns %d (must match)",
 					cl, pid, len(ownedOf(pid)), cl[0], len(ownedOf(cl[0])))
 			}
-			_ = i
 		}
 		if size <= MaxSymmetryGroup {
 			size *= factorial(len(cl))

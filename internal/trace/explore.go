@@ -6,15 +6,15 @@
 // searches the subtree of schedules below one root prefix. Everything else
 // arranges subtrees around it:
 //
-//   - Explore plans a frontier of disjoint subtree roots (parallel.go), runs
-//     the loop over them in canonical waves on a worker pool, and merges the
-//     per-subtree results into the report. A sequential search is the one
-//     root {} drained by one worker.
+//   - Explore plans a frontier of disjoint subtree roots (parallel.go) and
+//     runs the loop over them on a worker pool, driving the wave protocol
+//     (waves.go) that merges the subtree outcomes into the report. A
+//     sequential search is the one root {} drained by one worker.
 //   - Pruning (stateful.go) gives the loop a visited-state cache and turns on
 //     checkpointing; without it the cache is nil and every run replays its
 //     prefix from a fresh system.
 //   - RunSubtree (subtree.go) runs the same loop for one leased subtree of a
-//     distributed search.
+//     distributed search, whose coordinator drives the same wave protocol.
 package trace
 
 import (
@@ -89,7 +89,11 @@ type ExploreOpts struct {
 	Obs *SearchObs `json:"-"`
 }
 
-// Violation is one failing schedule.
+// maxViolations is the MaxViolations cutoff in force: 0 means 1.
+func (opts ExploreOpts) maxViolations() int { return max(opts.MaxViolations, 1) }
+
+// Violation is one failing schedule. Err carries the check's message, the
+// same whether the subtree ran in process or on a distributed worker.
 type Violation struct {
 	Schedule []int // scheduler picks, replayable with sched.Replay
 	Err      error
@@ -262,8 +266,8 @@ type explorer struct {
 	diverged error            // replay divergence: a prefix pick was not enabled
 	capErr   error            // the system lacks a hook the options need
 
-	h  maphash.Hash
-	sr *subtreeResult
+	h maphash.Hash
+	o *SubtreeOutcome // the outcome explore fills
 }
 
 func newExplorer(nprocs int, factory Factory, opts ExploreOpts, sh *exploreShared, i int) *explorer {
@@ -351,86 +355,99 @@ func (ex *explorer) run(from *checkpoint) (*sched.Result, error) {
 	return ex.eng.RunMachines(ex.sys.Machines)
 }
 
-// explore runs the DFS loop over subtree ex.i: run, account, check,
-// backtrack, budget. Cut runs skip the check and count as pruned, completed
-// nodes are closed into the cache, and the next run forks from the deepest
-// checkpoint at or above the divergence depth. The budget and stop checks
-// read the shared lower bounds of exploreShared, and every run is recorded
-// by ordinal so the merge can re-cut the search at any run.
-func (ex *explorer) explore() *subtreeResult {
-	sh := ex.sh
-	sr := &subtreeResult{errOrd: -1, trackTrunc: sh.maxRuns > 0}
-	ex.sr = sr
+// explore runs the DFS loop over subtree ex.i and returns its outcome, or
+// the error of a system lacking a hook the options need (a configuration
+// error, not a run: the search returns it without a report).
+func (ex *explorer) explore() (*SubtreeOutcome, error) {
+	ex.o = &SubtreeOutcome{ErrOrd: -1}
+	if err := ex.search(); err != nil {
+		return nil, err
+	}
+	if ex.cache != nil {
+		ex.o.Closures = ex.cache.closures()
+	}
+	return ex.o, nil
+}
+
+// search is the loop: run, account, check, backtrack, budget. Cut runs skip
+// the check and count as pruned, completed nodes are closed into the cache,
+// and the next run forks from the deepest checkpoint at or above the
+// divergence depth. The budget and stop checks read the shared lower bounds
+// of exploreShared, and every run is recorded by ordinal so the merge can
+// re-cut the search at any run.
+func (ex *explorer) search() error {
+	sh, o := ex.sh, ex.o
 	if sh.maxRuns > 0 && sh.budgetBase(ex.i) >= sh.maxRuns {
 		sh.cutAt(ex.i)
-		return sr // earlier subtrees alone exhaust the budget
+		return nil // earlier subtrees alone exhaust the budget
 	}
 	ex.prefix = append(ex.prefix[:0], sh.frontier[ex.i]...)
 	var from *checkpoint
 	for {
 		if int64(ex.i) > sh.stopAfter.Load() {
-			return sr // an earlier subtree already ends the search
+			return nil // an earlier subtree already ends the search
 		}
 		if ex.opts.Interrupted != nil && ex.opts.Interrupted() {
-			sr.stopped = true
+			o.Stopped = true
 			sh.cutAt(ex.i)
-			return sr
+			return nil
 		}
 		sh.counters[ex.i].Add(1)
 		res, err := ex.run(from)
 		if ex.capErr != nil {
-			sr.capErr = ex.capErr
 			sh.cutAt(ex.i)
-			return sr
+			return ex.capErr
 		}
-		ord := sr.runs
-		sr.runs++
+		ord := o.Runs
+		o.Runs++
 		if ex.trunc {
-			sr.truncated++
-			sr.setTruncBit(ord)
+			o.Truncated++
+			ex.mark(&o.TruncBits, ord)
 		}
 		if ex.cut {
-			sr.pruned++
-			sr.setPruneBit(ord)
+			o.Pruned++
+			ex.mark(&o.PruneBits, ord)
 		}
 		ex.opts.Obs.RunDone(ex.trunc, ex.cut, ex.opts.Symmetry)
 		if err == nil {
 			err = ex.diverged
 		}
 		if err != nil {
-			sr.runErr = fmt.Errorf("trace: run failed on schedule %v: %w", ex.picks, err)
-			sr.errOrd, sr.errTruncCum = ord, sr.truncated
-			sr.errPrunedCum, sr.errDistinctCum = sr.pruned, sr.distinct
+			o.err = fmt.Errorf("trace: run failed on schedule %v: %w", ex.picks, err)
+			o.RunErr = o.err.Error()
+			o.ErrOrd, o.ErrTruncCum = ord, o.Truncated
+			o.ErrPrunedCum, o.ErrDistinctCum = o.Pruned, o.Distinct
 			sh.cutAt(ex.i)
-			return sr
+			return nil
 		}
 		if !ex.cut {
 			if cerr := ex.sys.Check(res); cerr != nil {
-				sch := append([]int(nil), ex.picks...)
-				sr.viols = append(sr.viols, subViolation{ord: ord, truncCum: sr.truncated,
-					prunedCum: sr.pruned, distinctCum: sr.distinct,
-					v: Violation{Schedule: sch, Err: cerr}})
-				if len(sr.viols) >= sh.maxViol {
+				o.Violations = append(o.Violations, SubtreeViolation{Ord: ord, TruncCum: o.Truncated,
+					PrunedCum: o.Pruned, DistinctCum: o.Distinct,
+					Schedule: append([]int(nil), ex.picks...), Err: cerr.Error()})
+				if len(o.Violations) >= sh.maxViol {
 					sh.cutAt(ex.i)
-					return sr
+					return nil
 				}
 			}
 		}
 		d := ex.backtrack()
 		if ex.cache != nil {
 			ex.closeStates(d)
-			sr.recordDistCum()
+			if sh.maxRuns > 0 {
+				o.DistCums = append(o.DistCums, int32(o.Distinct))
+			}
 		}
 		if d < 0 {
-			sr.exhausted = true
-			return sr
+			o.Exhausted = true
+			return nil
 		}
 		// The budget check sits after the backtrack, so a subtree that stops
 		// on budget has already learned whether it was exhausted, which the
 		// merge needs for the exact Exhausted flag.
-		if sh.maxRuns > 0 && sh.budgetBase(ex.i)+sr.runs >= sh.maxRuns {
+		if sh.maxRuns > 0 && sh.budgetBase(ex.i)+o.Runs >= sh.maxRuns {
 			sh.cutAt(ex.i)
-			return sr
+			return nil
 		}
 		base := 0
 		from = nil
@@ -444,6 +461,15 @@ func (ex *explorer) explore() *subtreeResult {
 			}
 		}
 		ex.truncTo(base)
+	}
+}
+
+// mark records run ordinal ord in a per-run bitset of the outcome. Bitsets
+// are only tracked under a MaxRuns budget, the one cutoff the merge may
+// place at an arbitrary run.
+func (ex *explorer) mark(bits *[]uint64, ord int) {
+	if ex.sh.maxRuns > 0 {
+		setBit(bits, ord)
 	}
 }
 

@@ -1,21 +1,21 @@
-// Parallel schedule search: the frontier planner, the wave driver and the
-// deterministic merge around the one subtree DFS loop (explorer.explore).
-// Exhaustive exploration is embarrassingly parallel over independent
-// subtrees, each searched by its own explorer on its own engine, so the
-// planner splits the DFS prefix tree into disjoint subtrees — it expands the
-// first few decision levels into a frontier of prefixes in canonical DFS
-// order — and a pool of workers drains them, each subtree by the same loop. Per-subtree results carry enough per-run detail
-// (violation ordinals, truncation bits) that the merge can re-cut the search
-// at exactly the run where a single-subtree search would have stopped, so
-// the report is byte-identical for any worker count: violations in canonical
-// schedule order, Runs/Truncated/Exhausted exact, MaxRuns and MaxViolations
-// enforced through a budget handoff between subtrees.
+// Parallel schedule search: the frontier planner and the in-process driver
+// of the wave protocol (waves.go) around the one subtree DFS loop
+// (explorer.explore). Exhaustive exploration is embarrassingly parallel over
+// independent subtrees, each searched by its own explorer on its own engine,
+// so the planner splits the DFS prefix tree into disjoint subtrees — it
+// expands the first few decision levels into a frontier of prefixes in
+// canonical DFS order — and a pool of workers drains them, a wave at a time.
+// Subtree outcomes carry enough per-run detail (violation ordinals,
+// truncation bits) that the merge can re-cut the search at exactly the run
+// where a single-subtree search would have stopped, so the report is
+// byte-identical for any worker count: violations in canonical schedule
+// order, Runs/Truncated/Exhausted exact, MaxRuns and MaxViolations enforced
+// through a budget handoff between subtrees.
 package trace
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -150,112 +150,8 @@ func expandFrontier(nprocs int, factory Factory, opts ExploreOpts, target int) (
 	return frontier, nil
 }
 
-// subViolation is one violation found inside a subtree, positioned by its
-// run ordinal so the merge can apply MaxViolations at the exact run where
-// an unsharded search would have stopped.
-type subViolation struct {
-	ord      int // run ordinal within the subtree
-	truncCum int // truncated runs among ordinals [0, ord], inclusive
-	// prunedCum and distinctCum position the pruned search's counters at
-	// this violation: cut runs among ordinals [0, ord] (the violating run is
-	// never cut) and states closed before the violating run's backtrack (a
-	// violation cutoff stops the loop before closures).
-	prunedCum   int
-	distinctCum int
-	v           Violation
-}
-
-// subtreeResult is one worker's report for one subtree: aggregate counts
-// plus the per-run detail (violation ordinals, truncation bits, the failing
-// run) the deterministic merge needs to re-cut the search exactly.
-type subtreeResult struct {
-	runs      int
-	truncated int
-	exhausted bool // the subtree's whole space was covered
-	viols     []subViolation
-
-	// pruned and distinct are the pruned search's counters (zero without
-	// pruning).
-	pruned   int
-	distinct int
-
-	// truncBits and pruneBits record, per run ordinal, whether the run was
-	// truncated or cut; distCums[i] is the closed-state count through run i's
-	// backtrack. All three are only tracked under a MaxRuns budget, where the
-	// merge may need the counters of an arbitrary run prefix.
-	truncBits  []uint64
-	pruneBits  []uint64
-	distCums   []int32
-	trackTrunc bool
-
-	// runErr is a failed run (engine error or replay divergence); errOrd
-	// positions it, errTruncCum is the truncated count through it (the
-	// failing run counts its truncation), and errPrunedCum/errDistinctCum
-	// position the pruning counters like a violation's.
-	runErr         error
-	errOrd         int
-	errTruncCum    int
-	errPrunedCum   int
-	errDistinctCum int
-
-	// stopped marks a subtree abandoned by ExploreOpts.Interrupted: the merge
-	// credits whatever it completed and returns ErrInterrupted.
-	stopped bool
-
-	// capErr is a system lacking a hook the options need. It is a
-	// configuration error, not a run: the search returns it without a report.
-	capErr error
-}
-
-// setBit marks run ordinal ord in a per-run bitset.
-func setBit(bits *[]uint64, ord int) {
-	w := ord >> 6
-	for len(*bits) <= w {
-		*bits = append(*bits, 0)
-	}
-	(*bits)[w] |= 1 << (ord & 63)
-}
-
-// countBits returns the number of marked ordinals in [0, n).
-func countBits(bs []uint64, n int) int {
-	c := 0
-	for w := 0; w*64 < n; w++ {
-		var word uint64
-		if w < len(bs) {
-			word = bs[w]
-		}
-		if (w+1)*64 > n {
-			word &= 1<<(uint(n)&63) - 1
-		}
-		c += bits.OnesCount64(word)
-	}
-	return c
-}
-
-func (sr *subtreeResult) setTruncBit(ord int) {
-	if sr.trackTrunc {
-		setBit(&sr.truncBits, ord)
-	}
-}
-
-func (sr *subtreeResult) setPruneBit(ord int) {
-	if sr.trackTrunc {
-		setBit(&sr.pruneBits, ord)
-	}
-}
-
-// recordDistCum records the closed-state count after the latest run's
-// backtrack; the stateful loop calls it once per run, in ordinal order.
-func (sr *subtreeResult) recordDistCum() {
-	if sr.trackTrunc {
-		sr.distCums = append(sr.distCums, int32(sr.distinct))
-	}
-}
-
-// truncCount returns the number of truncated runs among ordinals [0, n).
-func (sr *subtreeResult) truncCount(n int) int { return countBits(sr.truncBits, n) }
-
-// exploreShared is the coordination state of one exploration.
+// exploreShared is the live state the subtrees of one wave share while they
+// run; the wave protocol (Waves) only sees their outcomes afterwards.
 type exploreShared struct {
 	frontier [][]int
 	// counters[i] counts runs started in subtree i. Their prefix sum over the
@@ -265,8 +161,9 @@ type exploreShared struct {
 	// at or past the cutoff, and the merge trims the overshoot.
 	counters []atomic.Int64
 	// stopAfter is the smallest subtree index known to end the search (a
-	// MaxRuns, MaxViolations or run-error cutoff); subtrees beyond it are
-	// skipped or abandoned, and the merge never reads them.
+	// MaxRuns, MaxViolations or run-error cutoff), published as soon as the
+	// subtree finds it; subtrees beyond it are skipped or abandoned, and the
+	// merge never reads them.
 	stopAfter atomic.Int64
 	maxRuns   int
 	maxViol   int
@@ -285,7 +182,7 @@ func newExploreShared(frontier [][]int, opts ExploreOpts) *exploreShared {
 		frontier: frontier,
 		counters: make([]atomic.Int64, len(frontier)),
 		maxRuns:  opts.MaxRuns,
-		maxViol:  max(opts.MaxViolations, 1),
+		maxViol:  opts.maxViolations(),
 		frozen:   opts.Prune,
 	}
 	sh.stopAfter.Store(math.MaxInt64)
@@ -313,166 +210,51 @@ func (sh *exploreShared) budgetBase(i int) int {
 	return sum
 }
 
-// runWaves drains frontier in canonical waves of width subtrees on the
-// worker pool and merges the results. Subtrees of one wave run in parallel;
-// in a pruned search each sees the visited-state table frozen at the wave
-// start plus its own closures, which are published (max-merged, so in any
-// order) only at the wave barrier. Workers therefore only parallelize
-// within a wave, and the report is the same for any worker count, Pruned and
-// Distinct included. An unpruned search is a single wave.
+// runWaves drives the wave protocol in process: each wave's subtrees run on
+// the worker pool, and their outcomes are added in index order at the
+// barrier. Subtrees of one wave run in parallel; in a pruned search each
+// sees the visited-state table frozen at the wave start plus its own
+// closures, which the barrier max-merges. Workers therefore only
+// parallelize within a wave, and the report is the same for any worker
+// count, Pruned and Distinct included. An unpruned search is a single wave.
 func runWaves(nprocs int, factory Factory, opts ExploreOpts, frontier [][]int, width, workers int) (*ExploreReport, error) {
+	w := NewWaves(frontier, width, opts)
 	sh := newExploreShared(frontier, opts)
-	results := make([]*subtreeResult, len(frontier))
-	var table *fpTable
-	if opts.Prune {
-		table = newFpTable()
-	}
 	opts.Obs.SetFrontier(len(frontier))
-	for lo := 0; lo < len(frontier); lo += width {
-		hi := min(lo+width, len(frontier))
-		if int64(lo) > sh.stopAfter.Load() {
-			break
-		}
+	for {
+		lo, hi := w.Window()
 		waveStart := opts.Obs.WaveStart()
-		sh.lo = lo
-		caches := make([]*stateCache, hi-lo)
+		sh.lo, sh.base = lo, w.Base(lo)
+		outs := make([]*SubtreeOutcome, hi-lo)
+		errs := make([]error, hi-lo)
 		RunOnPool(workers, hi-lo, func(j int) {
 			i := lo + j
 			if int64(i) > sh.stopAfter.Load() {
 				return
 			}
 			ex := newExplorer(nprocs, factory, opts, sh, i)
-			if table != nil {
-				ex.cache = &stateCache{global: table, local: make(map[uint64]int)}
-				caches[j] = ex.cache
+			if opts.Prune {
+				ex.cache = &stateCache{global: w.table.lookup, local: StateTable{}}
 			}
-			results[i] = ex.explore()
+			outs[j], errs[j] = ex.explore()
 		})
-		for _, sr := range results[lo:hi] {
-			if sr == nil {
-				continue
+		for _, err := range errs {
+			if err != nil {
+				return nil, err
 			}
-			if sr.capErr != nil {
-				return nil, sr.capErr
-			}
-			sh.base += sr.runs
 		}
-		if sh.stopAfter.Load() < int64(hi) {
+		for j, o := range outs {
+			if o != nil {
+				w.Add(lo+j, o)
+			}
+		}
+		if next, _ := w.Window(); next == lo {
 			break // the search ends inside this wave: nothing beyond merges
 		}
-		if table != nil {
-			RunOnPool(workers, hi-lo, func(j int) { table.publish(caches[j].local) })
-		}
 		opts.Obs.WaveDone(lo/width, waveStart, len(frontier)-hi)
+		if hi == len(frontier) {
+			break
+		}
 	}
-	rep, err := mergeSubtrees(frontier, results, opts.MaxRuns, sh.maxViol, false)
-	if err == nil && table != nil && rep.Exhausted {
-		// An exhausted search published every wave, so the table holds the
-		// union of all closures: the exact distinct-configuration count. The
-		// merge's per-subtree sum counts a configuration closed independently
-		// by sibling subtrees of one wave once per subtree; it remains the
-		// (deterministic) value only when a cutoff trimmed the search and the
-		// final wave never published.
-		rep.Distinct = table.size()
-	}
-	return rep, err
-}
-
-// mergeSubtrees folds per-subtree results, in canonical DFS order, into the
-// report an unsharded search would have produced: it credits each subtree's
-// runs against the MaxRuns budget, re-applies the MaxViolations and
-// run-error cutoffs at their exact run ordinals, and trims the speculative
-// overshoot past the first cutoff. With interrupted set (the caller's
-// context was cancelled mid-search), missing or partial subtrees terminate
-// the merge with the report so far and ErrInterrupted instead of being
-// internal errors.
-func mergeSubtrees(frontier [][]int, results []*subtreeResult, maxRuns, maxViol int, interrupted bool) (*ExploreReport, error) {
-	rep := &ExploreReport{}
-	for i, sr := range results {
-		budgetRem := math.MaxInt
-		if maxRuns > 0 {
-			budgetRem = maxRuns - rep.Runs
-			if budgetRem <= 0 {
-				return rep, nil // budget spent before this subtree
-			}
-		}
-		if sr == nil {
-			if interrupted {
-				return rep, ErrInterrupted
-			}
-			return nil, fmt.Errorf("trace: internal: subtree %v was never explored", frontier[i])
-		}
-		// A subtree abandoned by ExploreOpts.Interrupted: credit what it
-		// completed and stop — the partial report is best-effort.
-		if sr.stopped {
-			credit(rep, sr)
-			return rep, ErrInterrupted
-		}
-		violRem := maxViol - len(rep.Violations)
-		// MaxViolations cutoff inside this subtree? (Violation ordinals
-		// always precede a run error's, since the worker stops on error.)
-		if len(sr.viols) >= violRem && sr.viols[violRem-1].ord+1 <= budgetRem {
-			v := sr.viols[violRem-1]
-			rep.Runs += v.ord + 1
-			rep.Truncated += v.truncCum
-			rep.Pruned += v.prunedCum
-			rep.Distinct += v.distinctCum
-			for _, sv := range sr.viols[:violRem] {
-				rep.Violations = append(rep.Violations, sv.v)
-			}
-			return rep, nil
-		}
-		// Run-error cutoff?
-		if sr.errOrd >= 0 && sr.errOrd+1 <= budgetRem {
-			rep.Runs += sr.errOrd + 1
-			rep.Truncated += sr.errTruncCum
-			rep.Pruned += sr.errPrunedCum
-			rep.Distinct += sr.errDistinctCum
-			for _, sv := range sr.viols {
-				rep.Violations = append(rep.Violations, sv.v)
-			}
-			return rep, sr.runErr
-		}
-		// MaxRuns cutoff inside this subtree? (The boundary case — budget
-		// spent exactly at the subtree's recorded runs without exhausting it
-		// — is a subtree that stopped on budget with more prefixes left to
-		// explore.)
-		if budgetRem < sr.runs || (budgetRem == sr.runs && !sr.exhausted) {
-			rep.Runs += budgetRem
-			rep.Truncated += sr.truncCount(budgetRem)
-			rep.Pruned += countBits(sr.pruneBits, budgetRem)
-			if len(sr.distCums) >= budgetRem && budgetRem > 0 {
-				rep.Distinct += int(sr.distCums[budgetRem-1])
-			}
-			for _, sv := range sr.viols {
-				if sv.ord < budgetRem {
-					rep.Violations = append(rep.Violations, sv.v)
-				}
-			}
-			return rep, nil
-		}
-		// No cutoff here: credit the whole subtree.
-		if !sr.exhausted {
-			if interrupted {
-				credit(rep, sr)
-				return rep, ErrInterrupted
-			}
-			return nil, fmt.Errorf("trace: internal: partial subtree %v survived merging", frontier[i])
-		}
-		credit(rep, sr)
-	}
-	rep.Exhausted = true
-	return rep, nil
-}
-
-// credit adds one whole subtree result — counters and violations — to the
-// merged report.
-func credit(rep *ExploreReport, sr *subtreeResult) {
-	rep.Runs += sr.runs
-	rep.Truncated += sr.truncated
-	rep.Pruned += sr.pruned
-	rep.Distinct += sr.distinct
-	for _, sv := range sr.viols {
-		rep.Violations = append(rep.Violations, sv.v)
-	}
+	return w.Merge(false)
 }

@@ -9,8 +9,8 @@
 // sequential engine and system state at every branching decision on the
 // current path and forks the next schedule from the deepest common prefix
 // instead of replaying it from the root. Both live in the one DFS loop
-// (explorer in explore.go); this file holds the visited-state table and
-// cache, and the checkpoint stack entries.
+// (explorer in explore.go); this file holds a subtree's visited-state cache
+// and the checkpoint stack entries.
 //
 // Soundness of the prune (safety checking): a configuration determines the
 // set of configurations reachable from it within a step budget, and every
@@ -25,18 +25,17 @@
 // hash collisions (a collision could wrongly cut a subtree), the standard,
 // vanishingly-unlikely trade of fingerprint-based state caching.
 //
-// Determinism across worker counts: the visited-state cache is shared
-// through a lock-striped table sharded by hash prefix, but cache *visibility*
-// is structured so the report cannot depend on scheduling: the frontier is
-// expanded to a fixed, worker-independent size, subtrees are processed in
-// canonical waves of fixed width (runWaves in parallel.go), each subtree sees
-// the global table frozen as of its wave start plus its own private
-// closures, and private closures are published (max-merged,
-// order-independent) only at the wave barrier.
+// Determinism across worker counts: cache *visibility* is structured so the
+// report cannot depend on scheduling. The frontier is expanded to a fixed,
+// worker-independent size, subtrees are processed in canonical waves of
+// fixed width (the wave protocol, waves.go), each subtree sees the merged
+// table frozen as of its wave start plus its own private closures, and
+// private closures are max-merged (order-independent) into the table only at
+// the wave barrier. Reads during a wave therefore take no lock.
 package trace
 
 import (
-	"sync"
+	"sort"
 
 	"revisionist/internal/sched"
 )
@@ -47,86 +46,21 @@ import (
 const pruneFrontierTarget = 32
 
 // pruneWaveWidth is the number of subtrees per wave: subtrees within a wave
-// share no closures (determinism), waves share through the global table. It
+// share no closures (determinism), waves share through the merged table. It
 // also caps a pruned exploration's effective parallelism.
 const pruneWaveWidth = 8
 
-// fpStripeBits is the hash-prefix width selecting a stripe of the table.
-const fpStripeBits = 6
-
-// fpTable is the lock-striped visited-state table shared across subtrees:
-// fingerprint -> the largest remaining depth to which that configuration has
-// been fully explored. Stripes are selected by the top hash bits. Writes
-// (publish) happen only between waves, under the stripe locks; reads during
-// a wave are lock-free, ordered against the writes by the pool barrier.
-type fpTable struct {
-	stripes [1 << fpStripeBits]struct {
-		mu sync.Mutex
-		m  map[uint64]int
-	}
-}
-
-func newFpTable() *fpTable {
-	t := &fpTable{}
-	for i := range t.stripes {
-		t.stripes[i].m = make(map[uint64]int)
-	}
-	return t
-}
-
-func (t *fpTable) lookup(fp uint64) (int, bool) {
-	rem, ok := t.stripes[fp>>(64-fpStripeBits)].m[fp]
-	return rem, ok
-}
-
-// publish max-merges one subtree's private closures into the table. The
-// result is a per-entry maximum, so the table contents after a barrier do
-// not depend on publish order.
-func (t *fpTable) publish(local map[uint64]int) {
-	for fp, rem := range local {
-		s := &t.stripes[fp>>(64-fpStripeBits)]
-		s.mu.Lock()
-		if cur, ok := s.m[fp]; !ok || rem > cur {
-			s.m[fp] = rem
-		}
-		s.mu.Unlock()
-	}
-}
-
-// size returns the number of distinct configurations in the table.
-func (t *fpTable) size() int {
-	n := 0
-	for i := range t.stripes {
-		n += len(t.stripes[i].m)
-	}
-	return n
-}
-
-// fpSource is a read-only view of previously closed states. The in-process
-// explorer reads an fpTable frozen at the wave barrier; a distributed worker
-// reads its mirror of the coordinator's table, frozen the same way (deltas
-// are only applied between leases of different waves).
-type fpSource interface {
-	lookup(fp uint64) (int, bool)
-}
-
-// fpFunc adapts a plain lookup function (the exported RunSubtree surface) to
-// fpSource.
-type fpFunc func(fp uint64) (int, bool)
-
-func (f fpFunc) lookup(fp uint64) (int, bool) { return f(fp) }
-
-// stateCache is one subtree's view of the visited states: the global table
+// stateCache is one subtree's view of the visited states: the merged table
 // (frozen for the duration of the wave) plus the subtree's private closures.
 type stateCache struct {
-	global fpSource // nil for a single-subtree exploration
-	local  map[uint64]int
+	global func(fp uint64) (int, bool) // nil for a single-subtree exploration
+	local  StateTable
 }
 
 func (c *stateCache) lookup(fp uint64) (int, bool) {
 	rem, ok := c.local[fp]
 	if c.global != nil {
-		if g, gok := c.global.lookup(fp); gok && (!ok || g > rem) {
+		if g, gok := c.global(fp); gok && (!ok || g > rem) {
 			return g, true
 		}
 	}
@@ -136,20 +70,28 @@ func (c *stateCache) lookup(fp uint64) (int, bool) {
 // close records fp as fully explored to rem further levels and reports
 // whether the configuration is newly recorded (a distinct state).
 func (c *stateCache) close(fp uint64, rem int) bool {
-	prev, ok := c.local[fp]
-	if ok {
-		if rem > prev {
-			c.local[fp] = rem
-		}
+	_, seen := c.local[fp]
+	c.local.Join(FpEntry{Fp: fp, Rem: rem})
+	if seen {
 		return false
 	}
-	c.local[fp] = rem
 	if c.global != nil {
-		if _, gok := c.global.lookup(fp); gok {
+		if _, gok := c.global(fp); gok {
 			return false
 		}
 	}
 	return true
+}
+
+// closures returns the private closures sorted by fingerprint, the form an
+// outcome carries to the wave barrier.
+func (c *stateCache) closures() []FpEntry {
+	out := make([]FpEntry, 0, len(c.local))
+	for fp, rem := range c.local {
+		out = append(out, FpEntry{Fp: fp, Rem: rem})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Fp < out[j].Fp })
+	return out
 }
 
 // noopStepper gates nothing: frozen checkpoint copies are wired to it — they
@@ -178,7 +120,7 @@ type checkpoint struct {
 func (ex *explorer) closeStates(next int) {
 	for d := max(next+1, ex.floor); d < len(ex.picks); d++ {
 		if ex.cache.close(ex.fps[d], ex.opts.MaxDepth-d) {
-			ex.sr.distinct++
+			ex.o.Distinct++
 			ex.opts.Obs.StateClosed()
 		}
 	}

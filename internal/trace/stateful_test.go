@@ -266,7 +266,11 @@ func TestRunSubtreeRootNotEnabled(t *testing.T) {
 	if !strings.Contains(o.RunErr, "diverged") {
 		t.Fatalf("want a replay-divergence run error, got %+v", o)
 	}
-	if _, err := MergeOutcomes([][]int{{1}}, []*SubtreeOutcome{o}, opts, false); err == nil ||
+	w := NewWaves([][]int{{1}}, 1, opts)
+	if !w.Add(0, o) {
+		t.Fatal("a failed run must complete the search")
+	}
+	if _, err := w.Merge(false); err == nil ||
 		!strings.Contains(err.Error(), "diverged") {
 		t.Fatalf("merge: want replay-divergence error, got %v", err)
 	}

@@ -1,20 +1,19 @@
-// Exported subtree lease/merge hooks: the surface a distributed schedule
-// search builds on (see internal/dist). The in-process explorer already
-// splits the DFS tree into disjoint subtree prefixes, runs one loop per
-// subtree and merges the results deterministically; this file exports those
-// three pieces so a coordinator in another process — or on another machine —
-// can drive them over a transport:
+// Subtree outcomes and the exported hooks of a distributed schedule search
+// (see internal/dist). The one DFS loop (explorer.explore) reports each
+// subtree as a SubtreeOutcome, in process and over the wire alike, and the
+// wave protocol (waves.go) merges outcomes back deterministically. A
+// coordinator in another process — or on another machine — drives the same
+// pieces over a transport:
 //
 //   - SubtreePlan computes the canonical frontier of subtree roots and the
 //     wave width a distributed run must use to reproduce the single-process
 //     report byte for byte (pruned explorations share closed states only at
 //     wave barriers, so the wave structure is part of the report's identity).
 //     It is the in-process planner with a larger unpruned frontier.
-//   - RunSubtree runs the in-process subtree loop on one leased subtree —
-//     same budget lower bound, same pruning against a frozen visited-state
-//     view — and returns a wire-serializable outcome.
-//   - MergeOutcomes folds outcomes back, in canonical order, through the
-//     same deterministic merge the local explorer uses.
+//   - RunSubtree runs the subtree loop on one leased subtree — same budget
+//     lower bound, same pruning against a frozen visited-state view — and
+//     returns its outcome.
+//   - Waves (waves.go) takes outcomes in any order and merges them.
 //
 // Because every field an outcome carries is positioned by run ordinal, the
 // merge is independent of which worker produced which subtree, of arrival
@@ -25,7 +24,7 @@ package trace
 
 import (
 	"errors"
-	"sort"
+	"math/bits"
 )
 
 // ErrInterrupted is returned (alongside the partial report) when
@@ -42,9 +41,13 @@ type FpEntry struct {
 	Rem int
 }
 
-// SubtreeViolation is one violation found inside a leased subtree, in wire
-// form: positioned by run ordinal with the cumulative counters the merge
-// needs to re-cut the search exactly, the error flattened to its message.
+// SubtreeViolation is one violation found inside a subtree, positioned by
+// run ordinal so the merge can apply MaxViolations at the exact run where a
+// single-subtree search would have stopped. TruncCum and PrunedCum count the
+// truncated and cut runs among ordinals [0, Ord] (the violating run is never
+// cut); DistinctCum counts states closed before the violating run's
+// backtrack (a violation cutoff stops the loop before closures). The check's
+// error is kept as its message.
 type SubtreeViolation struct {
 	Ord         int
 	TruncCum    int
@@ -54,12 +57,13 @@ type SubtreeViolation struct {
 	Err         string
 }
 
-// SubtreeOutcome is the wire-serializable result of exploring one leased
-// subtree to completion: the aggregate counts, the per-run detail the
-// deterministic merge needs (violation ordinals, truncation and prune
+// SubtreeOutcome is the result of exploring one subtree, in process or for a
+// lease, in wire-serializable form: the aggregate counts, the per-run detail
+// the deterministic merge needs (violation ordinals, truncation and prune
 // bitsets, cumulative distinct counts), a failed run if one ended the
-// subtree, and the subtree's newly closed states for the coordinator's
-// visited-state table.
+// subtree, and the subtree's newly closed states for the visited-state
+// table. TruncBits, PruneBits and DistCums are only tracked under a MaxRuns
+// budget, where the merge may need the counters of an arbitrary run prefix.
 type SubtreeOutcome struct {
 	Runs      int
 	Truncated int
@@ -72,9 +76,14 @@ type SubtreeOutcome struct {
 	PruneBits  []uint64           `json:",omitempty"`
 	DistCums   []int32            `json:",omitempty"`
 
-	// RunErr is a failed run's message ("" = none); ErrOrd positions it (-1 =
-	// none) and the cumulative counters position the merge at it.
+	// RunErr is a failed run's message ("" = none): an engine error or a
+	// replay divergence. ErrOrd positions it (-1 = none) and the cumulative
+	// counters, like a violation's, position the merge at it (the failing
+	// run counts its truncation). err keeps
+	// the failure's wrapped chain for an in-process Explore; it never
+	// crosses the wire.
 	RunErr         string `json:",omitempty"`
+	err            error
 	ErrOrd         int
 	ErrTruncCum    int
 	ErrPrunedCum   int
@@ -85,83 +94,43 @@ type SubtreeOutcome struct {
 	Closures []FpEntry `json:",omitempty"`
 
 	// Stopped marks an outcome abandoned by ExploreOpts.Interrupted: it is
-	// incomplete and must never be merged as (or reported to a coordinator
-	// as) a finished subtree. A distributed worker discards stopped outcomes
-	// — the coordinator re-leases the subtree elsewhere.
+	// incomplete, so the merge credits it and ends with ErrInterrupted. A
+	// distributed worker discards stopped outcomes — the coordinator
+	// re-leases the subtree elsewhere.
 	Stopped bool `json:",omitempty"`
 }
 
-// Cut reports whether this outcome ends the search at its subtree: a failed
+// cuts reports whether this outcome ends the search at its subtree: a failed
 // run, the MaxViolations cutoff, or a MaxRuns budget stop (the only way a
-// completed subtree is not exhausted). Subtrees after a cut one are never
-// merged, so a coordinator can stop leasing beyond it.
-func (o *SubtreeOutcome) Cut(maxViolations int) bool {
-	if maxViolations <= 0 {
-		maxViolations = 1
-	}
-	return o.RunErr != "" || len(o.Violations) >= maxViolations || !o.Exhausted
+// completed subtree is not exhausted). Subtrees after a cutting one are
+// never merged.
+func (o *SubtreeOutcome) cuts(maxViol int) bool {
+	return o.RunErr != "" || len(o.Violations) >= maxViol || !o.Exhausted
 }
 
-// outcome converts the internal per-subtree result to its wire form.
-func (sr *subtreeResult) outcome() *SubtreeOutcome {
-	o := &SubtreeOutcome{
-		Runs:           sr.runs,
-		Truncated:      sr.truncated,
-		Exhausted:      sr.exhausted,
-		Pruned:         sr.pruned,
-		Distinct:       sr.distinct,
-		TruncBits:      sr.truncBits,
-		PruneBits:      sr.pruneBits,
-		DistCums:       sr.distCums,
-		ErrOrd:         sr.errOrd,
-		ErrTruncCum:    sr.errTruncCum,
-		ErrPrunedCum:   sr.errPrunedCum,
-		ErrDistinctCum: sr.errDistinctCum,
-		Stopped:        sr.stopped,
+// setBit marks run ordinal ord in a per-run bitset.
+func setBit(bits *[]uint64, ord int) {
+	w := ord >> 6
+	for len(*bits) <= w {
+		*bits = append(*bits, 0)
 	}
-	if sr.runErr != nil {
-		o.RunErr = sr.runErr.Error()
-	}
-	for _, sv := range sr.viols {
-		o.Violations = append(o.Violations, SubtreeViolation{
-			Ord: sv.ord, TruncCum: sv.truncCum,
-			PrunedCum: sv.prunedCum, DistinctCum: sv.distinctCum,
-			Schedule: sv.v.Schedule, Err: sv.v.Err.Error(),
-		})
-	}
-	return o
+	(*bits)[w] |= 1 << (ord & 63)
 }
 
-// internal converts a wire outcome back to the merge's input form. Errors
-// cross the wire as messages, so reconstructed errors compare (and render)
-// equal to the local ones but lose their wrapped chain.
-func (o *SubtreeOutcome) internal() *subtreeResult {
-	sr := &subtreeResult{
-		runs:           o.Runs,
-		truncated:      o.Truncated,
-		exhausted:      o.Exhausted,
-		pruned:         o.Pruned,
-		distinct:       o.Distinct,
-		truncBits:      o.TruncBits,
-		pruneBits:      o.PruneBits,
-		distCums:       o.DistCums,
-		errOrd:         o.ErrOrd,
-		errTruncCum:    o.ErrTruncCum,
-		errPrunedCum:   o.ErrPrunedCum,
-		errDistinctCum: o.ErrDistinctCum,
-		stopped:        o.Stopped,
+// countBits returns the number of marked ordinals in [0, n).
+func countBits(bs []uint64, n int) int {
+	c := 0
+	for w := 0; w*64 < n; w++ {
+		var word uint64
+		if w < len(bs) {
+			word = bs[w]
+		}
+		if (w+1)*64 > n {
+			word &= 1<<(uint(n)&63) - 1
+		}
+		c += bits.OnesCount64(word)
 	}
-	if o.RunErr != "" {
-		sr.runErr = errors.New(o.RunErr)
-	}
-	for _, v := range o.Violations {
-		sr.viols = append(sr.viols, subViolation{
-			ord: v.Ord, truncCum: v.TruncCum,
-			prunedCum: v.PrunedCum, distinctCum: v.DistinctCum,
-			v: Violation{Schedule: v.Schedule, Err: errors.New(v.Err)},
-		})
-	}
-	return sr
+	return c
 }
 
 // SubtreePlan computes the frontier of disjoint subtree-root prefixes, in
@@ -209,47 +178,7 @@ func RunSubtree(nprocs int, factory Factory, opts ExploreOpts, root []int, base 
 	sh.base = base
 	ex := newExplorer(nprocs, factory, opts, sh, 0)
 	if opts.Prune {
-		var src fpSource
-		if frozen != nil {
-			src = fpFunc(frozen)
-		}
-		ex.cache = &stateCache{global: src, local: make(map[uint64]int)}
+		ex.cache = &stateCache{global: frozen, local: StateTable{}}
 	}
-	sr := ex.explore()
-	if sr.capErr != nil {
-		return nil, sr.capErr
-	}
-	o := sr.outcome()
-	if ex.cache != nil {
-		o.Closures = make([]FpEntry, 0, len(ex.cache.local))
-		for fp, rem := range ex.cache.local {
-			o.Closures = append(o.Closures, FpEntry{Fp: fp, Rem: rem})
-		}
-		sort.Slice(o.Closures, func(i, j int) bool { return o.Closures[i].Fp < o.Closures[j].Fp })
-	}
-	return o, nil
-}
-
-// MergeOutcomes folds per-subtree outcomes, in canonical frontier order,
-// into the report the single-process search would have produced — the same
-// deterministic merge the in-process parallel explorer uses. Outcomes past
-// the first cutoff may be nil (they are never read). With interrupted set,
-// a missing outcome ends the merge with the partial report so far and
-// ErrInterrupted instead of an internal error.
-//
-// Note the Distinct field of an exhausted pruned report is defined as the
-// size of the fully merged visited-state table; the caller owns that
-// correction (the merge only sees per-subtree sums).
-func MergeOutcomes(frontier [][]int, outcomes []*SubtreeOutcome, opts ExploreOpts, interrupted bool) (*ExploreReport, error) {
-	maxViol := opts.MaxViolations
-	if maxViol <= 0 {
-		maxViol = 1
-	}
-	results := make([]*subtreeResult, len(outcomes))
-	for i, o := range outcomes {
-		if o != nil {
-			results[i] = o.internal()
-		}
-	}
-	return mergeSubtrees(frontier, results, opts.MaxRuns, maxViol, interrupted)
+	return ex.explore()
 }

@@ -10,50 +10,39 @@ import (
 )
 
 // driveSubtrees replays the distributed coordinator's protocol in-process
-// and single-threaded: plan, lease every subtree in canonical waves against
-// a table frozen at wave starts, merge. It is the reference composition the
-// exported hooks must satisfy without any transport in the way.
+// and single-threaded: plan, run every open subtree of each wave against a
+// mirror of the table frozen at the wave start, add the outcomes, merge. It
+// is the reference composition the exported hooks must satisfy without any
+// transport in the way.
 func driveSubtrees(t *testing.T, nprocs int, factory Factory, opts ExploreOpts) *ExploreReport {
 	t.Helper()
 	frontier, width, err := SubtreePlan(nprocs, factory, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxViol := opts.MaxViolations
-	if maxViol <= 0 {
-		maxViol = 1
-	}
-	outcomes := make([]*SubtreeOutcome, len(frontier))
-	table := map[uint64]int{}
-	frozen := func(fp uint64) (int, bool) { rem, ok := table[fp]; return rem, ok }
-	done := 0
-	stop := len(frontier)
-wave:
-	for lo := 0; lo < len(frontier); lo += width {
-		hi := min(lo+width, len(frontier))
-		for i := lo; i < hi && i <= stop; i++ {
-			o, err := RunSubtree(nprocs, factory, opts, frontier[i], done, frozen)
+	w := NewWaves(frontier, width, opts)
+	mirror, synced := StateTable{}, 0
+	for complete := false; !complete; {
+		for _, e := range w.Log()[synced:] {
+			mirror.Join(e)
+		}
+		synced = len(w.Log())
+		lo, hi := w.Window()
+		for i := lo; i < hi && !complete; i++ {
+			if !w.Open(i) {
+				continue
+			}
+			o, err := RunSubtree(nprocs, factory, opts, frontier[i], w.Base(i), mirror.lookup)
 			if err != nil {
 				t.Fatal(err)
 			}
-			outcomes[i] = o
-			if i < stop && o.Cut(maxViol) {
-				stop = i
-			}
+			complete = w.Add(i, o)
 		}
-		if stop < hi {
-			break wave // cutoff inside this wave: merge now, publish nothing
-		}
-		for i := lo; i < hi; i++ {
-			done += outcomes[i].Runs
-			for _, e := range outcomes[i].Closures {
-				if cur, ok := table[e.Fp]; !ok || e.Rem > cur {
-					table[e.Fp] = e.Rem
-				}
-			}
+		if next, _ := w.Window(); !complete && next == lo {
+			t.Fatalf("wave at subtree %d did not advance", lo)
 		}
 	}
-	rep, err := MergeOutcomes(frontier, outcomes, opts, false)
+	rep, err := w.Merge(false)
 	if err != nil {
 		if rep == nil {
 			t.Fatal(err)
@@ -62,9 +51,6 @@ wave:
 		if errors.Is(err, ErrInterrupted) {
 			t.Fatal(err)
 		}
-	}
-	if opts.Prune && rep.Exhausted {
-		rep.Distinct = len(table)
 	}
 	return rep
 }
