@@ -1,5 +1,5 @@
-// Parallel schedule search: the frontier planner and the in-process driver
-// of the wave protocol (waves.go) around the one subtree DFS loop
+// Parallel schedule search: the frontier planner and the in-process loop
+// over the wave protocol (waves.go) around the one subtree DFS loop
 // (explorer.explore). Exhaustive exploration is embarrassingly parallel over
 // independent subtrees, each searched by its own explorer on its own engine,
 // so the planner splits the DFS prefix tree into disjoint subtrees — it

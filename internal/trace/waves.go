@@ -45,7 +45,7 @@ func (t StateTable) lookup(fp uint64) (int, bool) {
 // of subtree roots, the current wave window, the outcomes added so far, the
 // frozen budget base, the known cutoff, and the merged visited-state table
 // with its append-only join log. It is not safe for concurrent use; its
-// driver serializes Add calls.
+// caller serializes Add calls.
 type Waves struct {
 	frontier [][]int
 	width    int
@@ -194,7 +194,7 @@ func (w *Waves) Restore(outcomes []*SubtreeOutcome) (restored int, complete bool
 // against the MaxRuns budget, re-applies the MaxViolations and run-error
 // cutoffs at their exact run ordinals, and trims the overshoot past the
 // first cutoff. A stopped outcome ends the merge with the report so far and
-// ErrInterrupted; so does a missing one when interrupted is set (the driver
+// ErrInterrupted; so does a missing one when interrupted is set (the caller
 // was cancelled mid-search), which is otherwise an internal error.
 func (w *Waves) Merge(interrupted bool) (*ExploreReport, error) {
 	rep := &ExploreReport{}
