@@ -80,7 +80,9 @@ obs-smoke:
 # Crash-consistency smoke: the exhaustive power-fail matrix (every
 # filesystem op × every meaningful tear, two seeds, both sync policies)
 # plus a real kill -9 of a running checkd whose restarted process must
-# resume the journaled snapshot and produce a byte-identical report.
+# resume the journaled snapshot and produce a byte-identical report. Part
+# of `ci`: the kill -9 leg is the only check of the journal across a real
+# SIGKILL.
 crash-smoke:
 	$(GO) test ./internal/jobd -run TestCrashMatrix -count=1
 	$(GO) run ./cmd/checkd -smoke -kill
@@ -98,4 +100,4 @@ fuzz-smoke:
 perfbench-build:
 	cd perfbench && GOFLAGS= GOPROXY=off GOWORK=off $(GO) build -o /dev/null .
 
-ci: vet build test race bench-smoke examples-smoke perfbench-build
+ci: vet build test race bench-smoke examples-smoke perfbench-build crash-smoke

@@ -9,7 +9,6 @@ import (
 	"net"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
@@ -76,11 +75,18 @@ func killSmoke(out io.Writer) error {
 		return fmt.Errorf("kill smoke submission rejected: %s", ack.Err)
 	}
 	// Pull the plug only after a wave-barrier snapshot reached the journal:
-	// the restart must have a genuine mid-run frontier to resume.
-	journal := filepath.Join(dir, "jobs.jsonl")
+	// the restart must have a genuine mid-run frontier to resume. The daemon
+	// reports the snapshot's wave in the same loop action that appends its
+	// delta, so once Status shows it the bytes are in the page cache, which
+	// a SIGKILL does not lose.
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		if raw, err := os.ReadFile(journal); err == nil && bytes.Contains(raw, []byte(`"Progress":{`)) {
+		info, err := cl.Status(ack.ID)
+		if err != nil {
+			cl.Close()
+			return err
+		}
+		if info.Wave > 0 {
 			break
 		}
 		if time.Now().After(deadline) {

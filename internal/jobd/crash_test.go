@@ -1,6 +1,6 @@
 // The crash matrix: the tentpole property test of the journal's power-fail
 // story. A deterministic queue workload (submits, state transitions,
-// progress snapshots, forced compactions) is dry-run once against an
+// progress-snapshot deltas, forced compactions) is dry-run once against an
 // in-memory crashfs to record its complete filesystem op schedule; then, for
 // EVERY op in that schedule and every meaningful tear of it — partial write,
 // partial fsync, unapplied or applied create/rename — the workload replays
@@ -12,6 +12,10 @@
 //   - an unacked in-flight Put is either absent or present at exactly a
 //     state the workload issued — never a mangled hybrid,
 //   - no phantom records appear,
+//   - a reopened record's Progress is the snapshot it held at one point the
+//     workload left it in — the fold of a prefix of the deltas issued for
+//     it, never a hybrid — and that point is no older than the last
+//     completed Flush, so every flushed snapshot survives,
 //   - the reopened queue accepts new work (the journal is appendable).
 //
 // Both sync policies run the full matrix: group commit moves the ack point,
@@ -20,6 +24,7 @@ package jobd_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"revisionist/internal/dist"
@@ -28,15 +33,61 @@ import (
 	"revisionist/internal/jobd/crashfs"
 	"revisionist/internal/protocol"
 	"revisionist/internal/sched"
+	"revisionist/internal/trace"
 )
 
 // crashOracle tracks, per job id, the recovery-mapped states the workload
 // issued (in Put order) and the index of the newest state known durable when
-// the power died (-1 = no ack ever reached the client).
+// the power died (-1 = no ack ever reached the client). Alongside, points
+// lists every (state, snapshot) pair the job was left in — one per Put and
+// one per PutProgress — and flushed indexes the newest point a completed
+// fsync covered (-1 = none).
 type crashOracle struct {
 	order []string
 	hist  map[string][]jobd.JobState
 	acked map[string]int
+
+	points  map[string][]crashPoint
+	flushed map[string]int
+}
+
+// crashPoint is one journal-visible state of a job: its recovery-mapped
+// state and the progress snapshot it carried.
+type crashPoint struct {
+	state    jobd.JobState
+	progress *dist.Progress
+}
+
+// issue records the point rec is in after a Put or PutProgress.
+func (o *crashOracle) issue(rec *jobd.Record) {
+	if _, seen := o.points[rec.ID]; !seen {
+		o.flushed[rec.ID] = -1
+	}
+	o.points[rec.ID] = append(o.points[rec.ID], crashPoint{recovered(rec), rec.Progress})
+}
+
+// synced marks every point issued so far durable: an fsync just completed.
+func (o *crashOracle) synced() {
+	for id, pts := range o.points {
+		o.flushed[id] = len(pts) - 1
+	}
+}
+
+// nextSnapshot extends prev the way a wave barrier does: the same frontier,
+// a later wave, and up to two newly completed outcomes, each distinct so a
+// reopened snapshot that mixed two points would show.
+func nextSnapshot(rnd *sched.Random, prev *dist.Progress, wave int) *dist.Progress {
+	const frontier = 8
+	p := &dist.Progress{Wave: wave, Frontier: frontier, Outcomes: make([]*trace.SubtreeOutcome, frontier)}
+	if prev != nil && len(prev.Outcomes) == frontier {
+		copy(p.Outcomes, prev.Outcomes)
+	}
+	for k := 0; k < 2; k++ {
+		if i := rnd.IntN(frontier); p.Outcomes[i] == nil {
+			p.Outcomes[i] = &trace.SubtreeOutcome{Runs: 2*wave + k + 1, Exhausted: true, ErrOrd: -1}
+		}
+	}
+	return p
 }
 
 // recovered maps a journaled state to what restart recovery yields for it.
@@ -54,7 +105,8 @@ func recovered(rec *jobd.Record) jobd.JobState {
 // explicit group-commit flushes, and (via a tiny CompactAt) several online
 // compactions.
 func runCrashWorkload(seed int64, fs crashfs.FS, mode jobd.SyncMode) *crashOracle {
-	o := &crashOracle{hist: map[string][]jobd.JobState{}, acked: map[string]int{}}
+	o := &crashOracle{hist: map[string][]jobd.JobState{}, acked: map[string]int{},
+		points: map[string][]crashPoint{}, flushed: map[string]int{}}
 	q, err := jobd.OpenQueue("q", jobd.WithFS(fs),
 		jobd.WithSyncPolicy(jobd.SyncPolicy{Mode: mode, BatchPuts: 4}))
 	if err != nil {
@@ -85,9 +137,13 @@ func runCrashWorkload(seed int64, fs crashfs.FS, mode jobd.SyncMode) *crashOracl
 			o.acked[id] = -1
 		}
 		o.hist[id] = append(o.hist[id], recovered(rec))
+		o.issue(rec)
 		idx := len(o.hist[id]) - 1
 		if err != nil {
 			return false
+		}
+		if q.Dirty() == 0 {
+			o.synced()
 		}
 		switch mode {
 		case jobd.SyncBatch:
@@ -130,22 +186,31 @@ func runCrashWorkload(seed int64, fs crashfs.FS, mode jobd.SyncMode) *crashOracl
 			if !put(rec) {
 				return o
 			}
-		case choice < 9: // wave-barrier progress snapshot
+		case choice < 9: // wave-barrier progress: acked transition, then a delta
 			rec := live[rnd.IntN(len(live))]
 			rec.State = jobd.StateRunning
-			rec.Progress = &dist.Progress{Wave: step, Frontier: 8}
 			if !put(rec) {
 				return o
+			}
+			err := q.PutProgress(rec.ID, nextSnapshot(rnd, rec.Progress, step))
+			o.issue(rec)
+			if err != nil {
+				return o
+			}
+			if q.Dirty() == 0 {
+				o.synced() // a compaction synced the delta
 			}
 		default: // explicit group commit
 			if q.Flush() != nil {
 				return o
 			}
 			ackPending()
+			o.synced()
 		}
 	}
 	if q.Flush() == nil {
 		ackPending()
+		o.synced()
 	}
 	return o
 }
@@ -226,6 +291,9 @@ func validateCrashPoint(t *testing.T, m *crashfs.Mem, o *crashOracle, at string)
 			if acked >= 0 {
 				t.Fatalf("%s: acked job %s (state %s) vanished", at, id, hist[acked])
 			}
+			if o.flushed[id] >= 0 {
+				t.Fatalf("%s: flushed job %s vanished", at, id)
+			}
 			continue // unacked and absent: the clean outcome
 		}
 		lo := max(acked, 0)
@@ -240,6 +308,18 @@ func validateCrashPoint(t *testing.T, m *crashfs.Mem, o *crashOracle, at string)
 			t.Fatalf("%s: job %s reopened as %q; issued states from ack point: %v",
 				at, id, rec.State, hist[lo:])
 		}
+		// State and snapshot must come from one point, no older than the last
+		// completed fsync: a flushed snapshot survives, and replay never mixes
+		// a record line with deltas from elsewhere.
+		pts := o.points[id]
+		ok = false
+		for i := max(o.flushed[id], 0); i < len(pts) && !ok; i++ {
+			ok = rec.State == pts[i].state && reflect.DeepEqual(rec.Progress, pts[i].progress)
+		}
+		if !ok {
+			t.Fatalf("%s: job %s reopened as %q with progress %s, which matches no point from the last flush on (%d of %d points)",
+				at, id, rec.State, progressString(rec.Progress), len(pts)-max(o.flushed[id], 0), len(pts))
+		}
 	}
 	for _, info := range q.List() {
 		if _, known := o.hist[info.ID]; !known {
@@ -251,4 +331,18 @@ func validateCrashPoint(t *testing.T, m *crashfs.Mem, o *crashOracle, at string)
 		Job: wire.Job{Protocol: "kset", Params: protocol.Params{N: 4, K: 3}}}); err != nil {
 		t.Fatalf("%s: reopened queue rejected new work: %v", at, err)
 	}
+}
+
+// progressString renders a snapshot compactly for failure messages.
+func progressString(p *dist.Progress) string {
+	if p == nil {
+		return "none"
+	}
+	runs := make([]int, len(p.Outcomes))
+	for i, o := range p.Outcomes {
+		if o != nil {
+			runs[i] = o.Runs
+		}
+	}
+	return fmt.Sprintf("wave %d frontier %d runs %v", p.Wave, p.Frontier, runs)
 }

@@ -4,8 +4,9 @@
 // open with hello), poll status, fetch merged reports and witness artifacts,
 // cancel, and list; the daemon validates every submission at the door,
 // journals the queue to disk so queued and running jobs survive a restart
-// (running jobs resume from their journaled wave-barrier snapshots — only
-// the unfinished frontier is re-leased, and determinism makes the resumed
+// (running jobs resume from their journaled wave-barrier snapshots, each
+// barrier journaled as a delta of the outcomes it added — only the
+// unfinished frontier is re-leased, and determinism makes the resumed
 // report identical), drains running jobs into resumable partial reports on
 // graceful shutdown, and can grow or shrink a fleet of locally spawned
 // workers from lease throughput and queue depth.
@@ -15,6 +16,11 @@
 //   - Acked implies durable: a submit ack carrying a job id is not sent until
 //     the record is fsynced — immediately under SyncEachPut, at the batch
 //     commit under SyncBatch (the ack is deferred, not the durability).
+//   - Advisory progress: wave-barrier snapshots are journaled as deltas
+//     without an inline fsync and become durable within SyncPolicy.BatchDelay
+//     under every sync mode but SyncNever. A power cut loses at most that
+//     window of snapshots, which costs re-running waves — never an acked
+//     submission or a synced state transition.
 //   - Bounded admission: at most MaxQueued jobs wait for a slot; past it,
 //     submissions get a deterministic rejection marked Retryable, which
 //     Client.SubmitRetry turns into jittered backoff. The journal therefore
@@ -253,12 +259,13 @@ func (d *Daemon) Run(ctx context.Context) error {
 // pending acks the moment their records are already durable (a compaction
 // syncs everything as a side effect), commit a full batch at once, and
 // otherwise make sure a timer bounds how long any dirty append — an ack or a
-// progress snapshot — stays volatile.
+// progress delta — stays volatile. Every mode but SyncNever arms the timer:
+// under SyncEachPut the only unsynced appends are progress deltas.
 func (d *Daemon) afterAction() {
-	if d.queue.Policy().Mode != SyncBatch {
+	p := d.queue.Policy()
+	if p.Mode == SyncNever {
 		return
 	}
-	p := d.queue.Policy()
 	if len(d.pending) > 0 && (d.queue.Dirty() == 0 || len(d.pending) >= p.BatchPuts) {
 		d.flushAcks()
 		return
@@ -401,23 +408,24 @@ func (d *Daemon) complete(id string, r dist.SessionResult) {
 	}
 }
 
-// onProgress journals a running job's wave-barrier snapshot. Called from the
-// fleet loop, so it must not act synchronously — the daemon loop may itself
-// be blocked on a fleet call — and hops onto the daemon loop asynchronously
-// instead. Snapshots can therefore arrive out of order or after the job
-// finished; the Wave monotonicity check and the running-state guard drop the
-// stale ones.
+// onProgress journals a running job's wave-barrier snapshot as a delta of
+// the outcomes it adds (Queue.PutProgress), made durable by the group-commit
+// timer rather than inline. Called from the fleet loop, so it must not act
+// synchronously — the daemon loop may itself be blocked on a fleet call —
+// and hops onto the daemon loop asynchronously instead. Snapshots can
+// therefore arrive out of order or after the job finished; the Wave
+// monotonicity check (within one frontier) and the running-state guard drop
+// the stale ones.
 func (d *Daemon) onProgress(id string, p *dist.Progress) {
 	go d.act(func() {
 		rec := d.queue.Get(id)
 		if rec == nil || rec.State != StateRunning {
 			return
 		}
-		if rec.Progress != nil && rec.Progress.Wave >= p.Wave {
+		if old := rec.Progress; old != nil && old.Frontier == p.Frontier && old.Wave >= p.Wave {
 			return
 		}
-		rec.Progress = p
-		d.queue.Put(rec)
+		d.queue.PutProgress(id, p)
 	})
 }
 
@@ -574,6 +582,7 @@ func (d *Daemon) Cancel(id string) error {
 		switch rec.State {
 		case StateQueued:
 			rec.State = StateCanceled
+			rec.Progress = nil // a re-queued resumable job may carry one
 			d.queue.Put(rec)
 			d.flight.Log(id, "canceled", "was queued")
 			d.logf("job %s: canceled (was queued)", id)

@@ -5,6 +5,7 @@
 package jobd_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -21,6 +22,7 @@ import (
 	"revisionist/internal/dist/wire"
 	"revisionist/internal/harness"
 	"revisionist/internal/jobd"
+	"revisionist/internal/jobd/crashfs"
 	"revisionist/internal/protocol"
 )
 
@@ -127,16 +129,7 @@ func TestDaemonRestartResumesMidSubtree(t *testing.T) {
 	// Wait for a wave-barrier snapshot to reach the journal, then pull the
 	// plug while the job is demonstrably unfinished.
 	path := filepath.Join(dir, "jobs.jsonl")
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if raw, err := os.ReadFile(path); err == nil && strings.Contains(string(raw), `"Progress":{`) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no progress snapshot ever reached the journal")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitSnapshot(t, cl, ack.ID)
 	cl.Close()
 	td.shutdown(t)
 	wg.Wait()
@@ -166,6 +159,105 @@ func TestDaemonRestartResumesMidSubtree(t *testing.T) {
 
 	// Phase 2: restart with a fast worker; the job must resume (the log line
 	// names how much was restored) and finish byte-identical to solo.
+	var mu sync.Mutex
+	var logs []string
+	td2 := startDaemon(t, jobd.Config{Dir: dir, MaxActive: 1,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		}})
+	worker(t, td2.addr, 2, &wg)
+	cl2, err := jobd.Dial(td2.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl2.Close()
+	waitState(t, cl2, ack.ID, "done")
+	rep, err := cl2.Fetch(ack.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := reportJSON(t, rep.Report), reportJSON(t, solo); got != want {
+		t.Fatalf("resumed report diverged from solo run:\nwant %s\ngot  %s", want, got)
+	}
+	mu.Lock()
+	resumed := false
+	for _, l := range logs {
+		if strings.Contains(l, "resuming (") && !strings.Contains(l, "resuming (0/") {
+			resumed = true
+		}
+	}
+	mu.Unlock()
+	if !resumed {
+		t.Fatalf("restart never logged a non-empty resume; logs: %q", logs)
+	}
+	td2.shutdown(t)
+	wg.Wait()
+}
+
+// TestDaemonKilledResumesFromDeltas: a daemon that dies without draining
+// leaves only the journal bytes that were durable — and while a job runs,
+// its snapshots reach the journal only as deltas, made durable by the
+// group-commit timer. The power is cut (the durable bytes are copied) once
+// a delta is durable; the restart folds the deltas, resumes with restored
+// subtrees, and reports byte-identically to the solo run.
+func TestDaemonKilledResumesFromDeltas(t *testing.T) {
+	opts := harness.Options{Protocol: "kset", Params: protocol.Params{N: 4, K: 3},
+		MaxDepth: 12, MaxViolations: 3, Prune: true, Symmetry: true}
+	solo := soloWireReport(t, opts)
+	job, err := harness.CheckJob(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Phase 1: a paced worker on an in-memory filesystem whose durable bytes
+	// are what a power cut would leave.
+	m := crashfs.NewMem()
+	td := startDaemon(t, jobd.Config{Dir: "q", FS: m, MaxActive: 1})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		conn, err := net.Dial("tcp", td.addr)
+		if err != nil {
+			return
+		}
+		dist.Work(context.Background(),
+			chaos.WrapConn(conn, chaos.Script{WriteDelay: 3 * time.Millisecond}),
+			2, harness.Resolve)
+	}()
+	cl, err := jobd.Dial(td.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ack, err := cl.Submit(job)
+	if err != nil || ack.Err != "" {
+		t.Fatalf("submit: %v / %s", err, ack.Err)
+	}
+	waitSnapshot(t, cl, ack.ID)
+	var journal []byte
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		journal = m.Durable(filepath.Join("q", "jobs.jsonl"))
+		if bytes.Contains(journal, []byte(`{"Delta":{"ID":"`+ack.ID+`"`)) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no progress delta became durable")
+		}
+	}
+	cl.Close()
+	td.shutdown(t)
+	wg.Wait()
+	if bytes.Contains(journal, []byte(`"Progress":`)) {
+		t.Fatalf("a full progress snapshot reached the journal; want deltas only:\n%s", journal)
+	}
+
+	// Phase 2: restart on the durable bytes with a fast worker.
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "jobs.jsonl"), journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	var mu sync.Mutex
 	var logs []string
 	td2 := startDaemon(t, jobd.Config{Dir: dir, MaxActive: 1,

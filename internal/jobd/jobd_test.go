@@ -124,6 +124,28 @@ func waitState(t *testing.T, cl *jobd.Client, id string, states ...string) wire.
 	return wire.JobInfo{}
 }
 
+// waitSnapshot polls until the running job id reports a wave-barrier
+// snapshot (Info.Wave > 0). The daemon sets it in the same loop action that
+// appends the snapshot's delta, so by then the bytes are in the journal.
+func waitSnapshot(t *testing.T, cl *jobd.Client, id string) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		info, err := cl.Status(id)
+		if err != nil {
+			t.Fatalf("status %s: %v", id, err)
+		}
+		if info.Wave > 0 {
+			return
+		}
+		if info.State != "queued" && info.State != "running" {
+			t.Fatalf("job %s reached %s before any progress snapshot", id, info.State)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	t.Fatal("no progress snapshot ever reached the journal")
+}
+
 // soloWireReport runs the same check single-process and converts it to wire
 // form — the byte-identity oracle.
 func soloWireReport(t *testing.T, opts harness.Options) *wire.Report {

@@ -16,6 +16,7 @@ import (
 	"revisionist/internal/dist"
 	"revisionist/internal/dist/wire"
 	"revisionist/internal/jobd/crashfs"
+	"revisionist/internal/trace"
 )
 
 // JobState is one job's lifecycle position.
@@ -45,22 +46,51 @@ const (
 // position, and — once finished — its report and witness. Records are the
 // journal's line format and the source of every API response.
 type Record struct {
-	ID      string
-	Job     wire.Job
-	State   JobState
+	ID    string
+	Job   wire.Job
+	State JobState
 	// Session names the client session that submitted the job; the
 	// fair-share dispatcher balances across sessions, so one flooding
 	// client cannot starve the others.
-	Session string        `json:",omitempty"`
-	Err     string        `json:",omitempty"`
-	Report  *wire.Report  `json:",omitempty"`
-	Witness *wire.Witness `json:",omitempty"`
-	Resumable bool        `json:",omitempty"`
-	// Progress is the session's completed-outcome snapshot, journaled at
-	// each wave barrier while the job runs and kept on interrupt: recovery
-	// hands it to dist.Resume so a restart re-leases only the unfinished
-	// frontier. Cleared on every terminal state but interrupted.
+	Session   string        `json:",omitempty"`
+	Err       string        `json:",omitempty"`
+	Report    *wire.Report  `json:",omitempty"`
+	Witness   *wire.Witness `json:",omitempty"`
+	Resumable bool          `json:",omitempty"`
+	// Progress is the session's completed-outcome snapshot, kept on
+	// interrupt: recovery hands it to dist.Resume so a restart re-leases
+	// only the unfinished frontier. While the job runs, each wave barrier
+	// journals only what it adds (Queue.PutProgress); the full snapshot is
+	// written by compaction and by the interrupted Put. Cleared on every
+	// terminal state but interrupted.
 	Progress *dist.Progress `json:",omitempty"`
+}
+
+// progressDelta is the journal line of one wave-barrier snapshot: the
+// outcomes it completes beyond the record's previous snapshot, by frontier
+// position, plus the snapshot's Wave and Frontier. Outcomes are immutable
+// once recorded, so folding a record's deltas in order rebuilds exactly the
+// snapshot the writer held (see Queue.fold).
+type progressDelta struct {
+	ID       string
+	Wave     int
+	Frontier int
+	Outcomes []indexedOutcome `json:",omitempty"`
+}
+
+// indexedOutcome is one completed subtree outcome of a delta.
+type indexedOutcome struct {
+	At      int
+	Outcome *trace.SubtreeOutcome
+}
+
+// journalLine decodes either line shape: a full Record, or a progressDelta
+// nested under Delta. Nesting keeps the delta's job id out of the top-level
+// ID field, so a loader that knows only records reads a delta as a record
+// with no id and skips it instead of replacing the job with an empty one.
+type journalLine struct {
+	*Record
+	Delta *progressDelta `json:",omitempty"`
 }
 
 // Info renders the record's externally visible state.
@@ -90,7 +120,9 @@ type SyncMode int
 
 const (
 	// SyncEachPut fsyncs before Put returns: an acknowledged Put is durable.
-	// The safest and slowest mode, the default.
+	// The safest and slowest mode, the default. Progress deltas are the
+	// exception: PutProgress never syncs inline, and the owner flushes them
+	// within BatchDelay.
 	SyncEachPut SyncMode = iota
 	// SyncBatch group-commits: Put appends without syncing and the owner
 	// flushes when BatchPuts accumulate or BatchDelay elapses. Callers that
@@ -132,7 +164,8 @@ type SyncPolicy struct {
 	Mode SyncMode
 	// BatchPuts and BatchDelay bound one group commit in SyncBatch mode: a
 	// batch flushes when this many puts accumulate or this much time passes
-	// since the first unflushed one (defaults 64 puts, 5ms).
+	// since the first unflushed one (defaults 64 puts, 5ms). BatchDelay also
+	// bounds how long a progress delta stays volatile under SyncEachPut.
 	BatchPuts  int
 	BatchDelay time.Duration
 }
@@ -148,11 +181,14 @@ func (p SyncPolicy) withDefaults() SyncPolicy {
 }
 
 // Queue is the daemon's durable job queue: an in-memory table journaled to
-// one JSON-lines file (dir == "" keeps it memory-only). Every Put appends the
-// record's full new state, so the journal is an upsert log — last line per id
-// wins — and replaying it reconstructs the queue exactly. Opening compacts
-// the journal and applies restart recovery: running jobs (the daemon died
-// mid-search) and resumable interrupted jobs are re-queued. The queue is not
+// one JSON-lines file (dir == "" keeps it memory-only). The journal holds two
+// line shapes. Every Put appends the record's full new state (last record
+// line per id wins); every PutProgress appends a delta holding only the
+// outcomes a wave barrier added to a running record's snapshot, which replay
+// folds onto that record. Replaying the journal therefore reconstructs the
+// queue exactly. Opening compacts the journal to one full line per record
+// and applies restart recovery: running jobs (the daemon died mid-search)
+// and resumable interrupted jobs are re-queued. The queue is not
 // concurrency-safe; the daemon loop owns it.
 //
 // Dispatch is not FIFO: queued records are indexed per client session with
@@ -183,11 +219,11 @@ type Queue struct {
 
 	// CompactAt is the online-compaction threshold in bytes (default 1 MiB;
 	// <= 0 only at callers that build a Queue without OpenQueue). The journal
-	// is an upsert log, so it grows with every state change — progress
-	// snapshots at wave barriers especially — while the live set stays one
-	// line per job. Put rewrites the journal once it exceeds CompactAt *and*
-	// the appended bytes exceed the last compaction's size (so a genuinely
-	// large live set does not trigger a rewrite per append).
+	// grows with every state change and every progress delta, while the live
+	// set stays one line per job. Put and PutProgress rewrite the journal
+	// once it exceeds CompactAt *and* the appended bytes exceed the last
+	// compaction's size (so a genuinely large live set does not trigger a
+	// rewrite per append).
 	CompactAt int64
 	// MaxLine caps one journal line during load (default wire.MaxFrame): an
 	// oversized line — corruption, or a snapshot from a bigger build — is
@@ -325,11 +361,12 @@ func (q *Queue) logln(format string, args ...any) {
 	}
 }
 
-// load replays the journal, last record per id winning. The loader is
-// deliberately forgiving: a torn final line (crash mid-append), an undecodable
-// line (bit rot), or a line beyond MaxLine (a giant snapshot from a foreign
-// build) is skipped with a diagnostic — the compaction that follows drops the
-// debris — so no journal state can brick a daemon start.
+// load replays the journal: the last record line per id wins, and each
+// progress delta folds onto its record. The loader is deliberately
+// forgiving: a torn final line (crash mid-append), an undecodable line (bit
+// rot), a line beyond MaxLine (a giant snapshot from a foreign build), or a
+// delta that cannot apply is skipped with a diagnostic — the compaction that
+// follows drops the debris — so no journal state can brick a daemon start.
 func (q *Queue) load() error {
 	f, err := q.fs.Open(q.path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -354,8 +391,17 @@ func (q *Queue) load() error {
 		if len(text) == 0 {
 			return
 		}
-		rec := &Record{}
-		if err := json.Unmarshal(text, rec); err != nil || rec.ID == "" {
+		jl := journalLine{Record: &Record{}}
+		err := json.Unmarshal(text, &jl)
+		if err == nil && jl.ID == "" && jl.Delta != nil {
+			if why := q.fold(jl.Delta); why != "" {
+				q.LoadSkipped++
+				q.logln("journal line %d: progress delta %s, skipped", lineNo, why)
+			}
+			return
+		}
+		rec := jl.Record
+		if err != nil || rec.ID == "" {
 			q.LoadSkipped++
 			if torn {
 				q.logln("journal line %d: torn final line (%d bytes), skipped", lineNo, len(text))
@@ -399,6 +445,38 @@ func (q *Queue) load() error {
 	}
 }
 
+// fold applies one progress delta to its record during load, returning why
+// it was dropped ("" once applied). A delta for an unknown job or one not
+// running is debris: this package appends deltas only to running records,
+// after the Put that made them running. A delta whose Frontier disagrees with
+// the record's snapshot starts a fresh one, the rule PutProgress writes by.
+// The frontier bound keeps a corrupt line from allocating more outcome slots
+// than a loadable full line could list.
+func (q *Queue) fold(d *progressDelta) string {
+	rec := q.recs[d.ID]
+	if rec == nil || rec.State != StateRunning {
+		return fmt.Sprintf("for %q, which is not a running job", d.ID)
+	}
+	if d.Frontier < 0 || d.Frontier > q.MaxLine/len("null,") {
+		return fmt.Sprintf("with implausible frontier %d", d.Frontier)
+	}
+	for _, o := range d.Outcomes {
+		if o.At < 0 || o.At >= d.Frontier || o.Outcome == nil {
+			return fmt.Sprintf("with no outcome or one outside frontier %d", d.Frontier)
+		}
+	}
+	p := rec.Progress
+	if p == nil || p.Frontier != d.Frontier || len(p.Outcomes) != d.Frontier {
+		p = &dist.Progress{Frontier: d.Frontier, Outcomes: make([]*trace.SubtreeOutcome, d.Frontier)}
+		rec.Progress = p
+	}
+	p.Wave = d.Wave
+	for _, o := range d.Outcomes {
+		p.Outcomes[o.At] = o.Outcome
+	}
+	return ""
+}
+
 // recover applies the restart rules: a job that was running when the daemon
 // died and an interrupted resumable job are both re-queued, keeping their
 // ids and — crucially — their Progress snapshots, so the restart re-leases
@@ -417,12 +495,17 @@ func (q *Queue) recover() {
 	}
 }
 
-// compact rewrites the journal to one line per live record and leaves it
-// open for appending. Runs at open and again online whenever Put crosses the
-// size threshold. The tmp file is fully written, synced, and closed before
-// the rename, and the old journal (and its open handle) stay untouched until
-// the swap succeeds — a failure anywhere leaves the queue exactly as durable
-// as before, never silently memory-only.
+// compact rewrites the journal to one full line per live record and leaves
+// it open for appending. Runs at open and again online whenever an append
+// crosses the size threshold. The tmp file is fully written, synced, and
+// closed before the rename, and the old journal (and its open handle) stay
+// untouched until the swap succeeds — a failure anywhere leaves the queue
+// exactly as durable as before, never silently memory-only.
+//
+// A snapshot folded from deltas can outgrow the MaxLine cap each delta
+// respected, and the next load would skip the whole record's line: such a
+// record loses its snapshot instead (snapshots are advisory — the job
+// re-runs its waves).
 func (q *Queue) compact() error {
 	if q.path == "" {
 		return nil
@@ -437,10 +520,21 @@ func (q *Queue) compact() error {
 	}
 	var size int64
 	for _, id := range q.order {
-		n, err := writeRecord(f, q.recs[id])
+		rec := q.recs[id]
+		line, err := encodeRecord(rec)
+		if err == nil && len(line) > q.MaxLine && rec.Progress != nil {
+			q.logln("job %s: %d-byte journal line exceeds the %d-byte cap, progress snapshot dropped", id, len(line), q.MaxLine)
+			rec.Progress = nil
+			line, err = encodeRecord(rec)
+		}
 		if err != nil {
 			f.Close()
 			return err
+		}
+		n, err := f.Write(line)
+		if err != nil {
+			f.Close()
+			return fmt.Errorf("jobd: compact journal: %w", err)
 		}
 		size += int64(n)
 	}
@@ -480,16 +574,13 @@ func (q *Queue) compact() error {
 	return nil
 }
 
-func writeRecord(f crashfs.File, rec *Record) (int, error) {
+// encodeRecord renders one full journal line, newline included.
+func encodeRecord(rec *Record) ([]byte, error) {
 	line, err := json.Marshal(rec)
 	if err != nil {
-		return 0, fmt.Errorf("jobd: encode record %s: %w", rec.ID, err)
+		return nil, fmt.Errorf("jobd: encode record %s: %w", rec.ID, err)
 	}
-	n, err := f.Write(append(line, '\n'))
-	if err != nil {
-		return n, fmt.Errorf("jobd: journal append: %w", err)
-	}
-	return n, nil
+	return append(line, '\n'), nil
 }
 
 // NextID mints a fresh job id ("j0001", "j0002", ...).
@@ -499,12 +590,10 @@ func (q *Queue) NextID() string {
 	return id
 }
 
-// Put upserts a record and journals its new state. Under SyncEachPut (the
-// default) the append is fsynced before Put returns, so an acknowledged
+// Put upserts a record and journals its full new state. Under SyncEachPut
+// (the default) the append is fsynced before Put returns, so an acknowledged
 // submission survives a crash; under SyncBatch the owner flushes batches and
-// defers its acks accordingly. When the journal outgrows CompactAt it is
-// compacted in place — a long-lived daemon's journal stays bounded by
-// max(CompactAt, live set) plus one compaction's worth of appends.
+// defers its acks accordingly.
 func (q *Queue) Put(rec *Record) error {
 	if _, seen := q.recs[rec.ID]; !seen {
 		q.order = append(q.order, rec.ID)
@@ -514,17 +603,67 @@ func (q *Queue) Put(rec *Record) error {
 	if q.path == "" {
 		return nil
 	}
+	line, err := encodeRecord(rec)
+	if err != nil {
+		return err
+	}
+	return q.append(line, q.policy.Mode == SyncEachPut)
+}
+
+// PutProgress journals a running record's newer wave-barrier snapshot as a
+// delta: one line holding only the outcomes p completes beyond the record's
+// current Progress — all of them when it has none or a different Frontier,
+// the same rule replay resets by — plus p's Wave and Frontier. p must extend
+// the current snapshot (outcomes are immutable once recorded) and carry one
+// slot per frontier subtree.
+//
+// The delta is never fsynced inline, in any sync mode: a snapshot is
+// advisory, so the owner's group-commit timer makes it durable within
+// SyncPolicy.BatchDelay (Daemon.afterAction) and a power cut costs at most
+// that window of re-run waves — never an acked Put.
+func (q *Queue) PutProgress(id string, p *dist.Progress) error {
+	rec := q.recs[id]
+	if rec == nil || rec.State != StateRunning {
+		return fmt.Errorf("jobd: progress for %q, which is not a running job", id)
+	}
+	if len(p.Outcomes) != p.Frontier {
+		return fmt.Errorf("jobd: progress for %s carries %d outcome slots for frontier %d", id, len(p.Outcomes), p.Frontier)
+	}
+	old := rec.Progress
+	rec.Progress = p
+	if q.path == "" {
+		return nil
+	}
+	d := &progressDelta{ID: id, Wave: p.Wave, Frontier: p.Frontier}
+	fresh := old == nil || old.Frontier != p.Frontier || len(old.Outcomes) != p.Frontier
+	for i, o := range p.Outcomes {
+		if o != nil && (fresh || old.Outcomes[i] == nil) {
+			d.Outcomes = append(d.Outcomes, indexedOutcome{At: i, Outcome: o})
+		}
+	}
+	line, err := json.Marshal(journalLine{Delta: d})
+	if err != nil {
+		return fmt.Errorf("jobd: encode progress %s: %w", id, err)
+	}
+	return q.append(append(line, '\n'), false)
+}
+
+// append journals one encoded line, fsyncing it first when sync is set. When
+// the journal outgrows CompactAt it is compacted in place — a long-lived
+// daemon's journal stays bounded by max(CompactAt, live set) plus one
+// compaction's worth of appends.
+func (q *Queue) append(line []byte, sync bool) error {
 	if q.ioerr != nil {
 		return q.ioerr
 	}
-	n, err := writeRecord(q.f, rec)
+	n, err := q.f.Write(line)
 	if err != nil {
-		return err
+		return fmt.Errorf("jobd: journal append: %w", err)
 	}
 	q.appended += int64(n)
 	q.dirty++
 	q.obs.Appended(n)
-	if q.policy.Mode == SyncEachPut {
+	if sync {
 		if err := q.Flush(); err != nil {
 			return err
 		}
@@ -534,9 +673,10 @@ func (q *Queue) Put(rec *Record) error {
 			if q.ioerr != nil {
 				return q.ioerr // journal lost: nothing further can be promised
 			}
-			// The record itself is already appended (and, under SyncEachPut,
-			// synced) to the still-intact old journal — this Put's durability
-			// holds. The rewrite retries at the next threshold crossing.
+			// The line itself is already appended (and, if sync was set,
+			// synced) to the still-intact old journal — this append's
+			// durability holds. The rewrite retries at the next threshold
+			// crossing.
 			q.logln("journal compaction failed (will retry): %v", err)
 		}
 	}

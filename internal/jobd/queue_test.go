@@ -4,6 +4,7 @@
 package jobd_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -12,10 +13,12 @@ import (
 	"strings"
 	"testing"
 
+	"revisionist/internal/dist"
 	"revisionist/internal/dist/wire"
 	"revisionist/internal/jobd"
 	"revisionist/internal/jobd/crashfs"
 	"revisionist/internal/protocol"
+	"revisionist/internal/trace"
 )
 
 // flakyFS wraps a crashfs.FS with on-demand failures of single operations —
@@ -336,9 +339,132 @@ func TestQueueDispatchSurvivesReopen(t *testing.T) {
 	}
 }
 
+// deltaLines returns the journal a queue writes for one running job and three
+// wave-barrier snapshots: the record line, then one delta per snapshot. The
+// first two share a frontier of 3; the third has frontier 2, so its delta
+// disagrees with the snapshot before it. The record is kept small so that
+// folded snapshots fit FuzzQueueLoad's 512-byte line cap.
+func deltaLines(tb testing.TB) [][]byte {
+	tb.Helper()
+	m := crashfs.NewMem()
+	q, err := jobd.OpenQueue("q", jobd.WithFS(m))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := q.Put(&jobd.Record{ID: "j0001", State: jobd.StateRunning}); err != nil {
+		tb.Fatal(err)
+	}
+	done := func(runs int) *trace.SubtreeOutcome {
+		return &trace.SubtreeOutcome{Runs: runs, Exhausted: true, ErrOrd: -1}
+	}
+	for _, p := range []*dist.Progress{
+		{Wave: 1, Frontier: 3, Outcomes: []*trace.SubtreeOutcome{done(1), nil, nil}},
+		{Wave: 3, Frontier: 3, Outcomes: []*trace.SubtreeOutcome{done(1), nil, done(2)}},
+		{Wave: 1, Frontier: 2, Outcomes: []*trace.SubtreeOutcome{done(3), nil}},
+	} {
+		if err := q.PutProgress("j0001", p); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := q.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	lines := bytes.SplitAfter(m.Durable(filepath.Join("q", "jobs.jsonl")), []byte("\n"))
+	if len(lines) != 5 || len(lines[4]) != 0 {
+		tb.Fatalf("want a record line and three deltas, got %q", lines)
+	}
+	return lines[:4]
+}
+
+// A delta line must read, to a loader that knows only full records, as a
+// record with no id — which that loader skips — rather than as an update
+// that would replace the job with an empty one.
+func TestProgressDeltaDecodesAsAnonymousRecord(t *testing.T) {
+	for _, line := range deltaLines(t)[1:] {
+		var rec jobd.Record
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("delta line %s does not decode as a record: %v", line, err)
+		}
+		if rec.ID != "" || rec.Progress != nil {
+			t.Fatalf("delta line %s decodes as record %q (progress %v); want an anonymous, empty one",
+				line, rec.ID, rec.Progress != nil)
+		}
+	}
+}
+
+// Replaying a record and its deltas rebuilds the snapshot the writer held,
+// and a delta with a new frontier starts a fresh snapshot.
+func TestQueueFoldsProgressDeltas(t *testing.T) {
+	lines := deltaLines(t)
+	for _, tc := range []struct {
+		name     string
+		journal  [][]byte
+		wave     int
+		frontier int
+		runs     []int // Runs of each outcome slot; 0 = empty
+	}{
+		{"two deltas", lines[:3], 3, 3, []int{1, 0, 2}},
+		{"frontier change", lines, 1, 2, []int{3, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := crashfs.NewMem()
+			w, err := m.Create(filepath.Join("q", "jobs.jsonl"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Write(bytes.Join(tc.journal, nil))
+			w.Sync()
+			w.Close()
+			q, err := jobd.OpenQueue("q", jobd.WithFS(m))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer q.Close()
+			p := q.Get("j0001").Progress
+			if p == nil || p.Wave != tc.wave || p.Frontier != tc.frontier || len(p.Outcomes) != len(tc.runs) {
+				t.Fatalf("replayed snapshot %+v; want wave %d frontier %d", p, tc.wave, tc.frontier)
+			}
+			for i, o := range p.Outcomes {
+				got := 0
+				if o != nil {
+					got = o.Runs
+				}
+				if got != tc.runs[i] {
+					t.Fatalf("slot %d replayed with runs %d; want %d", i, got, tc.runs[i])
+				}
+			}
+			if q.LoadSkipped != 0 {
+				t.Fatalf("replay skipped %d lines of a well-formed journal", q.LoadSkipped)
+			}
+		})
+	}
+}
+
+// progressSets summarizes every record's snapshot — Wave, Frontier and which
+// outcome slots are set — for the fuzz round-trip.
+func progressSets(q *jobd.Queue) map[string]string {
+	out := map[string]string{}
+	for _, info := range q.List() {
+		p := q.Get(info.ID).Progress
+		if p == nil {
+			out[info.ID] = "none"
+			continue
+		}
+		var set []int
+		for i, o := range p.Outcomes {
+			if o != nil {
+				set = append(set, i)
+			}
+		}
+		out[info.ID] = fmt.Sprintf("wave %d frontier %d slots %d set %v", p.Wave, p.Frontier, len(p.Outcomes), set)
+	}
+	return out
+}
+
 // FuzzQueueLoad: no journal bytes may panic the loader or fail the open, and
 // whatever survives the load must round-trip through the open-time
-// compaction — a second open sees the identical live set.
+// compaction — a second open sees the identical live set and the identical
+// progress snapshots.
 func FuzzQueueLoad(f *testing.F) {
 	mk := func(id string, state jobd.JobState) []byte {
 		b, _ := json.Marshal(&jobd.Record{ID: id,
@@ -358,6 +484,16 @@ func FuzzQueueLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(progress)
+	// Progress deltas: a running record and two of them, a delta with no
+	// record before it, one whose Frontier disagrees with the record's
+	// snapshot, one after the record finished, and a torn one at the end.
+	d := deltaLines(f)
+	done := append(mk("j0001", jobd.StateDone), '\n')
+	f.Add(bytes.Join(d[:3], nil))
+	f.Add(d[1])
+	f.Add(bytes.Join([][]byte{d[0], d[1], d[3]}, nil))
+	f.Add(bytes.Join([][]byte{done, d[1]}, nil))
+	f.Add(bytes.Join([][]byte{d[0], d[1], d[2][:len(d[2])/2]}, nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// An in-memory crashfs keeps the fuzzer fast: no temp dirs, no real
 		// fsyncs — the loader and compactor see identical bytes either way.
@@ -377,7 +513,7 @@ func FuzzQueueLoad(f *testing.F) {
 		if err != nil {
 			t.Fatalf("journal bytes failed the open: %v", err)
 		}
-		first := q.List()
+		first, firstProgress := q.List(), progressSets(q)
 		if err := q.Close(); err != nil {
 			t.Fatalf("close after load: %v", err)
 		}
@@ -385,10 +521,13 @@ func FuzzQueueLoad(f *testing.F) {
 		if err != nil {
 			t.Fatalf("compacted journal failed to reopen: %v", err)
 		}
-		second := q2.List()
+		second, secondProgress := q2.List(), progressSets(q2)
 		q2.Close()
 		if !reflect.DeepEqual(first, second) {
 			t.Fatalf("live set did not round-trip compaction:\nfirst  %+v\nsecond %+v", first, second)
+		}
+		if !reflect.DeepEqual(firstProgress, secondProgress) {
+			t.Fatalf("progress did not round-trip compaction:\nfirst  %v\nsecond %v", firstProgress, secondProgress)
 		}
 	})
 }
