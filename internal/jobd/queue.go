@@ -90,7 +90,7 @@ type indexedOutcome struct {
 // with no id and skips it instead of replacing the job with an empty one.
 type journalLine struct {
 	*Record
-	Delta *progressDelta `json:",omitempty"`
+	Delta *progressDelta
 }
 
 // Info renders the record's externally visible state.
