@@ -6,8 +6,10 @@ BENCH_OUT  ?= BENCH_$(BENCH_DATE).json
 
 all: ci
 
+# vet also fails on any file gofmt would rewrite, listing them.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l: files need formatting:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

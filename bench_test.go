@@ -218,7 +218,9 @@ func benchWorkerCounts() []int {
 }
 
 // exploreBenchFactory is the shared workload of the parallel-exploration
-// benchmarks: 3-process consensus, a branching-3 prefix tree.
+// benchmarks: 3-process consensus, a branching-3 prefix tree. Like the
+// harness's systems it restores in place, so every explorer runs its
+// schedules on one live system.
 func exploreBenchFactory(gate sched.Stepper) trace.System {
 	procs, m, err := algorithms.NewConsensus(3, []proto.Value{0, 1, 2})
 	if err != nil {
@@ -226,9 +228,11 @@ func exploreBenchFactory(gate sched.Stepper) trace.System {
 	}
 	res := proto.NewRunResult(3)
 	snap := shmem.NewMWSnapshot("M", gate, m, nil)
+	machines := proto.Machines(procs, snap, res)
 	return trace.System{
-		Machines: proto.Machines(procs, snap, res),
+		Machines: machines,
 		Check:    func(*sched.Result) error { return nil },
+		Restore:  func(from trace.System) { proto.RestoreMachines(machines, from.Machines) },
 	}
 }
 
@@ -657,9 +661,9 @@ func BenchmarkExploreObs(b *testing.B) {
 	})
 }
 
-// prunedBenchSystem wires the stateful-exploration hooks (fingerprint +
-// recursive fork) over a protocol instance, mirroring the harness factory.
-func prunedBenchSystem(snap *shmem.MWSnapshot, res *proto.RunResult, machines []sched.Machine) trace.System {
+// prunedBenchSystem wires the stateful-exploration hooks (fingerprint and
+// in-place restore) over a protocol instance, mirroring the harness factory.
+func prunedBenchSystem(snap *shmem.MWSnapshot, machines []sched.Machine) trace.System {
 	return trace.System{
 		Machines: machines,
 		Check:    func(*sched.Result) error { return nil },
@@ -669,11 +673,7 @@ func prunedBenchSystem(snap *shmem.MWSnapshot, res *proto.RunResult, machines []
 				m.(sched.Fingerprinter).AppendFingerprint(h)
 			}
 		},
-		Fork: func(gate sched.Stepper) trace.System {
-			snap2 := snap.Fork(gate)
-			res2 := res.Clone()
-			return prunedBenchSystem(snap2, res2, proto.ForkMachines(machines, snap2, res2))
-		},
+		Restore: func(from trace.System) { proto.RestoreMachines(machines, from.Machines) },
 	}
 }
 
@@ -688,7 +688,7 @@ func prunedBenchFactory(n int) trace.Factory {
 		}
 		res := proto.NewRunResult(n)
 		snap := shmem.NewMWSnapshot("M", gate, 1, nil)
-		return prunedBenchSystem(snap, res, proto.Machines(procs, snap, res))
+		return prunedBenchSystem(snap, proto.Machines(procs, snap, res))
 	}
 }
 

@@ -37,6 +37,7 @@ type AA2 struct {
 }
 
 var _ proto.Process = (*AA2)(nil)
+var _ proto.Restorer = (*AA2)(nil)
 
 // NewAA2 returns process id ∈ {0, 1} with the given input and target eps.
 func NewAA2(id int, input, eps float64) (*AA2, error) {
@@ -107,6 +108,15 @@ func (p *AA2) Clone() proto.Process {
 	q.hist = make([]float64, len(p.hist))
 	copy(q.hist, p.hist)
 	return &q
+}
+
+// RestoreFrom implements proto.Restorer: the history is copied into the
+// receiver's own slice.
+func (p *AA2) RestoreFrom(src proto.Process) {
+	q := src.(*AA2)
+	hist := append(p.hist[:0], q.hist...)
+	*p = *q
+	p.hist = hist
 }
 
 // NewApproxAgreement2 builds the two-process protocol with its 2 components.

@@ -51,6 +51,7 @@ type AANReg struct {
 }
 
 var _ proto.Process = (*AAN)(nil)
+var _ proto.Restorer = (*AAN)(nil)
 
 // NewAAN returns process id of an n-process instance with the given input
 // and target eps.
@@ -132,6 +133,9 @@ func (p *AAN) Clone() proto.Process {
 	q := *p
 	return &q
 }
+
+// RestoreFrom implements proto.Restorer.
+func (p *AAN) RestoreFrom(src proto.Process) { *p = *src.(*AAN) }
 
 // NewApproxAgreementN builds the n-process protocol with its n components.
 func NewApproxAgreementN(inputs []float64, eps float64) ([]proto.Process, int, error) {

@@ -73,6 +73,7 @@ type Paxos struct {
 }
 
 var _ proto.Process = (*Paxos)(nil)
+var _ proto.Restorer = (*Paxos)(nil)
 
 // NewPaxos returns the group member at position idx (0-based) of a Paxos
 // group whose members own the components in group (member idx owns
@@ -161,6 +162,10 @@ func (p *Paxos) Clone() proto.Process {
 	copy(q.group, p.group)
 	return &q
 }
+
+// RestoreFrom implements proto.Restorer. The group is never written after
+// construction, so the two processes may share it.
+func (p *Paxos) RestoreFrom(src proto.Process) { *p = *src.(*Paxos) }
 
 // conflict reports whether any group component has entered or written a round
 // beyond r.

@@ -25,6 +25,7 @@ type FirstValue struct {
 }
 
 var _ proto.Process = (*FirstValue)(nil)
+var _ proto.Restorer = (*FirstValue)(nil)
 
 // NewFirstValue returns a process using component comp of M.
 func NewFirstValue(comp int, input proto.Value) *FirstValue {
@@ -72,6 +73,9 @@ func (p *FirstValue) Clone() proto.Process {
 	return &q
 }
 
+// RestoreFrom implements proto.Restorer.
+func (p *FirstValue) RestoreFrom(src proto.Process) { *p = *src.(*FirstValue) }
+
 // Singleton outputs its own input after one scan, using no components. It is
 // the building block of the k-set agreement compositions: a singleton
 // contributes at most its own input to the output set.
@@ -81,6 +85,7 @@ type Singleton struct {
 }
 
 var _ proto.Process = (*Singleton)(nil)
+var _ proto.Restorer = (*Singleton)(nil)
 
 // NewSingleton returns a process that outputs input.
 func NewSingleton(input proto.Value) *Singleton {
@@ -108,6 +113,9 @@ func (p *Singleton) Clone() proto.Process {
 	q := *p
 	return &q
 }
+
+// RestoreFrom implements proto.Restorer.
+func (p *Singleton) RestoreFrom(src proto.Process) { *p = *src.(*Singleton) }
 
 // NewKSetAgreement builds the obstruction-free k-set agreement protocol with
 // n−k+1 components (the x = 1 upper bound of Corollary 33, cf. [16]):

@@ -53,7 +53,7 @@ type Options struct {
 	// outcomes in seed order.
 	Workers int
 	// Prune enables stateful exploration for Check: state-fingerprint pruning
-	// of converging interleavings plus subtree checkpointing (the DFS forks
+	// of converging interleavings plus subtree checkpointing (the DFS resumes
 	// runs from the deepest common prefix). The violation set and Exhausted
 	// flag match the unpruned search — the task validators are functions of
 	// the reachable configuration — while the run count shrinks by the
@@ -242,9 +242,9 @@ func Run(opts Options) (*RunReport, error) {
 }
 
 // factory builds the trace.Factory both Check and Fuzz run over: a fresh
-// instance of Π per schedule, on a fresh multi-writer snapshot, checked
-// against Π's task. p must be resolved. The per-job values — inputs, task
-// and symmetry group — are built once, outside the per-schedule closure, and
+// instance of Π per call, on a fresh multi-writer snapshot, checked against
+// Π's task. p must be resolved. The per-job values — inputs, task and
+// symmetry group — are built once, outside the per-system closure, and
 // shared read-only by every system the factory builds: Build only reads its
 // inputs, the task only reads them, and the canonicalizer is read-only.
 func factory(pr *protocol.Protocol, p protocol.Params) trace.Factory {
@@ -303,14 +303,16 @@ func canonicalizer(pr *protocol.Protocol, p protocol.Params) *sched.Canonicalize
 // the configuration), the canonical fingerprint minimizes that same hash
 // over the protocol's symmetry group (enabling ExploreOpts.Symmetry; with no
 // declared symmetry the group is the identity and the hook is an exact
-// no-op), and Fork deep-copies the whole system — cloned snapshot, cloned
-// result, cloned machines — recursively, so forks of forks work
-// (checkpointed exploration resumes by forking a frozen fork).
+// no-op), and Restore copies another instance's snapshot, result and
+// machines into this one in place. Check validates from a buffer the system
+// owns, so a checked run allocates no output slice.
 func protoSystem(j *protoJob, snap *shmem.MWSnapshot, res *proto.RunResult, machines []sched.Machine) trace.System {
+	var outs []spec.Value
 	return trace.System{
 		Machines: machines,
 		Check: func(*sched.Result) error {
-			return j.task.Validate(j.inputs, res.DoneOutputs())
+			outs = res.AppendDoneOutputs(outs[:0])
+			return j.task.Validate(j.inputs, outs)
 		},
 		Fingerprint: func(h *maphash.Hash) {
 			snap.AppendFingerprint(h)
@@ -326,11 +328,7 @@ func protoSystem(j *protoJob, snap *shmem.MWSnapshot, res *proto.RunResult, mach
 				}
 			})
 		},
-		Fork: func(gate sched.Stepper) trace.System {
-			snap2 := snap.Fork(gate)
-			res2 := res.Clone()
-			return protoSystem(j, snap2, res2, proto.ForkMachines(machines, snap2, res2))
-		},
+		Restore: func(from trace.System) { proto.RestoreMachines(machines, from.Machines) },
 	}
 }
 

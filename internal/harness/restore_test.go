@@ -1,0 +1,166 @@
+package harness
+
+import (
+	"fmt"
+	"hash/maphash"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"revisionist/internal/protocol"
+	"revisionist/internal/sched"
+	"revisionist/internal/shmem"
+	"revisionist/internal/trace"
+)
+
+// TestExploreAllocsPerRun bounds the heap allocations per explored run of
+// three searches of the perfbench pool, at one worker: an explorer restores
+// one live system per run instead of building or copying one, so a run costs
+// a handful of allocations (the engine's Result, boxed register values) and
+// a regression that rebuilds systems or copies scan views shows up here.
+// The bounds leave about 40% headroom over the measured 7.1 / 2.3 / 5.2.
+func TestExploreAllocsPerRun(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		opts  Options
+		bound float64
+	}{
+		{"consensus-n3-d11-unpruned", Options{Protocol: "consensus", Params: protocol.Params{N: 3}, MaxDepth: 11}, 10},
+		{"consensus-n3-d16-pruned", Options{Protocol: "consensus", Params: protocol.Params{N: 3}, MaxDepth: 16, Prune: true}, 4},
+		{"aan-n3-d16-symmetry", Options{Protocol: "aan", Params: protocol.Params{N: 3}, MaxDepth: 16, Prune: true, Symmetry: true}, 8},
+	} {
+		c.opts.Workers = 1
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		rep, err := Check(c.opts)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !rep.Explore.Exhausted {
+			t.Fatalf("%s: search not exhausted: %+v", c.name, rep.Explore)
+		}
+		perRun := float64(after.Mallocs-before.Mallocs) / float64(rep.Explore.Runs)
+		t.Logf("%s: %d runs, %.2f allocations per run", c.name, rep.Explore.Runs, perRun)
+		if perRun > c.bound {
+			t.Errorf("%s: %.2f allocations per run, bound %.0f", c.name, perRun, c.bound)
+		}
+	}
+}
+
+// restoreProbe is the strategy of TestRestoreEquivalence: it drives a seeded
+// random schedule on a live system and, at every decision point, takes a
+// checkpoint — a system restored from the live one plus the engine's
+// scheduling state — and checks that it fingerprints as the live one does.
+type restoreProbe struct {
+	t        *testing.T
+	name     string
+	factory  trace.Factory
+	live     trace.System
+	eng      *sched.SeqEngine
+	rng      *rand.Rand
+	maxSteps int
+	h        maphash.Hash
+
+	picks []int
+	saved []restorePoint
+}
+
+// restorePoint is one checkpoint of the probed run.
+type restorePoint struct {
+	step int
+	sys  trace.System
+	cp   *sched.SeqCheckpoint
+	fp   string
+}
+
+func (s *restoreProbe) Pick(step int, enabled []int) int {
+	if step >= s.maxSteps {
+		return sched.Halt
+	}
+	fp := s.fingerprint(s.live)
+	sys := s.factory(shmem.Free{})
+	sys.Restore(s.live)
+	if got := s.fingerprint(sys); got != fp {
+		s.t.Errorf("%s step %d: a system restored from the live one fingerprints %s, the live one %s", s.name, step, got, fp)
+	}
+	cp := new(sched.SeqCheckpoint)
+	s.eng.CheckpointInto(cp)
+	s.saved = append(s.saved, restorePoint{step: step, sys: sys, cp: cp, fp: fp})
+	pick := enabled[s.rng.Intn(len(enabled))]
+	s.picks = append(s.picks, pick)
+	return pick
+}
+
+// fingerprint renders both of sys's fingerprints.
+func (s *restoreProbe) fingerprint(sys trace.System) string {
+	s.h.Reset()
+	sys.Fingerprint(&s.h)
+	plain := s.h.Sum64()
+	return fmt.Sprintf("%x/%x", plain, sys.CanonicalFingerprint(&s.h))
+}
+
+// rerun restores the live system from from, runs the recorded schedule on
+// it from checkpoint cp (nil: from the start), and returns the final
+// fingerprint and check outcome.
+func (s *restoreProbe) rerun(from trace.System, cp *sched.SeqCheckpoint) (string, string) {
+	s.live.Restore(from)
+	s.eng.Restart(sched.Replay{Choices: s.picks}, cp)
+	res, err := s.eng.RunMachines(s.live.Machines)
+	if err != nil && !IsStarved(err) {
+		s.t.Fatalf("%s: resumed run: %v", s.name, err)
+	}
+	return s.fingerprint(s.live), fmt.Sprint(s.live.Check(res))
+}
+
+// TestRestoreEquivalence pins System.Restore for every registered protocol
+// along a seeded schedule. At every decision point a system restored from
+// the live one fingerprints as the live one. After the live system has run
+// on, restoring it back from each checkpoint reproduces the fingerprint
+// recorded there, and resuming the schedule from it reproduces the run's
+// final fingerprint and check outcome. A system restored from the initial
+// configuration matches a freshly built one, and reruns the schedule
+// identically.
+func TestRestoreEquivalence(t *testing.T) {
+	for i, pr := range protocol.Protocols() {
+		t.Run(pr.Name, func(t *testing.T) {
+			p, err := pr.Resolve(protocol.Params{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := factory(pr, p)
+			s := &restoreProbe{t: t, name: pr.Name, factory: f, rng: rand.New(rand.NewSource(int64(i) + 1)),
+				maxSteps: 60, h: sched.NewFingerprintHash()}
+			s.eng = sched.NewSeqEngine(p.N, s)
+			s.live = f(s.eng)
+			root := f(shmem.Free{})
+			res, err := s.eng.RunMachines(s.live.Machines)
+			if err != nil && !IsStarved(err) {
+				t.Fatal(err)
+			}
+			wantFp, wantCheck := s.fingerprint(s.live), fmt.Sprint(s.live.Check(res))
+			if len(s.saved) < 2 {
+				t.Fatalf("the run made %d scheduling decisions, want several", len(s.saved))
+			}
+			t.Logf("%d decision points, final configuration %s", len(s.saved), wantFp)
+			for j := len(s.saved) - 1; j >= 0; j-- {
+				pt := s.saved[j]
+				s.live.Restore(pt.sys)
+				if got := s.fingerprint(s.live); got != pt.fp {
+					t.Fatalf("step %d: restored from its checkpoint the live system fingerprints %s, want %s", pt.step, got, pt.fp)
+				}
+				if fp, chk := s.rerun(pt.sys, pt.cp); fp != wantFp || chk != wantCheck {
+					t.Fatalf("step %d: resumed run ends at %s (check %s), the original at %s (check %s)", pt.step, fp, chk, wantFp, wantCheck)
+				}
+			}
+			s.live.Restore(root)
+			if got, want := s.fingerprint(s.live), s.fingerprint(f(shmem.Free{})); got != want {
+				t.Fatalf("restored from the root the live system fingerprints %s, a fresh one %s", got, want)
+			}
+			if fp, chk := s.rerun(root, nil); fp != wantFp || chk != wantCheck {
+				t.Fatalf("rerun from the root ends at %s (check %s), the original at %s (check %s)", fp, chk, wantFp, wantCheck)
+			}
+		})
+	}
+}

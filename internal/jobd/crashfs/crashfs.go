@@ -67,8 +67,8 @@ var OS FS = osFS{}
 
 type osFS struct{}
 
-func (osFS) MkdirAll(dir string) error { return os.MkdirAll(dir, 0o755) }
-func (osFS) Open(name string) (File, error) { return os.Open(name) }
+func (osFS) MkdirAll(dir string) error        { return os.MkdirAll(dir, 0o755) }
+func (osFS) Open(name string) (File, error)   { return os.Open(name) }
 func (osFS) Create(name string) (File, error) { return os.Create(name) }
 func (osFS) OpenAppend(name string) (File, error) {
 	return os.OpenFile(name, os.O_WRONLY|os.O_APPEND, 0o644)

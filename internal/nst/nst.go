@@ -290,6 +290,7 @@ type Process struct {
 }
 
 var _ proto.Process = (*Process)(nil)
+var _ proto.Restorer = (*Process)(nil)
 
 // NewProcess returns the determinized process with the given input. The
 // object's components all start as nil, matching the runner's convention.
@@ -347,6 +348,15 @@ func (p *Process) Clone() proto.Process {
 	q := *p
 	q.cur = node{s: p.cur.s, ep: append([]Value(nil), p.cur.ep...)}
 	return &q
+}
+
+// RestoreFrom implements proto.Restorer. The expected contents get a fresh
+// slice, as in Clone: solo successor nodes share theirs, so the receiver's
+// cannot be overwritten in place.
+func (p *Process) RestoreFrom(src proto.Process) {
+	q := src.(*Process)
+	*p = *q
+	p.cur.ep = append([]Value(nil), q.cur.ep...)
 }
 
 // State returns the current machine state (for tests and inspection).

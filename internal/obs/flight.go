@@ -28,6 +28,8 @@ type ring struct {
 // Flight is the per-job flight recorder. Rings are bounded two ways: at
 // most eventsPerJob events per job (oldest overwritten) and at most maxJobs
 // rings (oldest job evicted), so a long-lived daemon's memory stays flat.
+// A ring grows with its events rather than reserving eventsPerJob up front:
+// a typical job logs a fraction of the bound, and rings outlive their jobs.
 // Rings are retained after a job completes — the trace of a finished job is
 // exactly when you want to read it. A nil *Flight is a no-op recorder.
 type Flight struct {
@@ -71,7 +73,7 @@ func (f *Flight) Log(job, kind, detail string) {
 			delete(f.jobs, f.order[0])
 			f.order = f.order[1:]
 		}
-		r = &ring{events: make([]Event, 0, f.eventsPerJob)}
+		r = &ring{}
 		f.jobs[job] = r
 		f.order = append(f.order, job)
 	}

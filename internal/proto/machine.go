@@ -17,6 +17,8 @@ type procMachine struct {
 	p        Process
 	m        Snapshot
 	cs       cursorSnapshot // m, when its operations take several steps
+	si       intoScanner    // m, when it scans into a caller's buffer
+	view     []Value        // the machine's own scan buffer, for si
 	op       *shmem.SnapOp  // the multi-step operation in progress
 	res      *RunResult
 	poised   Op // the validated op peeked by advance, executed by the next Resume
@@ -32,27 +34,33 @@ type cursorSnapshot interface {
 	StartUpdate(pid, j int, v Value) *shmem.SnapOp
 }
 
+// intoScanner is a Snapshot that scans into a caller-provided buffer
+// (shmem.MWSnapshot).
+type intoScanner interface {
+	ScanInto(pid int, out []Value)
+}
+
 // Machines returns one resumable step machine per process, driving procs
 // over the snapshot m and recording into res. An atomic snapshot
 // (shmem.MWSnapshot) performs each Scan and Update in one step; a snapshot
 // with cursors (StartScan, StartUpdate, as the register-built ones have) is
-// stepped one cursor Step per Resume instead.
+// stepped one cursor Step per Resume instead. A snapshot with ScanInto
+// scans into a buffer each machine owns and reuses.
 //
 // The machines validate Assumption 1 and panic with ErrBadAlternation on
 // violation (surfaced by the engine as an error).
 func Machines(procs []Process, m Snapshot, res *RunResult) []sched.Machine {
 	ms := make([]sched.Machine, len(procs))
+	cs, _ := m.(cursorSnapshot)
+	si, _ := m.(intoScanner)
 	for pid, p := range procs {
-		ms[pid] = (&procMachine{pid: pid, p: p, res: res}).bind(m)
+		mc := &procMachine{pid: pid, p: p, m: m, cs: cs, si: si, res: res}
+		if si != nil {
+			mc.view = make([]Value, m.Components())
+		}
+		ms[pid] = mc
 	}
 	return ms
-}
-
-// bind points the machine at snapshot m.
-func (mc *procMachine) bind(m Snapshot) *procMachine {
-	mc.m = m
-	mc.cs, _ = m.(cursorSnapshot)
-	return mc
 }
 
 // Resume implements sched.Machine: the first call checks the process's first
@@ -80,6 +88,9 @@ func (mc *procMachine) Resume() bool {
 			return true
 		}
 		view, mc.op = mc.op.View(), nil
+	case op.Kind == OpScan && mc.si != nil:
+		mc.si.ScanInto(mc.pid, mc.view)
+		view = mc.view
 	case op.Kind == OpScan:
 		view = mc.m.Scan(mc.pid)
 	default:

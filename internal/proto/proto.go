@@ -62,8 +62,14 @@ type Op struct {
 //   - After ApplyUpdate the process is poised to OpScan.
 //   - Once OpOutput, the state never changes again.
 //
+// The view passed to ApplyScan is valid only during the call: machines scan
+// into a buffer they reuse for the next scan. A process that keeps a view
+// must copy it (the component values themselves are immutable).
+//
 // Clone must return a deep, independent copy: the revisionist simulation
-// stores clones, revises their pasts, and re-runs them locally.
+// stores clones, revises their pasts, and re-runs them locally. A process
+// may also implement Restorer, which exhaustive exploration uses to copy
+// state between systems without allocating.
 type Process interface {
 	NextOp() Op
 	ApplyScan(view []Value)
@@ -95,14 +101,18 @@ type RunResult struct {
 }
 
 // DoneOutputs returns the outputs of terminated processes only.
-func (r *RunResult) DoneOutputs() []Value {
-	var out []Value
+func (r *RunResult) DoneOutputs() []Value { return r.AppendDoneOutputs(nil) }
+
+// AppendDoneOutputs appends the outputs of terminated processes to buf and
+// returns the extended slice; a caller that checks every run passes the
+// previous run's buffer, buf[:0], to allocate nothing.
+func (r *RunResult) AppendDoneOutputs(buf []Value) []Value {
 	for i, d := range r.Done {
 		if d {
-			out = append(out, r.Outputs[i])
+			buf = append(buf, r.Outputs[i])
 		}
 	}
-	return out
+	return buf
 }
 
 // NewRunResult allocates a result for n processes.

@@ -16,14 +16,14 @@ func TestResolveStructuredErrors(t *testing.T) {
 		params   Params
 		fields   []string
 	}{
-		{"kset", Params{N: -1, K: 2}, []string{"n"}},            // negative n: generic schema check
-		{"kset", Params{N: 4, K: -2}, []string{"k"}},            // negative k
-		{"kset", Params{N: 4, K: 9}, []string{"k"}},             // k >= n: protocol check
-		{"lane-kset", Params{N: 4, K: 2, X: 3}, []string{"x"}},  // x > k
-		{"aa2", Params{N: 2, Eps: -0.5}, []string{"eps"}},       // negative eps
-		{"aa2", Params{N: 3, Eps: 1.5}, []string{"n", "eps"}},   // both fields at once
-		{"aan", Params{N: 2, Eps: 2}, []string{"eps"}},          // eps out of range
-		{"firstvalue", Params{N: -3}, []string{"n"}},            // negative n, no custom Validate
+		{"kset", Params{N: -1, K: 2}, []string{"n"}},           // negative n: generic schema check
+		{"kset", Params{N: 4, K: -2}, []string{"k"}},           // negative k
+		{"kset", Params{N: 4, K: 9}, []string{"k"}},            // k >= n: protocol check
+		{"lane-kset", Params{N: 4, K: 2, X: 3}, []string{"x"}}, // x > k
+		{"aa2", Params{N: 2, Eps: -0.5}, []string{"eps"}},      // negative eps
+		{"aa2", Params{N: 3, Eps: 1.5}, []string{"n", "eps"}},  // both fields at once
+		{"aan", Params{N: 2, Eps: 2}, []string{"eps"}},         // eps out of range
+		{"firstvalue", Params{N: -3}, []string{"n"}},           // negative n, no custom Validate
 	}
 	for _, c := range cases {
 		pr, err := Lookup(c.protocol)

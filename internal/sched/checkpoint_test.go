@@ -26,7 +26,7 @@ func (m *countMachine) Resume() bool {
 }
 
 // cpAt wraps a strategy and captures an engine checkpoint just before the
-// given step is granted — the quiescent point Checkpoint documents.
+// given step is granted — the quiescent point CheckpointInto documents.
 type cpAt struct {
 	inner Strategy
 	eng   *SeqEngine
@@ -40,7 +40,8 @@ type cpAt struct {
 
 func (c *cpAt) Pick(step int, enabled []int) int {
 	if step == c.at {
-		c.cp = c.eng.Checkpoint()
+		c.cp = new(SeqCheckpoint)
+		c.eng.CheckpointInto(c.cp)
 		c.forked = make([]countMachine, len(c.machines))
 		for i, m := range c.machines {
 			c.forked[i] = *m

@@ -83,7 +83,8 @@ func TestRestartFromCheckpointMatchesUninterrupted(t *testing.T) {
 			var forked []stepsMachine
 			log := &pickLog{inner: mk(), onPick: func(step int) {
 				if step == at {
-					cp = ref.Checkpoint()
+					cp = new(sched.SeqCheckpoint)
+					ref.CheckpointInto(cp)
 					forked = make([]stepsMachine, n)
 					for i, m := range ms {
 						forked[i] = *m
@@ -179,7 +180,8 @@ func TestWarmRestartAllocatesOnlyTheResult(t *testing.T) {
 	var cp *sched.SeqCheckpoint
 	eng.Restart(sched.StrategyFunc(func(step int, enabled []int) int {
 		if step == 4 {
-			cp = eng.Checkpoint()
+			cp = new(sched.SeqCheckpoint)
+			eng.CheckpointInto(cp)
 		}
 		return enabled[0]
 	}), nil)

@@ -129,9 +129,9 @@ func (e *SeqEngine) RunMachines(machines []Machine) (*Result, error) {
 	}
 
 	if !e.resumed {
-		// Resumed runs skip this phase: their machines are forks of the
-		// system state at the checkpoint, already poised on their next
-		// operations, and Restart preloaded the run state.
+		// Resumed runs skip this phase: their machines hold the system
+		// state at the checkpoint, already poised on their next operations,
+		// and Restart preloaded the run state.
 		e.allocRunState()
 
 		// Start every machine: run it to its first gate (or completion).
@@ -202,11 +202,11 @@ func (e *SeqEngine) RunMachines(machines []Machine) (*Result, error) {
 
 // SeqCheckpoint is a frozen mid-run snapshot of a SeqEngine's scheduling
 // state: the granted-step count, the trace prefix, and which processes are
-// parked or finished. Together with a deep copy of the system state at the
-// same point (trace.System.Fork) it lets exhaustive exploration resume runs
-// from the deepest common schedule prefix instead of replaying every
-// schedule from scratch. A checkpoint is immutable and may seed any number
-// of resumed runs.
+// parked or finished. Together with a copy of the system state at the same
+// point (see trace.System.Restore) it lets exhaustive exploration resume
+// runs from the deepest common schedule prefix instead of replaying every
+// schedule from scratch. A checkpoint may seed any number of resumed runs;
+// it changes only when CheckpointInto refills it.
 type SeqCheckpoint struct {
 	step        int
 	trace       []StepRecord
@@ -219,27 +219,28 @@ type SeqCheckpoint struct {
 // Depth returns the number of granted steps at the checkpoint.
 func (cp *SeqCheckpoint) Depth() int { return cp.step }
 
-// Checkpoint captures the engine's current scheduling state. It must be
+// CheckpointInto captures the engine's current scheduling state in cp,
+// refilling its buffers: a search that keeps a stack of checkpoints reuses
+// their storage, and new(SeqCheckpoint) is an empty one to fill. It must be
 // called while the engine is quiescent — every live process parked at its
 // gate — which in practice means from within Strategy.Pick, the engine's
 // decision point.
-func (e *SeqEngine) Checkpoint() *SeqCheckpoint {
-	return &SeqCheckpoint{
-		step:        e.core.step,
-		trace:       append([]StepRecord(nil), e.trace...),
-		stepsBy:     append([]int(nil), e.stepsBy...),
-		parked:      append([]bool(nil), e.parked...),
-		finished:    append([]bool(nil), e.finished...),
-		numFinished: e.numFinished,
-	}
+func (e *SeqEngine) CheckpointInto(cp *SeqCheckpoint) {
+	cp.step = e.core.step
+	cp.trace = append(cp.trace[:0], e.trace...)
+	cp.stepsBy = append(cp.stepsBy[:0], e.stepsBy...)
+	cp.parked = append(cp.parked[:0], e.parked...)
+	cp.finished = append(cp.finished[:0], e.finished...)
+	cp.numFinished = e.numFinished
 }
 
 // Restart rewinds the engine for another run under strat, keeping its
 // options (step budget, step hook) and its buffers. With from nil the next
 // run starts from scratch. With from non-nil it resumes from that checkpoint:
-// RunMachines must then be called with machines forked from the system state
-// at the checkpoint (same pids; entries for finished processes may be nil),
-// and the engine's own step budget applies.
+// RunMachines must then be called with machines in the system state at the
+// checkpoint, such as machines restored from a copy taken there (same pids;
+// entries for finished processes may be nil), and the engine's own step
+// budget applies.
 //
 // The buffers a run's *Result aliases (Trace, StepsBy, Finished) are the
 // ones Restart clears and refills: a Result is valid only until the next

@@ -304,18 +304,17 @@ func (r mwRec) AppendCanonicalValueFingerprint(h *maphash.Hash, c *sched.Canon) 
 	}
 }
 
-// Fork returns a deep copy of the snapshot's current state wired to st, with
-// no recorder installed: forks exist for checkpointed exploration, where
-// recorders (per-run observers) do not carry over. Component values are
-// immutable once written, so copying the slice headers is a deep copy.
-func (s *MWSnapshot) Fork(st Stepper) *MWSnapshot {
-	return &MWSnapshot{
-		name:    s.name,
-		stepper: st,
-		comps:   append([]Value(nil), s.comps...),
-		updates: s.updates,
-		scans:   s.scans,
+// CopyFrom overwrites the snapshot's state with src's: component values and
+// operation counts. The receiver keeps its name, its stepper and its
+// recorder (a per-run observer, which src's history does not replay into).
+// Component values are immutable once written, so copying them is a deep
+// copy. Both snapshots must have the same number of components.
+func (s *MWSnapshot) CopyFrom(src *MWSnapshot) {
+	if len(s.comps) != len(src.comps) {
+		panic(fmt.Sprintf("shmem: MWSnapshot %q CopyFrom a %d-component snapshot into %d components", s.name, len(src.comps), len(s.comps)))
 	}
+	copy(s.comps, src.comps)
+	s.updates, s.scans = src.updates, src.scans
 }
 
 // Compile-time checks that every base object implements both sides of the

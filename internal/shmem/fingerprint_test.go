@@ -2,6 +2,7 @@ package shmem
 
 import (
 	"hash/maphash"
+	"reflect"
 	"testing"
 
 	"revisionist/internal/sched"
@@ -73,20 +74,43 @@ func TestAppendValueUnambiguous(t *testing.T) {
 	}
 }
 
-// TestForkIsDeep: a forked snapshot shares no mutable state with its origin
-// and preserves the fingerprint at the fork point.
-func TestForkIsDeep(t *testing.T) {
+// TestCopyFromIsDeep: a snapshot restored with CopyFrom shares no mutable
+// state with its source and preserves the fingerprint at the copy point.
+func TestCopyFromIsDeep(t *testing.T) {
 	s := NewMWSnapshot("M", Free{}, 2, nil)
 	s.Update(0, 0, "v0")
-	f := s.Fork(Free{})
+	f := NewMWSnapshot("M", Free{}, 2, nil)
+	f.Update(1, 1, "stale")
+	f.CopyFrom(s)
 	if fpOf(s.AppendFingerprint) != fpOf(f.AppendFingerprint) {
-		t.Fatal("fork changed the fingerprint")
+		t.Fatal("CopyFrom changed the fingerprint")
 	}
 	s.Update(0, 1, "v1")
 	if fpOf(s.AppendFingerprint) == fpOf(f.AppendFingerprint) {
-		t.Fatal("fork shares component storage with its origin")
+		t.Fatal("the copy shares component storage with its source")
 	}
 	if got := f.Scan(0)[1]; got != nil {
-		t.Fatalf("fork saw the origin's later write: %v", got)
+		t.Fatalf("the copy saw the source's later write: %v", got)
 	}
+}
+
+// TestMWScanIntoMatchesScan: ScanInto fills the caller's buffer with the
+// view Scan returns, counts as one scan, and rejects a wrongly sized buffer.
+func TestMWScanIntoMatchesScan(t *testing.T) {
+	s := NewMWSnapshot("M", Free{}, 3, nil)
+	s.Update(0, 2, "x")
+	buf := []Value{"old", "old", "old"}
+	s.ScanInto(1, buf)
+	if want := s.Scan(1); !reflect.DeepEqual(buf, want) {
+		t.Fatalf("ScanInto = %v, Scan = %v", buf, want)
+	}
+	if _, scans := s.OpCounts(); scans != 2 {
+		t.Fatalf("scans = %d, want 2", scans)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ScanInto with a short buffer did not panic")
+		}
+	}()
+	s.ScanInto(0, buf[:2])
 }

@@ -168,14 +168,23 @@ func (s *MWSnapshot) Update(pid, j int, v Value) {
 
 // Scan atomically returns the value of every component.
 func (s *MWSnapshot) Scan(pid int) []Value {
-	s.stepper.Step(pid, sched.Op{Object: s.name, Kind: sched.OpScan, Comp: -1})
 	out := make([]Value, len(s.comps))
+	s.ScanInto(pid, out)
+	return out
+}
+
+// ScanInto is Scan into a caller-provided slice of length Components(), as
+// SWSnapshot.ScanInto is: it avoids the result allocation on hot paths.
+func (s *MWSnapshot) ScanInto(pid int, out []Value) {
+	if len(out) != len(s.comps) {
+		panic(fmt.Sprintf("shmem: MWSnapshot %q ScanInto with %d-slot buffer for %d components", s.name, len(out), len(s.comps)))
+	}
+	s.stepper.Step(pid, sched.Op{Object: s.name, Kind: sched.OpScan, Comp: -1})
 	copy(out, s.comps)
 	s.scans++
 	if s.rec != nil {
 		s.rec.RecordScan(pid, out)
 	}
-	return out
 }
 
 // OpCounts reports the number of updates and scans applied so far.
@@ -186,7 +195,7 @@ func (s *MWSnapshot) OpCounts() (updates, scans int) { return s.updates, s.scans
 // linearization order.
 //
 // The view slice passed to RecordScan is only valid for the duration of the
-// callback: scan fast paths (SWSnapshot.ScanInto) reuse the caller's buffer
+// callback: scan fast paths (the snapshots' ScanInto) reuse the caller's buffer
 // across scans. A Recorder that wants to keep a view must copy it.
 type Recorder interface {
 	RecordUpdate(pid, comp int, v Value)

@@ -12,7 +12,7 @@
 //     sequential search is the one root {} drained by one worker.
 //   - Pruning (stateful.go) gives the loop a visited-state cache and turns on
 //     checkpointing; without it the cache is nil and every run replays its
-//     prefix from a fresh system.
+//     prefix from the initial configuration.
 //   - RunSubtree (subtree.go) runs the same loop for one leased subtree of a
 //     distributed search, whose coordinator drives the same wave protocol.
 package trace
@@ -20,6 +20,7 @@ package trace
 import (
 	"fmt"
 	"hash/maphash"
+	"slices"
 
 	"revisionist/internal/sched"
 )
@@ -56,10 +57,10 @@ type ExploreOpts struct {
 	// shrink (a violation reachable only through already-covered states is
 	// reported once, not once per schedule). A pruned search also
 	// checkpoints the engine and system state at each branching decision on
-	// the current path and forks the next run from the deepest common prefix
-	// instead of replaying the whole schedule. Requires System.Fingerprint,
-	// System.Fork and System.Machines. The report is identical for any
-	// Workers value.
+	// the current path and resumes the next run from the deepest common
+	// prefix instead of replaying the whole schedule. Requires
+	// System.Fingerprint, System.Restore and System.Machines. The report is
+	// identical for any Workers value.
 	Prune bool
 	// Symmetry enables symmetry-reduced pruning: the visited-state cache
 	// stores canonical fingerprints (System.CanonicalFingerprint) that
@@ -117,9 +118,10 @@ type ExploreReport struct {
 	Distinct int
 }
 
-// System is one freshly constructed system instance to execute and check.
-// Factory functions wire their shared objects to the provided step gate,
-// which is the engine the system will run on.
+// System is one system instance to execute and check. Factory functions
+// wire their shared objects to the provided step gate, which is the engine
+// the system will run on. The hooks are bound to the instance: they read and
+// write its state, whatever Restore last copied into it.
 type System struct {
 	// Machines are the resumable step machines, one per process, that the
 	// engine dispatches directly. See proto.Machines for the
@@ -149,17 +151,28 @@ type System struct {
 	// ExploreOpts.Symmetry; called only at decision points. h is scratch
 	// space for the group minimization.
 	CanonicalFingerprint func(h *maphash.Hash) uint64
-	// Fork, when non-nil, returns a deep copy of the system in its current
-	// state, wired to gate: cloned processes and machines, cloned shared
-	// objects, and Check/Fingerprint/Fork hooks bound to the copy. Required
-	// by ExploreOpts.Prune; called only at decision points.
+	// Restore, when non-nil, copies the configuration of from — a system
+	// built by the same factory, on any gate — into this system in place:
+	// every shared object's state, every process's state and the recorded
+	// outputs, so that this system then runs, checks and fingerprints as
+	// from would. The system stays wired to its own gate, and the two share
+	// no mutable state afterwards. Called only while both are quiescent:
+	// between runs, or with from at a decision point. Required by
+	// ExploreOpts.Prune; with it, an explorer runs every schedule on one
+	// live system instead of building one per run.
+	Restore func(from System)
+	// Fork is never called: Restore replaced it. The field remains so that
+	// code wrapping System hooks by field keeps compiling.
 	Fork func(gate sched.Stepper) System
 }
 
-// Factory builds one fresh system wired to the given step gate. Explore
-// builds a new system for every schedule it runs from scratch (a pruned
-// search resumes the others from forks), on the searching explorer's one
-// engine; Fuzz builds one engine and one system per evaluation. With
+// Factory builds one fresh system wired to the given step gate. An explorer
+// builds its systems with it once: a live system on its engine, a pristine
+// copy of the initial configuration, and one frozen system per checkpoint
+// slot of a pruned search; each run then starts by restoring the live
+// system from the pristine one or from a checkpoint (System.Restore). A
+// system without Restore is instead rebuilt for every schedule run from
+// scratch. Fuzz builds one engine and one system per evaluation. With
 // Workers > 1 the factory is called from several workers concurrently, so
 // consecutive calls must not share mutable state: everything a system
 // touches — shared objects, processes, check state — must be built fresh per
@@ -174,10 +187,11 @@ type Factory func(gate sched.Stepper) System
 
 // Explore enumerates schedules of the nprocs-process system produced by
 // factory, depth-first over scheduler choices, until the space is exhausted
-// or a bound is hit. Each schedule runs on a freshly built system or, when
-// pruning, resumes from a checkpoint; an explorer restarts one engine for all
-// of its runs. The DFS tree is sharded into subtrees drained by opts.Workers
-// workers; the report is byte-identical for any worker count.
+// or a bound is hit. Each schedule starts from the initial configuration or,
+// when pruning, resumes from a checkpoint; an explorer restarts one engine
+// and restores one live system for all of its runs. The DFS tree is sharded
+// into subtrees drained by opts.Workers workers; the report is
+// byte-identical for any worker count.
 func Explore(nprocs int, factory Factory, opts ExploreOpts) (*ExploreReport, error) {
 	if err := validateOpts(opts); err != nil {
 		return nil, err
@@ -222,8 +236,8 @@ func capabilities(sys *System, opts ExploreOpts) error {
 	if opts.Symmetry && sys.CanonicalFingerprint == nil {
 		return fmt.Errorf("trace: ExploreOpts.Symmetry requires System.CanonicalFingerprint (the factory's systems expose no symmetry-reduced fingerprint)")
 	}
-	if sys.Fork == nil {
-		return fmt.Errorf("trace: ExploreOpts.Prune requires System.Fork (the factory's systems expose no deep copy)")
+	if sys.Restore == nil {
+		return fmt.Errorf("trace: ExploreOpts.Prune requires System.Restore (the factory's systems cannot copy a configuration in place)")
 	}
 	return nil
 }
@@ -234,8 +248,11 @@ func capabilities(sys *System, opts ExploreOpts) error {
 // to siblings. The path state (picks, enabled sets, fingerprints,
 // checkpoints) persists across runs and is truncated to the resume depth, so
 // a run resumed from a checkpoint never re-records the shared prefix, and
-// recording a step allocates nothing once the arenas are warm. The frontier
-// planner drives the same strategy, one probe run at a time.
+// recording a step allocates nothing once the arenas are warm. Every run
+// executes on the explorer's one live system and one engine, and a
+// truncated checkpoint slot keeps its system and engine checkpoint for the
+// next push. The frontier planner drives the same strategy, one probe run
+// at a time.
 type explorer struct {
 	nprocs  int
 	factory Factory
@@ -258,8 +275,9 @@ type explorer struct {
 	cps   []checkpoint
 
 	// Per-run state.
-	prefix   []int // picks to replay, by absolute depth
-	sys      System
+	prefix   []int            // picks to replay, by absolute depth
+	sys      System           // the live system, restored per run
+	root     System           // the initial configuration, when sys restores
 	eng      *sched.SeqEngine // the explorer's engine, restarted per run
 	trunc    bool             // the run hit MaxDepth
 	cut      bool             // the run reached an already-closed state
@@ -301,13 +319,13 @@ func (ex *explorer) Pick(step int, enabled []int) int {
 			return sched.Halt
 		}
 		// Checkpoint only at branch points: backtracking always diverges at
-		// a depth with an unexplored sibling, so forks taken on forced
+		// a depth with an unexplored sibling, so checkpoints taken on forced
 		// single-successor chains could never seed a resume — and every
 		// resume then starts exactly at the divergence depth, replaying
 		// nothing.
 		if step >= ex.floor && len(enabled) > 1 &&
 			(len(ex.cps) == 0 || ex.cps[len(ex.cps)-1].depth < step) {
-			ex.cps = append(ex.cps, checkpoint{depth: step, sys: ex.sys.Fork(noopStepper{}), cp: ex.eng.Checkpoint()})
+			ex.pushCheckpoint(step)
 		}
 	}
 	pick := enabled[0]
@@ -333,26 +351,50 @@ func (ex *explorer) enabledAt(d int) []int {
 	return ex.flat[ex.offs[d]:ex.offs[d+1]]
 }
 
-// run executes one schedule of ex.prefix: resumed from checkpoint from when
-// one covers the prefix, on a freshly built system otherwise. Either way it
-// runs on the explorer's one engine, restarted per run. A system that lacks
-// a hook the options need is not run; ex.capErr reports it.
+// run executes one schedule of ex.prefix on the explorer's one engine,
+// restarted per run: resumed from checkpoint from when one covers the
+// prefix, from the initial configuration otherwise. The first run builds
+// the live system, and the pristine root it restores from; later runs
+// restore the live system in place (a system without Restore is rebuilt
+// instead). A system that lacks a hook the options need is not run;
+// ex.capErr reports it.
 func (ex *explorer) run(from *checkpoint) (*sched.Result, error) {
 	ex.trunc, ex.cut, ex.diverged = false, false, nil
-	if ex.eng == nil {
+	var cp *sched.SeqCheckpoint
+	switch {
+	case ex.eng == nil:
 		ex.eng = sched.NewSeqEngine(ex.nprocs, ex)
+		ex.sys = ex.factory(ex.eng)
+		if ex.capErr = capabilities(&ex.sys, ex.opts); ex.capErr != nil {
+			return nil, ex.capErr
+		}
+		if ex.sys.Restore != nil {
+			ex.root = ex.factory(noopStepper{})
+		}
+	case from != nil:
+		ex.sys.Restore(from.sys)
+		cp = from.cp
+	case ex.sys.Restore != nil:
+		ex.sys.Restore(ex.root)
+	default:
+		ex.sys = ex.factory(ex.eng)
 	}
-	if from != nil {
-		ex.eng.Restart(ex, from.cp)
-		ex.sys = from.sys.Fork(ex.eng)
-		return ex.eng.RunMachines(ex.sys.Machines)
-	}
-	ex.eng.Restart(ex, nil)
-	ex.sys = ex.factory(ex.eng)
-	if ex.capErr = capabilities(&ex.sys, ex.opts); ex.capErr != nil {
-		return nil, ex.capErr
-	}
+	ex.eng.Restart(ex, cp)
 	return ex.eng.RunMachines(ex.sys.Machines)
+}
+
+// pushCheckpoint pushes the configuration after step steps onto the
+// checkpoint stack. A slot left above the top by an earlier truncation is
+// refilled in place; a new slot builds its frozen system once.
+func (ex *explorer) pushCheckpoint(step int) {
+	ex.cps = slices.Grow(ex.cps, 1)[:len(ex.cps)+1]
+	slot := &ex.cps[len(ex.cps)-1]
+	if slot.cp == nil {
+		slot.sys, slot.cp = ex.factory(noopStepper{}), new(sched.SeqCheckpoint)
+	}
+	slot.depth = step
+	slot.sys.Restore(ex.sys)
+	ex.eng.CheckpointInto(slot.cp)
 }
 
 // explore runs the DFS loop over subtree ex.i and returns its outcome, or
@@ -371,7 +413,7 @@ func (ex *explorer) explore() (*SubtreeOutcome, error) {
 
 // search is the loop: run, account, check, backtrack, budget. Cut runs skip
 // the check and count as pruned, completed nodes are closed into the cache,
-// and the next run forks from the deepest checkpoint at or above the
+// and the next run resumes from the deepest checkpoint at or above the
 // divergence depth. The budget and stop checks read the shared lower bounds
 // of exploreShared, and every run is recorded by ordinal so the merge can
 // re-cut the search at any run.

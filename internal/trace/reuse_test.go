@@ -9,16 +9,15 @@ import (
 	"revisionist/internal/sched"
 )
 
-// replayChecked wraps factory so that every system it builds — and every
-// fork of one — compares the Result its Check receives with a fresh-engine
-// replay of the same schedule before running the real check. The explorer
-// restarts one engine for all of its runs and res aliases that engine's
-// buffers, so a stale buffer shows up here as a mismatch. mismatch is called
+// replayChecked wraps factory so that every system it builds compares the
+// Result its Check receives with a fresh-engine replay of the same schedule
+// before running the real check. The explorer restarts one engine and
+// restores one live system for all of its runs, and res aliases that
+// engine's buffers, so a stale buffer shows up here as a mismatch. mismatch is called
 // for each differing run (from any worker); checked counts the comparisons.
 func replayChecked(nprocs int, factory Factory, checked *atomic.Int64, mismatch func(want, got *sched.Result)) Factory {
-	var wrap func(sys System) System
-	wrap = func(sys System) System {
-		check, fork := sys.Check, sys.Fork
+	wrap := func(sys System) System {
+		check := sys.Check
 		sys.Check = func(res *sched.Result) error {
 			checked.Add(1)
 			picks := make([]int, len(res.Trace))
@@ -33,9 +32,6 @@ func replayChecked(nprocs int, factory Factory, checked *atomic.Int64, mismatch 
 				mismatch(want, res)
 			}
 			return check(res)
-		}
-		if fork != nil {
-			sys.Fork = func(gate sched.Stepper) System { return wrap(fork(gate)) }
 		}
 		return sys
 	}

@@ -7,10 +7,11 @@
 // that configuration was already fully explored with at least as much
 // remaining depth (classic state caching). It also checkpoints the
 // sequential engine and system state at every branching decision on the
-// current path and forks the next schedule from the deepest common prefix
-// instead of replaying it from the root. Both live in the one DFS loop
-// (explorer in explore.go); this file holds a subtree's visited-state cache
-// and the checkpoint stack entries.
+// current path and resumes the next schedule from the deepest common prefix
+// instead of replaying it from the root: the explorer's live system is
+// restored in place from the checkpoint (System.Restore). Both live in the
+// one DFS loop (explorer in explore.go); this file holds a subtree's
+// visited-state cache and the checkpoint stack entries.
 //
 // Soundness of the prune (safety checking): a configuration determines the
 // set of configurations reachable from it within a step budget, and every
@@ -94,17 +95,19 @@ func (c *stateCache) closures() []FpEntry {
 	return out
 }
 
-// noopStepper gates nothing: frozen checkpoint copies are wired to it — they
-// never execute (resumption forks them again onto a live engine).
+// noopStepper gates nothing: an explorer's pristine root and its frozen
+// checkpoint systems are wired to it — they never execute (a run restores
+// the live system, wired to the engine, from them).
 type noopStepper struct{}
 
 func (noopStepper) Step(int, sched.Op) {}
 
 // checkpoint is one entry of the checkpoint stack: the configuration after
-// `depth` steps, frozen as a forked system plus the engine's scheduling
-// state. Resuming forks the frozen system once more onto the explorer's
-// restarted engine, so one checkpoint can seed every sibling subtree below
-// it.
+// `depth` steps, frozen in a system of its own plus the engine's scheduling
+// state. Resuming restores the explorer's live system from the frozen one
+// and restarts the engine from the scheduling state, so one checkpoint can
+// seed every sibling subtree below it. A slot keeps both when the stack is
+// truncated, and the next push into it refills them in place.
 type checkpoint struct {
 	depth int
 	sys   System

@@ -13,10 +13,10 @@ import (
 	"revisionist/internal/shmem"
 )
 
-// forkableSystem assembles a fully stateful-capable System over a protocol
-// instance: machines, task-free check, configuration fingerprint and a
-// recursive deep fork — the same wiring the harness installs.
-func forkableSystem(procs []proto.Process, m int, snap *shmem.MWSnapshot, res *proto.RunResult,
+// restorableSystem assembles a fully stateful-capable System over a protocol
+// instance: machines, task-free check, configuration fingerprint and an
+// in-place restore — the same wiring the harness installs.
+func restorableSystem(snap *shmem.MWSnapshot, res *proto.RunResult,
 	machines []sched.Machine, check func(res *proto.RunResult) error) System {
 	return System{
 		Machines: machines,
@@ -29,11 +29,7 @@ func forkableSystem(procs []proto.Process, m int, snap *shmem.MWSnapshot, res *p
 				mc.(sched.Fingerprinter).AppendFingerprint(h)
 			}
 		},
-		Fork: func(gate sched.Stepper) System {
-			snap2 := snap.Fork(gate)
-			res2 := res.Clone()
-			return forkableSystem(procs, m, snap2, res2, proto.ForkMachines(machines, snap2, res2), check)
-		},
+		Restore: func(from System) { proto.RestoreMachines(machines, from.Machines) },
 	}
 }
 
@@ -51,7 +47,7 @@ func consensusAgreeFactory(n int) Factory {
 		}
 		res := proto.NewRunResult(n)
 		snap := shmem.NewMWSnapshot("M", gate, m, nil)
-		return forkableSystem(procs, m, snap, res, proto.Machines(procs, snap, res),
+		return restorableSystem(snap, res, proto.Machines(procs, snap, res),
 			func(res *proto.RunResult) error {
 				var first proto.Value
 				for _, v := range res.DoneOutputs() {
@@ -76,7 +72,7 @@ func firstValueFactory(n int) Factory {
 		}
 		res := proto.NewRunResult(n)
 		snap := shmem.NewMWSnapshot("M", gate, 1, nil)
-		return forkableSystem(procs, 1, snap, res, proto.Machines(procs, snap, res),
+		return restorableSystem(snap, res, proto.Machines(procs, snap, res),
 			func(*proto.RunResult) error { return nil })
 	}
 }
@@ -127,7 +123,7 @@ func TestStatefulAblationMatchesPlain(t *testing.T) {
 }
 
 // TestPruneRequiresCapabilities: Prune without a fingerprint or without a
-// fork is a contract error, not a silent degradation; so is a job naming the
+// restore is a contract error, not a silent degradation; so is a job naming the
 // retired goroutine engine. A journaled job re-runs through Explore without
 // re-validation, so Explore itself must refuse it before building a system.
 func TestPruneRequiresCapabilities(t *testing.T) {
@@ -135,14 +131,14 @@ func TestPruneRequiresCapabilities(t *testing.T) {
 		!strings.Contains(err.Error(), "Fingerprint") {
 		t.Fatalf("Prune without Fingerprint: got %v", err)
 	}
-	noFork := func(gate sched.Stepper) System {
+	noRestore := func(gate sched.Stepper) System {
 		sys := consensusAgreeFactory(2)(gate)
-		sys.Fork = nil
+		sys.Restore = nil
 		return sys
 	}
-	if _, err := Explore(2, noFork, ExploreOpts{MaxDepth: 6, Prune: true}); err == nil ||
-		!strings.Contains(err.Error(), "Fork") {
-		t.Fatalf("Prune without Fork: got %v", err)
+	if _, err := Explore(2, noRestore, ExploreOpts{MaxDepth: 6, Prune: true}); err == nil ||
+		!strings.Contains(err.Error(), "Restore") {
+		t.Fatalf("Prune without Restore: got %v", err)
 	}
 	var built atomic.Int64
 	counting := func(gate sched.Stepper) System {
@@ -174,7 +170,7 @@ func TestSymmetryRequiresCapabilities(t *testing.T) {
 		!strings.Contains(err.Error(), "Prune") {
 		t.Fatalf("Symmetry without Prune: got %v", err)
 	}
-	// consensusAgreeFactory wires Fingerprint and Fork but no canonical hook.
+	// consensusAgreeFactory wires Fingerprint and Restore but no canonical hook.
 	if _, err := Explore(2, consensusAgreeFactory(2),
 		ExploreOpts{MaxDepth: 6, Prune: true, Symmetry: true}); err == nil ||
 		!strings.Contains(err.Error(), "CanonicalFingerprint") {
