@@ -2,6 +2,7 @@ package augsnap
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -279,6 +280,14 @@ func randomWorkload(t *testing.T, f, m, opsPer int, seed int64) *AugSnapshot {
 	t.Helper()
 	runner := sched.NewSeqEngine(f, sched.NewRandom(seed), sched.WithMaxSteps(1<<22))
 	a := New(runner, f, m)
+	runWorkload(t, runner, a, f, m, opsPer, seed)
+	return a
+}
+
+// runWorkload drives f processes through mixed Scans and Block-Updates on
+// a, under runner's schedule and operation choices seeded by seed.
+func runWorkload(t *testing.T, runner *sched.SeqEngine, a *AugSnapshot, f, m, opsPer int, seed int64) {
+	t.Helper()
 	rngs := make([]*rand.Rand, f)
 	for pid := range rngs {
 		rngs[pid] = rand.New(rand.NewSource(seed*1000 + int64(pid)))
@@ -302,7 +311,6 @@ func randomWorkload(t *testing.T, f, m, opsPer int, seed int64) *AugSnapshot {
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
-	return a
 }
 
 func TestRandomWorkloadsProduceConsistentLogs(t *testing.T) {
@@ -399,6 +407,50 @@ func TestBlockUpdateViewSpecSolo(t *testing.T) {
 	for j := range want {
 		if got[j] != want[j] {
 			t.Fatalf("view = %v, want %v", got, want)
+		}
+	}
+}
+
+// TestFingerprintStreamsAgree: along seeded workloads over the atomic and
+// the register-built store, the augmented snapshot hashes the same at every
+// decision under the plain encoder, under the canonical encoder with a nil
+// Canon, and under the identity-only group.
+func TestFingerprintStreamsAgree(t *testing.T) {
+	const f, m, ops = 2, 2, 3
+	id, err := sched.NewCanonicalizer(sched.SymmetrySpec{N: f})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sched.NewFingerprintHash()
+	sum := func(appendTo func(*maphash.Hash)) uint64 {
+		h.Reset()
+		appendTo(&h)
+		return h.Sum64()
+	}
+	for _, store := range []string{"atomic", "registers"} {
+		for seed := int64(0); seed < 4; seed++ {
+			var a *AugSnapshot
+			random, decisions := sched.NewRandom(seed), 0
+			runner := sched.NewSeqEngine(f, sched.StrategyFunc(func(step int, enabled []int) int {
+				decisions++
+				plain := sum(a.AppendFingerprint)
+				if c := sum(func(h *maphash.Hash) { a.AppendCanonicalFingerprint(h, nil) }); c != plain {
+					t.Fatalf("%s seed %d step %d: hashes %x under a nil Canon, %x plain", store, seed, step, c, plain)
+				}
+				if c := id.Canonical(&h, a.AppendCanonicalFingerprint); c != plain {
+					t.Fatalf("%s seed %d step %d: hashes %x under the identity Canon, %x plain", store, seed, step, c, plain)
+				}
+				return random.Pick(step, enabled)
+			}), sched.WithMaxSteps(1<<22))
+			if store == "atomic" {
+				a = New(runner, f, m)
+			} else {
+				a = NewOver(shmem.NewRegSWSnapshot("H", runner, f, HComp{}), f, m)
+			}
+			runWorkload(t, runner, a, f, m, ops, seed)
+			if decisions < 10 {
+				t.Fatalf("%s seed %d: %d decisions, want many", store, seed, decisions)
+			}
 		}
 	}
 }

@@ -1,7 +1,7 @@
 package harness
 
 import (
-	"hash/maphash"
+	"math/rand"
 	"testing"
 
 	"revisionist/internal/proto"
@@ -217,33 +217,48 @@ func TestCheckSymmetryWorkersDeterministic(t *testing.T) {
 	}
 }
 
-// TestCanonicalFingerprintNoOpWithoutSymmetry: on a protocol that declares no
-// symmetry (paxos), the canonical hook must equal the plain fingerprint, so
-// -symmetry is a strict no-op there.
+// TestCanonicalFingerprintNoOpWithoutSymmetry: on every registered protocol
+// whose symmetry group is trivial (paxos among them), the canonical hook
+// must equal the plain fingerprint at every decision of a seeded schedule,
+// so -symmetry is a strict no-op there.
 func TestCanonicalFingerprintNoOpWithoutSymmetry(t *testing.T) {
-	pr := protocol.MustLookup("paxos")
-	p, err := pr.Resolve(protocol.Params{N: 2})
-	if err != nil {
-		t.Fatal(err)
+	trivial := 0
+	for i, pr := range protocol.Protocols() {
+		p, err := pr.Resolve(protocol.Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !canonicalizer(pr, p).Trivial() {
+			if pr.Name == "paxos" {
+				t.Fatal("paxos must have the trivial group")
+			}
+			continue
+		}
+		trivial++
+		t.Run(pr.Name, func(t *testing.T) {
+			h := sched.NewFingerprintHash()
+			var sys trace.System
+			decisions := 0
+			probe := &decisionProbe{rng: rand.New(rand.NewSource(int64(i) + 1)), maxSteps: 60, at: func(step int) {
+				decisions++
+				h.Reset()
+				sys.Fingerprint(&h)
+				plain := h.Sum64()
+				if canon := sys.CanonicalFingerprint(&h); canon != plain {
+					t.Fatalf("step %d: trivial-group canonical fingerprint %x differs from the plain fingerprint %x", step, canon, plain)
+				}
+			}}
+			eng := sched.NewSeqEngine(p.N, probe)
+			sys = factory(pr, p)(eng)
+			if _, err := eng.RunMachines(sys.Machines); err != nil && !IsStarved(err) {
+				t.Fatal(err)
+			}
+			if decisions < 2 {
+				t.Fatalf("the run made %d scheduling decisions, want several", decisions)
+			}
+		})
 	}
-	cz := canonicalizer(pr, p)
-	if !cz.Trivial() {
-		t.Fatal("paxos must have the trivial group")
-	}
-	inst, err := pr.Instantiate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := proto.NewRunResult(len(inst.Procs))
-	snap := shmem.NewMWSnapshot("M", shmem.Free{}, inst.M, nil)
-	sys := protoSystem(&protoJob{inputs: inst.Inputs, task: inst.Task, cz: cz}, snap, res, proto.Machines(inst.Procs, snap, res))
-	sys.Machines[0].Resume()
-	sys.Machines[1].Resume()
-	h := sched.NewFingerprintHash()
-	canon := sys.CanonicalFingerprint(&h)
-	var hp maphash.Hash = sched.NewFingerprintHash()
-	sys.Fingerprint(&hp)
-	if canon != hp.Sum64() {
-		t.Fatal("trivial-group canonical fingerprint differs from the plain fingerprint")
+	if trivial == 0 {
+		t.Fatal("no registered protocol has the trivial group")
 	}
 }

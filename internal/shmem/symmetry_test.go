@@ -113,8 +113,9 @@ func TestCanonicalRenamesInputRoles(t *testing.T) {
 }
 
 // TestCanonicalIdentityMatchesPlain: under the identity-only group with no
-// roles, the canonical fingerprint must equal the plain one — symmetry
-// reduction on an asymmetric protocol is a strict no-op.
+// roles, and under a nil Canon, every base object's canonical fingerprint
+// must equal its plain one — symmetry reduction on an asymmetric protocol is
+// a strict no-op.
 func TestCanonicalIdentityMatchesPlain(t *testing.T) {
 	cz, err := sched.NewCanonicalizer(sched.SymmetrySpec{N: 2})
 	if err != nil {
@@ -123,14 +124,32 @@ func TestCanonicalIdentityMatchesPlain(t *testing.T) {
 	if !cz.Trivial() {
 		t.Fatal("identity group should be Trivial")
 	}
-	s := NewRegMWSnapshot("M", Free{}, 2, 2, nil)
-	s.Update(0, 1, "x")
-	plain := func() uint64 {
-		h := sched.NewFingerprintHash()
-		s.AppendFingerprint(&h)
-		return h.Sum64()
-	}()
-	if canonFp(cz, s.AppendCanonicalFingerprint) != plain {
-		t.Fatal("identity-group canonical fingerprint differs from the plain fingerprint")
+	reg := NewRegister("R", Free{}, nil)
+	reg.Write(0, []Value{"x", 1})
+	sw := NewSWSnapshot("S", Free{}, 2, nil)
+	sw.Update(1, "y")
+	mw := NewMWSnapshot("M", Free{}, 3, nil)
+	mw.Update(0, 2, 7)
+	mx := NewMaxSnapshot("X", Free{}, 2, func(a, b Value) bool { return a.(int) < b.(int) })
+	mx.Update(0, 1, 3)
+	fi := NewFetchInc("F", Free{})
+	fi.FetchIncrement(0)
+	rsw := NewRegSWSnapshot("H", Free{}, 2, nil)
+	rsw.Update(0, "x")
+	rsw.Update(1, "y")
+	rmw := NewRegMWSnapshot("M", Free{}, 2, 2, nil)
+	rmw.Update(0, 1, "x")
+	type object interface {
+		sched.Fingerprinter
+		sched.CanonicalFingerprinter
+	}
+	for _, o := range []object{reg, sw, mw, mx, fi, rsw, rmw} {
+		plain := fpOf(o.AppendFingerprint)
+		if fpOf(func(h *maphash.Hash) { o.AppendCanonicalFingerprint(h, nil) }) != plain {
+			t.Errorf("%T: nil-Canon fingerprint differs from the plain fingerprint", o)
+		}
+		if canonFp(cz, o.AppendCanonicalFingerprint) != plain {
+			t.Errorf("%T: identity-group canonical fingerprint differs from the plain fingerprint", o)
+		}
 	}
 }
