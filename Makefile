@@ -2,7 +2,7 @@ GO ?= go
 BENCH_DATE ?= $(shell date +%Y-%m-%d)
 BENCH_OUT  ?= BENCH_$(BENCH_DATE).json
 
-.PHONY: all vet build test race bench bench-smoke examples-smoke ci protocols dist-smoke jobd-smoke chaos-smoke crash-smoke obs-smoke fuzz-smoke perfbench-build
+.PHONY: all vet build test race bench bench-smoke examples-smoke ci protocols dist-smoke jobd-smoke chaos-smoke crash-smoke obs-smoke fuzz-smoke perfbench-build loc
 
 all: ci
 
@@ -90,16 +90,22 @@ crash-smoke:
 	$(GO) run ./cmd/checkd -smoke -kill
 
 # Fuzz smoke: ten seconds of coverage-guided fuzzing on each decoder of
-# untrusted bytes — the job journal loader, the witness replay path and the
-# wire frame reader.
+# untrusted bytes — the job journal loader, the witness replay path, job
+# admission and the wire frame reader.
 fuzz-smoke:
 	$(GO) test ./internal/jobd -run '^$$' -fuzz '^FuzzQueueLoad$$' -fuzztime 10s
 	$(GO) test ./internal/harness -run '^$$' -fuzz '^FuzzWitness$$' -fuzztime 10s
+	$(GO) test ./internal/harness -run '^$$' -fuzz '^FuzzValidateJob$$' -fuzztime 10s
 	$(GO) test ./internal/dist/wire -run '^$$' -fuzz '^FuzzWireRecv$$' -fuzztime 10s
 
 # The benchmark in perfbench/ is its own module, which a root `go build ./...`
 # skips. Building it (also part of `ci`) catches an API change that breaks it.
 perfbench-build:
 	cd perfbench && GOFLAGS= GOPROXY=off GOWORK=off $(GO) build -o /dev/null .
+
+# Non-test Go lines outside the perfbench module: the code-size figure a
+# change reports.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './perfbench/*' -print0 | xargs -0 cat | wc -l
 
 ci: vet build test race bench-smoke examples-smoke perfbench-build crash-smoke

@@ -668,9 +668,9 @@ func prunedBenchSystem(snap *shmem.MWSnapshot, machines []sched.Machine) trace.S
 		Machines: machines,
 		Check:    func(*sched.Result) error { return nil },
 		Fingerprint: func(h *maphash.Hash) {
-			snap.AppendFingerprint(h)
+			snap.AppendFingerprint(h, nil)
 			for _, m := range machines {
-				m.(sched.Fingerprinter).AppendFingerprint(h)
+				m.(sched.Fingerprinter).AppendFingerprint(h, nil)
 			}
 		},
 		Restore: func(from trace.System) { proto.RestoreMachines(machines, from.Machines) },

@@ -53,6 +53,9 @@ func run(args []string, out io.Writer) error {
 		fs.Usage()
 		return err
 	}
+	if *nmax > protocol.MaxN {
+		return &harness.UsageError{Err: fmt.Errorf("-nmax %d: protocols admit at most n = %d", *nmax, protocol.MaxN)}
+	}
 	if shared.List {
 		harness.WriteRegistry(out)
 		return nil

@@ -7,48 +7,53 @@ import (
 	"revisionist/internal/shmem"
 )
 
-// Fast fingerprint paths (sched.Fingerprinter) for every protocol process,
-// and value fingerprints (shmem.ValueFingerprinter) for the composite values
-// they store in snapshot components. Only mutable state is appended:
+// Fingerprints (sched.Fingerprinter) for every protocol process, and value
+// fingerprints (shmem.ValueFingerprinter) for the composite values they
+// store in snapshot components, each appended under a symmetry-group
+// element c (nil: the identity). Only mutable state is appended:
 // construction parameters (ids, groups, inputs, round counts) are identical
 // across the fresh instances a trace.Factory builds, so they cannot
-// distinguish two configurations of the same exploration.
+// distinguish two configurations of the same exploration. A held value that
+// may be a declared input goes through shmem.AppendValue, which rewrites it
+// to its renamed role token; processes whose state carries neither pids nor
+// input values (Singleton, AA2, AAN, AANReg) ignore c, and their digest is
+// already orbit-invariant under slot reordering.
 
 // AppendFingerprint implements sched.Fingerprinter.
-func (p *FirstValue) AppendFingerprint(h *maphash.Hash) {
+func (p *FirstValue) AppendFingerprint(h *maphash.Hash, c *sched.Canon) {
 	h.WriteByte(0x40)
 	maphash.WriteComparable(h, p.wrote)
 	maphash.WriteComparable(h, p.done)
 	maphash.WriteComparable(h, p.poisedUpdate)
-	shmem.AppendValue(h, p.out)
+	shmem.AppendValue(h, p.out, c)
 }
 
 // AppendFingerprint implements sched.Fingerprinter.
-func (p *Singleton) AppendFingerprint(h *maphash.Hash) {
+func (p *Singleton) AppendFingerprint(h *maphash.Hash, _ *sched.Canon) {
 	h.WriteByte(0x41)
 	maphash.WriteComparable(h, p.done)
 }
 
 // AppendFingerprint implements sched.Fingerprinter.
-func (p *Paxos) AppendFingerprint(h *maphash.Hash) {
+func (p *Paxos) AppendFingerprint(h *maphash.Hash, c *sched.Canon) {
 	h.WriteByte(0x42)
 	maphash.WriteComparable(h, p.r)
 	maphash.WriteComparable(h, int(p.phase))
-	shmem.AppendValue(h, p.val)
-	p.myReg.AppendValueFingerprint(h)
-	shmem.AppendValue(h, p.out)
+	shmem.AppendValue(h, p.val, c)
+	p.myReg.AppendValueFingerprint(h, c)
+	shmem.AppendValue(h, p.out, c)
 }
 
 // AppendValueFingerprint implements shmem.ValueFingerprinter.
-func (r PaxosReg) AppendValueFingerprint(h *maphash.Hash) {
+func (r PaxosReg) AppendValueFingerprint(h *maphash.Hash, c *sched.Canon) {
 	h.WriteByte(0x43)
 	maphash.WriteComparable(h, r.LRE)
 	maphash.WriteComparable(h, r.LRWW)
-	shmem.AppendValue(h, r.Val)
+	shmem.AppendValue(h, r.Val, c)
 }
 
 // AppendFingerprint implements sched.Fingerprinter.
-func (p *AA2) AppendFingerprint(h *maphash.Hash) {
+func (p *AA2) AppendFingerprint(h *maphash.Hash, _ *sched.Canon) {
 	h.WriteByte(0x44)
 	maphash.WriteComparable(h, p.r)
 	maphash.WriteComparable(h, p.v)
@@ -62,7 +67,7 @@ func (p *AA2) AppendFingerprint(h *maphash.Hash) {
 }
 
 // AppendFingerprint implements sched.Fingerprinter.
-func (p *AAN) AppendFingerprint(h *maphash.Hash) {
+func (p *AAN) AppendFingerprint(h *maphash.Hash, _ *sched.Canon) {
 	h.WriteByte(0x45)
 	maphash.WriteComparable(h, p.r)
 	maphash.WriteComparable(h, p.v)
@@ -72,45 +77,10 @@ func (p *AAN) AppendFingerprint(h *maphash.Hash) {
 }
 
 // AppendValueFingerprint implements shmem.ValueFingerprinter.
-func (r AANReg) AppendValueFingerprint(h *maphash.Hash) {
+func (r AANReg) AppendValueFingerprint(h *maphash.Hash, _ *sched.Canon) {
 	h.WriteByte(0x46)
 	maphash.WriteComparable(h, r.R)
 	maphash.WriteComparable(h, r.V)
-}
-
-// Canonical digest paths (sched.CanonicalFingerprinter /
-// shmem.CanonicalValueFingerprinter) for the processes and composite values
-// whose state can hold declared input values: the held value is rewritten to
-// its renamed role token through shmem.AppendValueCanon. Processes whose
-// digests carry neither pids nor input values (Singleton, AA2, AAN, AANReg)
-// need no canonical variant — the harness falls back to their plain digest,
-// which is already orbit-invariant under slot reordering.
-
-// AppendCanonicalFingerprint implements sched.CanonicalFingerprinter.
-func (p *FirstValue) AppendCanonicalFingerprint(h *maphash.Hash, c *sched.Canon) {
-	h.WriteByte(0x40)
-	maphash.WriteComparable(h, p.wrote)
-	maphash.WriteComparable(h, p.done)
-	maphash.WriteComparable(h, p.poisedUpdate)
-	shmem.AppendValueCanon(h, p.out, c)
-}
-
-// AppendCanonicalFingerprint implements sched.CanonicalFingerprinter.
-func (p *Paxos) AppendCanonicalFingerprint(h *maphash.Hash, c *sched.Canon) {
-	h.WriteByte(0x42)
-	maphash.WriteComparable(h, p.r)
-	maphash.WriteComparable(h, int(p.phase))
-	shmem.AppendValueCanon(h, p.val, c)
-	p.myReg.AppendCanonicalValueFingerprint(h, c)
-	shmem.AppendValueCanon(h, p.out, c)
-}
-
-// AppendCanonicalValueFingerprint implements shmem.CanonicalValueFingerprinter.
-func (r PaxosReg) AppendCanonicalValueFingerprint(h *maphash.Hash, c *sched.Canon) {
-	h.WriteByte(0x43)
-	maphash.WriteComparable(h, r.LRE)
-	maphash.WriteComparable(h, r.LRWW)
-	shmem.AppendValueCanon(h, r.Val, c)
 }
 
 var (
@@ -121,8 +91,4 @@ var (
 	_ sched.Fingerprinter      = (*AAN)(nil)
 	_ shmem.ValueFingerprinter = PaxosReg{}
 	_ shmem.ValueFingerprinter = AANReg{}
-
-	_ sched.CanonicalFingerprinter      = (*FirstValue)(nil)
-	_ sched.CanonicalFingerprinter      = (*Paxos)(nil)
-	_ shmem.CanonicalValueFingerprinter = PaxosReg{}
 )

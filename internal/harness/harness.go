@@ -297,38 +297,33 @@ func canonicalizer(pr *protocol.Protocol, p protocol.Params) *sched.Canonicalize
 }
 
 // protoSystem assembles the System for a protocol instance, wiring the
-// stateful-exploration hooks: the configuration fingerprint composes the
-// snapshot's state with every machine's (enabling ExploreOpts.Prune — sound
-// here because the task check is a function of the recorded outputs, i.e. of
-// the configuration), the canonical fingerprint minimizes that same hash
-// over the protocol's symmetry group (enabling ExploreOpts.Symmetry; with no
-// declared symmetry the group is the identity and the hook is an exact
-// no-op), and Restore copies another instance's snapshot, result and
+// stateful-exploration hooks around one configuration encoder, appendCfg,
+// which composes the snapshot's state with every machine's under a Canon:
+// the fingerprint is that encoder under the identity (enabling
+// ExploreOpts.Prune — sound here because the task check is a function of
+// the recorded outputs, i.e. of the configuration), the canonical
+// fingerprint minimizes it over the protocol's symmetry group (enabling
+// ExploreOpts.Symmetry; with no declared symmetry the group is the identity
+// and the hook is an exact no-op), and Restore copies another instance's snapshot, result and
 // machines into this one in place. Check validates from a buffer the system
 // owns, so a checked run allocates no output slice.
 func protoSystem(j *protoJob, snap *shmem.MWSnapshot, res *proto.RunResult, machines []sched.Machine) trace.System {
 	var outs []spec.Value
+	appendCfg := func(h *maphash.Hash, c *sched.Canon) {
+		snap.AppendFingerprint(h, c)
+		for s := range machines {
+			machines[c.SlotSrc(s)].(sched.Fingerprinter).AppendFingerprint(h, c)
+		}
+	}
 	return trace.System{
 		Machines: machines,
 		Check: func(*sched.Result) error {
 			outs = res.AppendDoneOutputs(outs[:0])
 			return j.task.Validate(j.inputs, outs)
 		},
-		Fingerprint: func(h *maphash.Hash) {
-			snap.AppendFingerprint(h)
-			for _, m := range machines {
-				m.(sched.Fingerprinter).AppendFingerprint(h)
-			}
-		},
-		CanonicalFingerprint: func(h *maphash.Hash) uint64 {
-			return j.cz.Canonical(h, func(h *maphash.Hash, c *sched.Canon) {
-				snap.AppendCanonicalFingerprint(h, c)
-				for s := range machines {
-					machines[c.SlotSrc(s)].(sched.CanonicalFingerprinter).AppendCanonicalFingerprint(h, c)
-				}
-			})
-		},
-		Restore: func(from trace.System) { proto.RestoreMachines(machines, from.Machines) },
+		Fingerprint:          func(h *maphash.Hash) { appendCfg(h, nil) },
+		CanonicalFingerprint: func(h *maphash.Hash) uint64 { return j.cz.Canonical(h, appendCfg) },
+		Restore:              func(from trace.System) { proto.RestoreMachines(machines, from.Machines) },
 	}
 }
 

@@ -217,10 +217,12 @@ func TestCheckSymmetryWorkersDeterministic(t *testing.T) {
 	}
 }
 
-// TestCanonicalFingerprintNoOpWithoutSymmetry: on every registered protocol
-// whose symmetry group is trivial (paxos among them), the canonical hook
-// must equal the plain fingerprint at every decision of a seeded schedule,
-// so -symmetry is a strict no-op there.
+// TestCanonicalFingerprintNoOpWithoutSymmetry: under a trivial symmetry
+// group the canonical hook must equal the plain fingerprint at every
+// decision of a seeded schedule, so -symmetry is a strict no-op there. Every
+// registered protocol runs under the identity-only group, which also pins
+// that no encoder treats a nil Canon differently from the identity; those
+// whose declared group is trivial (paxos among them) also run under it.
 func TestCanonicalFingerprintNoOpWithoutSymmetry(t *testing.T) {
 	trivial := 0
 	for i, pr := range protocol.Protocols() {
@@ -228,37 +230,66 @@ func TestCanonicalFingerprintNoOpWithoutSymmetry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !canonicalizer(pr, p).Trivial() {
-			if pr.Name == "paxos" {
-				t.Fatal("paxos must have the trivial group")
-			}
-			continue
+		identity, err := sched.NewCanonicalizer(sched.SymmetrySpec{N: p.N})
+		if err != nil {
+			t.Fatal(err)
 		}
-		trivial++
-		t.Run(pr.Name, func(t *testing.T) {
-			h := sched.NewFingerprintHash()
-			var sys trace.System
-			decisions := 0
-			probe := &decisionProbe{rng: rand.New(rand.NewSource(int64(i) + 1)), maxSteps: 60, at: func(step int) {
-				decisions++
-				h.Reset()
-				sys.Fingerprint(&h)
-				plain := h.Sum64()
-				if canon := sys.CanonicalFingerprint(&h); canon != plain {
-					t.Fatalf("step %d: trivial-group canonical fingerprint %x differs from the plain fingerprint %x", step, canon, plain)
+		groups := map[string]*sched.Canonicalizer{"identity": identity}
+		if declared := canonicalizer(pr, p); declared.Trivial() {
+			groups["declared"] = declared
+			trivial++
+		} else if pr.Name == "paxos" {
+			t.Fatal("paxos must have the trivial group")
+		}
+		for group, cz := range groups {
+			t.Run(pr.Name+"/"+group, func(t *testing.T) {
+				j := &protoJob{inputs: pr.DefaultInputs(p, p.N), task: pr.Task(p), cz: cz}
+				procs, m, err := pr.Build(p, j.inputs)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}}
-			eng := sched.NewSeqEngine(p.N, probe)
-			sys = factory(pr, p)(eng)
-			if _, err := eng.RunMachines(sys.Machines); err != nil && !IsStarved(err) {
-				t.Fatal(err)
-			}
-			if decisions < 2 {
-				t.Fatalf("the run made %d scheduling decisions, want several", decisions)
-			}
-		})
+				h := sched.NewFingerprintHash()
+				var sys trace.System
+				decisions := 0
+				probe := &decisionProbe{rng: rand.New(rand.NewSource(int64(i) + 1)), maxSteps: 60, at: func(step int) {
+					decisions++
+					h.Reset()
+					sys.Fingerprint(&h)
+					plain := h.Sum64()
+					if canon := sys.CanonicalFingerprint(&h); canon != plain {
+						t.Fatalf("step %d: trivial-group canonical fingerprint %x differs from the plain fingerprint %x", step, canon, plain)
+					}
+				}}
+				eng := sched.NewSeqEngine(p.N, probe)
+				res := proto.NewRunResult(len(procs))
+				snap := shmem.NewMWSnapshot("M", eng, m, nil)
+				sys = protoSystem(j, snap, res, proto.Machines(procs, snap, res))
+				if _, err := eng.RunMachines(sys.Machines); err != nil && !IsStarved(err) {
+					t.Fatal(err)
+				}
+				if decisions < 2 {
+					t.Fatalf("the run made %d scheduling decisions, want several", decisions)
+				}
+			})
+		}
 	}
 	if trivial == 0 {
 		t.Fatal("no registered protocol has the trivial group")
 	}
+}
+
+// decisionProbe is a seeded random strategy that calls at before every
+// scheduling decision, up to maxSteps decisions.
+type decisionProbe struct {
+	rng      *rand.Rand
+	maxSteps int
+	at       func(step int)
+}
+
+func (d *decisionProbe) Pick(step int, enabled []int) int {
+	if step >= d.maxSteps {
+		return sched.Halt
+	}
+	d.at(step)
+	return enabled[d.rng.Intn(len(enabled))]
 }

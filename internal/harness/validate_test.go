@@ -30,6 +30,9 @@ func TestValidateJobBoundaries(t *testing.T) {
 		{"zero depth", func(j *wire.Job) { j.Opts.MaxDepth = 0 }, []string{"maxdepth"}},
 		{"unknown protocol", func(j *wire.Job) { j.Protocol = "no-such-protocol" }, []string{"protocol"}},
 		{"negative n", func(j *wire.Job) { j.Params.N = -2 }, []string{"n"}},
+		{"n at the bound", func(j *wire.Job) { j.Params.N = protocol.MaxN }, nil},
+		{"n above the bound", func(j *wire.Job) { j.Params.N = protocol.MaxN + 1 }, []string{"n"}},
+		{"huge n", func(j *wire.Job) { j.Params.N = 1 << 40 }, []string{"n"}},
 		{"symmetry without prune", func(j *wire.Job) { j.Opts.Symmetry = true }, []string{"symmetry"}},
 		{"prune off the seq engine", func(j *wire.Job) {
 			j.Opts.Prune = true
@@ -79,6 +82,41 @@ func TestValidateJobBoundaries(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzValidateJob fuzzes job admission: a rejected job must name its
+// offending fields in a *protocol.ValidationError, and an accepted one must
+// resolve and explore (cut to a tiny depth and run budget on one worker)
+// without error.
+func FuzzValidateJob(f *testing.F) {
+	for _, pr := range protocol.Protocols() {
+		f.Add(pr.Name, 0, 0, 0, 0.0, 4, 0, 0, true, true, "", 0)
+	}
+	f.Add("kset", 4, 3, 0, 0.0, 8, 100, 2, true, false, "seq", 3)
+	f.Add("lane-kset", protocol.MaxN, 9, 4, 0.0, 2, 0, 0, false, false, "seq", 0)
+	f.Add("firstvalue", protocol.MaxN+1, 0, 0, 0.0, 8, 0, 0, false, true, "goroutine", 10)
+	f.Add("aa2", 2, 0, 0, 1e-300, -1, -1, -1, false, false, "", -1)
+	f.Fuzz(func(t *testing.T, name string, n, k, x int, eps float64, depth, maxRuns, workers int,
+		prune, symmetry bool, engine string, priority int) {
+		job := wire.Job{Protocol: name, Params: protocol.Params{N: n, K: k, X: x, Eps: eps}, Priority: priority,
+			Opts: trace.ExploreOpts{MaxDepth: depth, MaxRuns: maxRuns, Workers: workers, Prune: prune, Symmetry: symmetry, Engine: engine}}
+		norm, err := harness.ValidateJob(job)
+		if err != nil {
+			var ve *protocol.ValidationError
+			if !errors.As(err, &ve) || len(ve.Fields) == 0 {
+				t.Fatalf("rejection without field errors: %v", err)
+			}
+			return
+		}
+		nprocs, factory, err := harness.Resolve(norm)
+		if err != nil {
+			t.Fatalf("admitted job does not resolve: %v", err)
+		}
+		norm.Opts.MaxDepth, norm.Opts.MaxRuns, norm.Opts.Workers = min(norm.Opts.MaxDepth, 3), 20, 1
+		if _, err := trace.Explore(nprocs, factory, norm.Opts); err != nil {
+			t.Fatalf("admitted job %+v fails to explore: %v", norm, err)
+		}
+	})
 }
 
 // TestValidateJobEngineCompat pins the compatibility field

@@ -13,42 +13,21 @@ import (
 // state, and a restore copies one system's configuration into another's
 // machines in place — the contract checkpointed exploration needs.
 
-// AppendFingerprint implements sched.Fingerprinter. Processes with a fast
-// path implement sched.Fingerprinter themselves (all built-in algorithms
-// do); anything else falls back to a %#v rendering, which is deterministic
-// only for pointer-free, map-free process states.
-func (mc *procMachine) AppendFingerprint(h *maphash.Hash) {
+// AppendFingerprint implements sched.Fingerprinter. The driver flags carry
+// no process identity, so only the wrapped Process sees c. Processes with a
+// fast path implement sched.Fingerprinter themselves (all built-in
+// algorithms do); anything else falls back to a %#v rendering, which is
+// deterministic only for pointer-free, map-free process states and, with
+// no pids or input values rewritten, can only weaken an orbit collapse,
+// never merge distinct orbits.
+func (mc *procMachine) AppendFingerprint(h *maphash.Hash, c *sched.Canon) {
 	mc.mustBeQuiescent()
 	h.WriteByte(0x50)
 	maphash.WriteComparable(h, mc.started)
 	maphash.WriteComparable(h, mc.wantScan)
 	maphash.WriteComparable(h, mc.done)
 	if f, ok := mc.p.(sched.Fingerprinter); ok {
-		f.AppendFingerprint(h)
-		return
-	}
-	h.WriteByte(0x51)
-	fmt.Fprintf(h, "%T%#v", mc.p, mc.p)
-}
-
-// AppendCanonicalFingerprint implements sched.CanonicalFingerprinter: the
-// driver flags carry no process identity, so only the wrapped Process
-// decides — a canonical-aware process rewrites its embedded pids and input
-// values through the Canon, anything else takes its plain digest (which
-// weakens the orbit collapse for that process but never merges distinct
-// orbits).
-func (mc *procMachine) AppendCanonicalFingerprint(h *maphash.Hash, c *sched.Canon) {
-	mc.mustBeQuiescent()
-	h.WriteByte(0x50)
-	maphash.WriteComparable(h, mc.started)
-	maphash.WriteComparable(h, mc.wantScan)
-	maphash.WriteComparable(h, mc.done)
-	if f, ok := mc.p.(sched.CanonicalFingerprinter); ok {
-		f.AppendCanonicalFingerprint(h, c)
-		return
-	}
-	if f, ok := mc.p.(sched.Fingerprinter); ok {
-		f.AppendFingerprint(h)
+		f.AppendFingerprint(h, c)
 		return
 	}
 	h.WriteByte(0x51)
@@ -135,7 +114,4 @@ func (r *RunResult) CopyFrom(src *RunResult) {
 	copy(r.OpsBy, src.OpsBy)
 }
 
-var (
-	_ sched.Fingerprinter          = (*procMachine)(nil)
-	_ sched.CanonicalFingerprinter = (*procMachine)(nil)
-)
+var _ sched.Fingerprinter = (*procMachine)(nil)

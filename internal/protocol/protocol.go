@@ -171,13 +171,19 @@ type Protocol struct {
 	SpaceBounds func(p Params) (lb, ub int, err error)
 }
 
+// MaxN is the largest process count n an instance may have. Every way in —
+// command-line flags, witness replay and job admission — resolves through
+// Resolve, so a submission cannot make a tool build an arbitrary number of
+// processes. It admits the widest sweep documented (spacebounds -nmax 64).
+const MaxN = 64
+
 // Resolve applies schema defaults to unset fields of p and validates the
-// result: first the generic schema constraint — every parameter must be
-// positive after defaulting; zero means "unset" by convention, so a negative
-// value can only be a hostile or corrupted submission — then the protocol's
-// own Validate. Both report structured *ValidationError values (wrapped with
-// the protocol name), so services surface per-field rejections instead of a
-// bare string.
+// result: first the generic schema constraints — every parameter must be
+// positive after defaulting (zero means "unset" by convention, so a negative
+// value can only be a hostile or corrupted submission) and n at most MaxN —
+// then the protocol's own Validate. Both report structured *ValidationError
+// values (wrapped with the protocol name), so services surface per-field
+// rejections instead of a bare string.
 func (pr *Protocol) Resolve(p Params) (Params, error) {
 	var ve ValidationError
 	for _, s := range pr.Schema {
@@ -187,6 +193,9 @@ func (pr *Protocol) Resolve(p Params) (Params, error) {
 		if v := p.Get(s.Name); v <= 0 {
 			ve.Add(s.Name, p.Get(s.Name), "must be positive")
 		}
+	}
+	if p.N > MaxN {
+		ve.Add("n", p.N, fmt.Sprintf("must be at most %d", MaxN))
 	}
 	if err := ve.OrNil(); err != nil {
 		return p, fmt.Errorf("protocol %s: %w", pr.Name, err)

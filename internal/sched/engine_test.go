@@ -564,7 +564,7 @@ func TestFingerprintsIdenticalAcrossEngines(t *testing.T) {
 				})
 				return machines, func(h *maphash.Hash) {
 					for _, r := range regs {
-						r.AppendFingerprint(h)
+						r.AppendFingerprint(h, nil)
 					}
 				}
 			})
@@ -590,7 +590,7 @@ func TestFingerprintsIdenticalAcrossEngines(t *testing.T) {
 						return a.StartBlockUpdate(pid, []int{rng.Intn(m)}, []augsnap.Value{fmt.Sprintf("p%d-%d", pid, i)})
 					}
 				})
-				return machines, a.AppendFingerprint
+				return machines, func(h *maphash.Hash) { a.AppendFingerprint(h, nil) }
 			})
 		}
 	})

@@ -22,14 +22,22 @@ import "hash/maphash"
 //     and should not allocate once warm — fingerprints are computed at every
 //     scheduler decision point.
 //
+// Each object has one encoder, which takes a symmetry-group element (a
+// *Canon, symmetry.go) to hash its state under: a nil Canon is the
+// identity, and the stream it writes is the plain fingerprint. Every Canon
+// accessor treats nil that way, so an encoder never branches on it.
+//
 // Fingerprints are only comparable within one process: the seed below is
 // drawn once per process, which is exactly the scope exploration needs
 // (workers share the process) while keeping the hash DoS-resistant.
 
 // Fingerprinter is implemented by shared objects and process machines whose
-// configuration can be appended to a running fingerprint hash.
+// configuration can be appended to a running fingerprint hash. The state is
+// appended under c: process-indexed state in c's slot order, owned
+// components in its component order, embedded pids through c.Pid and
+// declared input values as c's role tokens. A nil c is the identity.
 type Fingerprinter interface {
-	AppendFingerprint(h *maphash.Hash)
+	AppendFingerprint(h *maphash.Hash, c *Canon)
 }
 
 // fpSeed is the process-wide fingerprint seed: every fingerprint hash uses

@@ -5,7 +5,7 @@ import (
 	"hash/maphash"
 )
 
-// This file is the symmetry-aware path of the fingerprint contract
+// This file is the symmetry group of the fingerprint contract
 // (fingerprint.go): configurations that differ only by a permutation of
 // interchangeable processes — a process-permutation orbit — are reduced to
 // one canonical fingerprint, so stateful exploration stores and prunes per
@@ -13,7 +13,8 @@ import (
 //
 // The canonical fingerprint of a configuration is the minimum, over every
 // element π of the declared symmetry group, of the configuration hash with
-// the identity renaming π applied while hashing: process states are hashed
+// the identity renaming π applied while hashing — the one encoder of each
+// object (Fingerprinter) called with π's Canon: process states are hashed
 // in π-permuted slot order, components owned by class members are
 // co-permuted, embedded pids are rewritten to π(pid), and (when declared)
 // input values are rewritten to their π-renamed input role. Because the set
@@ -41,14 +42,6 @@ import (
 // out of reach regardless.
 const MaxSymmetryGroup = 40320
 
-// CanonicalFingerprinter is the symmetry-aware side of Fingerprinter:
-// implementors append their state with every embedded process identity and
-// every declared input value rewritten through the Canon. Objects whose
-// state embeds neither may fall back to their plain AppendFingerprint.
-type CanonicalFingerprinter interface {
-	AppendCanonicalFingerprint(h *maphash.Hash, c *Canon)
-}
-
 // SymmetrySpec declares the symmetry group of an nprocs-process system.
 type SymmetrySpec struct {
 	// N is the number of processes.
@@ -71,7 +64,8 @@ type SymmetrySpec struct {
 // Canon is one symmetry-group element π, in the forms value hashing needs:
 // slot sources for reordering process states, component sources for owned
 // components, the pid image for embedded identities, and the renamed role
-// of declared input values.
+// of declared input values. A nil *Canon is the identity: every accessor
+// returns its argument and Role declares nothing.
 type Canon struct {
 	perm    []int // π: pid -> canonical slot
 	slotSrc []int // π⁻¹: canonical slot -> pid
@@ -116,7 +110,8 @@ func (c *Canon) CompDst(j int) int {
 
 // Role returns the π-renamed input role of v, if v is a declared input
 // value: the hash writes the role token instead of the raw value, so orbit
-// members that wrote different class inputs still hash identically.
+// members that wrote different class inputs still hash identically. v must
+// be hashable (a map key); callers ask only for scalars.
 func (c *Canon) Role(v any) (int, bool) {
 	if c == nil || c.roles == nil {
 		return 0, false

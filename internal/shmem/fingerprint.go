@@ -9,10 +9,15 @@ import (
 
 // This file implements the fingerprint contract (sched.Fingerprinter) for
 // every base object: the object's semantic state — the values a future
-// operation could observe — is appended to a running configuration hash.
-// Operation counters (OpCounts) are statistics, not state, and are never
-// appended. Each object leads with a distinct tag byte and length-prefixes
-// its components so concatenated fingerprints stay unambiguous.
+// operation could observe — is appended to a running configuration hash,
+// under a symmetry-group element c (nil: the identity). Process-indexed
+// state reorders by c's slot sources, owned components by its component
+// sources, embedded pids are rewritten and declared input values hash as
+// role tokens. Operation counters (OpCounts) are statistics, not state, and
+// are never appended. Each object leads with a distinct tag byte and
+// length-prefixes its components, whatever c is, so concatenated
+// fingerprints stay unambiguous and each stream is injective in the renamed
+// configuration.
 
 // Object tag bytes. Values get their own tag space in AppendValue.
 const (
@@ -27,48 +32,29 @@ const (
 
 // ValueFingerprinter is implemented by value types stored in registers or
 // snapshot components that want a fast, collision-safe fingerprint path.
-// Types that do not implement it fall back to a reflected rendering (see
-// AppendValue), which is slower and must not contain pointers or maps.
+// Composite values whose state embeds process ids or declared input values
+// (the Afek records, Paxos registers) rewrite them through c; a nil c is the
+// identity. Types that do not implement it fall back to a reflected
+// rendering (see AppendValue), which is slower and must not contain pointers
+// or maps.
 type ValueFingerprinter interface {
-	AppendValueFingerprint(h *maphash.Hash)
+	AppendValueFingerprint(h *maphash.Hash, c *sched.Canon)
 }
 
-// CanonicalValueFingerprinter is the symmetry-aware side of
-// ValueFingerprinter: composite values whose state embeds process ids or
-// declared input values (the Afek records, Paxos registers) rewrite them
-// through the Canon while hashing. Values lacking it fall back to their
-// plain path under canonicalization, which can only weaken the reduction
-// (orbit members hash apart), never merge distinct orbits.
-type CanonicalValueFingerprinter interface {
-	AppendCanonicalValueFingerprint(h *maphash.Hash, c *sched.Canon)
-}
-
-// AppendValue appends one component value to the fingerprint. Built-in
-// scalar and slice shapes are dispatched directly; composite protocol values
-// implement ValueFingerprinter; anything else takes the %#v fallback, which
-// is deterministic only for pointer-free, map-free values.
-func AppendValue(h *maphash.Hash, v Value) {
-	appendValue(h, v, nil)
-}
-
-// AppendValueCanon appends one component value under a symmetry-group
-// element: declared input values hash as their renamed role token and
-// canonical-aware composites rewrite embedded pids; everything else hashes
-// as in AppendValue.
-func AppendValueCanon(h *maphash.Hash, v Value, c *sched.Canon) {
-	appendValue(h, v, c)
-}
-
-func appendValue(h *maphash.Hash, v Value, c *sched.Canon) {
-	if c != nil {
+// AppendValue appends one component value to the fingerprint under c (nil:
+// the identity). A scalar that c declares an input value hashes as its
+// renamed role token. Built-in scalar and slice shapes are dispatched
+// directly; composite protocol values implement ValueFingerprinter; anything
+// else takes the %#v fallback, which is deterministic only for pointer-free,
+// map-free values.
+func AppendValue(h *maphash.Hash, v Value, c *sched.Canon) {
+	switch v.(type) {
+	case bool, int, int64, float64, string:
+		// Input values are scalars. Composites are never looked up: they may
+		// be unhashable.
 		if role, ok := c.Role(v); ok {
 			h.WriteByte(0x0e)
 			maphash.WriteComparable(h, role)
-			return
-		}
-		if x, ok := v.(CanonicalValueFingerprinter); ok {
-			h.WriteByte(0x01)
-			x.AppendCanonicalValueFingerprint(h, c)
 			return
 		}
 	}
@@ -77,7 +63,7 @@ func appendValue(h *maphash.Hash, v Value, c *sched.Canon) {
 		h.WriteByte(0x00)
 	case ValueFingerprinter:
 		h.WriteByte(0x01)
-		x.AppendValueFingerprint(h)
+		x.AppendValueFingerprint(h, c)
 	case bool:
 		h.WriteByte(0x02)
 		maphash.WriteComparable(h, x)
@@ -98,7 +84,7 @@ func appendValue(h *maphash.Hash, v Value, c *sched.Canon) {
 		h.WriteByte(0x07)
 		maphash.WriteComparable(h, len(x))
 		for _, e := range x {
-			appendValue(h, e, c)
+			AppendValue(h, e, c)
 		}
 	case []float64:
 		h.WriteByte(0x08)
@@ -119,40 +105,45 @@ func appendValue(h *maphash.Hash, v Value, c *sched.Canon) {
 }
 
 // AppendFingerprint implements sched.Fingerprinter.
-func (r *Register) AppendFingerprint(h *maphash.Hash) {
+func (r *Register) AppendFingerprint(h *maphash.Hash, c *sched.Canon) {
 	h.WriteByte(fpRegister)
-	AppendValue(h, r.v)
+	AppendValue(h, r.v, c)
 }
 
-// AppendFingerprint implements sched.Fingerprinter.
-func (s *SWSnapshot) AppendFingerprint(h *maphash.Hash) {
+// AppendFingerprint implements sched.Fingerprinter. The components of a
+// single-writer snapshot are process-indexed, so they reorder with the
+// process slots.
+func (s *SWSnapshot) AppendFingerprint(h *maphash.Hash, c *sched.Canon) {
 	h.WriteByte(fpSWSnapshot)
 	maphash.WriteComparable(h, len(s.comps))
-	for _, v := range s.comps {
-		AppendValue(h, v)
+	for j := range s.comps {
+		AppendValue(h, s.comps[c.SlotSrc(j)], c)
 	}
 }
 
-// AppendFingerprint implements sched.Fingerprinter.
-func (s *MWSnapshot) AppendFingerprint(h *maphash.Hash) {
+// AppendFingerprint implements sched.Fingerprinter. Multi-writer components
+// are shared, but a class member may own some of them (address them by its
+// identity); those are co-permuted.
+func (s *MWSnapshot) AppendFingerprint(h *maphash.Hash, c *sched.Canon) {
 	h.WriteByte(fpMWSnapshot)
 	maphash.WriteComparable(h, len(s.comps))
-	for _, v := range s.comps {
-		AppendValue(h, v)
+	for j := range s.comps {
+		AppendValue(h, s.comps[c.CompSrc(j)], c)
 	}
 }
 
 // AppendFingerprint implements sched.Fingerprinter.
-func (s *MaxSnapshot) AppendFingerprint(h *maphash.Hash) {
+func (s *MaxSnapshot) AppendFingerprint(h *maphash.Hash, c *sched.Canon) {
 	h.WriteByte(fpMaxSnapshot)
 	maphash.WriteComparable(h, len(s.comps))
-	for _, v := range s.comps {
-		AppendValue(h, v)
+	for j := range s.comps {
+		AppendValue(h, s.comps[c.CompSrc(j)], c)
 	}
 }
 
-// AppendFingerprint implements sched.Fingerprinter.
-func (f *FetchInc) AppendFingerprint(h *maphash.Hash) {
+// AppendFingerprint implements sched.Fingerprinter (a fetch-and-increment
+// counter has no process identity in its state).
+func (f *FetchInc) AppendFingerprint(h *maphash.Hash, _ *sched.Canon) {
 	h.WriteByte(fpFetchInc)
 	maphash.WriteComparable(h, f.v)
 }
@@ -160,147 +151,57 @@ func (f *FetchInc) AppendFingerprint(h *maphash.Hash) {
 // AppendFingerprint implements sched.Fingerprinter: the register-built
 // snapshot's state is the state of its underlying registers, including the
 // per-writer sequence numbers and embedded views of the Afek et al.
-// construction (they steer future scans, so they are semantic state).
-func (s *RegSWSnapshot) AppendFingerprint(h *maphash.Hash) {
-	h.WriteByte(fpRegSW)
-	maphash.WriteComparable(h, len(s.regs))
-	for _, r := range s.regs {
-		r.AppendFingerprint(h)
-	}
-}
-
-// AppendFingerprint implements sched.Fingerprinter.
-func (s *RegMWSnapshot) AppendFingerprint(h *maphash.Hash) {
-	h.WriteByte(fpRegMW)
-	maphash.WriteComparable(h, len(s.regs))
-	for _, r := range s.regs {
-		r.AppendFingerprint(h)
-	}
-	for _, sq := range s.seq {
-		maphash.WriteComparable(h, sq)
-	}
-}
-
-// AppendValueFingerprint implements ValueFingerprinter for the single-writer
-// register record.
-func (r swRec) AppendValueFingerprint(h *maphash.Hash) {
-	h.WriteByte(0x20)
-	maphash.WriteComparable(h, r.Seq)
-	AppendValue(h, r.Val)
-	AppendValue(h, r.View)
-}
-
-// AppendValueFingerprint implements ValueFingerprinter for the multi-writer
-// register record.
-func (r mwRec) AppendValueFingerprint(h *maphash.Hash) {
-	h.WriteByte(0x21)
-	maphash.WriteComparable(h, r.Writer)
-	maphash.WriteComparable(h, r.Seq)
-	AppendValue(h, r.Val)
-	AppendValue(h, r.View)
-}
-
-// Canonical fingerprints (sched.CanonicalFingerprinter): the same state as
-// the plain methods, with process-indexed slots reordered by the group
-// element's slot sources, owned components reordered by its component
-// sources, embedded pids rewritten, and declared input values replaced by
-// role tokens. Tag bytes and length prefixes are unchanged so the canonical
-// stream stays injective in the renamed configuration.
-
-// AppendCanonicalFingerprint implements sched.CanonicalFingerprinter.
-func (r *Register) AppendCanonicalFingerprint(h *maphash.Hash, c *sched.Canon) {
-	h.WriteByte(fpRegister)
-	appendValue(h, r.v, c)
-}
-
-// AppendCanonicalFingerprint implements sched.CanonicalFingerprinter. The
-// components of a single-writer snapshot are process-indexed, so they are
-// reordered with the process slots.
-func (s *SWSnapshot) AppendCanonicalFingerprint(h *maphash.Hash, c *sched.Canon) {
-	h.WriteByte(fpSWSnapshot)
-	maphash.WriteComparable(h, len(s.comps))
-	for j := range s.comps {
-		appendValue(h, s.comps[c.SlotSrc(j)], c)
-	}
-}
-
-// AppendCanonicalFingerprint implements sched.CanonicalFingerprinter.
-// Multi-writer components are shared, but a class member may own some of
-// them (address them by its identity); those are co-permuted.
-func (s *MWSnapshot) AppendCanonicalFingerprint(h *maphash.Hash, c *sched.Canon) {
-	h.WriteByte(fpMWSnapshot)
-	maphash.WriteComparable(h, len(s.comps))
-	for j := range s.comps {
-		appendValue(h, s.comps[c.CompSrc(j)], c)
-	}
-}
-
-// AppendCanonicalFingerprint implements sched.CanonicalFingerprinter.
-func (s *MaxSnapshot) AppendCanonicalFingerprint(h *maphash.Hash, c *sched.Canon) {
-	h.WriteByte(fpMaxSnapshot)
-	maphash.WriteComparable(h, len(s.comps))
-	for j := range s.comps {
-		appendValue(h, s.comps[c.CompSrc(j)], c)
-	}
-}
-
-// AppendCanonicalFingerprint implements sched.CanonicalFingerprinter (a
-// fetch-and-increment counter has no process-identity in its state).
-func (f *FetchInc) AppendCanonicalFingerprint(h *maphash.Hash, c *sched.Canon) {
-	f.AppendFingerprint(h)
-}
-
-// AppendCanonicalFingerprint implements sched.CanonicalFingerprinter: the
-// underlying registers are one-per-writer, so they reorder with the process
-// slots; their swRec contents canonicalize recursively.
-func (s *RegSWSnapshot) AppendCanonicalFingerprint(h *maphash.Hash, c *sched.Canon) {
+// construction (they steer future scans, so they are semantic state). The
+// registers are one per writer, so they reorder with the process slots;
+// their swRec contents canonicalize recursively.
+func (s *RegSWSnapshot) AppendFingerprint(h *maphash.Hash, c *sched.Canon) {
 	h.WriteByte(fpRegSW)
 	maphash.WriteComparable(h, len(s.regs))
 	for j := range s.regs {
-		s.regs[c.SlotSrc(j)].AppendCanonicalFingerprint(h, c)
+		s.regs[c.SlotSrc(j)].AppendFingerprint(h, c)
 	}
 }
 
-// AppendCanonicalFingerprint implements sched.CanonicalFingerprinter: the
-// registers are shared components (co-permuted when owned), while the
-// private sequence counters are process-indexed and reorder with the slots.
-func (s *RegMWSnapshot) AppendCanonicalFingerprint(h *maphash.Hash, c *sched.Canon) {
+// AppendFingerprint implements sched.Fingerprinter: the registers are shared
+// components (co-permuted when owned), while the private sequence counters
+// are process-indexed and reorder with the slots.
+func (s *RegMWSnapshot) AppendFingerprint(h *maphash.Hash, c *sched.Canon) {
 	h.WriteByte(fpRegMW)
 	maphash.WriteComparable(h, len(s.regs))
 	for j := range s.regs {
-		s.regs[c.CompSrc(j)].AppendCanonicalFingerprint(h, c)
+		s.regs[c.CompSrc(j)].AppendFingerprint(h, c)
 	}
 	for j := range s.seq {
 		maphash.WriteComparable(h, s.seq[c.SlotSrc(j)])
 	}
 }
 
-// AppendCanonicalValueFingerprint implements CanonicalValueFingerprinter:
-// the embedded view is one entry per writer register, so it reorders with
-// the process slots.
-func (r swRec) AppendCanonicalValueFingerprint(h *maphash.Hash, c *sched.Canon) {
+// AppendValueFingerprint implements ValueFingerprinter for the single-writer
+// register record. The embedded view is one entry per writer register, so
+// it reorders with the process slots.
+func (r swRec) AppendValueFingerprint(h *maphash.Hash, c *sched.Canon) {
 	h.WriteByte(0x20)
 	maphash.WriteComparable(h, r.Seq)
-	appendValue(h, r.Val, c)
+	AppendValue(h, r.Val, c)
 	h.WriteByte(0x07)
 	maphash.WriteComparable(h, len(r.View))
 	for j := range r.View {
-		appendValue(h, r.View[c.SlotSrc(j)], c)
+		AppendValue(h, r.View[c.SlotSrc(j)], c)
 	}
 }
 
-// AppendCanonicalValueFingerprint implements CanonicalValueFingerprinter:
-// Writer is a raw pid and is rewritten; the embedded view is one entry per
-// shared component and reorders with owned components.
-func (r mwRec) AppendCanonicalValueFingerprint(h *maphash.Hash, c *sched.Canon) {
+// AppendValueFingerprint implements ValueFingerprinter for the multi-writer
+// register record. Writer is a raw pid and is rewritten; the embedded view
+// is one entry per shared component and reorders with owned components.
+func (r mwRec) AppendValueFingerprint(h *maphash.Hash, c *sched.Canon) {
 	h.WriteByte(0x21)
 	maphash.WriteComparable(h, c.Pid(r.Writer))
 	maphash.WriteComparable(h, r.Seq)
-	appendValue(h, r.Val, c)
+	AppendValue(h, r.Val, c)
 	h.WriteByte(0x07)
 	maphash.WriteComparable(h, len(r.View))
 	for j := range r.View {
-		appendValue(h, r.View[c.CompSrc(j)], c)
+		AppendValue(h, r.View[c.CompSrc(j)], c)
 	}
 }
 
@@ -317,8 +218,7 @@ func (s *MWSnapshot) CopyFrom(src *MWSnapshot) {
 	s.updates, s.scans = src.updates, src.scans
 }
 
-// Compile-time checks that every base object implements both sides of the
-// contract.
+// Compile-time checks that every base object implements the contract.
 var (
 	_ sched.Fingerprinter = (*Register)(nil)
 	_ sched.Fingerprinter = (*SWSnapshot)(nil)
@@ -328,14 +228,6 @@ var (
 	_ sched.Fingerprinter = (*RegSWSnapshot)(nil)
 	_ sched.Fingerprinter = (*RegMWSnapshot)(nil)
 
-	_ sched.CanonicalFingerprinter = (*Register)(nil)
-	_ sched.CanonicalFingerprinter = (*SWSnapshot)(nil)
-	_ sched.CanonicalFingerprinter = (*MWSnapshot)(nil)
-	_ sched.CanonicalFingerprinter = (*MaxSnapshot)(nil)
-	_ sched.CanonicalFingerprinter = (*FetchInc)(nil)
-	_ sched.CanonicalFingerprinter = (*RegSWSnapshot)(nil)
-	_ sched.CanonicalFingerprinter = (*RegMWSnapshot)(nil)
-
-	_ CanonicalValueFingerprinter = swRec{}
-	_ CanonicalValueFingerprinter = mwRec{}
+	_ ValueFingerprinter = swRec{}
+	_ ValueFingerprinter = mwRec{}
 )

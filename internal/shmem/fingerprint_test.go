@@ -8,10 +8,11 @@ import (
 	"revisionist/internal/sched"
 )
 
-// fpOf hashes one fingerprint appender with the shared seed.
-func fpOf(f func(h *maphash.Hash)) uint64 {
+// fpOf hashes one fingerprint appender with the shared seed, under the
+// identity (a nil Canon).
+func fpOf(f func(h *maphash.Hash, c *sched.Canon)) uint64 {
 	h := sched.NewFingerprintHash()
-	f(&h)
+	f(&h, nil)
 	return h.Sum64()
 }
 
@@ -45,9 +46,9 @@ func TestFingerprintEquality(t *testing.T) {
 // must not let adjacent values alias across boundaries or kinds.
 func TestAppendValueUnambiguous(t *testing.T) {
 	seq := func(vs ...Value) uint64 {
-		return fpOf(func(h *maphash.Hash) {
+		return fpOf(func(h *maphash.Hash, c *sched.Canon) {
 			for _, v := range vs {
-				AppendValue(h, v)
+				AppendValue(h, v, c)
 			}
 		})
 	}

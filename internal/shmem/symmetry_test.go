@@ -36,7 +36,7 @@ func TestCanonicalCollapsesAfekSWOrbit(t *testing.T) {
 	b := NewRegSWSnapshot("H", Free{}, 2, nil)
 	b.Update(1, "x")
 	b.Update(0, "y") // mirror: pid 0's embedded View saw pid 1's "x"
-	if canonFp(cz, a.AppendCanonicalFingerprint) != canonFp(cz, b.AppendCanonicalFingerprint) {
+	if canonFp(cz, a.AppendFingerprint) != canonFp(cz, b.AppendFingerprint) {
 		t.Fatal("pid-swapped Afek SW snapshots did not collapse to one canonical fingerprint")
 	}
 	// Negative: a history that is NOT a permutation image (both values by one
@@ -44,7 +44,7 @@ func TestCanonicalCollapsesAfekSWOrbit(t *testing.T) {
 	d := NewRegSWSnapshot("H", Free{}, 2, nil)
 	d.Update(0, "x")
 	d.Update(0, "y")
-	if canonFp(cz, a.AppendCanonicalFingerprint) == canonFp(cz, d.AppendCanonicalFingerprint) {
+	if canonFp(cz, a.AppendFingerprint) == canonFp(cz, d.AppendFingerprint) {
 		t.Fatal("distinct orbits collapsed")
 	}
 }
@@ -58,21 +58,21 @@ func TestCanonicalCollapsesAfekMWOrbit(t *testing.T) {
 	a.Update(0, 0, "x")
 	b := NewRegMWSnapshot("M", Free{}, 2, 2, nil)
 	b.Update(1, 1, "x")
-	if canonFp(cz, a.AppendCanonicalFingerprint) != canonFp(cz, b.AppendCanonicalFingerprint) {
+	if canonFp(cz, a.AppendFingerprint) != canonFp(cz, b.AppendFingerprint) {
 		t.Fatal("pid-swapped Afek MW snapshots did not collapse to one canonical fingerprint")
 	}
 	// Negative: pid 0 writing the OTHER process's component swaps to "pid 1
 	// writing component 0" — a different orbit than b's.
 	d := NewRegMWSnapshot("M", Free{}, 2, 2, nil)
 	d.Update(0, 1, "x")
-	if canonFp(cz, b.AppendCanonicalFingerprint) == canonFp(cz, d.AppendCanonicalFingerprint) {
+	if canonFp(cz, b.AppendFingerprint) == canonFp(cz, d.AppendFingerprint) {
 		t.Fatal("distinct orbits collapsed")
 	}
 	// The initial Writer = -1 sentinel must pass through the pid rewrite
 	// untouched: two untouched snapshots hash equal under every element.
 	e := NewRegMWSnapshot("M", Free{}, 2, 2, nil)
 	f := NewRegMWSnapshot("M", Free{}, 2, 2, nil)
-	if canonFp(cz, e.AppendCanonicalFingerprint) != canonFp(cz, f.AppendCanonicalFingerprint) {
+	if canonFp(cz, e.AppendFingerprint) != canonFp(cz, f.AppendFingerprint) {
 		t.Fatal("initial snapshots disagree")
 	}
 }
@@ -87,18 +87,18 @@ func TestCanonicalRenamesInputRoles(t *testing.T) {
 	a.Update(0, "in0")
 	b := NewSWSnapshot("H", Free{}, 2, nil)
 	b.Update(1, "in1")
-	if canonFp(cz, a.AppendCanonicalFingerprint) != canonFp(cz, b.AppendCanonicalFingerprint) {
+	if canonFp(cz, a.AppendFingerprint) != canonFp(cz, b.AppendFingerprint) {
 		t.Fatal("own-input writes did not collapse under role renaming")
 	}
 	// pid 0 writing in1 is in orbit with pid 1 writing in0 — but not with a.
 	d := NewSWSnapshot("H", Free{}, 2, nil)
 	d.Update(0, "in1")
-	if canonFp(cz, a.AppendCanonicalFingerprint) == canonFp(cz, d.AppendCanonicalFingerprint) {
+	if canonFp(cz, a.AppendFingerprint) == canonFp(cz, d.AppendFingerprint) {
 		t.Fatal("cross-input configuration collapsed onto the own-input orbit")
 	}
 	e := NewSWSnapshot("H", Free{}, 2, nil)
 	e.Update(1, "in0")
-	if canonFp(cz, d.AppendCanonicalFingerprint) != canonFp(cz, e.AppendCanonicalFingerprint) {
+	if canonFp(cz, d.AppendFingerprint) != canonFp(cz, e.AppendFingerprint) {
 		t.Fatal("mirrored cross-input writes did not collapse")
 	}
 	// Undeclared values fall back to the plain encoding: permuted copies still
@@ -107,15 +107,29 @@ func TestCanonicalRenamesInputRoles(t *testing.T) {
 	u.Update(0, "stray")
 	v := NewSWSnapshot("H", Free{}, 2, nil)
 	v.Update(1, "stray")
-	if canonFp(cz, u.AppendCanonicalFingerprint) != canonFp(cz, v.AppendCanonicalFingerprint) {
+	if canonFp(cz, u.AppendFingerprint) != canonFp(cz, v.AppendFingerprint) {
 		t.Fatal("undeclared-value writes did not collapse under slot reordering")
+	}
+	// The register-built snapshot stores unhashable records (their embedded
+	// views are slices): only the scalars inside them are looked up as roles.
+	ra := NewRegSWSnapshot("H", Free{}, 2, nil)
+	ra.Update(0, "in0")
+	rb := NewRegSWSnapshot("H", Free{}, 2, nil)
+	rb.Update(1, "in1")
+	if canonFp(cz, ra.AppendFingerprint) != canonFp(cz, rb.AppendFingerprint) {
+		t.Fatal("own-input writes to a register-built snapshot did not collapse under role renaming")
+	}
+	rd := NewRegSWSnapshot("H", Free{}, 2, nil)
+	rd.Update(0, "in1")
+	if canonFp(cz, ra.AppendFingerprint) == canonFp(cz, rd.AppendFingerprint) {
+		t.Fatal("cross-input register-built configuration collapsed onto the own-input orbit")
 	}
 }
 
 // TestCanonicalIdentityMatchesPlain: under the identity-only group with no
-// roles, and under a nil Canon, every base object's canonical fingerprint
-// must equal its plain one — symmetry reduction on an asymmetric protocol is
-// a strict no-op.
+// roles, every base object's canonical fingerprint must equal its plain one
+// (under a nil Canon) — symmetry reduction on an asymmetric protocol is a
+// strict no-op.
 func TestCanonicalIdentityMatchesPlain(t *testing.T) {
 	cz, err := sched.NewCanonicalizer(sched.SymmetrySpec{N: 2})
 	if err != nil {
@@ -139,17 +153,9 @@ func TestCanonicalIdentityMatchesPlain(t *testing.T) {
 	rsw.Update(1, "y")
 	rmw := NewRegMWSnapshot("M", Free{}, 2, 2, nil)
 	rmw.Update(0, 1, "x")
-	type object interface {
-		sched.Fingerprinter
-		sched.CanonicalFingerprinter
-	}
-	for _, o := range []object{reg, sw, mw, mx, fi, rsw, rmw} {
-		plain := fpOf(o.AppendFingerprint)
-		if fpOf(func(h *maphash.Hash) { o.AppendCanonicalFingerprint(h, nil) }) != plain {
-			t.Errorf("%T: nil-Canon fingerprint differs from the plain fingerprint", o)
-		}
-		if canonFp(cz, o.AppendCanonicalFingerprint) != plain {
-			t.Errorf("%T: identity-group canonical fingerprint differs from the plain fingerprint", o)
+	for _, o := range []sched.Fingerprinter{reg, sw, mw, mx, fi, rsw, rmw} {
+		if canonFp(cz, o.AppendFingerprint) != fpOf(o.AppendFingerprint) {
+			t.Errorf("%T: identity-group canonical fingerprint differs from the plain (nil-Canon) fingerprint", o)
 		}
 	}
 }

@@ -24,9 +24,9 @@ func restorableSystem(snap *shmem.MWSnapshot, res *proto.RunResult,
 			return check(res)
 		},
 		Fingerprint: func(h *maphash.Hash) {
-			snap.AppendFingerprint(h)
+			snap.AppendFingerprint(h, nil)
 			for _, mc := range machines {
-				mc.(sched.Fingerprinter).AppendFingerprint(h)
+				mc.(sched.Fingerprinter).AppendFingerprint(h, nil)
 			}
 		},
 		Restore: func(from System) { proto.RestoreMachines(machines, from.Machines) },
