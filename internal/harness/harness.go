@@ -298,15 +298,16 @@ func canonicalizer(pr *protocol.Protocol, p protocol.Params) *sched.Canonicalize
 
 // protoSystem assembles the System for a protocol instance, wiring the
 // stateful-exploration hooks around one configuration encoder, appendCfg,
-// which composes the snapshot's state with every machine's under a Canon:
-// the fingerprint is that encoder under the identity (enabling
+// which composes the snapshot's state with every machine's under a Canon.
+// The fingerprint is that encoder under the identity (enabling
 // ExploreOpts.Prune — sound here because the task check is a function of
-// the recorded outputs, i.e. of the configuration), the canonical
+// the recorded outputs, i.e. of the configuration); the canonical
 // fingerprint minimizes it over the protocol's symmetry group (enabling
 // ExploreOpts.Symmetry; with no declared symmetry the group is the identity
-// and the hook is an exact no-op), and Restore copies another instance's snapshot, result and
-// machines into this one in place. Check validates from a buffer the system
-// owns, so a checked run allocates no output slice.
+// and the hook is an exact no-op). Restore copies another instance's
+// snapshot, result and machines into this one in place. Check validates
+// from a buffer the system owns, so a checked run allocates no output
+// slice.
 func protoSystem(j *protoJob, snap *shmem.MWSnapshot, res *proto.RunResult, machines []sched.Machine) trace.System {
 	var outs []spec.Value
 	appendCfg := func(h *maphash.Hash, c *sched.Canon) {

@@ -25,7 +25,7 @@ import "hash/maphash"
 // Each object has one encoder, which takes a symmetry-group element (a
 // *Canon, symmetry.go) to hash its state under: a nil Canon is the
 // identity, and the stream it writes is the plain fingerprint. Every Canon
-// accessor treats nil that way, so an encoder never branches on it.
+// accessor treats nil that way, so an encoder need not branch on it.
 //
 // Fingerprints are only comparable within one process: the seed below is
 // drawn once per process, which is exactly the scope exploration needs

@@ -48,14 +48,16 @@ type ValueFingerprinter interface {
 // else takes the %#v fallback, which is deterministic only for pointer-free,
 // map-free values.
 func AppendValue(h *maphash.Hash, v Value, c *sched.Canon) {
-	switch v.(type) {
-	case bool, int, int64, float64, string:
-		// Input values are scalars. Composites are never looked up: they may
-		// be unhashable.
-		if role, ok := c.Role(v); ok {
-			h.WriteByte(0x0e)
-			maphash.WriteComparable(h, role)
-			return
+	if c != nil { // the plain fingerprint skips the type switch
+		switch v.(type) {
+		case bool, int, int64, float64, string:
+			// Input values are scalars. Composites are never looked up:
+			// they may be unhashable.
+			if role, ok := c.Role(v); ok {
+				h.WriteByte(0x0e)
+				maphash.WriteComparable(h, role)
+				return
+			}
 		}
 	}
 	switch x := v.(type) {
