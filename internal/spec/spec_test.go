@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -171,5 +172,50 @@ func checkErr(t *testing.T, err error, want string) {
 	}
 	if !strings.Contains(err.Error(), want) {
 		t.Fatalf("error %q does not contain %q", err, want)
+	}
+}
+
+// TestKSetAgreementMessages pins the exact validity and agreement messages:
+// the violation reports of modelcheck, checkd and the experiment goldens
+// quote them, so they must not change with the implementation. The
+// agreement list is sorted by rendering and holds one value per equality
+// class, the last one output (so -0 and 0 render as the later of the two).
+func TestKSetAgreementMessages(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	cases := []struct {
+		name    string
+		k       int
+		inputs  []Value
+		outputs []Value
+		want    string
+	}{
+		{"first non-input reported", 1, []Value{1, 2}, []Value{1, 7, 9},
+			"spec: 1-set agreement validity violated: output 7 is not an input"},
+		{"validity before agreement", 1, []Value{1, 2}, []Value{1, 2, 3},
+			"spec: 1-set agreement validity violated: output 3 is not an input"},
+		{"string non-input", 2, []Value{"a", "b"}, []Value{"c"},
+			"spec: 2-set agreement validity violated: output c is not an input"},
+		{"types differ", 1, []Value{1}, []Value{int64(1)},
+			"spec: 1-set agreement validity violated: output 1 is not an input"},
+		{"consensus disagreement", 1, []Value{3, 1, 2}, []Value{2, 1, 2},
+			"spec: 1-set agreement agreement violated: 2 distinct outputs [1 2]"},
+		{"sorted by rendering", 2, []Value{10, 9, 2}, []Value{10, 9, 2, 9},
+			"spec: 2-set agreement agreement violated: 3 distinct outputs [10 2 9]"},
+		{"mixed types", 2, []Value{1, "1", "a"}, []Value{"a", 1, "1"},
+			"spec: 2-set agreement agreement violated: 3 distinct outputs [1 1 a]"},
+		{"nil value", 1, []Value{nil, 1}, []Value{nil, 1},
+			"spec: 1-set agreement agreement violated: 2 distinct outputs [1 <nil>]"},
+		{"signed zeros are one value", 1, []Value{0.0, 1.5}, []Value{0.0, negZero, 1.5},
+			"spec: 1-set agreement agreement violated: 2 distinct outputs [-0 1.5]"},
+		{"zero after negative zero", 1, []Value{0.0, 1.5}, []Value{negZero, 1.5, 0.0},
+			"spec: 1-set agreement agreement violated: 2 distinct outputs [0 1.5]"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := KSetAgreement{K: c.k}.Validate(c.inputs, c.outputs)
+			if err == nil || err.Error() != c.want {
+				t.Fatalf("Validate = %v, want %q", err, c.want)
+			}
+		})
 	}
 }
