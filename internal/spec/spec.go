@@ -10,6 +10,7 @@ package spec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"revisionist/internal/shmem"
@@ -52,24 +53,26 @@ type KSetAgreement struct {
 // Name implements Task.
 func (t KSetAgreement) Name() string { return fmt.Sprintf("%d-set agreement", t.K) }
 
-// Validate implements Task.
+// Validate implements Task. It scans the value lists instead of building
+// sets (a process count bounds both), so a passing check allocates nothing;
+// values compare with interface ==, as set membership would.
 func (t KSetAgreement) Validate(inputs, outputs []Value) error {
 	if t.K < 1 {
 		return fmt.Errorf("spec: invalid k = %d", t.K)
 	}
-	in := make(map[Value]bool, len(inputs))
-	for _, v := range inputs {
-		in[v] = true
-	}
-	distinct := make(map[Value]bool, len(outputs))
 	for _, v := range outputs {
-		if !in[v] {
+		if !slices.Contains(inputs, v) {
 			return fmt.Errorf("spec: %s validity violated: output %v is not an input", t.Name(), v)
 		}
-		distinct[v] = true
 	}
-	if len(distinct) > t.K {
-		return fmt.Errorf("spec: %s agreement violated: %d distinct outputs %v", t.Name(), len(distinct), keys(distinct))
+	distinct := 0
+	for i := range outputs {
+		if isLast(outputs, i) {
+			distinct++
+		}
+	}
+	if distinct > t.K {
+		return fmt.Errorf("spec: %s agreement violated: %d distinct outputs %v", t.Name(), distinct, distinctSorted(outputs))
 	}
 	return nil
 }
@@ -134,12 +137,8 @@ func (Trivial) Name() string { return "trivial (any input)" }
 
 // Validate implements Task.
 func (Trivial) Validate(inputs, outputs []Value) error {
-	in := make(map[Value]bool, len(inputs))
-	for _, v := range inputs {
-		in[v] = true
-	}
 	for _, v := range outputs {
-		if !in[v] {
+		if !slices.Contains(inputs, v) {
 			return fmt.Errorf("spec: trivial task validity violated: output %v is not an input", v)
 		}
 	}
@@ -161,12 +160,22 @@ func asFloat(v Value) (float64, error) {
 	}
 }
 
-// keys returns the map's keys in a deterministic (rendered) order, so
-// violation messages are stable across runs.
-func keys(m map[Value]bool) []Value {
-	out := make([]Value, 0, len(m))
-	for v := range m {
-		out = append(out, v)
+// isLast reports whether vs[i] is the last value of its equality class in
+// vs, so each class is counted once.
+func isLast(vs []Value, i int) bool {
+	return !slices.Contains(vs[i+1:], vs[i])
+}
+
+// distinctSorted returns one value per equality class of vs — the last one,
+// which is the key a set built from vs would hold (-0 and 0 are one class)
+// — in a deterministic (rendered) order, so violation messages are stable
+// across runs.
+func distinctSorted(vs []Value) []Value {
+	var out []Value
+	for i, v := range vs {
+		if isLast(vs, i) {
+			out = append(out, v)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		return fmt.Sprint(out[i]) < fmt.Sprint(out[j])

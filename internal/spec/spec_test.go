@@ -219,3 +219,18 @@ func TestKSetAgreementMessages(t *testing.T) {
 		})
 	}
 }
+
+// TestKSetAgreementValidateAllocs pins that a passing check allocates
+// nothing: the exhaustive search validates every schedule it runs.
+func TestKSetAgreementValidateAllocs(t *testing.T) {
+	inputs := []Value{"a", "b", "c", 7, 2.5}
+	outputs := []Value{"c", 7, "c", 2.5, 7}
+	task := KSetAgreement{K: 3}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := task.Validate(inputs, outputs); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Validate allocated %.1f times per passing call, want 0", allocs)
+	}
+}
