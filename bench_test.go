@@ -692,13 +692,14 @@ func prunedBenchFactory(n int) trace.Factory {
 	}
 }
 
-// BenchmarkExplorePruned is the stateful-exploration ablation: exhaustive
-// exploration of 4-process firstvalue with state-fingerprint pruning (and
-// the subtree checkpointing that comes with it) off and on, reporting
-// runs-explored and states-distinct per exploration. The "speedup"
-// sub-benchmark reports the plain-over-pruned wall-clock ratio directly —
-// the headline metric of the PR 4 perf work (the pruned search executes
-// ~17x fewer runs on this workload).
+// BenchmarkExplorePruned is the state-fingerprint pruning ablation:
+// exhaustive exploration of 4-process firstvalue with pruning off and on,
+// reporting runs-explored and states-distinct per exploration. Both arms
+// checkpoint and resume runs from the deepest common prefix (the systems
+// restore in place), so the arms differ only in the visited-state cache.
+// The "speedup" sub-benchmark reports the plain-over-pruned wall-clock
+// ratio directly (the pruned search executes ~17x fewer runs on this
+// workload).
 func BenchmarkExplorePruned(b *testing.B) {
 	const n = 4
 	base := trace.ExploreOpts{MaxDepth: 20}

@@ -52,12 +52,12 @@ type Options struct {
 	// population structure is worker-independent, and Stress merges seed
 	// outcomes in seed order.
 	Workers int
-	// Prune enables stateful exploration for Check: state-fingerprint pruning
-	// of converging interleavings plus subtree checkpointing (the DFS resumes
-	// runs from the deepest common prefix). The violation set and Exhausted
-	// flag match the unpruned search — the task validators are functions of
-	// the reachable configuration — while the run count shrinks by the
-	// protocol's symmetry. The report is identical for any Workers value.
+	// Prune enables state-fingerprint pruning of converging interleavings
+	// for Check. The violation set and Exhausted flag match the unpruned
+	// search — the task validators are functions of the reachable
+	// configuration — while the run count shrinks by the protocol's
+	// symmetry. Subtree checkpointing, which resumes each run from the
+	// deepest common prefix, is on with or without it. The report is identical for any Workers value.
 	// Other verbs ignore it.
 	Prune bool
 	// Symmetry enables symmetry-reduced pruning for Check (implies Prune):

@@ -10,9 +10,12 @@
 //     runs the loop over them on a worker pool, driving the wave protocol
 //     (waves.go) that merges the subtree outcomes into the report. A
 //     sequential search is the one root {} drained by one worker.
-//   - Pruning (stateful.go) gives the loop a visited-state cache and turns on
-//     checkpointing; without it the cache is nil and every run replays its
-//     prefix from the initial configuration.
+//   - Checkpointing (stateful.go) resumes each run from the deepest
+//     checkpoint on the path it shares with the previous run, whenever the
+//     systems restore in place (System.Restore); a system without Restore
+//     replays every run's prefix from the initial configuration.
+//   - Pruning (stateful.go) gives the loop a visited-state cache; without it
+//     the cache is nil.
 //   - RunSubtree (subtree.go) runs the same loop for one leased subtree of a
 //     distributed search, whose coordinator drives the same wave protocol.
 package trace
@@ -55,12 +58,10 @@ type ExploreOpts struct {
 	// task validators are); the violation set and Exhausted flag match the
 	// unpruned search, while Runs, Truncated and the violation multiset may
 	// shrink (a violation reachable only through already-covered states is
-	// reported once, not once per schedule). A pruned search also
-	// checkpoints the engine and system state at each branching decision on
-	// the current path and resumes the next run from the deepest common
-	// prefix instead of replaying the whole schedule. Requires
-	// System.Fingerprint, System.Restore and System.Machines. The report is
-	// identical for any Workers value.
+	// reported once, not once per schedule). Requires System.Fingerprint,
+	// System.Restore and System.Machines. The report is identical for any
+	// Workers value. Checkpointing is not tied to it: every search whose
+	// systems restore resumes each run from the deepest common prefix.
 	Prune bool
 	// Symmetry enables symmetry-reduced pruning: the visited-state cache
 	// stores canonical fingerprints (System.CanonicalFingerprint) that
@@ -158,8 +159,9 @@ type System struct {
 	// from would. The system stays wired to its own gate, and the two share
 	// no mutable state afterwards. Called only while both are quiescent:
 	// between runs, or with from at a decision point. Required by
-	// ExploreOpts.Prune; with it, an explorer runs every schedule on one
-	// live system instead of building one per run.
+	// ExploreOpts.Prune; with it, pruned or not, an explorer runs every
+	// schedule on one live system instead of building one per run, and
+	// resumes each run from a checkpoint instead of replaying its prefix.
 	Restore func(from System)
 	// Fork is never called: Restore replaced it. The field remains so that
 	// code wrapping System hooks by field keeps compiling.
@@ -169,10 +171,9 @@ type System struct {
 // Factory builds one fresh system wired to the given step gate. An explorer
 // builds its systems with it once: a live system on its engine, a pristine
 // copy of the initial configuration, and one frozen system per checkpoint
-// slot of a pruned search; each run then starts by restoring the live
-// system from the pristine one or from a checkpoint (System.Restore). A
-// system without Restore is instead rebuilt for every schedule run from
-// scratch. Fuzz builds one engine and one system per evaluation. With
+// slot; each run then starts by restoring the live system from the pristine
+// one or from a checkpoint (System.Restore). A system without Restore is
+// instead rebuilt for every schedule and run from scratch. Fuzz builds one engine and one system per evaluation. With
 // Workers > 1 the factory is called from several workers concurrently, so
 // consecutive calls must not share mutable state: everything a system
 // touches — shared objects, processes, check state — must be built fresh per
@@ -187,9 +188,10 @@ type Factory func(gate sched.Stepper) System
 
 // Explore enumerates schedules of the nprocs-process system produced by
 // factory, depth-first over scheduler choices, until the space is exhausted
-// or a bound is hit. Each schedule starts from the initial configuration or,
-// when pruning, resumes from a checkpoint; an explorer restarts one engine
-// and restores one live system for all of its runs. The DFS tree is sharded
+// or a bound is hit. Each schedule resumes from a checkpoint at its
+// divergence from the previous one, or starts from the initial configuration
+// when the systems cannot restore; an explorer restarts one engine and
+// restores one live system for all of its runs. The DFS tree is sharded
 // into subtrees drained by opts.Workers workers; the report is
 // byte-identical for any worker count.
 func Explore(nprocs int, factory Factory, opts ExploreOpts) (*ExploreReport, error) {
@@ -263,8 +265,11 @@ type explorer struct {
 	sh    *exploreShared
 
 	// cache is the visited-state view of a pruned search, nil otherwise.
-	// Checkpointing is on exactly when it is set.
 	cache *stateCache
+	// ckpt turns on checkpointing: explore sets it for every subtree search,
+	// and it takes effect when the live system restores (System.Restore).
+	// The frontier planner's probes never resume, so they leave it off.
+	ckpt bool
 
 	// Persistent path state, indexed by absolute decision depth: offs[d]..
 	// offs[d+1] frames depth d's enabled set in flat.
@@ -318,15 +323,14 @@ func (ex *explorer) Pick(step int, enabled []int) int {
 			ex.cut = true
 			return sched.Halt
 		}
-		// Checkpoint only at branch points: backtracking always diverges at
-		// a depth with an unexplored sibling, so checkpoints taken on forced
-		// single-successor chains could never seed a resume — and every
-		// resume then starts exactly at the divergence depth, replaying
-		// nothing.
-		if step >= ex.floor && len(enabled) > 1 &&
-			(len(ex.cps) == 0 || ex.cps[len(ex.cps)-1].depth < step) {
-			ex.pushCheckpoint(step)
-		}
+	}
+	// Checkpoint only at branch points: backtracking always diverges at a
+	// depth with an unexplored sibling, so checkpoints taken on forced
+	// single-successor chains could never seed a resume — and every resume
+	// then starts exactly at the divergence depth, replaying nothing.
+	if ex.ckpt && ex.sys.Restore != nil && step >= ex.floor && len(enabled) > 1 &&
+		(len(ex.cps) == 0 || ex.cps[len(ex.cps)-1].depth < step) {
+		ex.pushCheckpoint(step)
 	}
 	pick := enabled[0]
 	if step < len(ex.prefix) {
@@ -402,6 +406,7 @@ func (ex *explorer) pushCheckpoint(step int) {
 // error, not a run: the search returns it without a report).
 func (ex *explorer) explore() (*SubtreeOutcome, error) {
 	ex.o = &SubtreeOutcome{ErrOrd: -1}
+	ex.ckpt = true
 	if err := ex.search(); err != nil {
 		return nil, err
 	}
@@ -491,16 +496,14 @@ func (ex *explorer) search() error {
 			sh.cutAt(ex.i)
 			return nil
 		}
+		for len(ex.cps) > 0 && ex.cps[len(ex.cps)-1].depth > d {
+			ex.cps = ex.cps[:len(ex.cps)-1]
+		}
 		base := 0
 		from = nil
-		if ex.cache != nil {
-			for len(ex.cps) > 0 && ex.cps[len(ex.cps)-1].depth > d {
-				ex.cps = ex.cps[:len(ex.cps)-1]
-			}
-			if len(ex.cps) > 0 {
-				from = &ex.cps[len(ex.cps)-1]
-				base = from.depth
-			}
+		if len(ex.cps) > 0 {
+			from = &ex.cps[len(ex.cps)-1]
+			base = from.depth
 		}
 		ex.truncTo(base)
 	}

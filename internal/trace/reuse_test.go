@@ -38,10 +38,10 @@ func replayChecked(nprocs int, factory Factory, checked *atomic.Int64, mismatch 
 	return func(gate sched.Stepper) System { return wrap(factory(gate)) }
 }
 
-// TestCheckSeesFreshEngineResult: on every run of a search — unpruned, and
-// pruned with runs resumed from checkpoints, on 1 and 2 workers — the Result
-// handed to System.Check equals the one a fresh engine produces for the same
-// schedule: Steps, StepsBy, Finished and Trace. The depth bounds truncate
+// TestCheckSeesFreshEngineResult: on every run of a search — unpruned and
+// pruned, both with runs resumed from checkpoints, on 1 and 2 workers — the
+// Result handed to System.Check equals the one a fresh engine produces for
+// the same schedule: Steps, StepsBy, Finished and Trace. The depth bounds truncate
 // most runs, so processes that did not finish sit beside ones that did, and
 // firstvalue's checkpoints hold finished processes; a restart that left a
 // previous run's step counts or finished flags behind, or resumed without

@@ -1,16 +1,17 @@
-// Stateful exploration: state-fingerprint pruning and subtree checkpointing
-// for the exhaustive schedule search. On symmetric protocols huge numbers of
+// Stateful exploration: subtree checkpointing and state-fingerprint pruning
+// for the exhaustive schedule search. Every search whose systems restore in
+// place (System.Restore), pruned or not, checkpoints the sequential engine
+// and system state at every branching decision on the current path and
+// resumes the next schedule from the deepest common prefix instead of
+// replaying it from the root: the explorer's live system is restored in
+// place from the checkpoint. On symmetric protocols huge numbers of
 // interleavings converge to identical configurations and would be
-// re-explored in full. A pruned search hashes the configuration — every
-// shared object and every process state, via the fingerprint contract of
-// sched.Fingerprinter — at each scheduler decision and cuts the subtree when
-// that configuration was already fully explored with at least as much
-// remaining depth (classic state caching). It also checkpoints the
-// sequential engine and system state at every branching decision on the
-// current path and resumes the next schedule from the deepest common prefix
-// instead of replaying it from the root: the explorer's live system is
-// restored in place from the checkpoint (System.Restore). Both live in the
-// one DFS loop (explorer in explore.go); this file holds a subtree's
+// re-explored in full; a pruned search (ExploreOpts.Prune) also hashes the
+// configuration — every shared object and every process state, via the
+// fingerprint contract of sched.Fingerprinter — at each scheduler decision
+// and cuts the subtree when that configuration was already fully explored
+// with at least as much remaining depth (classic state caching). Both live
+// in the one DFS loop (explorer in explore.go); this file holds a subtree's
 // visited-state cache and the checkpoint stack entries.
 //
 // Soundness of the prune (safety checking): a configuration determines the
