@@ -50,12 +50,18 @@ protocols:
 
 # Distributed-search smoke: one coordinator + two localhost TCP workers on
 # the acceptance pair, byte-compared against the single-process report.
-# Like `protocols`, a separate CI step rather than part of `ci`.
+# Like `protocols`, a separate CI step rather than part of `ci`. The
+# unpruned legs run checkpointed subtrees: an exhausted search, one that
+# stops at the violation cutoff, and one cut by the run budget with
+# violations found before it.
 dist-smoke:
 	$(GO) run ./cmd/distcheck -smoke -protocol firstvalue -n 4 -prune
 	$(GO) run ./cmd/distcheck -smoke -protocol kset -n 4 -k 3 -prune
 	$(GO) run ./cmd/distcheck -smoke -protocol firstvalue -n 4 -prune -symmetry
 	$(GO) run ./cmd/distcheck -smoke -protocol kset -n 4 -k 3 -prune -symmetry
+	$(GO) run ./cmd/distcheck -smoke -protocol consensus -n 3 -depth 10
+	$(GO) run ./cmd/distcheck -smoke -protocol firstvalue-consensus -n 3 -depth 9 -maxruns 3000
+	$(GO) run ./cmd/distcheck -smoke -protocol firstvalue-consensus -n 3 -depth 9 -maxruns 40 -maxviol 30
 
 # Checking-daemon smoke: one checkd with two TCP workers runs two protocol
 # jobs concurrently on the shared fleet, each report byte-compared against
