@@ -173,11 +173,11 @@ type System struct {
 // copy of the initial configuration, and one frozen system per checkpoint
 // slot; each run then starts by restoring the live system from the pristine
 // one or from a checkpoint (System.Restore). A system without Restore is
-// instead rebuilt for every schedule and run from scratch. Fuzz builds one engine and one system per evaluation. With
-// Workers > 1 the factory is called from several workers concurrently, so
-// consecutive calls must not share mutable state: everything a system
-// touches — shared objects, processes, check state — must be built fresh per
-// call.
+// instead rebuilt for every schedule and run from scratch. Fuzz builds one
+// engine and one system per evaluation. With Workers > 1 the factory is
+// called from several workers concurrently, so consecutive calls must not
+// share mutable state: everything a system touches — shared objects,
+// processes, check state — must be built fresh per call.
 //
 // Systems must also be deterministic: every run replays a recorded prefix of
 // scheduler picks, so consecutive calls must behave identically. A replayed
