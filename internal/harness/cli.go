@@ -104,7 +104,7 @@ func WorkersFlag(fs *flag.FlagSet) *int {
 }
 
 // PruneFlag registers just the -prune flag — the shared switch for
-// state-fingerprint pruning (subtree checkpointing is always on). It only
+// state-fingerprint pruning (subtree checkpointing is on either way). It only
 // affects exhaustive exploration (Options.Prune, the Check verb); verbs that
 // enumerate seeds or run single schedules accept and ignore it, keeping the
 // flag surface uniform across the cmds.
