@@ -664,14 +664,17 @@ func BenchmarkExploreObs(b *testing.B) {
 // prunedBenchSystem wires the stateful-exploration hooks (fingerprint and
 // in-place restore) over a protocol instance, mirroring the harness factory.
 func prunedBenchSystem(snap *shmem.MWSnapshot, machines []sched.Machine) trace.System {
+	var fp sched.FP
 	return trace.System{
 		Machines: machines,
 		Check:    func(*sched.Result) error { return nil },
 		Fingerprint: func(h *maphash.Hash) {
-			snap.AppendFingerprint(h, nil)
+			fp.Reset()
+			snap.AppendFingerprint(&fp, nil)
 			for _, m := range machines {
-				m.(sched.Fingerprinter).AppendFingerprint(h, nil)
+				m.(sched.Fingerprinter).AppendFingerprint(&fp, nil)
 			}
+			h.Write(fp.Bytes())
 		},
 		Restore: func(from trace.System) { proto.RestoreMachines(machines, from.Machines) },
 	}

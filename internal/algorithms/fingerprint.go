@@ -1,8 +1,6 @@
 package algorithms
 
 import (
-	"hash/maphash"
-
 	"revisionist/internal/sched"
 	"revisionist/internal/shmem"
 )
@@ -20,67 +18,67 @@ import (
 // already orbit-invariant under slot reordering.
 
 // AppendFingerprint implements sched.Fingerprinter.
-func (p *FirstValue) AppendFingerprint(h *maphash.Hash, c *sched.Canon) {
-	h.WriteByte(0x40)
-	maphash.WriteComparable(h, p.wrote)
-	maphash.WriteComparable(h, p.done)
-	maphash.WriteComparable(h, p.poisedUpdate)
-	shmem.AppendValue(h, p.out, c)
+func (p *FirstValue) AppendFingerprint(fp *sched.FP, c *sched.Canon) {
+	fp.Byte(0x40)
+	fp.Bool(p.wrote)
+	fp.Bool(p.done)
+	fp.Bool(p.poisedUpdate)
+	shmem.AppendValue(fp, p.out, c)
 }
 
 // AppendFingerprint implements sched.Fingerprinter.
-func (p *Singleton) AppendFingerprint(h *maphash.Hash, _ *sched.Canon) {
-	h.WriteByte(0x41)
-	maphash.WriteComparable(h, p.done)
+func (p *Singleton) AppendFingerprint(fp *sched.FP, _ *sched.Canon) {
+	fp.Byte(0x41)
+	fp.Bool(p.done)
 }
 
 // AppendFingerprint implements sched.Fingerprinter.
-func (p *Paxos) AppendFingerprint(h *maphash.Hash, c *sched.Canon) {
-	h.WriteByte(0x42)
-	maphash.WriteComparable(h, p.r)
-	maphash.WriteComparable(h, int(p.phase))
-	shmem.AppendValue(h, p.val, c)
-	p.myReg.AppendValueFingerprint(h, c)
-	shmem.AppendValue(h, p.out, c)
+func (p *Paxos) AppendFingerprint(fp *sched.FP, c *sched.Canon) {
+	fp.Byte(0x42)
+	fp.Int(p.r)
+	fp.Int(int(p.phase))
+	shmem.AppendValue(fp, p.val, c)
+	p.myReg.AppendValueFingerprint(fp, c)
+	shmem.AppendValue(fp, p.out, c)
 }
 
 // AppendValueFingerprint implements shmem.ValueFingerprinter.
-func (r PaxosReg) AppendValueFingerprint(h *maphash.Hash, c *sched.Canon) {
-	h.WriteByte(0x43)
-	maphash.WriteComparable(h, r.LRE)
-	maphash.WriteComparable(h, r.LRWW)
-	shmem.AppendValue(h, r.Val, c)
+func (r PaxosReg) AppendValueFingerprint(fp *sched.FP, c *sched.Canon) {
+	fp.Byte(0x43)
+	fp.Int(r.LRE)
+	fp.Int(r.LRWW)
+	shmem.AppendValue(fp, r.Val, c)
 }
 
 // AppendFingerprint implements sched.Fingerprinter.
-func (p *AA2) AppendFingerprint(h *maphash.Hash, _ *sched.Canon) {
-	h.WriteByte(0x44)
-	maphash.WriteComparable(h, p.r)
-	maphash.WriteComparable(h, p.v)
-	maphash.WriteComparable(h, len(p.hist))
+func (p *AA2) AppendFingerprint(fp *sched.FP, _ *sched.Canon) {
+	fp.Byte(0x44)
+	fp.Int(p.r)
+	fp.Float64(p.v)
+	fp.Int(len(p.hist))
 	for _, v := range p.hist {
-		maphash.WriteComparable(h, v)
+		fp.Float64(v)
 	}
-	maphash.WriteComparable(h, p.poisedUpdate)
-	maphash.WriteComparable(h, p.started)
-	maphash.WriteComparable(h, p.done)
+	fp.Bool(p.poisedUpdate)
+	fp.Bool(p.started)
+	fp.Bool(p.done)
 }
 
 // AppendFingerprint implements sched.Fingerprinter.
-func (p *AAN) AppendFingerprint(h *maphash.Hash, _ *sched.Canon) {
-	h.WriteByte(0x45)
-	maphash.WriteComparable(h, p.r)
-	maphash.WriteComparable(h, p.v)
-	maphash.WriteComparable(h, p.started)
-	maphash.WriteComparable(h, p.poisedUpdate)
-	maphash.WriteComparable(h, p.done)
+func (p *AAN) AppendFingerprint(fp *sched.FP, _ *sched.Canon) {
+	fp.Byte(0x45)
+	fp.Int(p.r)
+	fp.Float64(p.v)
+	fp.Bool(p.started)
+	fp.Bool(p.poisedUpdate)
+	fp.Bool(p.done)
 }
 
 // AppendValueFingerprint implements shmem.ValueFingerprinter.
-func (r AANReg) AppendValueFingerprint(h *maphash.Hash, _ *sched.Canon) {
-	h.WriteByte(0x46)
-	maphash.WriteComparable(h, r.R)
-	maphash.WriteComparable(h, r.V)
+func (r AANReg) AppendValueFingerprint(fp *sched.FP, _ *sched.Canon) {
+	fp.Byte(0x46)
+	fp.Int(r.R)
+	fp.Float64(r.V)
 }
 
 var (

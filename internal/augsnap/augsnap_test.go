@@ -420,17 +420,17 @@ func TestFingerprintStreamsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := sched.NewFingerprintHash()
+	var fp sched.FP
 	for _, store := range []string{"atomic", "registers"} {
 		for seed := int64(0); seed < 4; seed++ {
 			var a *AugSnapshot
 			random, decisions := sched.NewRandom(seed), 0
 			runner := sched.NewSeqEngine(f, sched.StrategyFunc(func(step int, enabled []int) int {
 				decisions++
-				h.Reset()
-				a.AppendFingerprint(&h, nil)
-				plain := h.Sum64()
-				if c := id.Canonical(&h, a.AppendFingerprint); c != plain {
+				fp.Reset()
+				a.AppendFingerprint(&fp, nil)
+				plain := fp.Sum64()
+				if c := id.Canonical(&fp, a.AppendFingerprint); c != plain {
 					t.Fatalf("%s seed %d step %d: hashes %x under the identity Canon, %x under a nil one", store, seed, step, c, plain)
 				}
 				return random.Pick(step, enabled)

@@ -1,8 +1,6 @@
 package augsnap
 
 import (
-	"hash/maphash"
-
 	"revisionist/internal/sched"
 	"revisionist/internal/shmem"
 )
@@ -19,10 +17,10 @@ import (
 
 // appendTimestamp appends a vector timestamp with its per-process entries
 // reordered by c's slot sources.
-func appendTimestamp(h *maphash.Hash, t Timestamp, c *sched.Canon) {
-	maphash.WriteComparable(h, len(t))
+func appendTimestamp(fp *sched.FP, t Timestamp, c *sched.Canon) {
+	fp.Int(len(t))
 	for i := range t {
-		maphash.WriteComparable(h, t[c.SlotSrc(i)])
+		fp.Int(t[c.SlotSrc(i)])
 	}
 }
 
@@ -31,22 +29,22 @@ func appendTimestamp(h *maphash.Hash, t Timestamp, c *sched.Canon) {
 // Triples embed an M-component index (rewritten forward through the
 // component permutation) and a per-process vector timestamp; help records
 // embed a destination pid and nested HComp views.
-func (hc HComp) AppendValueFingerprint(h *maphash.Hash, c *sched.Canon) {
-	h.WriteByte(0x30)
-	maphash.WriteComparable(h, len(hc.Triples))
+func (hc HComp) AppendValueFingerprint(fp *sched.FP, c *sched.Canon) {
+	fp.Byte(0x30)
+	fp.Int(len(hc.Triples))
 	for _, tr := range hc.Triples {
-		maphash.WriteComparable(h, c.CompDst(tr.Comp))
-		shmem.AppendValue(h, tr.Val, c)
-		appendTimestamp(h, tr.TS, c)
+		fp.Int(c.CompDst(tr.Comp))
+		shmem.AppendValue(fp, tr.Val, c)
+		appendTimestamp(fp, tr.TS, c)
 	}
-	maphash.WriteComparable(h, hc.NumBU)
-	maphash.WriteComparable(h, len(hc.Help))
+	fp.Int(hc.NumBU)
+	fp.Int(len(hc.Help))
 	for _, rec := range hc.Help {
-		maphash.WriteComparable(h, c.Pid(rec.Dst))
-		maphash.WriteComparable(h, rec.Idx)
-		maphash.WriteComparable(h, len(rec.H))
+		fp.Int(c.Pid(rec.Dst))
+		fp.Int(rec.Idx)
+		fp.Int(len(rec.H))
 		for _, nested := range rec.H {
-			nested.AppendValueFingerprint(h, c)
+			nested.AppendValueFingerprint(fp, c)
 		}
 	}
 }
@@ -54,14 +52,14 @@ func (hc HComp) AppendValueFingerprint(h *maphash.Hash, c *sched.Canon) {
 // AppendFingerprint implements sched.Fingerprinter by composing the
 // underlying store's fingerprint (both shmem stores implement the contract)
 // with the augmented snapshot's own counters, which reorder with the slots.
-func (a *AugSnapshot) AppendFingerprint(h *maphash.Hash, c *sched.Canon) {
-	h.WriteByte(0x31)
-	maphash.WriteComparable(h, a.f)
-	maphash.WriteComparable(h, a.m)
+func (a *AugSnapshot) AppendFingerprint(fp *sched.FP, c *sched.Canon) {
+	fp.Byte(0x31)
+	fp.Int(a.f)
+	fp.Int(a.m)
 	for i := range a.buCount {
-		maphash.WriteComparable(h, a.buCount[c.SlotSrc(i)])
+		fp.Int(a.buCount[c.SlotSrc(i)])
 	}
-	a.h.(sched.Fingerprinter).AppendFingerprint(h, c)
+	a.h.(sched.Fingerprinter).AppendFingerprint(fp, c)
 }
 
 var (

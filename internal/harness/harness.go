@@ -297,12 +297,13 @@ func canonicalizer(pr *protocol.Protocol, p protocol.Params) *sched.Canonicalize
 }
 
 // protoSystem assembles the System for a protocol instance, wiring the
-// stateful-exploration hooks around one configuration encoder, appendCfg,
-// which composes the snapshot's state with every machine's under a Canon.
-// The fingerprint is that encoder under the identity (enabling
-// ExploreOpts.Prune — sound here because the task check is a function of
-// the recorded outputs, i.e. of the configuration); the canonical
-// fingerprint minimizes it over the protocol's symmetry group (enabling
+// stateful-exploration hooks around one configuration encoder,
+// appendConfig, and one fingerprint buffer the system reuses. The
+// fingerprint is the encoding under the identity, written to the caller's
+// hash in one Write (enabling ExploreOpts.Prune — sound here because the
+// task check is a function of the recorded outputs, i.e. of the
+// configuration); the canonical fingerprint minimizes the hash of the
+// encoding over the protocol's symmetry group (enabling
 // ExploreOpts.Symmetry; with no declared symmetry the group is the identity
 // and the hook is an exact no-op). Restore copies another instance's
 // snapshot, result and machines into this one in place. Check validates
@@ -310,21 +311,30 @@ func canonicalizer(pr *protocol.Protocol, p protocol.Params) *sched.Canonicalize
 // slice.
 func protoSystem(j *protoJob, snap *shmem.MWSnapshot, res *proto.RunResult, machines []sched.Machine) trace.System {
 	var outs []spec.Value
-	appendCfg := func(h *maphash.Hash, c *sched.Canon) {
-		snap.AppendFingerprint(h, c)
-		for s := range machines {
-			machines[c.SlotSrc(s)].(sched.Fingerprinter).AppendFingerprint(h, c)
-		}
-	}
+	var fp sched.FP
+	appendCfg := func(fp *sched.FP, c *sched.Canon) { appendConfig(fp, snap, machines, c) }
 	return trace.System{
 		Machines: machines,
 		Check: func(*sched.Result) error {
 			outs = res.AppendDoneOutputs(outs[:0])
 			return j.task.Validate(j.inputs, outs)
 		},
-		Fingerprint:          func(h *maphash.Hash) { appendCfg(h, nil) },
-		CanonicalFingerprint: func(h *maphash.Hash) uint64 { return j.cz.Canonical(h, appendCfg) },
+		Fingerprint: func(h *maphash.Hash) {
+			fp.Reset()
+			appendCfg(&fp, nil)
+			h.Write(fp.Bytes())
+		},
+		CanonicalFingerprint: func(*maphash.Hash) uint64 { return j.cz.Canonical(&fp, appendCfg) },
 		Restore:              func(from trace.System) { proto.RestoreMachines(machines, from.Machines) },
+	}
+}
+
+// appendConfig encodes a protocol system's configuration under c: the
+// snapshot's state, then every machine's, in c's slot order.
+func appendConfig(fp *sched.FP, snap *shmem.MWSnapshot, machines []sched.Machine, c *sched.Canon) {
+	snap.AppendFingerprint(fp, c)
+	for s := range machines {
+		machines[c.SlotSrc(s)].(sched.Fingerprinter).AppendFingerprint(fp, c)
 	}
 }
 

@@ -15,22 +15,23 @@ import (
 
 // TestExploreAllocsPerRun bounds the heap allocations per explored run of
 // three searches of the perfbench pool, at one worker: an explorer restores
-// one live system per run instead of building or copying one, so a run costs
-// a handful of allocations (the engine's Result, boxed register values) and
-// a regression that rebuilds systems or copies scan views shows up here.
-// The unpruned search resumes from checkpoints too, so it no longer replays
-// (and re-boxes) each schedule's prefix from the initial configuration. The
-// bounds sit over the measured 1.7 / 2.3 / 5.2; the unpruned one fails a
-// search that replays from the root (7.1).
+// one live system per run instead of building or copying one, and its engine
+// returns the same Result every run, so a run costs a handful of allocations
+// (boxed register values) and a regression that rebuilds systems or copies
+// scan views shows up here. The unpruned search resumes from checkpoints
+// too, so it no longer replays (and re-boxes) each schedule's prefix from
+// the initial configuration. The bounds sit over the measured 0.7 / 1.3 /
+// 4.4; the unpruned one fails a search that replays from the root (7.1) or
+// an engine that allocates a Result per run (1.7).
 func TestExploreAllocsPerRun(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		opts  Options
 		bound float64
 	}{
-		{"consensus-n3-d11-unpruned", Options{Protocol: "consensus", Params: protocol.Params{N: 3}, MaxDepth: 11}, 3},
-		{"consensus-n3-d16-pruned", Options{Protocol: "consensus", Params: protocol.Params{N: 3}, MaxDepth: 16, Prune: true}, 4},
-		{"aan-n3-d16-symmetry", Options{Protocol: "aan", Params: protocol.Params{N: 3}, MaxDepth: 16, Prune: true, Symmetry: true}, 8},
+		{"consensus-n3-d11-unpruned", Options{Protocol: "consensus", Params: protocol.Params{N: 3}, MaxDepth: 11}, 1},
+		{"consensus-n3-d16-pruned", Options{Protocol: "consensus", Params: protocol.Params{N: 3}, MaxDepth: 16, Prune: true}, 2},
+		{"aan-n3-d16-symmetry", Options{Protocol: "aan", Params: protocol.Params{N: 3}, MaxDepth: 16, Prune: true, Symmetry: true}, 6},
 	} {
 		c.opts.Workers = 1
 		var before, after runtime.MemStats

@@ -2,7 +2,6 @@ package proto
 
 import (
 	"fmt"
-	"hash/maphash"
 
 	"revisionist/internal/sched"
 	"revisionist/internal/shmem"
@@ -20,18 +19,18 @@ import (
 // deterministic only for pointer-free, map-free process states and, with
 // no pids or input values rewritten, can only weaken an orbit collapse,
 // never merge distinct orbits.
-func (mc *procMachine) AppendFingerprint(h *maphash.Hash, c *sched.Canon) {
+func (mc *procMachine) AppendFingerprint(fp *sched.FP, c *sched.Canon) {
 	mc.mustBeQuiescent()
-	h.WriteByte(0x50)
-	maphash.WriteComparable(h, mc.started)
-	maphash.WriteComparable(h, mc.wantScan)
-	maphash.WriteComparable(h, mc.done)
+	fp.Byte(0x50)
+	fp.Bool(mc.started)
+	fp.Bool(mc.wantScan)
+	fp.Bool(mc.done)
 	if f, ok := mc.p.(sched.Fingerprinter); ok {
-		f.AppendFingerprint(h, c)
+		f.AppendFingerprint(fp, c)
 		return
 	}
-	h.WriteByte(0x51)
-	fmt.Fprintf(h, "%T%#v", mc.p, mc.p)
+	fp.Byte(0x51)
+	fp.Rendering(mc.p)
 }
 
 // mustBeQuiescent panics in the middle of a multi-step snapshot operation,

@@ -3,7 +3,6 @@ package sched_test
 import (
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -506,15 +505,15 @@ func TestRegisterBuiltMachinesMatchAcrossEngines(t *testing.T) {
 // every decision point, where both engines are quiescent by construction.
 type fpRecorder struct {
 	inner sched.Strategy
-	fp    func(*maphash.Hash)
-	h     maphash.Hash
+	fp    func(*sched.FP)
+	buf   sched.FP
 	out   []uint64
 }
 
 func (r *fpRecorder) Pick(step int, enabled []int) int {
-	r.h.Reset()
-	r.fp(&r.h)
-	r.out = append(r.out, r.h.Sum64())
+	r.buf.Reset()
+	r.fp(&r.buf)
+	r.out = append(r.out, r.buf.Sum64())
 	return r.inner.Pick(step, enabled)
 }
 
@@ -523,11 +522,11 @@ func (r *fpRecorder) Pick(step int, enabled []int) int {
 // requires byte-identical configuration hashes at every step.
 func TestFingerprintsIdenticalAcrossEngines(t *testing.T) {
 	runBoth := func(t *testing.T, nprocs int, seed int64,
-		build func(gate sched.Stepper) ([]sched.Machine, func(*maphash.Hash))) {
+		build func(gate sched.Stepper) ([]sched.Machine, func(*sched.FP))) {
 		t.Helper()
 		var got [2][]uint64
 		for i, e := range engines {
-			rec := &fpRecorder{inner: sched.NewRandom(seed), h: sched.NewFingerprintHash()}
+			rec := &fpRecorder{inner: sched.NewRandom(seed)}
 			eng := e.mk(nprocs, rec, sched.WithMaxSteps(1<<22))
 			machines, fp := build(eng)
 			rec.fp = fp
@@ -546,7 +545,7 @@ func TestFingerprintsIdenticalAcrossEngines(t *testing.T) {
 
 	t.Run("registers", func(t *testing.T) {
 		for seed := int64(0); seed < 8; seed++ {
-			runBoth(t, 3, seed, func(gate sched.Stepper) ([]sched.Machine, func(*maphash.Hash)) {
+			runBoth(t, 3, seed, func(gate sched.Stepper) ([]sched.Machine, func(*sched.FP)) {
 				regs := []*shmem.Register{
 					shmem.NewRegister("A", gate, nil),
 					shmem.NewRegister("B", gate, 0),
@@ -562,9 +561,9 @@ func TestFingerprintsIdenticalAcrossEngines(t *testing.T) {
 						return stepFunc(func() { regs[(round+1)%2].Read(pid) })
 					}
 				})
-				return machines, func(h *maphash.Hash) {
+				return machines, func(fp *sched.FP) {
 					for _, r := range regs {
-						r.AppendFingerprint(h, nil)
+						r.AppendFingerprint(fp, nil)
 					}
 				}
 			})
@@ -574,7 +573,7 @@ func TestFingerprintsIdenticalAcrossEngines(t *testing.T) {
 	t.Run("augsnap", func(t *testing.T) {
 		const f, m, ops = 3, 2, 4
 		for seed := int64(0); seed < 4; seed++ {
-			runBoth(t, f, seed, func(gate sched.Stepper) ([]sched.Machine, func(*maphash.Hash)) {
+			runBoth(t, f, seed, func(gate sched.Stepper) ([]sched.Machine, func(*sched.FP)) {
 				a := augsnap.New(gate, f, m)
 				rngs := make([]*rand.Rand, f)
 				for pid := range rngs {
@@ -590,7 +589,7 @@ func TestFingerprintsIdenticalAcrossEngines(t *testing.T) {
 						return a.StartBlockUpdate(pid, []int{rng.Intn(m)}, []augsnap.Value{fmt.Sprintf("p%d-%d", pid, i)})
 					}
 				})
-				return machines, func(h *maphash.Hash) { a.AppendFingerprint(h, nil) }
+				return machines, func(fp *sched.FP) { a.AppendFingerprint(fp, nil) }
 			})
 		}
 	})

@@ -10,7 +10,7 @@ import (
 
 // The restart tests pin SeqEngine.Restart: a restarted engine must behave
 // exactly like a fresh one, whatever its buffers held before, and a warm
-// restart must not allocate beyond the run's Result.
+// restart must not allocate at all.
 
 // dirty runs a workload on eng that leaves every buffer non-zero: steps by
 // every pid, finished flags set, a long trace.
@@ -163,10 +163,11 @@ type stepFree struct{}
 
 func (stepFree) Resume() bool { return false }
 
-// TestWarmRestartAllocatesOnlyTheResult pins the point of Restart: once an
-// engine has run, a Restart plus a run allocates at most the *Result — for
-// step-free machines, stepping machines, and a resume from a checkpoint.
-func TestWarmRestartAllocatesOnlyTheResult(t *testing.T) {
+// TestWarmRestartAllocatesNothing pins the point of Restart: once an engine
+// has run, a Restart plus a run allocates nothing — its buffers and its
+// Result are reused — for step-free machines, stepping machines, and a
+// resume from a checkpoint.
+func TestWarmRestartAllocatesNothing(t *testing.T) {
 	const n = 3
 	eng := sched.NewSeqEngine(n, nil)
 	free := []sched.Machine{stepFree{}, stepFree{}, stepFree{}}
@@ -221,8 +222,8 @@ func TestWarmRestartAllocatesOnlyTheResult(t *testing.T) {
 	}
 	for _, c := range cases {
 		c.run() // warm
-		if a := testing.AllocsPerRun(100, c.run); a > 1 {
-			t.Errorf("%s: warm Restart + RunMachines allocates %.1f objects per run, want at most 1 (the Result)", c.name, a)
+		if a := testing.AllocsPerRun(100, c.run); a > 0 {
+			t.Errorf("%s: warm Restart + RunMachines allocates %.1f objects per run, want 0", c.name, a)
 		}
 	}
 }

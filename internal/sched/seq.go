@@ -31,6 +31,8 @@ type SeqEngine struct {
 	parked      []bool
 	finished    []bool
 	numFinished int
+	// res is the Result every run returns a pointer to, refilled per run.
+	res Result
 
 	// resumed is set by a Restart from a checkpoint, which preloads the run
 	// state: RunMachines skips the run-to-first-gate phase and continues
@@ -189,7 +191,7 @@ func (e *SeqEngine) RunMachines(machines []Machine) (*Result, error) {
 		}
 	}
 
-	res := &Result{
+	e.res = Result{
 		Trace:     e.trace,
 		Steps:     len(e.trace),
 		StepsBy:   e.stepsBy,
@@ -197,7 +199,7 @@ func (e *SeqEngine) RunMachines(machines []Machine) (*Result, error) {
 		Halted:    halted,
 		PanicVals: panics,
 	}
-	return res, runErr
+	return &e.res, runErr
 }
 
 // SeqCheckpoint is a frozen mid-run snapshot of a SeqEngine's scheduling
@@ -242,9 +244,10 @@ func (e *SeqEngine) CheckpointInto(cp *SeqCheckpoint) {
 // entries for finished processes may be nil), and the engine's own step
 // budget applies.
 //
-// The buffers a run's *Result aliases (Trace, StepsBy, Finished) are the
-// ones Restart clears and refills: a Result is valid only until the next
-// Restart of the engine that produced it. Copy whatever must outlive it.
+// A run's *Result is the engine's own, and the buffers it aliases (Trace,
+// StepsBy, Finished) are the ones Restart clears and refills: a Result is
+// valid only until the next Restart of the engine that produced it. Copy
+// whatever must outlive it.
 //
 // Restart must not be called while a run is in progress, for example from
 // Strategy.Pick; it panics.

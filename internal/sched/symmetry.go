@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"fmt"
-	"hash/maphash"
-)
+import "fmt"
 
 // This file is the symmetry group of the fingerprint contract
 // (fingerprint.go): configurations that differ only by a permutation of
@@ -13,13 +10,13 @@ import (
 //
 // The canonical fingerprint of a configuration is the minimum, over every
 // element π of the declared symmetry group, of the configuration hash with
-// the identity renaming π applied while hashing — the one encoder of each
+// the identity renaming π applied while encoding — the one encoder of each
 // object (Fingerprinter) called with π's Canon: process states are hashed
 // in π-permuted slot order, components owned by class members are
 // co-permuted, embedded pids are rewritten to π(pid), and (when declared)
 // input values are rewritten to their π-renamed input role. Because the set
 // {hash under π : π in G} is the same for every member of one orbit, the
-// minimum is orbit-invariant; and because each per-π hash stream encodes the
+// minimum is orbit-invariant; and because each per-π byte stream encodes the
 // renamed configuration injectively, two different orbits collide only by a
 // 64-bit hash collision — the same (vanishingly unlikely) caveat plain
 // fingerprint pruning already accepts. Exactness of the bounded search is
@@ -242,14 +239,14 @@ func (cz *Canonicalizer) Capped() bool { return cz.capped }
 
 // Canonical computes the canonical fingerprint: appendCfg must append the
 // full configuration under the given Canon (slots, components, pids and
-// roles rewritten); the minimum hash over the group is returned. h is
-// scratch space, reset per element.
-func (cz *Canonicalizer) Canonical(h *maphash.Hash, appendCfg func(h *maphash.Hash, c *Canon)) uint64 {
+// roles rewritten); the minimum hash over the group is returned. fp is
+// scratch space, reset and hashed once per element.
+func (cz *Canonicalizer) Canonical(fp *FP, appendCfg func(fp *FP, c *Canon)) uint64 {
 	best := ^uint64(0)
 	for _, c := range cz.elems {
-		h.Reset()
-		appendCfg(h, c)
-		if v := h.Sum64(); v < best {
+		fp.Reset()
+		appendCfg(fp, c)
+		if v := fp.Sum64(); v < best {
 			best = v
 		}
 	}

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"hash/maphash"
 	"testing"
 )
 
@@ -167,11 +166,11 @@ func TestCanonicalMinimizesOverOrbit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var h maphash.Hash
+	var buf FP
 	fp := func(cfg []byte) uint64 {
-		return cz.Canonical(&h, func(h *maphash.Hash, c *Canon) {
+		return cz.Canonical(&buf, func(fp *FP, c *Canon) {
 			for s := 0; s < len(cfg); s++ {
-				h.WriteByte(cfg[c.SlotSrc(s)])
+				fp.Byte(cfg[c.SlotSrc(s)])
 			}
 		})
 	}

@@ -2,22 +2,21 @@ package shmem
 
 import (
 	"fmt"
-	"hash/maphash"
 
 	"revisionist/internal/sched"
 )
 
 // This file implements the fingerprint contract (sched.Fingerprinter) for
 // every base object: the object's semantic state — the values a future
-// operation could observe — is appended to a running configuration hash,
-// under a symmetry-group element c (nil: the identity). Process-indexed
-// state reorders by c's slot sources, owned components by its component
-// sources, embedded pids are rewritten and declared input values hash as
-// role tokens. Operation counters (OpCounts) are statistics, not state, and
-// are never appended. Each object leads with a distinct tag byte and
-// length-prefixes its components, whatever c is, so concatenated
-// fingerprints stay unambiguous and each stream is injective in the renamed
-// configuration.
+// operation could observe — is appended to the configuration's fingerprint
+// stream (sched.FP), under a symmetry-group element c (nil: the identity).
+// Process-indexed state reorders by c's slot sources, owned components by
+// its component sources, embedded pids are rewritten and declared input
+// values encode as role tokens. Operation counters (OpCounts) are
+// statistics, not state, and are never appended. Each object leads with a
+// distinct tag byte and length-prefixes its components, whatever c is, so
+// concatenated fingerprints stay unambiguous and each stream is injective
+// in the renamed configuration.
 
 // Object tag bytes. Values get their own tag space in AppendValue.
 const (
@@ -38,116 +37,115 @@ const (
 // rendering (see AppendValue), which is slower and must not contain pointers
 // or maps.
 type ValueFingerprinter interface {
-	AppendValueFingerprint(h *maphash.Hash, c *sched.Canon)
+	AppendValueFingerprint(fp *sched.FP, c *sched.Canon)
 }
 
 // AppendValue appends one component value to the fingerprint under c (nil:
-// the identity). A scalar that c declares an input value hashes as its
+// the identity). A scalar that c declares an input value encodes as its
 // renamed role token. Built-in scalar and slice shapes are dispatched
 // directly; composite protocol values implement ValueFingerprinter; anything
-// else takes the %#v fallback, which is deterministic only for pointer-free,
-// map-free values.
-func AppendValue(h *maphash.Hash, v Value, c *sched.Canon) {
+// else takes the %#v fallback (sched.FP.Rendering), which is deterministic
+// only for pointer-free, map-free values.
+func AppendValue(fp *sched.FP, v Value, c *sched.Canon) {
 	if c != nil { // the plain fingerprint skips the type switch
 		switch v.(type) {
 		case bool, int, int64, float64, string:
 			// Input values are scalars. Composites are never looked up:
 			// they may be unhashable.
 			if role, ok := c.Role(v); ok {
-				h.WriteByte(0x0e)
-				maphash.WriteComparable(h, role)
+				fp.Byte(0x0e)
+				fp.Int(role)
 				return
 			}
 		}
 	}
 	switch x := v.(type) {
 	case nil:
-		h.WriteByte(0x00)
+		fp.Byte(0x00)
 	case ValueFingerprinter:
-		h.WriteByte(0x01)
-		x.AppendValueFingerprint(h, c)
+		fp.Byte(0x01)
+		x.AppendValueFingerprint(fp, c)
 	case bool:
-		h.WriteByte(0x02)
-		maphash.WriteComparable(h, x)
+		fp.Byte(0x02)
+		fp.Bool(x)
 	case int:
-		h.WriteByte(0x03)
-		maphash.WriteComparable(h, x)
+		fp.Byte(0x03)
+		fp.Int(x)
 	case int64:
-		h.WriteByte(0x04)
-		maphash.WriteComparable(h, x)
+		fp.Byte(0x04)
+		fp.Int64(x)
 	case float64:
-		h.WriteByte(0x05)
-		maphash.WriteComparable(h, x)
+		fp.Byte(0x05)
+		fp.Float64(x)
 	case string:
-		h.WriteByte(0x06)
-		maphash.WriteComparable(h, len(x))
-		h.WriteString(x)
+		fp.Byte(0x06)
+		fp.Str(x)
 	case []Value:
-		h.WriteByte(0x07)
-		maphash.WriteComparable(h, len(x))
+		fp.Byte(0x07)
+		fp.Int(len(x))
 		for _, e := range x {
-			AppendValue(h, e, c)
+			AppendValue(fp, e, c)
 		}
 	case []float64:
-		h.WriteByte(0x08)
-		maphash.WriteComparable(h, len(x))
+		fp.Byte(0x08)
+		fp.Int(len(x))
 		for _, e := range x {
-			maphash.WriteComparable(h, e)
+			fp.Float64(e)
 		}
 	case []int:
-		h.WriteByte(0x09)
-		maphash.WriteComparable(h, len(x))
+		fp.Byte(0x09)
+		fp.Int(len(x))
 		for _, e := range x {
-			maphash.WriteComparable(h, e)
+			fp.Int(e)
 		}
 	default:
-		h.WriteByte(0x0f)
-		fmt.Fprintf(h, "%T%#v", v, v)
+		fp.Byte(0x0f)
+		fp.Rendering(v)
 	}
 }
 
 // AppendFingerprint implements sched.Fingerprinter.
-func (r *Register) AppendFingerprint(h *maphash.Hash, c *sched.Canon) {
-	h.WriteByte(fpRegister)
-	AppendValue(h, r.v, c)
+func (r *Register) AppendFingerprint(fp *sched.FP, c *sched.Canon) {
+	fp.Byte(fpRegister)
+	AppendValue(fp, r.v, c)
 }
 
 // AppendFingerprint implements sched.Fingerprinter. The components of a
 // single-writer snapshot are process-indexed, so they reorder with the
 // process slots.
-func (s *SWSnapshot) AppendFingerprint(h *maphash.Hash, c *sched.Canon) {
-	h.WriteByte(fpSWSnapshot)
-	maphash.WriteComparable(h, len(s.comps))
+func (s *SWSnapshot) AppendFingerprint(fp *sched.FP, c *sched.Canon) {
+	fp.Byte(fpSWSnapshot)
+	fp.Int(len(s.comps))
 	for j := range s.comps {
-		AppendValue(h, s.comps[c.SlotSrc(j)], c)
+		AppendValue(fp, s.comps[c.SlotSrc(j)], c)
 	}
 }
 
 // AppendFingerprint implements sched.Fingerprinter. Multi-writer components
 // are shared, but a class member may own some of them (address them by its
 // identity); those are co-permuted.
-func (s *MWSnapshot) AppendFingerprint(h *maphash.Hash, c *sched.Canon) {
-	h.WriteByte(fpMWSnapshot)
-	maphash.WriteComparable(h, len(s.comps))
+func (s *MWSnapshot) AppendFingerprint(fp *sched.FP, c *sched.Canon) {
+	fp.Byte(fpMWSnapshot)
+	fp.Int(len(s.comps))
 	for j := range s.comps {
-		AppendValue(h, s.comps[c.CompSrc(j)], c)
+		AppendValue(fp, s.comps[c.CompSrc(j)], c)
 	}
 }
 
 // AppendFingerprint implements sched.Fingerprinter.
-func (s *MaxSnapshot) AppendFingerprint(h *maphash.Hash, c *sched.Canon) {
-	h.WriteByte(fpMaxSnapshot)
-	maphash.WriteComparable(h, len(s.comps))
+func (s *MaxSnapshot) AppendFingerprint(fp *sched.FP, c *sched.Canon) {
+	fp.Byte(fpMaxSnapshot)
+	fp.Int(len(s.comps))
 	for j := range s.comps {
-		AppendValue(h, s.comps[c.CompSrc(j)], c)
+		AppendValue(fp, s.comps[c.CompSrc(j)], c)
 	}
 }
 
 // AppendFingerprint implements sched.Fingerprinter (a fetch-and-increment
 // counter has no process identity in its state).
-func (f *FetchInc) AppendFingerprint(h *maphash.Hash, _ *sched.Canon) {
-	h.WriteByte(fpFetchInc)
-	maphash.WriteComparable(h, f.v)
+func (f *FetchInc) AppendFingerprint(fp *sched.FP, _ *sched.Canon) {
+	fp.Byte(fpFetchInc)
+	fp.Int(f.v)
 }
 
 // AppendFingerprint implements sched.Fingerprinter: the register-built
@@ -156,54 +154,54 @@ func (f *FetchInc) AppendFingerprint(h *maphash.Hash, _ *sched.Canon) {
 // construction (they steer future scans, so they are semantic state). The
 // registers are one per writer, so they reorder with the process slots;
 // their swRec contents canonicalize recursively.
-func (s *RegSWSnapshot) AppendFingerprint(h *maphash.Hash, c *sched.Canon) {
-	h.WriteByte(fpRegSW)
-	maphash.WriteComparable(h, len(s.regs))
+func (s *RegSWSnapshot) AppendFingerprint(fp *sched.FP, c *sched.Canon) {
+	fp.Byte(fpRegSW)
+	fp.Int(len(s.regs))
 	for j := range s.regs {
-		s.regs[c.SlotSrc(j)].AppendFingerprint(h, c)
+		s.regs[c.SlotSrc(j)].AppendFingerprint(fp, c)
 	}
 }
 
 // AppendFingerprint implements sched.Fingerprinter: the registers are shared
 // components (co-permuted when owned), while the private sequence counters
 // are process-indexed and reorder with the slots.
-func (s *RegMWSnapshot) AppendFingerprint(h *maphash.Hash, c *sched.Canon) {
-	h.WriteByte(fpRegMW)
-	maphash.WriteComparable(h, len(s.regs))
+func (s *RegMWSnapshot) AppendFingerprint(fp *sched.FP, c *sched.Canon) {
+	fp.Byte(fpRegMW)
+	fp.Int(len(s.regs))
 	for j := range s.regs {
-		s.regs[c.CompSrc(j)].AppendFingerprint(h, c)
+		s.regs[c.CompSrc(j)].AppendFingerprint(fp, c)
 	}
 	for j := range s.seq {
-		maphash.WriteComparable(h, s.seq[c.SlotSrc(j)])
+		fp.Int(s.seq[c.SlotSrc(j)])
 	}
 }
 
 // AppendValueFingerprint implements ValueFingerprinter for the single-writer
 // register record. The embedded view is one entry per writer register, so
 // it reorders with the process slots.
-func (r swRec) AppendValueFingerprint(h *maphash.Hash, c *sched.Canon) {
-	h.WriteByte(0x20)
-	maphash.WriteComparable(h, r.Seq)
-	AppendValue(h, r.Val, c)
-	h.WriteByte(0x07)
-	maphash.WriteComparable(h, len(r.View))
+func (r swRec) AppendValueFingerprint(fp *sched.FP, c *sched.Canon) {
+	fp.Byte(0x20)
+	fp.Int(r.Seq)
+	AppendValue(fp, r.Val, c)
+	fp.Byte(0x07)
+	fp.Int(len(r.View))
 	for j := range r.View {
-		AppendValue(h, r.View[c.SlotSrc(j)], c)
+		AppendValue(fp, r.View[c.SlotSrc(j)], c)
 	}
 }
 
 // AppendValueFingerprint implements ValueFingerprinter for the multi-writer
 // register record. Writer is a raw pid and is rewritten; the embedded view
 // is one entry per shared component and reorders with owned components.
-func (r mwRec) AppendValueFingerprint(h *maphash.Hash, c *sched.Canon) {
-	h.WriteByte(0x21)
-	maphash.WriteComparable(h, c.Pid(r.Writer))
-	maphash.WriteComparable(h, r.Seq)
-	AppendValue(h, r.Val, c)
-	h.WriteByte(0x07)
-	maphash.WriteComparable(h, len(r.View))
+func (r mwRec) AppendValueFingerprint(fp *sched.FP, c *sched.Canon) {
+	fp.Byte(0x21)
+	fp.Int(c.Pid(r.Writer))
+	fp.Int(r.Seq)
+	AppendValue(fp, r.Val, c)
+	fp.Byte(0x07)
+	fp.Int(len(r.View))
 	for j := range r.View {
-		AppendValue(h, r.View[c.CompSrc(j)], c)
+		AppendValue(fp, r.View[c.CompSrc(j)], c)
 	}
 }
 

@@ -1,16 +1,15 @@
 package shmem
 
 import (
-	"hash/maphash"
 	"testing"
 
 	"revisionist/internal/sched"
 )
 
 // canonFp computes the canonical fingerprint of one object under cz.
-func canonFp(cz *sched.Canonicalizer, append func(h *maphash.Hash, c *sched.Canon)) uint64 {
-	h := sched.NewFingerprintHash()
-	return cz.Canonical(&h, append)
+func canonFp(cz *sched.Canonicalizer, append func(fp *sched.FP, c *sched.Canon)) uint64 {
+	var fp sched.FP
+	return cz.Canonical(&fp, append)
 }
 
 func swapPair(t *testing.T, owned [][]int, roles map[any]int) *sched.Canonicalizer {

@@ -139,18 +139,20 @@ type System struct {
 	// captured here, per system, rather than in a closure shared across
 	// evaluations: with Workers > 1 several systems are evaluated at once.
 	Score func(res *sched.Result) float64
-	// Fingerprint, when non-nil, appends the system's full configuration —
+	// Fingerprint, when non-nil, writes the system's full configuration —
 	// every shared object's state and every process's state, in a fixed
-	// order — to h, following the contract of sched.Fingerprinter. Required
-	// by ExploreOpts.Prune; called only at scheduler decision points, where
-	// the system is quiescent.
+	// order — to h, a reset hash with the process-wide fingerprint seed
+	// (sched.NewFingerprintHash). Systems encode it into a sched.FP they
+	// reuse, following the contract of sched.Fingerprinter, and write the
+	// stream in one Write. Required by ExploreOpts.Prune; called only at
+	// scheduler decision points, where the system is quiescent.
 	Fingerprint func(h *maphash.Hash)
 	// CanonicalFingerprint, when non-nil, returns the symmetry-reduced
 	// configuration fingerprint: the minimum configuration hash over the
 	// system's process-permutation group (see sched.Canonicalizer), so all
 	// configurations of one orbit fingerprint identically. Required by
 	// ExploreOpts.Symmetry; called only at decision points. h is scratch
-	// space for the group minimization.
+	// space a system may ignore (sched.Canonicalizer hashes an FP).
 	CanonicalFingerprint func(h *maphash.Hash) uint64
 	// Restore, when non-nil, copies the configuration of from — a system
 	// built by the same factory, on any gate — into this system in place:

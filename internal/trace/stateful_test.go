@@ -18,16 +18,19 @@ import (
 // in-place restore — the same wiring the harness installs.
 func restorableSystem(snap *shmem.MWSnapshot, res *proto.RunResult,
 	machines []sched.Machine, check func(res *proto.RunResult) error) System {
+	var fp sched.FP
 	return System{
 		Machines: machines,
 		Check: func(*sched.Result) error {
 			return check(res)
 		},
 		Fingerprint: func(h *maphash.Hash) {
-			snap.AppendFingerprint(h, nil)
+			fp.Reset()
+			snap.AppendFingerprint(&fp, nil)
 			for _, mc := range machines {
-				mc.(sched.Fingerprinter).AppendFingerprint(h, nil)
+				mc.(sched.Fingerprinter).AppendFingerprint(&fp, nil)
 			}
+			h.Write(fp.Bytes())
 		},
 		Restore: func(from System) { proto.RestoreMachines(machines, from.Machines) },
 	}
