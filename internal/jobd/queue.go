@@ -186,8 +186,8 @@ func (p SyncPolicy) withDefaults() SyncPolicy {
 // line per id wins); every PutProgress appends a delta holding only the
 // outcomes a wave barrier added to a running record's snapshot, which replay
 // folds onto that record. Replaying the journal therefore reconstructs the
-// queue exactly. Opening compacts the journal to one full line per record
-// and applies restart recovery: running jobs (the daemon died mid-search)
+// queue exactly. Opening compacts a non-empty journal to one full line per
+// record and applies restart recovery: running jobs (the daemon died mid-search)
 // and resumable interrupted jobs are re-queued. The queue is not
 // concurrency-safe; the daemon loop owns it.
 //
@@ -340,12 +340,19 @@ func OpenQueue(dir string, opts ...QueueOption) (*Queue, error) {
 		return nil, fmt.Errorf("jobd: queue dir: %w", err)
 	}
 	q.path = filepath.Join(dir, journalName)
-	if err := q.load(); err != nil {
+	lines, err := q.load()
+	if err != nil {
 		return nil, err
 	}
 	q.obs.Skipped(q.LoadSkipped)
 	q.recover()
-	if err := q.compact(); err != nil {
+	if lines == 0 {
+		// An absent or empty journal has nothing to compact: open it for
+		// appending directly, without the tmp file, its fsync and the rename.
+		if q.f, err = q.fs.Create(q.path); err != nil {
+			return nil, fmt.Errorf("jobd: create journal: %w", err)
+		}
+	} else if err := q.compact(); err != nil {
 		return nil, err
 	}
 	// Rebuild the dispatch index from the recovered live set.
@@ -367,13 +374,15 @@ func (q *Queue) logln(format string, args ...any) {
 // rot), a line beyond MaxLine (a giant snapshot from a foreign build), or a
 // delta that cannot apply is skipped with a diagnostic — the compaction that
 // follows drops the debris — so no journal state can brick a daemon start.
-func (q *Queue) load() error {
+// It returns the number of lines read, blank and skipped ones included, so 0
+// means the journal holds no byte at all.
+func (q *Queue) load() (int, error) {
 	f, err := q.fs.Open(q.path)
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil
+		return 0, nil
 	}
 	if err != nil {
-		return fmt.Errorf("jobd: open journal: %w", err)
+		return 0, fmt.Errorf("jobd: open journal: %w", err)
 	}
 	defer f.Close()
 	q.LoadSkipped = 0
@@ -438,9 +447,9 @@ func (q *Queue) load() error {
 			if len(line) > 0 || overLen > 0 {
 				flush(true)
 			}
-			return nil
+			return lineNo, nil
 		default:
-			return fmt.Errorf("jobd: read journal: %w", rerr)
+			return lineNo, fmt.Errorf("jobd: read journal: %w", rerr)
 		}
 	}
 }
@@ -496,8 +505,8 @@ func (q *Queue) recover() {
 }
 
 // compact rewrites the journal to one full line per live record and leaves
-// it open for appending. Runs at open and again online whenever an append
-// crosses the size threshold. The tmp file is fully written, synced, and
+// it open for appending. Runs at the open of a journal holding any byte,
+// and again online whenever an append crosses the size threshold. The tmp file is fully written, synced, and
 // closed before the rename, and the old journal (and its open handle) stay
 // untouched until the swap succeeds — a failure anywhere leaves the queue
 // exactly as durable as before, never silently memory-only.

@@ -123,6 +123,38 @@ func TestQueueUnappendableAfterCompactionIsLoud(t *testing.T) {
 	q.Close()
 }
 
+// Opening a queue on a fresh directory has nothing to compact, so it must
+// not pay for a compaction: no Sync and no Rename, only the journal's
+// Create. The journal it opens must still take appends that a reopen reads.
+func TestQueueOpenFreshDirSkipsCompaction(t *testing.T) {
+	m := crashfs.NewMem()
+	q, err := jobd.OpenQueue("q", jobd.WithFS(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range m.Ops() {
+		if op.Kind == crashfs.OpSync || op.Kind == crashfs.OpRename {
+			t.Fatalf("opening a fresh journal issued %s %s; all ops: %v", op.Kind, op.Name, m.Ops())
+		}
+	}
+	rec := queuedRec(q, "", 0)
+	if err := q.Put(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m.PowerCut()
+	q2, err := jobd.OpenQueue("q", jobd.WithFS(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q2.Close()
+	if q2.Get(rec.ID) == nil {
+		t.Fatalf("record %s put on a fresh journal lost across a power cut", rec.ID)
+	}
+}
+
 // The loader must tolerate any journal content: garbage lines, oversized
 // lines, and a torn final line are each skipped with a count, never a failed
 // open — a corrupt journal can cost records, but it cannot brick the daemon.
