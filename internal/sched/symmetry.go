@@ -68,7 +68,14 @@ type Canon struct {
 	slotSrc []int // π⁻¹: canonical slot -> pid
 	compSrc []int // ρ⁻¹ over owned components; identity beyond its length
 	compDst []int // ρ: component -> canonical position
-	roles   map[any]int
+	roles   []rolePair
+}
+
+// rolePair is one declared input value and the pid it belongs to:
+// SymmetrySpec.Roles resolved once into a slice, which Role scans.
+type rolePair struct {
+	v   any
+	pid int
 }
 
 // Pid returns π(pid), the canonical identity an embedded pid is hashed as.
@@ -107,17 +114,19 @@ func (c *Canon) CompDst(j int) int {
 
 // Role returns the π-renamed input role of v, if v is a declared input
 // value: the hash writes the role token instead of the raw value, so orbit
-// members that wrote different class inputs still hash identically. v must
-// be hashable (a map key); callers ask only for scalars.
+// members that wrote different class inputs still hash identically. v is
+// matched with ==, the key semantics of the declaring map; callers ask only
+// for scalars.
 func (c *Canon) Role(v any) (int, bool) {
-	if c == nil || c.roles == nil {
+	if c == nil {
 		return 0, false
 	}
-	j, ok := c.roles[v]
-	if !ok {
-		return 0, false
+	for _, r := range c.roles {
+		if r.v == v {
+			return c.perm[r.pid], true
+		}
 	}
-	return c.perm[j], true
+	return 0, false
 }
 
 // Canonicalizer enumerates a symmetry group once and computes canonical
@@ -126,7 +135,8 @@ func (c *Canon) Role(v any) (int, bool) {
 // goroutines.
 type Canonicalizer struct {
 	spec   SymmetrySpec
-	elems  []*Canon // the full group; elems[0] is the identity
+	roles  []rolePair // spec.Roles, shared by every element
+	elems  []*Canon   // the full group; elems[0] is the identity
 	capped bool
 }
 
@@ -166,6 +176,9 @@ func NewCanonicalizer(spec SymmetrySpec) (*Canonicalizer, error) {
 		}
 	}
 	cz := &Canonicalizer{spec: spec}
+	for v, pid := range spec.Roles {
+		cz.roles = append(cz.roles, rolePair{v, pid})
+	}
 	if size > MaxSymmetryGroup {
 		cz.capped = true
 		cz.elems = []*Canon{cz.newCanon(identityPerm(spec.N))}
@@ -197,7 +210,7 @@ func NewCanonicalizer(spec SymmetrySpec) (*Canonicalizer, error) {
 
 // newCanon derives the lookup tables of one group element from π.
 func (cz *Canonicalizer) newCanon(perm []int) *Canon {
-	c := &Canon{perm: perm, slotSrc: make([]int, len(perm)), roles: cz.spec.Roles}
+	c := &Canon{perm: perm, slotSrc: make([]int, len(perm)), roles: cz.roles}
 	maxComp := -1
 	for pid, own := range cz.spec.Owned {
 		if pid < len(perm) {
