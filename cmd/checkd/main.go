@@ -138,7 +138,7 @@ func run(args []string, out io.Writer) error {
 		Sync:      policy,
 		Resolve:   harness.Resolve,
 		Validate:  harness.ValidateJob,
-		Logger:    logger,
+		Logf:      obs.Logf(logger, "jobd", slog.LevelInfo),
 		Registry:  reg,
 	}
 	if *scaleMax > 0 {

@@ -38,7 +38,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"net"
 	"sync/atomic"
 	"time"
@@ -89,14 +88,9 @@ type Config struct {
 	// CompactAt overrides the journal's online-compaction threshold in
 	// bytes (0 keeps the queue default of 1 MiB).
 	CompactAt int64
-	// Logf receives operational one-liners (nil = silent). The older of the
-	// two logging seams; when nil and Logger is set, a component-tagged
-	// adapter over Logger takes its place.
+	// Logf receives operational one-liners (nil = silent). A structured
+	// logger plugs in through obs.Logf, which tags its lines component=jobd.
 	Logf func(format string, args ...any)
-	// Logger is the structured logging seam: operational one-liners go out
-	// at info level with component=jobd. Logf, when set, takes precedence
-	// (tests pin its exact lines).
-	Logger *slog.Logger
 	// Registry receives the daemon's metric series — queue depth, journal
 	// and group-commit shape, admission rejections, plus the shared fleet's
 	// dist_* series (nil = no metrics). The registry is a pure side channel:
@@ -149,9 +143,6 @@ type pendingAck struct {
 func New(cfg Config) (*Daemon, error) {
 	if cfg.Resolve == nil {
 		return nil, errors.New("jobd: Config.Resolve is required")
-	}
-	if cfg.Logf == nil && cfg.Logger != nil {
-		cfg.Logf = obs.Logf(cfg.Logger, "jobd", slog.LevelInfo)
 	}
 	qobs := NewQueueObs(cfg.Registry)
 	qopts := []QueueOption{WithSyncPolicy(cfg.Sync), WithQueueLog(cfg.Logf), WithQueueObs(qobs)}

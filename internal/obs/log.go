@@ -1,9 +1,8 @@
-// The log/slog bridge. The daemon stack predates structured logging: jobd,
-// dist, and the queue take printf-shaped `func(string, ...any)` seams
-// (Config.Logf, WithQueueLog) that tests script and -quiet nils out. Those
-// seams stay — Logf adapts a leveled, component-keyed slog.Logger into
-// them, so the binaries get `-log-level` and key=value output while every
-// existing test and nil-check keeps working untouched.
+// The log/slog bridge. The daemon stack logs through printf-shaped
+// `func(string, ...any)` seams (jobd.Config.Logf, WithQueueLog) that tests
+// script and -quiet nils out; they are its only logging seams. Logf adapts a
+// leveled, component-keyed slog.Logger into one, so the binaries get
+// `-log-level` and key=value output while tests pin exact lines.
 package obs
 
 import (
