@@ -2,7 +2,7 @@ GO ?= go
 BENCH_DATE ?= $(shell date +%Y-%m-%d)
 BENCH_OUT  ?= BENCH_$(BENCH_DATE).json
 
-.PHONY: all vet build test race bench bench-smoke examples-smoke ci protocols dist-smoke jobd-smoke chaos-smoke crash-smoke obs-smoke fuzz-smoke perfbench-build loc
+.PHONY: all vet build test race bench bench-smoke examples-smoke ci protocols smoke dist-smoke jobd-smoke chaos-smoke crash-smoke obs-smoke fuzz-smoke perfbench-build loc
 
 all: ci
 
@@ -48,9 +48,13 @@ examples-smoke:
 protocols:
 	$(GO) run ./cmd/simulate -list
 
+# The service smokes, one CI step apart from `ci`. Every one byte-compares
+# each report it gets against the single-process run through one function,
+# harness.MatchReport.
+smoke: dist-smoke jobd-smoke chaos-smoke obs-smoke
+
 # Distributed-search smoke: one coordinator + two localhost TCP workers on
-# the acceptance pair, byte-compared against the single-process report.
-# Like `protocols`, a separate CI step rather than part of `ci`. The
+# the acceptance pair, byte-compared against the single-process report. The
 # unpruned legs run checkpointed subtrees: an exhausted search, one that
 # stops at the violation cutoff, and one cut by the run budget with
 # violations found before it.
@@ -63,34 +67,38 @@ dist-smoke:
 	$(GO) run ./cmd/distcheck -smoke -protocol firstvalue-consensus -n 3 -depth 9 -maxruns 3000
 	$(GO) run ./cmd/distcheck -smoke -protocol firstvalue-consensus -n 3 -depth 9 -maxruns 40 -maxviol 30
 
-# Checking-daemon smoke: one checkd with two TCP workers runs two protocol
-# jobs concurrently on the shared fleet, each report byte-compared against
-# its single-process run. A separate CI step, like dist-smoke.
+# Checking-daemon smoke: the loopback scenario every checkd smoke builds on.
+# One in-process checkd with two TCP workers runs three protocol jobs
+# concurrently on the shared fleet; each report is byte-compared against its
+# single-process run, and the violating job's witness must list every
+# violation.
 jobd-smoke:
 	$(GO) run ./cmd/checkd -smoke
 
-# Fault-tolerance smoke: the jobd scenario under a seeded fault schedule —
-# one worker crashes and reconnects, one hangs until the heartbeat detector
-# retires it, one needs several dial attempts — and every report must still
-# be byte-identical to its single-process run. Two seeds, two schedules.
+# Fault-tolerance smoke: the loopback scenario with fault-injected workers
+# and a short heartbeat — one worker crashes and reconnects, one hangs until
+# the heartbeat detector retires it, one needs several dial attempts — and
+# every report and witness must still match the single-process run. Two
+# seeds, two schedules.
 chaos-smoke:
 	$(GO) run ./cmd/checkd -smoke -chaos 1
 	$(GO) run ./cmd/checkd -smoke -chaos 20260808
 
-# Observability smoke: the jobd scenario with the full flight recorder on —
-# live registry, journal on disk, instrumented workers, admin HTTP listener.
-# One real job end to end, then every endpoint must answer, every required
-# metric series must be present, the per-job trace must span the lifecycle,
-# and the instrumented report must stay byte-identical to the plain run.
+# Observability smoke: the loopback scenario with the full flight recorder
+# on — live registry, journal on disk, instrumented workers, admin HTTP
+# listener. One real job end to end: the instrumented report must stay
+# byte-identical to the plain run, every endpoint must answer, every
+# required metric series must be present, and the per-job trace must span
+# the lifecycle.
 obs-smoke:
 	$(GO) run ./cmd/checkd -smoke -admin 127.0.0.1:0
 
 # Crash-consistency smoke: the exhaustive power-fail matrix (every
 # filesystem op × every meaningful tear, two seeds, both sync policies)
-# plus a real kill -9 of a running checkd whose restarted process must
-# resume the journaled snapshot and produce a byte-identical report. Part
-# of `ci`: the kill -9 leg is the only check of the journal across a real
-# SIGKILL.
+# plus a real kill -9 of a running checkd child process whose restarted
+# process must resume the journaled snapshot; the resumed report gets the
+# loopback scenario's byte-identity and witness check. Part of `ci`: the
+# kill -9 leg is the only check of the journal across a real SIGKILL.
 crash-smoke:
 	$(GO) test ./internal/jobd -run TestCrashMatrix -count=1
 	$(GO) run ./cmd/checkd -smoke -kill

@@ -1,22 +1,19 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"time"
 
 	"revisionist/internal/dist"
 	"revisionist/internal/dist/chaos"
 	"revisionist/internal/harness"
 	"revisionist/internal/jobd"
-	"revisionist/internal/protocol"
 )
 
-// chaosSmoke is the `make chaos-smoke` payload: the jobd-smoke scenario run
+// chaosSmoke is the `make chaos-smoke` payload: the loopback scenario run
 // under a seeded fault schedule. Three TCP workers join the daemon, each
 // carrying one of the fault model's scenarios — one crashes mid-search and
 // reconnects, one hangs silently until the fleet's heartbeat detector
@@ -30,119 +27,48 @@ func chaosSmoke(out io.Writer, seed int64) error {
 	crash := plan.Crash()
 	hang := plan.Hang()
 	flaky := plan.FlakyDials()
-
-	cases := []harness.Options{
-		{Protocol: "firstvalue", Params: protocol.Params{N: 4}, MaxDepth: 12, MaxViolations: 3, Prune: true},
-		{Protocol: "kset", Params: protocol.Params{N: 4, K: 3}, MaxDepth: 12, MaxViolations: 3, Prune: true, Symmetry: true},
+	backoff := dist.Backoff{Base: 10 * time.Millisecond, Seed: seed}
+	// redial is a worker whose dials go through d and whose loop re-dials
+	// and re-registers whenever its connection dies.
+	redial := func(d *chaos.Dialer) worker {
+		return func(ctx context.Context, addr string) {
+			d.Dial = func() (net.Conn, error) { return net.Dial("tcp", addr) }
+			dist.WorkerLoop(ctx, d.DialConn, dist.WorkConfig{Slots: 2}, harness.Resolve, backoff)
+		}
 	}
 
-	d, err := jobd.New(jobd.Config{
-		MaxActive: len(cases),
-		Resolve:   harness.Resolve,
-		Validate:  harness.ValidateJob,
+	l, err := startLoopback(jobd.Config{
+		MaxActive: len(smokeCases),
 		// Fast failure detection so the hung worker is retired in tens of
 		// milliseconds instead of the production seconds.
 		Liveness: dist.Liveness{HeartbeatEvery: 25 * time.Millisecond, HeartbeatMiss: 3},
-	})
+	},
+		// Worker 1 crashes after a few frames, then its loop re-dials and
+		// re-registers; the coordinator re-leases whatever the dead
+		// incarnation held.
+		redial(&chaos.Dialer{Script: func(i int) chaos.Script {
+			if i == 0 {
+				return crash
+			}
+			return chaos.Script{}
+		}}),
+		// Worker 2 hangs silently: the socket stays open but nothing more is
+		// ever sent, the failure only heartbeats can see.
+		dialWorker(dist.WorkConfig{Slots: 1}, &hang),
+		// Worker 3's dials flake a few times before one lands; DialRetry's
+		// backoff absorbs them.
+		redial(&chaos.Dialer{FailFirst: flaky}),
+	)
 	if err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	defer ln.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	runDone := make(chan error, 1)
-	go func() { runDone <- d.Run(ctx) }()
-	go d.Serve(ln)
-	addr := ln.Addr().String()
-	dial := func() (net.Conn, error) { return net.Dial("tcp", addr) }
-	backoff := dist.Backoff{Base: 10 * time.Millisecond, Seed: seed}
-
-	var wg sync.WaitGroup
-	// Worker 1 crashes after a few frames, then its loop re-dials and
-	// re-registers; the coordinator re-leases whatever the dead incarnation
-	// held.
-	crashDialer := &chaos.Dialer{Dial: dial, Script: func(i int) chaos.Script {
-		if i == 0 {
-			return crash
-		}
-		return chaos.Script{}
-	}}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		dist.WorkerLoop(ctx, crashDialer.DialConn, dist.WorkConfig{Slots: 2}, harness.Resolve, backoff)
-	}()
-	// Worker 2 hangs silently: the socket stays open but nothing more is
-	// ever sent, the failure only heartbeats can see.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		conn, err := dial()
-		if err != nil {
-			return
-		}
-		dist.Work(ctx, chaos.WrapConn(conn, hang), 1, harness.Resolve)
-	}()
-	// Worker 3's dials flake a few times before one lands; DialRetry's
-	// backoff absorbs them.
-	flakyDialer := &chaos.Dialer{Dial: dial, FailFirst: flaky}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		dist.WorkerLoop(ctx, flakyDialer.DialConn, dist.WorkConfig{Slots: 2}, harness.Resolve, backoff)
-	}()
-	defer func() {
-		cancel()
-		<-runDone
-		wg.Wait()
-	}()
-
-	cl, err := jobd.Dial(addr)
-	if err != nil {
-		return err
-	}
-	defer cl.Close()
+	defer l.stop()
 
 	fmt.Fprintf(out, "chaos-smoke: seed %d on %s: 1 crash+reconnect, 1 silent hang, %d flaky dial(s)\n",
-		seed, addr, flaky)
-	ids := make([]string, len(cases))
-	for i, opts := range cases {
-		job, err := harness.CheckJob(opts)
-		if err != nil {
-			return err
-		}
-		ack, err := cl.Submit(job)
-		if err != nil {
-			return err
-		}
-		if ack.Err != "" {
-			return fmt.Errorf("chaos-smoke submission rejected: %s", ack.Err)
-		}
-		ids[i] = ack.ID
+		seed, l.addr, flaky)
+	if _, err := l.check(out, smokeCases); err != nil {
+		return fmt.Errorf("chaos seed %d: %w", seed, err)
 	}
-
-	for i, opts := range cases {
-		rep, err := awaitReport(cl, ids[i])
-		if err != nil {
-			return err
-		}
-		single, err := harness.Check(opts)
-		if err != nil {
-			return err
-		}
-		var want, got bytes.Buffer
-		harness.WriteCheckReport(&want, single, opts.MaxDepth, opts.Prune, opts.Symmetry, nil)
-		check := &harness.CheckReport{Protocol: single.Protocol, Params: rep.Job.Params, Explore: rep.Report.Explore()}
-		harness.WriteCheckReport(&got, check, opts.MaxDepth, opts.Prune, opts.Symmetry, nil)
-		out.Write(got.Bytes())
-		if !bytes.Equal(want.Bytes(), got.Bytes()) {
-			return fmt.Errorf("job %s report diverges from single-process under chaos seed %d:\n--- single ---\n%s--- daemon ---\n%s",
-				ids[i], seed, want.String(), got.String())
-		}
-	}
-	fmt.Fprintf(out, "chaos-smoke: %d job reports byte-identical to single-process runs despite injected faults\n", len(cases))
+	fmt.Fprintf(out, "chaos-smoke: %d job reports byte-identical to single-process runs despite injected faults\n", len(smokeCases))
 	return nil
 }

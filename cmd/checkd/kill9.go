@@ -2,11 +2,9 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"os/exec"
 	"strings"
@@ -18,7 +16,6 @@ import (
 	"revisionist/internal/dist/chaos"
 	"revisionist/internal/harness"
 	"revisionist/internal/jobd"
-	"revisionist/internal/protocol"
 )
 
 // killSmoke is the `make crash-smoke` hard-kill leg: a real checkd child
@@ -38,17 +35,7 @@ func killSmoke(out io.Writer) error {
 	}
 	defer os.RemoveAll(dir)
 
-	opts := harness.Options{Protocol: "kset", Params: protocol.Params{N: 4, K: 3},
-		MaxDepth: 12, MaxViolations: 3, Prune: true, Symmetry: true}
-	single, err := harness.Check(opts)
-	if err != nil {
-		return err
-	}
-	job, err := harness.CheckJob(opts)
-	if err != nil {
-		return err
-	}
-
+	cases := []harness.Options{ksetCase}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var wg sync.WaitGroup
@@ -62,17 +49,15 @@ func killSmoke(out io.Writer) error {
 	}
 	defer child1.kill()
 	fmt.Fprintf(out, "smoke: child daemon on %s (journal %s)\n", child1.addr, dir)
-	pacedWorker(ctx, &wg, child1.addr, 3*time.Millisecond)
+	launch(ctx, &wg, child1.addr, dialWorker(dist.WorkConfig{Slots: 2}, &chaos.Script{WriteDelay: 3 * time.Millisecond}))
 	cl, err := jobd.Dial(child1.addr)
 	if err != nil {
 		return err
 	}
-	ack, err := cl.Submit(job)
+	ids, err := submit(cl, cases)
 	if err != nil {
+		cl.Close()
 		return err
-	}
-	if ack.Err != "" {
-		return fmt.Errorf("kill smoke submission rejected: %s", ack.Err)
 	}
 	// Pull the plug only after a wave-barrier snapshot reached the journal:
 	// the restart must have a genuine mid-run frontier to resume. The daemon
@@ -81,7 +66,7 @@ func killSmoke(out io.Writer) error {
 	// a SIGKILL does not lose.
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		info, err := cl.Status(ack.ID)
+		info, err := cl.Status(ids[0])
 		if err != nil {
 			cl.Close()
 			return err
@@ -97,7 +82,7 @@ func killSmoke(out io.Writer) error {
 	}
 	cl.Close()
 	child1.kill()
-	fmt.Fprintf(out, "smoke: SIGKILL delivered mid-job (job %s)\n", ack.ID)
+	fmt.Fprintf(out, "smoke: SIGKILL delivered mid-job (job %s)\n", ids[0])
 
 	// Incarnation 2, same journal, fast worker: recovery must re-queue the
 	// killed job with its snapshot and resume only the unfinished frontier.
@@ -106,25 +91,14 @@ func killSmoke(out io.Writer) error {
 		return err
 	}
 	defer child2.kill()
-	fastWorker(ctx, &wg, child2.addr)
+	launch(ctx, &wg, child2.addr, dialWorker(dist.WorkConfig{Slots: 2}, nil))
 	cl2, err := jobd.Dial(child2.addr)
 	if err != nil {
 		return err
 	}
 	defer cl2.Close()
-	rep, err := awaitReport(cl2, ack.ID)
-	if err != nil {
+	if err := verify(out, cl2, ids, cases, "resumed"); err != nil {
 		return err
-	}
-
-	var want, got bytes.Buffer
-	harness.WriteCheckReport(&want, single, opts.MaxDepth, opts.Prune, opts.Symmetry, nil)
-	check := &harness.CheckReport{Protocol: single.Protocol, Params: rep.Job.Params, Explore: rep.Report.Explore()}
-	harness.WriteCheckReport(&got, check, opts.MaxDepth, opts.Prune, opts.Symmetry, nil)
-	out.Write(got.Bytes())
-	if !bytes.Equal(want.Bytes(), got.Bytes()) {
-		return fmt.Errorf("resumed report diverges from the uninterrupted run:\n--- single ---\n%s--- resumed ---\n%s",
-			want.String(), got.String())
 	}
 	resumed := false
 	for _, l := range child2.logLines() {
@@ -199,21 +173,14 @@ func (c *child) logLines() []string {
 	return append([]string(nil), c.lines...)
 }
 
-// kill delivers SIGKILL — the power cut — and reaps the process. Idempotent.
-func (c *child) kill() {
-	c.mu.Lock()
-	if c.dead {
-		c.mu.Unlock()
-		return
-	}
-	c.dead = true
-	c.mu.Unlock()
-	c.cmd.Process.Kill()
-	c.cmd.Wait()
-}
+// kill delivers SIGKILL — the power cut — and reaps the process.
+func (c *child) kill() { c.stop(syscall.SIGKILL) }
 
 // terminate delivers one SIGTERM — the graceful drain — and reaps.
-func (c *child) terminate() {
+func (c *child) terminate() { c.stop(syscall.SIGTERM) }
+
+// stop delivers sig and reaps the process; only the first call signals.
+func (c *child) stop(sig os.Signal) {
 	c.mu.Lock()
 	if c.dead {
 		c.mu.Unlock()
@@ -221,33 +188,6 @@ func (c *child) terminate() {
 	}
 	c.dead = true
 	c.mu.Unlock()
-	c.cmd.Process.Signal(syscall.SIGTERM)
+	c.cmd.Process.Signal(sig)
 	c.cmd.Wait()
-}
-
-// pacedWorker joins addr's fleet with every outbound frame delayed, slowing
-// wave barriers so a mid-run kill lands mid-run.
-func pacedWorker(ctx context.Context, wg *sync.WaitGroup, addr string, delay time.Duration) {
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			return
-		}
-		dist.Work(ctx, chaos.WrapConn(conn, chaos.Script{WriteDelay: delay}), 2, harness.Resolve)
-	}()
-}
-
-// fastWorker joins addr's fleet unthrottled.
-func fastWorker(ctx context.Context, wg *sync.WaitGroup, addr string) {
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			return
-		}
-		dist.Work(ctx, conn, 2, harness.Resolve)
-	}()
 }

@@ -75,7 +75,7 @@ func run(args []string, out io.Writer) error {
 		quiet     = fs.Bool("quiet", false, "suppress the operational log")
 		admin     = fs.String("admin", "", "HTTP admin listen address serving /metrics, /healthz, /readyz, /jobs, /jobs/ID/trace and /debug/pprof (empty = disabled); with -smoke, switches to the observability self-check")
 		logLevel  = fs.String("log-level", "info", "operational log level: debug, info, warn, error")
-		smoke     = fs.Bool("smoke", false, "loopback self-check: daemon + two workers, two concurrent jobs byte-compared against single-process runs")
+		smoke     = fs.Bool("smoke", false, "loopback self-check: daemon + two workers, three concurrent jobs byte-compared against single-process runs")
 		chaos     = fs.Int64("chaos", 0, "with -smoke: run under a seeded fault schedule (worker crash, hang, flaky dials) instead of healthy workers")
 		kill      = fs.Bool("kill", false, "with -smoke: kill -9 a real checkd child mid-job, restart it on the same journal, and byte-compare the resumed report")
 	)
@@ -151,18 +151,12 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *admin != "" {
-		adminLn, err := net.Listen("tcp", *admin)
+		adminAddr, stop, err := serveAdmin(d, *admin)
 		if err != nil {
 			return err
 		}
-		srv := &http.Server{Handler: d.AdminHandler(nil)}
-		go srv.Serve(adminLn)
-		defer func() {
-			sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer scancel()
-			srv.Shutdown(sctx)
-		}()
-		fmt.Fprintf(out, "checkd: admin on http://%s (metrics, health, jobs, pprof)\n", adminLn.Addr())
+		defer stop()
+		fmt.Fprintf(out, "checkd: admin on http://%s (metrics, health, jobs, pprof)\n", adminAddr)
 	}
 
 	// First signal: graceful drain. Second: force exit.
@@ -191,6 +185,22 @@ func run(args []string, out io.Writer) error {
 	}
 	fmt.Fprintln(out, "checkd: drained; queue persisted")
 	return nil
+}
+
+// serveAdmin serves d's HTTP admin surface on addr and returns the bound
+// address; stop shuts the server down.
+func serveAdmin(d *jobd.Daemon, addr string) (bound net.Addr, stop func(), err error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	srv := &http.Server{Handler: d.AdminHandler(nil)}
+	go srv.Serve(ln)
+	return ln.Addr(), func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	}, nil
 }
 
 // syncPolicy resolves the -sync flags into the queue's durability policy.

@@ -9,7 +9,7 @@ import (
 )
 
 // TestSmokeMode runs the `make jobd-smoke` payload end to end: a daemon with
-// two TCP workers, two concurrent jobs, reports byte-compared against
+// two TCP workers, three concurrent jobs, reports byte-compared against
 // single-process runs.
 func TestSmokeMode(t *testing.T) {
 	var out bytes.Buffer
@@ -22,7 +22,7 @@ func TestSmokeMode(t *testing.T) {
 }
 
 // TestChaosSmokeMode runs the `make chaos-smoke` payload for one seed: the
-// jobd scenario with a crashing, a hanging and a flaky-dialing worker.
+// loopback scenario with a crashing, a hanging and a flaky-dialing worker.
 func TestChaosSmokeMode(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-smoke", "-chaos", "1"}, &out); err != nil {
@@ -33,7 +33,7 @@ func TestChaosSmokeMode(t *testing.T) {
 	}
 }
 
-// TestObsSmokeMode runs the `make obs-smoke` payload: the jobd scenario
+// TestObsSmokeMode runs the `make obs-smoke` payload: the loopback scenario
 // with the journal, the registry and the admin listener on, then every
 // endpoint, metric series and trace event checked.
 func TestObsSmokeMode(t *testing.T) {

@@ -1,27 +1,21 @@
 package main
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"strings"
-	"sync"
-	"time"
 
 	"revisionist/internal/dist"
 	"revisionist/internal/harness"
 	"revisionist/internal/jobd"
 	"revisionist/internal/obs"
-	"revisionist/internal/protocol"
 	"revisionist/internal/trace"
 )
 
-// obsSmoke is the `make obs-smoke` payload: the jobd smoke topology (daemon
+// obsSmoke is the `make obs-smoke` payload: the loopback scenario (daemon
 // + two TCP workers) with the full observability surface switched on — a
 // live registry, a journal on disk, instrumented in-process workers, and
 // the admin HTTP listener. It runs one real job end to end and then proves
@@ -30,63 +24,28 @@ import (
 // required metric series present, and the fully instrumented report is
 // still byte-identical to a plain single-process run.
 func obsSmoke(out io.Writer, addr string) error {
-	opts := harness.Options{Protocol: "kset", Params: protocol.Params{N: 4, K: 3},
-		MaxDepth: 12, MaxViolations: 3, Prune: true, Symmetry: true}
-
 	dir, err := os.MkdirTemp("", "checkd-obs-smoke-*")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(dir)
 
-	reg := obs.NewRegistry()
-	d, err := jobd.New(jobd.Config{Dir: dir, MaxActive: 2,
-		Resolve: harness.Resolve, Validate: harness.ValidateJob, Registry: reg})
-	if err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	defer ln.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	runDone := make(chan error, 1)
-	go func() { runDone <- d.Run(ctx) }()
-	go d.Serve(ln)
-
 	// Two in-process workers with the search core instrumented onto the
 	// daemon's registry — the same wiring checkd's own spawned workers get.
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			conn, err := net.Dial("tcp", ln.Addr().String())
-			if err != nil {
-				return
-			}
-			dist.WorkCfg(ctx, conn, dist.WorkConfig{Slots: 2, Obs: trace.NewSearchObs(reg)}, harness.Resolve)
-		}()
-	}
-	defer func() {
-		cancel()
-		<-runDone
-		wg.Wait()
-	}()
-
-	adminLn, err := net.Listen("tcp", addr)
+	reg := obs.NewRegistry()
+	w := dialWorker(dist.WorkConfig{Slots: 2, Obs: trace.NewSearchObs(reg)}, nil)
+	l, err := startLoopback(jobd.Config{Dir: dir, MaxActive: 2, Registry: reg}, w, w)
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: d.AdminHandler(nil)}
-	go srv.Serve(adminLn)
-	defer func() {
-		sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer scancel()
-		srv.Shutdown(sctx)
-	}()
-	base := "http://" + adminLn.Addr().String()
+	defer l.stop()
+
+	adminAddr, stop, err := serveAdmin(l.d, addr)
+	if err != nil {
+		return err
+	}
+	defer stop()
+	base := "http://" + adminAddr.String()
 	fmt.Fprintf(out, "smoke: daemon + 2 instrumented TCP workers, admin on %s\n", base)
 
 	if body, err := get(base + "/healthz"); err != nil || !strings.Contains(body, "ok") {
@@ -99,42 +58,13 @@ func obsSmoke(out io.Writer, addr string) error {
 		return fmt.Errorf("/debug/pprof/: %v", err)
 	}
 
-	cl, err := jobd.Dial(ln.Addr().String())
-	if err != nil {
-		return err
-	}
-	defer cl.Close()
-	job, err := harness.CheckJob(opts)
-	if err != nil {
-		return err
-	}
-	ack, err := cl.Submit(job)
-	if err != nil {
-		return err
-	}
-	if ack.Err != "" {
-		return fmt.Errorf("smoke submission rejected: %s", ack.Err)
-	}
-	rep, err := awaitReport(cl, ack.ID)
-	if err != nil {
-		return err
-	}
-
 	// The determinism contract: the fully instrumented service run renders
 	// byte-identically to a plain single-process check.
-	single, err := harness.Check(opts)
+	ids, err := l.check(out, []harness.Options{ksetCase})
 	if err != nil {
 		return err
 	}
-	var want, got bytes.Buffer
-	harness.WriteCheckReport(&want, single, opts.MaxDepth, opts.Prune, opts.Symmetry, nil)
-	check := &harness.CheckReport{Protocol: single.Protocol, Params: rep.Job.Params, Explore: rep.Report.Explore()}
-	harness.WriteCheckReport(&got, check, opts.MaxDepth, opts.Prune, opts.Symmetry, nil)
-	out.Write(got.Bytes())
-	if !bytes.Equal(want.Bytes(), got.Bytes()) {
-		return fmt.Errorf("instrumented report diverges from single-process:\n--- single ---\n%s--- daemon ---\n%s",
-			want.String(), got.String())
-	}
+	id := ids[0]
 	fmt.Fprintln(out, "smoke: instrumented report byte-identical to single-process run")
 
 	// The exposition must carry every layer's series, with the job's work
@@ -166,11 +96,11 @@ func obsSmoke(out io.Writer, addr string) error {
 	if err != nil {
 		return err
 	}
-	if !strings.Contains(jobs, ack.ID) || !strings.Contains(jobs, "MaxQueued") {
+	if !strings.Contains(jobs, id) || !strings.Contains(jobs, "MaxQueued") {
 		return fmt.Errorf("/jobs listing is missing the job or the queue headroom: %s", jobs)
 	}
 
-	traceBody, err := get(base + "/jobs/" + ack.ID + "/trace")
+	traceBody, err := get(base + "/jobs/" + id + "/trace")
 	if err != nil {
 		return err
 	}
@@ -179,7 +109,7 @@ func obsSmoke(out io.Writer, addr string) error {
 		Events []struct{ Kind string }
 	}
 	if err := json.Unmarshal([]byte(traceBody), &events); err != nil {
-		return fmt.Errorf("/jobs/%s/trace: %v", ack.ID, err)
+		return fmt.Errorf("/jobs/%s/trace: %v", id, err)
 	}
 	kinds := map[string]bool{}
 	for _, e := range events.Events {
@@ -187,11 +117,11 @@ func obsSmoke(out io.Writer, addr string) error {
 	}
 	for _, kind := range []string{"queued", "start", "lease", "finish", "done"} {
 		if !kinds[kind] {
-			return fmt.Errorf("/jobs/%s/trace is missing a %q event (got %v)", ack.ID, kind, kinds)
+			return fmt.Errorf("/jobs/%s/trace is missing a %q event (got %v)", id, kind, kinds)
 		}
 	}
 	fmt.Fprintf(out, "smoke: flight recording of %s spans queued -> leases -> done (%d events)\n",
-		ack.ID, len(events.Events))
+		id, len(events.Events))
 	return nil
 }
 

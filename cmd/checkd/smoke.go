@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -11,80 +10,154 @@ import (
 	"time"
 
 	"revisionist/internal/dist"
+	"revisionist/internal/dist/chaos"
 	"revisionist/internal/dist/wire"
 	"revisionist/internal/harness"
 	"revisionist/internal/jobd"
 	"revisionist/internal/protocol"
 )
 
+// ksetCase is a symmetry-reduced clean check: the job the observability and
+// kill smokes run alone.
+var ksetCase = harness.Options{Protocol: "kset", Params: protocol.Params{N: 4, K: 3},
+	MaxDepth: 12, MaxViolations: 3, Prune: true, Symmetry: true}
+
+// smokeCases are the jobs the loopback smokes run concurrently: two clean
+// checks and one that stops at its violation cutoff, whose witness must
+// list every violation.
+var smokeCases = []harness.Options{
+	{Protocol: "firstvalue", Params: protocol.Params{N: 4}, MaxDepth: 12, MaxViolations: 3, Prune: true},
+	ksetCase,
+	{Protocol: "firstvalue-consensus", Params: protocol.Params{N: 3}, MaxDepth: 9, MaxViolations: 3, Prune: true},
+}
+
 // smokeCheck is the `make jobd-smoke` payload: a daemon on a loopback
-// listener with two TCP workers runs two different protocol jobs
-// concurrently on the one shared fleet, and each fetched report must render
+// listener with two TCP workers runs three protocol jobs concurrently on
+// the one shared fleet, and each fetched report must render
 // byte-identically to the same check run single-process. It exercises the
 // whole service path — submission validation, queueing, session
 // multiplexing, report and witness artifacts — in one process.
 func smokeCheck(out io.Writer) error {
-	cases := []harness.Options{
-		{Protocol: "firstvalue", Params: protocol.Params{N: 4}, MaxDepth: 12, MaxViolations: 3, Prune: true},
-		{Protocol: "kset", Params: protocol.Params{N: 4, K: 3}, MaxDepth: 12, MaxViolations: 3, Prune: true, Symmetry: true},
-	}
-
-	d, err := jobd.New(jobd.Config{MaxActive: len(cases), Resolve: harness.Resolve, Validate: harness.ValidateJob})
+	w := dialWorker(dist.WorkConfig{Slots: 2}, nil)
+	l, err := startLoopback(jobd.Config{MaxActive: len(smokeCases)}, w, w)
 	if err != nil {
 		return err
+	}
+	defer l.stop()
+	fmt.Fprintf(out, "smoke: daemon + 2 TCP workers on %s, %d concurrent jobs\n", l.addr, len(smokeCases))
+	if _, err := l.check(out, smokeCases); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "smoke: %d job reports byte-identical to single-process runs\n", len(smokeCases))
+	return nil
+}
+
+// worker joins the fleet of the daemon at addr and works until ctx ends.
+type worker func(ctx context.Context, addr string)
+
+// dialWorker is a worker that dials once and serves leases under wcfg.
+// faults, when non-nil, scripts its connection (latency, a hang).
+func dialWorker(wcfg dist.WorkConfig, faults *chaos.Script) worker {
+	return func(ctx context.Context, addr string) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			return
+		}
+		if faults != nil {
+			conn = chaos.WrapConn(conn, *faults)
+		}
+		dist.WorkCfg(ctx, conn, wcfg, harness.Resolve)
+	}
+}
+
+// launch starts each worker against addr, tracked by wg.
+func launch(ctx context.Context, wg *sync.WaitGroup, addr string, workers ...worker) {
+	for _, w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w(ctx, addr)
+		}()
+	}
+}
+
+// loopback is one in-process daemon serving on 127.0.0.1 with its workers
+// joined: the service every in-process smoke runs its jobs through.
+type loopback struct {
+	d    *jobd.Daemon
+	addr string
+	stop func() // stops the daemon, then waits for its workers
+}
+
+// startLoopback builds a daemon from cfg, with the harness resolver and
+// admission check filled in, serves it on an ephemeral loopback port and
+// launches each worker against it.
+func startLoopback(cfg jobd.Config, workers ...worker) (*loopback, error) {
+	cfg.Resolve, cfg.Validate = harness.Resolve, harness.ValidateJob
+	d, err := jobd.New(cfg)
+	if err != nil {
+		return nil, err
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer ln.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	runDone := make(chan error, 1)
 	go func() { runDone <- d.Run(ctx) }()
 	go d.Serve(ln)
 	addr := ln.Addr().String()
-
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				return
-			}
-			dist.Work(ctx, conn, 2, harness.Resolve)
-		}()
-	}
-	defer func() {
+	launch(ctx, &wg, addr, workers...)
+	return &loopback{d: d, addr: addr, stop: func() {
 		cancel()
 		<-runDone
 		wg.Wait()
-	}()
+		ln.Close()
+	}}, nil
+}
 
-	cl, err := jobd.Dial(addr)
+// check submits cases to the daemon and verifies every job's report
+// against its single-process run. It returns the job ids.
+func (l *loopback) check(out io.Writer, cases []harness.Options) ([]string, error) {
+	cl, err := jobd.Dial(l.addr)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer cl.Close()
+	ids, err := submit(cl, cases)
+	if err != nil {
+		return nil, err
+	}
+	return ids, verify(out, cl, ids, cases, "daemon")
+}
 
-	fmt.Fprintf(out, "smoke: daemon + 2 TCP workers on %s, %d concurrent jobs\n", addr, len(cases))
+// submit submits one job per case and returns their ids, failing on any
+// rejection.
+func submit(cl *jobd.Client, cases []harness.Options) ([]string, error) {
 	ids := make([]string, len(cases))
 	for i, opts := range cases {
 		job, err := harness.CheckJob(opts)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		ack, err := cl.Submit(job)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if ack.Err != "" {
-			return fmt.Errorf("smoke submission rejected: %s", ack.Err)
+			return nil, fmt.Errorf("smoke submission rejected: %s", ack.Err)
 		}
 		ids[i] = ack.ID
 	}
+	return ids, nil
+}
 
+// verify awaits each job of ids and byte-compares its fetched report with
+// the single-process Check of its case through harness.MatchReport, which
+// writes the report to out; label names the tested path in a divergence. A
+// job that found violations must also carry a witness listing every one.
+func verify(out io.Writer, cl *jobd.Client, ids []string, cases []harness.Options, label string) error {
 	for i, opts := range cases {
 		rep, err := awaitReport(cl, ids[i])
 		if err != nil {
@@ -94,20 +167,14 @@ func smokeCheck(out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		var want, got bytes.Buffer
-		harness.WriteCheckReport(&want, single, opts.MaxDepth, opts.Prune, opts.Symmetry, nil)
-		check := &harness.CheckReport{Protocol: single.Protocol, Params: rep.Job.Params, Explore: rep.Report.Explore()}
-		harness.WriteCheckReport(&got, check, opts.MaxDepth, opts.Prune, opts.Symmetry, nil)
-		out.Write(got.Bytes())
-		if !bytes.Equal(want.Bytes(), got.Bytes()) {
-			return fmt.Errorf("job %s report diverges from single-process:\n--- single ---\n%s--- daemon ---\n%s",
-				ids[i], want.String(), got.String())
+		got := &harness.CheckReport{Protocol: single.Protocol, Params: rep.Job.Params, Explore: rep.Report.Explore()}
+		if err := harness.MatchReport(out, opts, single, got, label); err != nil {
+			return fmt.Errorf("job %s: %w", ids[i], err)
 		}
 		if nv := len(single.Explore.Violations); nv > 0 && (rep.Witness == nil || len(rep.Witness.Violations) != nv) {
 			return fmt.Errorf("job %s: witness artifact missing or incomplete", ids[i])
 		}
 	}
-	fmt.Fprintf(out, "smoke: %d job reports byte-identical to single-process runs\n", len(cases))
 	return nil
 }
 

@@ -39,7 +39,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -196,14 +195,14 @@ func run(args []string, out io.Writer) error {
 		rep, err := harness.ServeCheck(ctx, opts, ln)
 		return harness.CheckOutcome(out, rep, err, *depth, shared.Prune, shared.Symmetry, nil)
 	default:
-		return smokeCheck(ctx, out, opts, *depth, shared.Prune, shared.Symmetry)
+		return smokeCheck(ctx, out, opts)
 	}
 }
 
 // smokeCheck is the `make dist-smoke` payload: run the single-process Check,
 // then the same job through a real TCP-loopback coordinator with two
 // workers, and fail unless the two rendered reports are byte-identical.
-func smokeCheck(ctx context.Context, out io.Writer, opts harness.Options, depth int, prune, symmetry bool) error {
+func smokeCheck(ctx context.Context, out io.Writer, opts harness.Options) error {
 	single, err := harness.Check(opts)
 	if err != nil {
 		return err
@@ -234,13 +233,9 @@ func smokeCheck(ctx context.Context, out io.Writer, opts harness.Options, depth 
 		return derr
 	}
 
-	var want, got bytes.Buffer
-	harness.WriteCheckReport(&want, single, depth, prune, symmetry, nil)
-	harness.WriteCheckReport(&got, distRep, depth, prune, symmetry, nil)
 	fmt.Fprintf(out, "smoke: coordinator + 2 TCP-loopback workers on %s n=%d\n", single.Protocol.Name, single.Params.N)
-	out.Write(got.Bytes())
-	if !bytes.Equal(want.Bytes(), got.Bytes()) {
-		return fmt.Errorf("distributed report diverges from single-process:\n--- single ---\n%s--- distributed ---\n%s", want.String(), got.String())
+	if err := harness.MatchReport(out, opts, single, distRep, "distributed"); err != nil {
+		return err
 	}
 	fmt.Fprintln(out, "smoke: distributed report byte-identical to single-process run")
 	return nil

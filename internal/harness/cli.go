@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -240,6 +241,24 @@ func WriteCheckReport(w io.Writer, rep *CheckReport, maxDepth int, prune, symmet
 	for _, v := range ex.Violations {
 		fmt.Fprintf(w, "VIOLATION on schedule %v:\n  %v\n", v.Schedule, v.Err)
 	}
+}
+
+// MatchReport is the one definition of "byte-identical to single-process"
+// every service smoke checks: it renders want, the single-process Check of
+// opts, and got, the same check's report from the path under test, with
+// WriteCheckReport under opts's bounds. It writes got's rendering to w and
+// returns an error quoting both renderings when their bytes differ; label
+// names the tested path in that error ("daemon", "distributed", ...).
+func MatchReport(w io.Writer, opts Options, want, got *CheckReport, label string) error {
+	var single, tested bytes.Buffer
+	WriteCheckReport(&single, want, opts.MaxDepth, opts.Prune, opts.Symmetry, nil)
+	WriteCheckReport(&tested, got, opts.MaxDepth, opts.Prune, opts.Symmetry, nil)
+	w.Write(tested.Bytes())
+	if !bytes.Equal(single.Bytes(), tested.Bytes()) {
+		return fmt.Errorf("%s report diverges from single-process:\n--- single ---\n%s--- %s ---\n%s",
+			label, single.String(), label, tested.String())
+	}
+	return nil
 }
 
 // WriteLayout renders the Figure 1 architecture of a simulation config.

@@ -222,3 +222,40 @@ func TestCheckOutcomeTypedErrors(t *testing.T) {
 		t.Fatalf("clean check errored: %v", err)
 	}
 }
+
+// TestMatchReport pins the smokes' byte-identity check: equal renderings
+// pass and write the tested one; a report differing in one count fails with
+// an error quoting both renderings under the tested path's label.
+func TestMatchReport(t *testing.T) {
+	pr, err := protocol.Lookup("firstvalue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := harness.Options{MaxDepth: 8, Prune: true}
+	want := &harness.CheckReport{Protocol: pr, Params: protocol.Params{N: 2},
+		Explore: &trace.ExploreReport{Runs: 5, Exhausted: true}}
+	same := &harness.CheckReport{Protocol: pr, Params: protocol.Params{N: 2},
+		Explore: &trace.ExploreReport{Runs: 5, Exhausted: true}}
+	var buf bytes.Buffer
+	if err := harness.MatchReport(&buf, opts, want, same, "daemon"); err != nil {
+		t.Fatalf("equal reports: %v", err)
+	}
+	var rendered bytes.Buffer
+	harness.WriteCheckReport(&rendered, same, opts.MaxDepth, opts.Prune, opts.Symmetry, nil)
+	if buf.String() != rendered.String() {
+		t.Fatalf("wrote %q, want the tested rendering %q", buf.String(), rendered.String())
+	}
+
+	off := &harness.CheckReport{Protocol: pr, Params: protocol.Params{N: 2},
+		Explore: &trace.ExploreReport{Runs: 6, Exhausted: true}}
+	err = harness.MatchReport(&bytes.Buffer{}, opts, want, off, "resumed")
+	if err == nil {
+		t.Fatal("reports differing in Runs matched")
+	}
+	for _, s := range []string{"resumed report diverges", "--- single ---", "--- resumed ---",
+		"5 schedules explored", "6 schedules explored"} {
+		if !strings.Contains(err.Error(), s) {
+			t.Fatalf("error lacks %q:\n%v", s, err)
+		}
+	}
+}
