@@ -47,7 +47,7 @@ func killSmoke(out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	defer child1.kill()
+	defer child1.stop(syscall.SIGKILL)
 	fmt.Fprintf(out, "smoke: child daemon on %s (journal %s)\n", child1.addr, dir)
 	launch(ctx, &wg, child1.addr, dialWorker(dist.WorkConfig{Slots: 2}, &chaos.Script{WriteDelay: 3 * time.Millisecond}))
 	cl, err := jobd.Dial(child1.addr)
@@ -81,7 +81,7 @@ func killSmoke(out io.Writer) error {
 		time.Sleep(2 * time.Millisecond)
 	}
 	cl.Close()
-	child1.kill()
+	child1.stop(syscall.SIGKILL)
 	fmt.Fprintf(out, "smoke: SIGKILL delivered mid-job (job %s)\n", ids[0])
 
 	// Incarnation 2, same journal, fast worker: recovery must re-queue the
@@ -90,7 +90,7 @@ func killSmoke(out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	defer child2.kill()
+	defer child2.stop(syscall.SIGKILL)
 	launch(ctx, &wg, child2.addr, dialWorker(dist.WorkConfig{Slots: 2}, nil))
 	cl2, err := jobd.Dial(child2.addr)
 	if err != nil {
@@ -112,7 +112,7 @@ func killSmoke(out io.Writer) error {
 	fmt.Fprintln(out, "smoke: restart resumed the snapshot; report byte-identical to the uninterrupted run")
 
 	// Orderly exit for the survivor: one SIGTERM drains and persists.
-	child2.terminate()
+	child2.stop(syscall.SIGTERM)
 	return nil
 }
 
@@ -162,7 +162,7 @@ func startChild(self, dir string) (*child, error) {
 		c.addr = addr
 		return c, nil
 	case <-time.After(30 * time.Second):
-		c.kill()
+		c.stop(syscall.SIGKILL)
 		return nil, fmt.Errorf("child daemon never announced its address; log: %q", c.logLines())
 	}
 }
@@ -173,13 +173,8 @@ func (c *child) logLines() []string {
 	return append([]string(nil), c.lines...)
 }
 
-// kill delivers SIGKILL — the power cut — and reaps the process.
-func (c *child) kill() { c.stop(syscall.SIGKILL) }
-
-// terminate delivers one SIGTERM — the graceful drain — and reaps.
-func (c *child) terminate() { c.stop(syscall.SIGTERM) }
-
-// stop delivers sig and reaps the process; only the first call signals.
+// stop delivers sig — SIGKILL is the power cut, SIGTERM the graceful
+// drain — and reaps the process; only the first call signals.
 func (c *child) stop(sig os.Signal) {
 	c.mu.Lock()
 	if c.dead {
