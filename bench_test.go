@@ -10,6 +10,7 @@ import (
 	"hash/maphash"
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -499,9 +500,12 @@ func benchSnapshotWorkload(b *testing.B, kind string) {
 // harness front door (the registry carries the symmetry declarations):
 // exhaustive exploration of 4-process firstvalue — the maximally symmetric
 // protocol, full S_4 group with input renaming — plain, pruned, and
-// symmetry-reduced, reporting runs-explored and states-distinct per
-// exploration. The prune=on/symmetry=on row's states-distinct against the
-// prune=on row's is the orbit-collapse ratio the E10 experiment tabulates.
+// symmetry-reduced, reporting runs-explored, states-distinct and
+// fingerprints/run (configuration hashes per run, canonical or plain) per
+// exploration. Each exploration is harness.Check's: the registry job it
+// resolves, explored with the factory's hooks counted. The
+// prune=on/symmetry=on row's states-distinct against the prune=on row's is
+// the orbit-collapse ratio the E10 experiment tabulates.
 func BenchmarkExploreSymmetry(b *testing.B) {
 	base := harness.Options{
 		Protocol: "firstvalue",
@@ -518,22 +522,32 @@ func BenchmarkExploreSymmetry(b *testing.B) {
 		{"prune=on/symmetry=on", true, true},
 	} {
 		b.Run(c.name, func(b *testing.B) {
+			opts := base
+			opts.Prune, opts.Symmetry = c.prune, c.symmetry
+			job, err := harness.CheckJob(opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var calls atomic.Int64
 			runs, distinct := 0, 0
 			for i := 0; i < b.N; i++ {
-				opts := base
-				opts.Prune, opts.Symmetry = c.prune, c.symmetry
-				rep, err := harness.Check(opts)
+				n, f, err := harness.Resolve(job)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if !rep.Explore.Exhausted {
+				rep, err := trace.Explore(n, countFingerprints(f, &calls), job.Opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !rep.Exhausted {
 					b.Fatal("benchmark space not exhausted")
 				}
-				runs += rep.Explore.Runs
-				distinct += rep.Explore.Distinct
+				runs += rep.Runs
+				distinct += rep.Distinct
 			}
 			b.ReportMetric(float64(runs)/float64(b.N), "runs-explored")
 			b.ReportMetric(float64(distinct)/float64(b.N), "states-distinct")
+			b.ReportMetric(float64(calls.Load())/float64(runs), "fingerprints/run")
 		})
 	}
 	b.Run("speedup", func(b *testing.B) {
@@ -695,9 +709,25 @@ func prunedBenchFactory(n int) trace.Factory {
 	}
 }
 
+// countFingerprints wraps f's fingerprint hooks, plain and canonical, with a
+// counter of their calls.
+func countFingerprints(f trace.Factory, calls *atomic.Int64) trace.Factory {
+	return func(gate sched.Stepper) trace.System {
+		sys := f(gate)
+		if fp := sys.Fingerprint; fp != nil {
+			sys.Fingerprint = func(h *maphash.Hash) { calls.Add(1); fp(h) }
+		}
+		if cf := sys.CanonicalFingerprint; cf != nil {
+			sys.CanonicalFingerprint = func(h *maphash.Hash) uint64 { calls.Add(1); return cf(h) }
+		}
+		return sys
+	}
+}
+
 // BenchmarkExplorePruned is the state-fingerprint pruning ablation:
 // exhaustive exploration of 4-process firstvalue with pruning off and on,
-// reporting runs-explored and states-distinct per exploration. Both arms
+// reporting runs-explored, states-distinct and fingerprints/run (hook calls
+// per run) per exploration. Both arms
 // checkpoint and resume runs from the deepest common prefix (the systems
 // restore in place), so the arms differ only in the visited-state cache.
 // The "speedup" sub-benchmark reports the plain-over-pruned wall-clock
@@ -708,11 +738,12 @@ func BenchmarkExplorePruned(b *testing.B) {
 	base := trace.ExploreOpts{MaxDepth: 20}
 	explore := func(b *testing.B, prune bool) {
 		b.Helper()
+		var calls atomic.Int64
 		runs, distinct := 0, 0
 		for i := 0; i < b.N; i++ {
 			opts := base
 			opts.Prune = prune
-			rep, err := trace.Explore(n, prunedBenchFactory(n), opts)
+			rep, err := trace.Explore(n, countFingerprints(prunedBenchFactory(n), &calls), opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -724,6 +755,7 @@ func BenchmarkExplorePruned(b *testing.B) {
 		}
 		b.ReportMetric(float64(runs)/float64(b.N), "runs-explored")
 		b.ReportMetric(float64(distinct)/float64(b.N), "states-distinct")
+		b.ReportMetric(float64(calls.Load())/float64(runs), "fingerprints/run")
 	}
 	b.Run("prune=off", func(b *testing.B) { explore(b, false) })
 	b.Run("prune=on", func(b *testing.B) { explore(b, true) })

@@ -5,6 +5,7 @@ import (
 	"hash/maphash"
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"revisionist/internal/protocol"
@@ -20,9 +21,11 @@ import (
 // (boxed register values) and a regression that rebuilds systems or copies
 // scan views shows up here. The unpruned search resumes from checkpoints
 // too, so it no longer replays (and re-boxes) each schedule's prefix from
-// the initial configuration. The bounds sit over the measured 0.7 / 1.3 /
-// 4.4; the unpruned one fails a search that replays from the root (7.1) or
-// an engine that allocates a Result per run (1.7).
+// the initial configuration. The bounds sit over the measured 0.71 / 0.80 /
+// 1.61; the unpruned one fails a search that replays from the root (7.1) or
+// an engine that allocates a Result per run (1.7), and the pruned ones fail
+// a search that builds an explorer per subtree instead of per worker
+// (1.34 / 4.39).
 func TestExploreAllocsPerRun(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -30,8 +33,8 @@ func TestExploreAllocsPerRun(t *testing.T) {
 		bound float64
 	}{
 		{"consensus-n3-d11-unpruned", Options{Protocol: "consensus", Params: protocol.Params{N: 3}, MaxDepth: 11}, 1},
-		{"consensus-n3-d16-pruned", Options{Protocol: "consensus", Params: protocol.Params{N: 3}, MaxDepth: 16, Prune: true}, 2},
-		{"aan-n3-d16-symmetry", Options{Protocol: "aan", Params: protocol.Params{N: 3}, MaxDepth: 16, Prune: true, Symmetry: true}, 6},
+		{"consensus-n3-d16-pruned", Options{Protocol: "consensus", Params: protocol.Params{N: 3}, MaxDepth: 16, Prune: true}, 1},
+		{"aan-n3-d16-symmetry", Options{Protocol: "aan", Params: protocol.Params{N: 3}, MaxDepth: 16, Prune: true, Symmetry: true}, 2},
 	} {
 		c.opts.Workers = 1
 		var before, after runtime.MemStats
@@ -49,6 +52,58 @@ func TestExploreAllocsPerRun(t *testing.T) {
 		t.Logf("%s: %d runs, %.2f allocations per run", c.name, rep.Explore.Runs, perRun)
 		if perRun > c.bound {
 			t.Errorf("%s: %.2f allocations per run, bound %.0f", c.name, perRun, c.bound)
+		}
+	}
+}
+
+// TestPrunedFingerprintsPerRun bounds the configuration fingerprints a
+// pruned search computes per run, at one worker and at two. Each visited
+// decision node needs one: a run resumed from a checkpoint reuses the
+// fingerprint, and the lookup verdict, its checkpoint's node got when the
+// path first reached it. A search that hashes and looks up the checkpoint's
+// configuration again reads 2.07 / 2.29 / 2.92 here; this one about 1.07 /
+// 1.29 / 1.94. The reports must stay what they were before the reuse.
+func TestPrunedFingerprintsPerRun(t *testing.T) {
+	for _, c := range []struct {
+		name                   string
+		opts                   Options
+		bound                  float64
+		runs, pruned, distinct int
+	}{
+		{"consensus-n3-d16-prune", Options{Protocol: "consensus", Params: protocol.Params{N: 3}, MaxDepth: 16, Prune: true}, 1.5, 24313, 11718, 3610},
+		{"kset-n4-k3-d20-prune", Options{Protocol: "kset", Params: protocol.Params{N: 4, K: 3}, MaxDepth: 20, Prune: true}, 1.5, 19590, 13057, 2323},
+		{"aan-n3-d16-symmetry", Options{Protocol: "aan", Params: protocol.Params{N: 3}, MaxDepth: 16, Prune: true, Symmetry: true}, 2.5, 3953, 3544, 1293},
+	} {
+		pr, p, err := c.opts.resolve()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		base := factory(pr, p)
+		var calls atomic.Int64
+		counted := func(gate sched.Stepper) trace.System {
+			sys := base(gate)
+			fp, cf := sys.Fingerprint, sys.CanonicalFingerprint
+			sys.Fingerprint = func(h *maphash.Hash) { calls.Add(1); fp(h) }
+			sys.CanonicalFingerprint = func(h *maphash.Hash) uint64 { calls.Add(1); return cf(h) }
+			return sys
+		}
+		for _, workers := range []int{1, 2} {
+			calls.Store(0)
+			opts := exploreOpts(c.opts)
+			opts.Workers = workers
+			rep, err := trace.Explore(p.N, counted, opts)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", c.name, workers, err)
+			}
+			if rep.Runs != c.runs || rep.Pruned != c.pruned || rep.Distinct != c.distinct || !rep.Exhausted {
+				t.Errorf("%s workers=%d: runs/pruned/distinct %d/%d/%d (exhausted %v), want %d/%d/%d exhausted",
+					c.name, workers, rep.Runs, rep.Pruned, rep.Distinct, rep.Exhausted, c.runs, c.pruned, c.distinct)
+			}
+			perRun := float64(calls.Load()) / float64(rep.Runs)
+			t.Logf("%s workers=%d: %d fingerprints, %.2f per run", c.name, workers, calls.Load(), perRun)
+			if perRun >= c.bound {
+				t.Errorf("%s workers=%d: %.2f fingerprints per run, bound %.1f", c.name, workers, perRun, c.bound)
+			}
 		}
 	}
 }

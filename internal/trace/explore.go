@@ -246,17 +246,20 @@ func capabilities(sys *System, opts ExploreOpts) error {
 	return nil
 }
 
-// explorer runs the DFS loop over one subtree, and is that loop's
+// explorer runs the DFS loop over one subtree at a time, and is that loop's
 // sched.Strategy: each run replays the target prefix, then always picks the
 // first enabled process, recording every decision so the loop can backtrack
 // to siblings. The path state (picks, enabled sets, fingerprints,
 // checkpoints) persists across runs and is truncated to the resume depth, so
-// a run resumed from a checkpoint never re-records the shared prefix, and
-// recording a step allocates nothing once the arenas are warm. Every run
-// executes on the explorer's one live system and one engine, and a
-// truncated checkpoint slot keeps its system and engine checkpoint for the
-// next push. The frontier planner drives the same strategy, one probe run
-// at a time.
+// a run resumed from a checkpoint never re-records the shared prefix, never
+// re-fingerprints the node it resumes at, and recording a step allocates
+// nothing once the arenas are warm. Every run executes on the explorer's
+// one live system and one engine, and a truncated checkpoint slot keeps its
+// system and engine checkpoint for the next push. An in-process search
+// keeps one explorer per worker across every subtree and wave the worker
+// drains (explore empties the path and the checkpoint stack and keeps the
+// rest); a distributed worker builds one per leased subtree (RunSubtree).
+// The frontier planner drives the same strategy, one probe run at a time.
 type explorer struct {
 	nprocs  int
 	factory Factory
@@ -295,11 +298,8 @@ type explorer struct {
 	o *SubtreeOutcome // the outcome explore fills
 }
 
-func newExplorer(nprocs int, factory Factory, opts ExploreOpts, sh *exploreShared, i int) *explorer {
-	ex := &explorer{nprocs: nprocs, factory: factory, opts: opts, sh: sh, i: i, offs: []int{0}}
-	if sh != nil {
-		ex.floor = len(sh.frontier[i])
-	}
+func newExplorer(nprocs int, factory Factory, opts ExploreOpts, sh *exploreShared) *explorer {
+	ex := &explorer{nprocs: nprocs, factory: factory, opts: opts, sh: sh, offs: []int{0}}
 	if opts.Prune {
 		ex.h = sched.NewFingerprintHash()
 	}
@@ -311,7 +311,9 @@ func (ex *explorer) Pick(step int, enabled []int) int {
 		ex.trunc = true
 		return sched.Halt
 	}
-	if ex.cache != nil {
+	// A resumed run's first decision is its checkpoint's node, which kept
+	// its fingerprint and already passed the lookup (see stateful.go).
+	if ex.cache != nil && step >= len(ex.fps) {
 		var fp uint64
 		if ex.opts.Symmetry {
 			fp = ex.sys.CanonicalFingerprint(&ex.h)
@@ -403,10 +405,15 @@ func (ex *explorer) pushCheckpoint(step int) {
 	ex.eng.CheckpointInto(slot.cp)
 }
 
-// explore runs the DFS loop over subtree ex.i and returns its outcome, or
-// the error of a system lacking a hook the options need (a configuration
-// error, not a run: the search returns it without a report).
-func (ex *explorer) explore() (*SubtreeOutcome, error) {
+// explore runs the DFS loop over subtree i of ex.sh, pruning against cache
+// (nil when the search does not prune), and returns its outcome, or the
+// error of a system lacking a hook the options need (a configuration error,
+// not a run: the search returns it without a report). It starts from an
+// empty path and checkpoint stack, so one explorer can drain any number of
+// subtrees in turn; its engine, systems and checkpoint slots carry over.
+func (ex *explorer) explore(i int, cache *stateCache) (*SubtreeOutcome, error) {
+	ex.i, ex.floor, ex.cache = i, len(ex.sh.frontier[i]), cache
+	ex.flat, ex.offs, ex.picks, ex.fps, ex.cps = ex.flat[:0], ex.offs[:1], ex.picks[:0], ex.fps[:0], ex.cps[:0]
 	ex.o = &SubtreeOutcome{ErrOrd: -1}
 	ex.ckpt = true
 	if err := ex.search(); err != nil {
@@ -542,14 +549,15 @@ func (ex *explorer) backtrack() int {
 }
 
 // truncTo truncates the persistent path state to the resume depth: decisions
-// below it will be re-recorded by the next run (with checkpointing, only the
-// suffix past the checkpoint is).
+// from it on will be re-recorded by the next run (with checkpointing, only the
+// suffix past the checkpoint is). The fingerprint of the resume node itself
+// is kept, so the run resumed there neither hashes nor looks it up again.
 func (ex *explorer) truncTo(base int) {
 	ex.picks = ex.picks[:base]
 	ex.flat = ex.flat[:ex.offs[base]]
 	ex.offs = ex.offs[:base+1]
-	if len(ex.fps) > base {
-		ex.fps = ex.fps[:base]
+	if len(ex.fps) > base+1 {
+		ex.fps = ex.fps[:base+1]
 	}
 }
 

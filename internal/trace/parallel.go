@@ -1,10 +1,10 @@
 // Parallel schedule search: the frontier planner and the in-process loop
 // over the wave protocol (waves.go) around the one subtree DFS loop
 // (explorer.explore). Exhaustive exploration is embarrassingly parallel over
-// independent subtrees, each searched by its own explorer on its own engine,
-// so the planner splits the DFS prefix tree into disjoint subtrees — it
-// expands the first few decision levels into a frontier of prefixes in
-// canonical DFS order — and a pool of workers drains them, a wave at a time.
+// independent subtrees, so the planner splits the DFS prefix tree into
+// disjoint subtrees — it expands the first few decision levels into a
+// frontier of prefixes in canonical DFS order — and a pool of workers drains
+// them, a wave at a time, each worker with one explorer of its own.
 // Subtree outcomes carry enough per-run detail (violation ordinals,
 // truncation bits) that the merge can re-cut the search at exactly the run
 // where a single-subtree search would have stopped, so the report is
@@ -36,10 +36,17 @@ func ResolveWorkers(n int) int {
 // keep results deterministic by writing fn's outcome to a per-index slot and
 // merging in index order afterwards.
 func RunOnPool(workers, n int, fn func(i int)) {
+	runOnPool(workers, n, func(_, i int) { fn(i) })
+}
+
+// runOnPool is RunOnPool with the claiming worker's index, w in
+// [0, min(workers, n)), passed to fn beside i: calls with the same w never
+// overlap, so fn may keep per-worker state in a slot indexed by w.
+func runOnPool(workers, n int, fn func(w, i int)) {
 	workers = min(workers, n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(0, i)
 		}
 		return
 	}
@@ -54,7 +61,7 @@ func RunOnPool(workers, n int, fn func(i int)) {
 				if i >= n {
 					return
 				}
-				fn(i)
+				fn(w, i)
 			}
 		}()
 	}
@@ -112,7 +119,7 @@ func plan(nprocs int, factory Factory, opts ExploreOpts, target int) (frontier [
 // the options need.
 func expandFrontier(nprocs int, factory Factory, opts ExploreOpts, target int) ([][]int, error) {
 	frontier := [][]int{{}}
-	ex := newExplorer(nprocs, factory, opts, nil, 0)
+	ex := newExplorer(nprocs, factory, opts, nil)
 	probes := 0
 	probeBudget := 8 * target
 	for depth := 0; depth < opts.MaxDepth && len(frontier) < target && probes < probeBudget; depth++ {
@@ -221,22 +228,29 @@ func runWaves(nprocs int, factory Factory, opts ExploreOpts, frontier [][]int, w
 	w := NewWaves(frontier, width, opts)
 	sh := newExploreShared(frontier, opts)
 	opts.Obs.SetFrontier(len(frontier))
+	// exs[k] is worker k's explorer, kept across every subtree and wave the
+	// worker drains, so its engine, systems and checkpoint slots are built
+	// once per worker rather than once per subtree.
+	exs := make([]*explorer, workers)
 	for {
 		lo, hi := w.Window()
 		waveStart := opts.Obs.WaveStart()
 		sh.lo, sh.base = lo, w.Base(lo)
 		outs := make([]*SubtreeOutcome, hi-lo)
 		errs := make([]error, hi-lo)
-		RunOnPool(workers, hi-lo, func(j int) {
+		runOnPool(workers, hi-lo, func(k, j int) {
 			i := lo + j
 			if int64(i) > sh.stopAfter.Load() {
 				return
 			}
-			ex := newExplorer(nprocs, factory, opts, sh, i)
-			if opts.Prune {
-				ex.cache = &stateCache{global: w.table.lookup, local: StateTable{}}
+			if exs[k] == nil {
+				exs[k] = newExplorer(nprocs, factory, opts, sh)
 			}
-			outs[j], errs[j] = ex.explore()
+			var cache *stateCache
+			if opts.Prune {
+				cache = &stateCache{global: w.table.lookup, local: StateTable{}}
+			}
+			outs[j], errs[j] = exs[k].explore(i, cache)
 		})
 		for _, err := range errs {
 			if err != nil {

@@ -27,6 +27,21 @@
 // hash collisions (a collision could wrongly cut a subtree), the standard,
 // vanishingly-unlikely trade of fingerprint-based state caching.
 //
+// Each visited decision node is hashed and looked up once. A run resumed
+// from a checkpoint starts at the checkpoint's node, and it reuses that
+// node's fingerprint from the path (truncTo keeps it) and skips the lookup,
+// whose verdict — not cut — cannot have changed:
+//
+//   - a checkpoint is pushed only after its node's lookup passed;
+//   - until the path backtracks above that node, the subtree's cache gains
+//     only closures of strictly deeper nodes, which have less remaining
+//     depth, so none of them can cut the node (an entry the node's lookup
+//     saw was already too shallow, and max-merging keeps it so);
+//   - the frozen wave table does not change during a wave.
+//
+// The skip is therefore exact: Runs, Pruned and Distinct are what a search
+// that looks the node up again reports.
+//
 // Determinism across worker counts: cache *visibility* is structured so the
 // report cannot depend on scheduling. The frontier is expanded to a fixed,
 // worker-independent size, subtrees are processed in canonical waves of
@@ -37,7 +52,8 @@
 package trace
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"revisionist/internal/sched"
 )
@@ -92,7 +108,7 @@ func (c *stateCache) closures() []FpEntry {
 	for fp, rem := range c.local {
 		out = append(out, FpEntry{Fp: fp, Rem: rem})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Fp < out[j].Fp })
+	slices.SortFunc(out, func(a, b FpEntry) int { return cmp.Compare(a.Fp, b.Fp) })
 	return out
 }
 

@@ -176,9 +176,9 @@ func RunSubtree(nprocs int, factory Factory, opts ExploreOpts, root []int, base 
 	}
 	sh := newExploreShared([][]int{root}, opts)
 	sh.base = base
-	ex := newExplorer(nprocs, factory, opts, sh, 0)
+	var cache *stateCache
 	if opts.Prune {
-		ex.cache = &stateCache{global: frozen, local: StateTable{}}
+		cache = &stateCache{global: frozen, local: StateTable{}}
 	}
-	return ex.explore()
+	return newExplorer(nprocs, factory, opts, sh).explore(0, cache)
 }
