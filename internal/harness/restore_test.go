@@ -62,7 +62,8 @@ func TestExploreAllocsPerRun(t *testing.T) {
 // fingerprint, and the lookup verdict, its checkpoint's node got when the
 // path first reached it. A search that hashes and looks up the checkpoint's
 // configuration again reads 2.07 / 2.29 / 2.92 here; this one about 1.07 /
-// 1.29 / 1.94. The reports must stay what they were before the reuse.
+// 1.29 / 1.94. The reports are pinned too, since the reuse must not change
+// them.
 func TestPrunedFingerprintsPerRun(t *testing.T) {
 	for _, c := range []struct {
 		name                   string

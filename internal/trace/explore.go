@@ -405,14 +405,18 @@ func (ex *explorer) pushCheckpoint(step int) {
 	ex.eng.CheckpointInto(slot.cp)
 }
 
-// explore runs the DFS loop over subtree i of ex.sh, pruning against cache
-// (nil when the search does not prune), and returns its outcome, or the
-// error of a system lacking a hook the options need (a configuration error,
-// not a run: the search returns it without a report). It starts from an
+// explore runs the DFS loop over subtree i of ex.sh and returns its
+// outcome, or the error of a system lacking a hook the options need (a
+// configuration error, not a run: the search returns it without a report).
+// A pruned search prunes against global, the visited states frozen for the
+// subtree's wave, plus the subtree's own closures. explore starts from an
 // empty path and checkpoint stack, so one explorer can drain any number of
 // subtrees in turn; its engine, systems and checkpoint slots carry over.
-func (ex *explorer) explore(i int, cache *stateCache) (*SubtreeOutcome, error) {
-	ex.i, ex.floor, ex.cache = i, len(ex.sh.frontier[i]), cache
+func (ex *explorer) explore(i int, global func(fp uint64) (int, bool)) (*SubtreeOutcome, error) {
+	ex.i, ex.floor, ex.cache = i, len(ex.sh.frontier[i]), nil
+	if ex.opts.Prune {
+		ex.cache = &stateCache{global: global, local: StateTable{}}
+	}
 	ex.flat, ex.offs, ex.picks, ex.fps, ex.cps = ex.flat[:0], ex.offs[:1], ex.picks[:0], ex.fps[:0], ex.cps[:0]
 	ex.o = &SubtreeOutcome{ErrOrd: -1}
 	ex.ckpt = true

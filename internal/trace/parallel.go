@@ -246,11 +246,7 @@ func runWaves(nprocs int, factory Factory, opts ExploreOpts, frontier [][]int, w
 			if exs[k] == nil {
 				exs[k] = newExplorer(nprocs, factory, opts, sh)
 			}
-			var cache *stateCache
-			if opts.Prune {
-				cache = &stateCache{global: w.table.lookup, local: StateTable{}}
-			}
-			outs[j], errs[j] = exs[k].explore(i, cache)
+			outs[j], errs[j] = exs[k].explore(i, w.table.lookup)
 		})
 		for _, err := range errs {
 			if err != nil {

@@ -176,9 +176,5 @@ func RunSubtree(nprocs int, factory Factory, opts ExploreOpts, root []int, base 
 	}
 	sh := newExploreShared([][]int{root}, opts)
 	sh.base = base
-	var cache *stateCache
-	if opts.Prune {
-		cache = &stateCache{global: frozen, local: StateTable{}}
-	}
-	return newExplorer(nprocs, factory, opts, sh).explore(0, cache)
+	return newExplorer(nprocs, factory, opts, sh).explore(0, frozen)
 }
