@@ -113,9 +113,11 @@ fuzz-smoke:
 	$(GO) test ./internal/dist/wire -run '^$$' -fuzz '^FuzzWireRecv$$' -fuzztime 10s
 
 # The benchmark in perfbench/ is its own module, which a root `go build ./...`
-# skips. Building it (also part of `ci`) catches an API change that breaks it.
+# and `go vet ./...` skip. Building and vetting it (also part of `ci`) catches
+# an API change that breaks it.
 perfbench-build:
 	cd perfbench && GOFLAGS= GOPROXY=off GOWORK=off $(GO) build -o /dev/null .
+	cd perfbench && GOFLAGS= GOPROXY=off GOWORK=off $(GO) vet .
 
 # Non-test Go lines outside the perfbench module: the code-size figure a
 # change reports.

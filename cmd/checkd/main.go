@@ -15,9 +15,8 @@
 //
 // Every submission is validated at the door (structured field errors come
 // back in the rejection); queued and running jobs survive a daemon restart —
-// running ones are re-leased from scratch, and determinism makes the redo
-// identical. With -scale-max > 0 the daemon additionally grows and shrinks
-// its own local workers from lease throughput and queue depth.
+// running ones resume from their journaled wave-barrier snapshots, and
+// determinism makes the resumed report identical.
 //
 // The first SIGINT or SIGTERM drains gracefully: running jobs merge what
 // they have into partial reports, are journaled as interrupted and
@@ -38,11 +37,9 @@ import (
 	"syscall"
 	"time"
 
-	"revisionist/internal/dist"
 	"revisionist/internal/harness"
 	"revisionist/internal/jobd"
 	"revisionist/internal/obs"
-	"revisionist/internal/trace"
 )
 
 func main() {
@@ -68,10 +65,6 @@ func run(args []string, out io.Writer) error {
 		syncMode  = fs.String("sync", "put", "journal durability: put (fsync per write), batch (group commit, acks deferred to the batch fsync), none (OS page cache only)")
 		syncBatch = fs.Int("sync-batch", 0, "with -sync batch: commit after this many journal writes (0 = default 64)")
 		syncDelay = fs.Duration("sync-delay", 0, "with -sync batch: commit at latest this long after the first uncommitted write (0 = default 5ms)")
-		scaleMax  = fs.Int("scale-max", 0, "adaptively spawn up to this many local workers (0 = never spawn)")
-		scaleMin  = fs.Int("scale-min", 0, "keep at least this many spawned workers once scaling is on")
-		scaleIvl  = fs.Duration("scale-interval", 2*time.Second, "sampling period for the scaling decision")
-		slots     = fs.Int("spawn-slots", 0, "subtree slots per spawned worker (0 = GOMAXPROCS)")
 		quiet     = fs.Bool("quiet", false, "suppress the operational log")
 		admin     = fs.String("admin", "", "HTTP admin listen address serving /metrics, /healthz, /readyz, /jobs, /jobs/ID/trace and /debug/pprof (empty = disabled); with -smoke, switches to the observability self-check")
 		logLevel  = fs.String("log-level", "info", "operational log level: debug, info, warn, error")
@@ -86,10 +79,6 @@ func run(args []string, out io.Writer) error {
 		fs.Usage()
 		return &harness.UsageError{Err: fmt.Errorf("-max-active must be >= 1, got %d", *maxActive)}
 	}
-	if *scaleMin > *scaleMax {
-		fs.Usage()
-		return &harness.UsageError{Err: fmt.Errorf("-scale-min %d exceeds -scale-max %d", *scaleMin, *scaleMax)}
-	}
 	policy, err := syncPolicy(*syncMode, *syncBatch, *syncDelay)
 	if err != nil {
 		fs.Usage()
@@ -101,6 +90,16 @@ func run(args []string, out io.Writer) error {
 		return &harness.UsageError{Err: err}
 	}
 	if *smoke {
+		modes := 0
+		for _, on := range []bool{*chaos != 0, *kill, *admin != ""} {
+			if on {
+				modes++
+			}
+		}
+		if modes > 1 {
+			fs.Usage()
+			return &harness.UsageError{Err: fmt.Errorf("-smoke takes at most one of -chaos, -kill and -admin")}
+		}
 		switch {
 		case *chaos != 0:
 			return chaosSmoke(out, *chaos)
@@ -140,10 +139,6 @@ func run(args []string, out io.Writer) error {
 		Validate:  harness.ValidateJob,
 		Logf:      obs.Logf(logger, "jobd", slog.LevelInfo),
 		Registry:  reg,
-	}
-	if *scaleMax > 0 {
-		cfg.Scale = &jobd.ScalePolicy{Min: *scaleMin, Max: *scaleMax, Interval: *scaleIvl}
-		cfg.Spawn = spawner(ln.Addr(), *slots, trace.NewSearchObs(reg))
 	}
 	d, err := jobd.New(cfg)
 	if err != nil {
@@ -212,6 +207,9 @@ func syncPolicy(mode string, batch int, delay time.Duration) (jobd.SyncPolicy, e
 	if m != jobd.SyncBatch && (batch != 0 || delay != 0) {
 		return jobd.SyncPolicy{}, fmt.Errorf("-sync-batch and -sync-delay only apply to -sync batch")
 	}
+	if batch < 0 || delay < 0 {
+		return jobd.SyncPolicy{}, fmt.Errorf("-sync-batch and -sync-delay must not be negative, got %d and %v", batch, delay)
+	}
 	return jobd.SyncPolicy{Mode: m, BatchPuts: batch, BatchDelay: delay}, nil
 }
 
@@ -220,40 +218,4 @@ func journalDesc(dir string) string {
 		return "in-memory"
 	}
 	return dir
-}
-
-// spawner builds the adaptive-scaling hook: each call starts one local
-// worker dialed back into this daemon — exactly a `distcheck -connect`
-// joining the fleet — and returns its stop function. The first dial retries
-// with backoff (the listener is up, but the accept loop may lag under
-// load), and a worker that loses its connection mid-search re-dials and
-// re-registers instead of silently shrinking the fleet. Spawned workers
-// feed the daemon's own search_* series through sobs: they run in-process,
-// so their exploration counters land on the same registry the admin
-// endpoint serves.
-func spawner(addr net.Addr, slots int, sobs *trace.SearchObs) func() (func(), error) {
-	tcp, _ := addr.(*net.TCPAddr)
-	return func() (func(), error) {
-		if tcp == nil {
-			return nil, fmt.Errorf("checkd: cannot self-dial non-TCP listener %v", addr)
-		}
-		target := net.JoinHostPort("127.0.0.1", fmt.Sprint(tcp.Port))
-		dial := func() (net.Conn, error) { return net.Dial("tcp", target) }
-		ctx, cancel := context.WithCancel(context.Background())
-		conn, err := dist.DialRetry(ctx, dist.Backoff{}, dial)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		wcfg := dist.WorkConfig{Slots: slots, Obs: sobs}
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			if err := dist.WorkCfg(ctx, conn, wcfg, harness.Resolve); err != nil && ctx.Err() == nil {
-				// Lost the daemon mid-search: rejoin until stopped.
-				dist.WorkerLoop(ctx, dial, wcfg, harness.Resolve, dist.Backoff{})
-			}
-		}()
-		return func() { cancel(); <-done }, nil
-	}
 }

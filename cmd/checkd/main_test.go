@@ -48,13 +48,27 @@ func TestObsSmokeMode(t *testing.T) {
 	}
 }
 
-// TestUsageValidation pins the flag checks.
+// TestUsageValidation pins the flag checks: each row must fail as a usage
+// error (exit 2) before anything is listened on or started.
 func TestUsageValidation(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-max-active", "0"}, &out); !harness.IsUsage(err) {
-		t.Fatalf("-max-active 0: want usage error, got %v", err)
-	}
-	if err := run([]string{"-scale-min", "2", "-scale-max", "1"}, &out); !harness.IsUsage(err) {
-		t.Fatalf("scale-min > scale-max: want usage error, got %v", err)
+	for _, args := range [][]string{
+		{"-max-active", "0"},
+		{"-smoke", "-chaos", "1", "-kill"},
+		{"-smoke", "-kill", "-admin", "127.0.0.1:0"},
+		{"-smoke", "-chaos", "1", "-admin", "127.0.0.1:0"},
+		{"-sync", "batch", "-sync-batch", "-5"},
+		{"-sync", "batch", "-sync-delay", "-1ms"},
+		// The autoscaler's flags are gone: unknown flags.
+		{"-scale-max", "1"},
+		{"-scale-min", "1"},
+		{"-scale-interval", "1s"},
+		{"-spawn-slots", "2"},
+	} {
+		// An unbindable -listen makes a row that slips past validation fail
+		// at once instead of serving.
+		var out bytes.Buffer
+		if err := run(append(args, "-listen", "127.0.0.1:-1"), &out); !harness.IsUsage(err) {
+			t.Errorf("%s: want usage error, got %v", strings.Join(args, " "), err)
+		}
 	}
 }

@@ -31,7 +31,7 @@ func obsSmoke(out io.Writer, addr string) error {
 	defer os.RemoveAll(dir)
 
 	// Two in-process workers with the search core instrumented onto the
-	// daemon's registry — the same wiring checkd's own spawned workers get.
+	// daemon's registry through dist.WorkConfig.Obs.
 	reg := obs.NewRegistry()
 	w := dialWorker(dist.WorkConfig{Slots: 2, Obs: trace.NewSearchObs(reg)}, nil)
 	l, err := startLoopback(jobd.Config{Dir: dir, MaxActive: 2, Registry: reg}, w, w)

@@ -34,15 +34,10 @@ type SessionResult struct {
 	Progress *Progress
 }
 
-// FleetStats is a point-in-time snapshot of the fleet, the input of the
-// daemon's scaling policy.
+// FleetStats is a point-in-time snapshot of the fleet's workers.
 type FleetStats struct {
-	Workers       int    // connected workers
-	Slots         int    // their summed lease capacity
-	Inflight      int    // leases currently outstanding
-	ActiveJobs    int    // sessions in flight
-	PendingLeases int    // planned subtrees waiting for a free slot
-	LeasesDone    uint64 // completed (non-duplicate) leases since the fleet started
+	Workers int // connected workers
+	Slots   int // their summed lease capacity
 }
 
 // leaseKey identifies one outstanding lease on one worker. Inflight
@@ -121,12 +116,8 @@ type Fleet struct {
 	workers  map[*workerConn]bool
 
 	// stats mirrors: written by the loop after every step, read by Stats.
-	statWorkers  atomic.Int64
-	statSlots    atomic.Int64
-	statInflight atomic.Int64
-	statActive   atomic.Int64
-	statPending  atomic.Int64
-	statLeases   atomic.Uint64
+	statWorkers atomic.Int64
+	statSlots   atomic.Int64
 }
 
 // NewFleet builds a fleet around a job resolver. The caller must run exactly
@@ -317,12 +308,8 @@ func (f *Fleet) Cancel(id string) error {
 // Stats snapshots the fleet without entering the loop.
 func (f *Fleet) Stats() FleetStats {
 	return FleetStats{
-		Workers:       int(f.statWorkers.Load()),
-		Slots:         int(f.statSlots.Load()),
-		Inflight:      int(f.statInflight.Load()),
-		ActiveJobs:    int(f.statActive.Load()),
-		PendingLeases: int(f.statPending.Load()),
-		LeasesDone:    f.statLeases.Load(),
+		Workers: int(f.statWorkers.Load()),
+		Slots:   int(f.statSlots.Load()),
 	}
 }
 
@@ -337,9 +324,6 @@ func (f *Fleet) publishStats() {
 	}
 	f.statWorkers.Store(int64(len(f.workers)))
 	f.statSlots.Store(slots)
-	f.statInflight.Store(inflight)
-	f.statActive.Store(int64(len(f.order)))
-	f.statPending.Store(pending)
 	f.obs.mirrorStats(int64(len(f.workers)), slots, inflight, int64(len(f.order)), pending)
 }
 
@@ -493,7 +477,6 @@ func (f *Fleet) onResult(w *workerConn, res *wire.Result) {
 	if res.Outcome.Stopped {
 		return
 	}
-	f.statLeases.Add(1)
 	f.obs.Completed()
 	complete, crossed := s.onOutcome(res.ID, res.Outcome)
 	if complete {

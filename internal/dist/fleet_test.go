@@ -114,10 +114,6 @@ func TestFleetConcurrentJobsPipe(t *testing.T) {
 		}
 		reportsEqual(t, "fleet/"+id, solo[id], r.Report)
 	}
-	stats := f.Stats()
-	if stats.LeasesDone == 0 {
-		t.Fatal("stats recorded no completed leases")
-	}
 	stop()
 	wg.Wait()
 }

@@ -149,7 +149,7 @@ type WorkConfig struct {
 	// subtree this worker runs, across all multiplexed jobs. The field never
 	// crosses the wire (lease options arrive with it nil); it is this
 	// worker's local instrumentation seam, feeding `distcheck -connect
-	// -progress` and checkd's spawned-worker metrics.
+	// -progress` and in-process workers that share a daemon's registry.
 	Obs *trace.SearchObs
 }
 

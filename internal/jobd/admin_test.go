@@ -50,8 +50,8 @@ func TestAdminEndpoints(t *testing.T) {
 		t.Fatalf("/readyz with false gate = %d, want 503", code)
 	}
 
-	// One instrumented worker: its search counters land on the daemon's
-	// registry, the same wiring checkd's spawned workers use.
+	// One instrumented in-process worker: its search counters land on the
+	// daemon's registry through dist.WorkConfig.Obs.
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {

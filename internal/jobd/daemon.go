@@ -7,9 +7,8 @@
 // (running jobs resume from their journaled wave-barrier snapshots, each
 // barrier journaled as a delta of the outcomes it added — only the
 // unfinished frontier is re-leased, and determinism makes the resumed
-// report identical), drains running jobs into resumable partial reports on
-// graceful shutdown, and can grow or shrink a fleet of locally spawned
-// workers from lease throughput and queue depth.
+// report identical), and drains running jobs into resumable partial reports
+// on graceful shutdown.
 //
 // Robustness contracts:
 //
@@ -76,18 +75,10 @@ type Config struct {
 	// Validate normalizes and admission-checks a submission (typically
 	// harness.ValidateJob). nil accepts jobs verbatim.
 	Validate func(wire.Job) (wire.Job, error)
-	// Scale, when non-nil, enables adaptive fleet scaling; Spawn must then
-	// start one local worker connected to this daemon and return its stop
-	// function.
-	Scale *ScalePolicy
-	Spawn func() (stop func(), err error)
 	// Liveness is the fleet's failure-detection policy (zero fields keep
 	// the dist defaults: heartbeats every 2s, 3 misses, budget-derived
 	// lease deadlines).
 	Liveness dist.Liveness
-	// CompactAt overrides the journal's online-compaction threshold in
-	// bytes (0 keeps the queue default of 1 MiB).
-	CompactAt int64
 	// Logf receives operational one-liners (nil = silent). A structured
 	// logger plugs in through obs.Logf, which tags its lines component=jobd.
 	Logf func(format string, args ...any)
@@ -96,9 +87,6 @@ type Config struct {
 	// dist_* series (nil = no metrics). The registry is a pure side channel:
 	// reports are byte-identical with or without it.
 	Registry *obs.Registry
-	// Flight overrides the per-job flight recorder (nil = a default-bounded
-	// one). Tests inject a deterministic clock here.
-	Flight *obs.Flight
 }
 
 // defaultMaxQueued bounds the backlog when Config.MaxQueued is zero.
@@ -112,7 +100,6 @@ type Daemon struct {
 	cfg      Config
 	fleet    *dist.Fleet
 	queue    *Queue
-	scale    *ScalePolicy
 	obs      *QueueObs
 	flight   *obs.Flight
 	actions  chan func()
@@ -120,10 +107,8 @@ type Daemon struct {
 	nextSess atomic.Int64
 
 	// loop-owned.
-	draining  bool
-	active    map[string]bool
-	spawned   []func()
-	prevStats dist.FleetStats
+	draining bool
+	active   map[string]bool
 	// pending are admitted submissions whose acks wait for the group commit;
 	// flushTimer/flushC bound how long they wait (SyncPolicy.BatchDelay).
 	pending    []pendingAck
@@ -153,18 +138,11 @@ func New(cfg Config) (*Daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.CompactAt > 0 {
-		q.CompactAt = cfg.CompactAt
-	}
-	flight := cfg.Flight
-	if flight == nil {
-		flight = obs.NewFlight(0, 0, nil)
-	}
 	d := &Daemon{
 		cfg:     cfg,
 		queue:   q,
 		obs:     qobs,
-		flight:  flight,
+		flight:  obs.NewFlight(0, 0, nil),
 		actions: make(chan func()),
 		done:    make(chan struct{}),
 		active:  map[string]bool{},
@@ -174,10 +152,6 @@ func New(cfg Config) (*Daemon, error) {
 		dist.WithProgress(d.onProgress),
 		dist.WithObs(dist.NewFleetObs(cfg.Registry)),
 		dist.WithEventLog(d.flight.Log))
-	if cfg.Scale != nil {
-		pol := cfg.Scale.withDefaults()
-		d.scale = &pol
-	}
 	return d, nil
 }
 
@@ -202,18 +176,12 @@ func (d *Daemon) maxQueued() int {
 // ctx is cancelled the daemon stops admitting and dispatching, interrupts the
 // fleet — every running session merges what it has into a partial report —
 // records those jobs as interrupted and resumable (a restart re-queues them),
-// stops spawned workers, and persists the queue. A second, impatient signal
+// and persists the queue. A second, impatient signal
 // is the caller's concern (cmd/checkd force-exits on it).
 func (d *Daemon) Run(ctx context.Context) error {
 	fctx, fcancel := context.WithCancel(context.Background())
 	fleetDone := make(chan struct{})
 	go func() { defer close(fleetDone); d.fleet.Run(fctx) }()
-	var tick <-chan time.Time
-	if d.scale != nil {
-		ticker := time.NewTicker(d.scale.Interval)
-		defer ticker.Stop()
-		tick = ticker.C
-	}
 	d.fill()
 	for {
 		select {
@@ -228,9 +196,6 @@ func (d *Daemon) Run(ctx context.Context) error {
 			}
 			d.flushAcks()
 			<-fleetDone
-			for _, stop := range d.spawned {
-				stop()
-			}
 			close(d.done)
 			return d.queue.Close()
 		case fn := <-d.actions:
@@ -240,8 +205,6 @@ func (d *Daemon) Run(ctx context.Context) error {
 		case <-d.flushC:
 			d.flushTimer, d.flushC = nil, nil
 			d.flushAcks()
-		case <-tick:
-			d.autoscale()
 		}
 	}
 }
@@ -430,35 +393,6 @@ func (d *Daemon) attachReport(rec *Record, rep *trace.ExploreReport) {
 	if len(rep.Violations) > 0 {
 		rec.Witness = wire.WitnessOf(rec.Job.Protocol, rec.Job.Params,
 			rec.Job.Opts.Engine, rec.Job.Opts.MaxDepth, rep.Violations)
-	}
-}
-
-// autoscale consumes one policy sample and applies its decision.
-func (d *Daemon) autoscale() {
-	cur := d.fleet.Stats()
-	dec := d.scale.Decide(d.prevStats, cur, d.queue.QueuedDepth(), len(d.spawned))
-	d.prevStats = cur
-	switch dec {
-	case Grow:
-		if d.cfg.Spawn == nil {
-			return
-		}
-		stop, err := d.cfg.Spawn()
-		if err != nil {
-			d.logf("scale: spawn failed: %v", err)
-			return
-		}
-		d.spawned = append(d.spawned, stop)
-		d.logf("scale: grow to %d spawned worker(s)", len(d.spawned))
-	case Shrink:
-		n := len(d.spawned)
-		if n == 0 {
-			return
-		}
-		stop := d.spawned[n-1]
-		d.spawned = d.spawned[:n-1]
-		stop()
-		d.logf("scale: shrink to %d spawned worker(s)", n-1)
 	}
 }
 

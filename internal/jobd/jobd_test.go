@@ -495,103 +495,40 @@ func TestDaemonDrainAndRestartResume(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDaemonAdaptiveScaling submits work to a daemon with no external
-// workers: the scaling hook must spawn one, the job must complete through
-// it, and an idle fleet must shrink back.
-func TestDaemonAdaptiveScaling(t *testing.T) {
-	var spawned, stopped atomic.Int64
-	var mu sync.Mutex
-	var stops []context.CancelFunc
-	var wg sync.WaitGroup
-	var addr string
-	cfg := jobd.Config{
-		MaxActive: 1,
-		Scale:     &jobd.ScalePolicy{Min: 0, Max: 2, Interval: 20 * time.Millisecond, IdleAfter: 2},
-		Spawn: func() (func(), error) {
-			spawned.Add(1)
-			ctx, cancel := context.WithCancel(context.Background())
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				conn, err := net.Dial("tcp", addr)
-				if err != nil {
-					return
-				}
-				dist.Work(ctx, conn, 2, harness.Resolve)
-			}()
-			mu.Lock()
-			stops = append(stops, cancel)
-			mu.Unlock()
-			return func() { stopped.Add(1); cancel() }, nil
-		},
+// TestDaemonLateWorker submits a job to a daemon with no workers: the job is
+// dispatched and waits on the empty fleet, then a worker that joins late must
+// drain it to a report byte-identical to the solo run.
+func TestDaemonLateWorker(t *testing.T) {
+	opts := harness.Options{Protocol: "firstvalue", Params: protocol.Params{N: 4},
+		MaxDepth: 12, Prune: true}
+	solo := soloWireReport(t, opts)
+	job, err := harness.CheckJob(opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	td := startDaemon(t, cfg)
-	addr = td.addr
+	td := startDaemon(t, jobd.Config{MaxActive: 1})
 	cl, err := jobd.Dial(td.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	job, err := harness.CheckJob(harness.Options{Protocol: "firstvalue",
-		Params: protocol.Params{N: 4}, MaxDepth: 12, Prune: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ack, err := cl.Submit(job)
 	if err != nil || ack.Err != "" {
 		t.Fatalf("submit: %v / %s", err, ack.Err)
 	}
-	// Completion proves the scaler spawned a worker: nothing else serves the
-	// fleet.
+	waitState(t, cl, ack.ID, "running")
+	var wg sync.WaitGroup
+	worker(t, td.addr, 2, &wg)
 	waitState(t, cl, ack.ID, "done")
-	if spawned.Load() == 0 {
-		t.Fatal("job completed but Spawn was never called")
+	rep, err := cl.Fetch(ack.ID)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Idle long enough and the fleet shrinks back to Min=0.
-	deadline := time.Now().Add(10 * time.Second)
-	for stopped.Load() < spawned.Load() && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if stopped.Load() < spawned.Load() {
-		t.Fatalf("idle fleet never shrank: spawned %d, stopped %d", spawned.Load(), stopped.Load())
+	if got, want := reportJSON(t, rep.Report), reportJSON(t, solo); got != want {
+		t.Fatalf("late-worker job diverged from solo run:\nwant %s\ngot  %s", want, got)
 	}
 	td.shutdown(t)
-	mu.Lock()
-	for _, c := range stops {
-		c()
-	}
-	mu.Unlock()
 	wg.Wait()
-}
-
-// TestScalePolicyDecide unit-tests the pure decision function.
-func TestScalePolicyDecide(t *testing.T) {
-	p := &jobd.ScalePolicy{Min: 0, Max: 2, IdleAfter: 2}
-	idle := dist.FleetStats{}
-	// Saturated fleet with a backlog grows until Max.
-	busy := dist.FleetStats{Workers: 1, Slots: 2, Inflight: 2, ActiveJobs: 1, PendingLeases: 5}
-	if got := p.Decide(idle, busy, 1, 0); got != jobd.Grow {
-		t.Fatalf("saturated+backlog: want grow, got %v", got)
-	}
-	if got := p.Decide(busy, busy, 1, 2); got != jobd.Hold {
-		t.Fatalf("at Max: want hold, got %v", got)
-	}
-	// A fleet with free slots holds even with queued jobs.
-	free := dist.FleetStats{Workers: 1, Slots: 4, Inflight: 1, ActiveJobs: 1, PendingLeases: 2}
-	if got := p.Decide(busy, free, 0, 1); got != jobd.Hold {
-		t.Fatalf("free slots: want hold, got %v", got)
-	}
-	// Shrink needs IdleAfter consecutive idle samples.
-	if got := p.Decide(free, idle, 0, 1); got != jobd.Hold {
-		t.Fatalf("first idle sample: want hold, got %v", got)
-	}
-	if got := p.Decide(idle, idle, 0, 1); got != jobd.Shrink {
-		t.Fatalf("second idle sample: want shrink, got %v", got)
-	}
-	// The streak resets after a shrink, and Min floors it.
-	if got := p.Decide(idle, idle, 0, 0); got != jobd.Hold {
-		t.Fatalf("at Min: want hold, got %v", got)
-	}
 }
 
 // TestQueueRecovery unit-tests the journal: upsert last-wins, restart
