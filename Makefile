@@ -57,7 +57,9 @@ smoke: dist-smoke jobd-smoke chaos-smoke obs-smoke
 # the acceptance pair, byte-compared against the single-process report. The
 # unpruned legs run checkpointed subtrees: an exhausted search, one that
 # stops at the violation cutoff, and one cut by the run budget with
-# violations found before it.
+# violations found before it. The last two legs are pruned searches cut past
+# their first subtree: by the run budget (100 of 213 runs, 46 violations)
+# and by the violation cutoff (20 violations across several subtrees).
 dist-smoke:
 	$(GO) run ./cmd/distcheck -smoke -protocol firstvalue -n 4 -prune
 	$(GO) run ./cmd/distcheck -smoke -protocol kset -n 4 -k 3 -prune
@@ -66,6 +68,8 @@ dist-smoke:
 	$(GO) run ./cmd/distcheck -smoke -protocol consensus -n 3 -depth 10
 	$(GO) run ./cmd/distcheck -smoke -protocol firstvalue-consensus -n 3 -depth 9 -maxruns 3000
 	$(GO) run ./cmd/distcheck -smoke -protocol firstvalue-consensus -n 3 -depth 9 -maxruns 40 -maxviol 30
+	$(GO) run ./cmd/distcheck -smoke -protocol firstvalue-consensus -n 3 -depth 9 -prune -maxruns 100 -maxviol 1000
+	$(GO) run ./cmd/distcheck -smoke -protocol firstvalue-consensus -n 3 -depth 9 -prune -maxviol 20
 
 # Checking-daemon smoke: the loopback scenario every checkd smoke builds on.
 # One in-process checkd with two TCP workers runs three protocol jobs

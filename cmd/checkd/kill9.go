@@ -16,14 +16,24 @@ import (
 	"revisionist/internal/dist/chaos"
 	"revisionist/internal/harness"
 	"revisionist/internal/jobd"
+	"revisionist/internal/protocol"
 )
+
+// killViolCase is a pruned check whose violations span several waves and
+// whose violation cutoff lands past the first: the snapshot a kill leaves
+// holds outcomes with violations, which the restart restores and merges.
+var killViolCase = harness.Options{Protocol: "firstvalue-consensus", Params: protocol.Params{N: 4},
+	MaxDepth: 12, MaxViolations: 1300, Prune: true}
 
 // killSmoke is the `make crash-smoke` hard-kill leg: a real checkd child
 // process is SIGKILLed mid-job — no drain, no deferred cleanup, the closest
-// in-tree stand-in for a power cut — then restarted on the same journal. The
-// smoke passes only if the restarted daemon resumes from the journaled
-// wave-barrier snapshot (its log proves restored > 0) and the finished
-// report renders byte-identical to an uninterrupted single-process run.
+// in-tree stand-in for a power cut — then restarted on the same journal. Two
+// jobs run at once, a clean one and a violating one, and the kill waits
+// until both are mid-run past a wave-barrier snapshot. The smoke passes only
+// if the restarted daemon resumes each from its journaled snapshot (its log
+// proves restored > 0) and each finished report renders byte-identical to
+// an uninterrupted single-process run, the violating one with a witness
+// that lists every violation.
 func killSmoke(out io.Writer) error {
 	self, err := os.Executable()
 	if err != nil {
@@ -35,7 +45,7 @@ func killSmoke(out io.Writer) error {
 	}
 	defer os.RemoveAll(dir)
 
-	cases := []harness.Options{ksetCase}
+	cases := []harness.Options{ksetCase, killViolCase}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var wg sync.WaitGroup
@@ -43,7 +53,7 @@ func killSmoke(out io.Writer) error {
 
 	// Incarnation 1, with a paced worker: every worker frame is delayed so
 	// wave barriers pass slowly enough to catch the job genuinely mid-run.
-	child1, err := startChild(self, dir)
+	child1, err := startChild(exec.Command(self, "-listen", "127.0.0.1:0", "-dir", dir))
 	if err != nil {
 		return err
 	}
@@ -59,34 +69,41 @@ func killSmoke(out io.Writer) error {
 		cl.Close()
 		return err
 	}
-	// Pull the plug only after a wave-barrier snapshot reached the journal:
-	// the restart must have a genuine mid-run frontier to resume. The daemon
-	// reports the snapshot's wave in the same loop action that appends its
-	// delta, so once Status shows it the bytes are in the page cache, which
-	// a SIGKILL does not lose.
+	// Pull the plug only after every job has a wave-barrier snapshot in the
+	// journal and is still running: the restart must have a genuine mid-run
+	// frontier to resume for each. The daemon reports the snapshot's wave in
+	// the same loop action that appends its delta, so once Status shows it
+	// the bytes are in the page cache, which a SIGKILL does not lose.
 	deadline := time.Now().Add(60 * time.Second)
-	for {
-		info, err := cl.Status(ids[0])
-		if err != nil {
-			cl.Close()
-			return err
+	for snapshotted := 0; snapshotted < len(ids); {
+		snapshotted = 0
+		for _, id := range ids {
+			info, err := cl.Status(id)
+			if err != nil {
+				cl.Close()
+				return err
+			}
+			if jobd.JobState(info.State) == jobd.StateDone {
+				cl.Close()
+				return fmt.Errorf("job %s finished before the kill: no mid-run snapshot to resume", id)
+			}
+			if info.Wave > 0 {
+				snapshotted++
+			}
 		}
-		if info.Wave > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
+		if snapshotted < len(ids) && time.Now().After(deadline) {
 			cl.Close()
-			return fmt.Errorf("no progress snapshot reached the journal before the kill deadline")
+			return fmt.Errorf("a job had no progress snapshot in the journal before the kill deadline")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	cl.Close()
 	child1.stop(syscall.SIGKILL)
-	fmt.Fprintf(out, "smoke: SIGKILL delivered mid-job (job %s)\n", ids[0])
+	fmt.Fprintf(out, "smoke: SIGKILL delivered mid-job (jobs %s)\n", strings.Join(ids, ", "))
 
 	// Incarnation 2, same journal, fast worker: recovery must re-queue the
 	// killed job with its snapshot and resume only the unfinished frontier.
-	child2, err := startChild(self, dir)
+	child2, err := startChild(exec.Command(self, "-listen", "127.0.0.1:0", "-dir", dir))
 	if err != nil {
 		return err
 	}
@@ -100,16 +117,18 @@ func killSmoke(out io.Writer) error {
 	if err := verify(out, cl2, ids, cases, "resumed"); err != nil {
 		return err
 	}
-	resumed := false
-	for _, l := range child2.logLines() {
-		if strings.Contains(l, "resuming (") && !strings.Contains(l, "resuming (0/") {
-			resumed = true
+	for _, id := range ids {
+		resumed := false
+		for _, l := range child2.logLines() {
+			if strings.Contains(l, "job "+id+": resuming (") && !strings.Contains(l, "resuming (0/") {
+				resumed = true
+			}
+		}
+		if !resumed {
+			return fmt.Errorf("restarted daemon never logged a non-empty resume of job %s; its log: %q", id, child2.logLines())
 		}
 	}
-	if !resumed {
-		return fmt.Errorf("restarted daemon never logged a non-empty resume; its log: %q", child2.logLines())
-	}
-	fmt.Fprintln(out, "smoke: restart resumed the snapshot; report byte-identical to the uninterrupted run")
+	fmt.Fprintln(out, "smoke: restart resumed every snapshot; reports and witness byte-identical to uninterrupted runs")
 
 	// Orderly exit for the survivor: one SIGTERM drains and persists.
 	child2.stop(syscall.SIGTERM)
@@ -126,10 +145,10 @@ type child struct {
 	dead  bool
 }
 
-// startChild execs one checkd serving an ephemeral port over the given
-// journal dir and waits for its "serving on" line to learn the address.
-func startChild(self, dir string) (*child, error) {
-	cmd := exec.Command(self, "-listen", "127.0.0.1:0", "-dir", dir)
+// startChild starts cmd, one checkd serving an ephemeral port, and waits
+// for its "serving on" line to learn the address. A child that exits first
+// fails at once, with its log.
+func startChild(cmd *exec.Cmd) (*child, error) {
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		return nil, err
@@ -140,7 +159,9 @@ func startChild(self, dir string) (*child, error) {
 	}
 	c := &child{cmd: cmd}
 	ready := make(chan string, 1)
+	closed := make(chan struct{})
 	go func() {
+		defer close(closed)
 		sc := bufio.NewScanner(stdout)
 		for sc.Scan() {
 			line := sc.Text()
@@ -161,6 +182,9 @@ func startChild(self, dir string) (*child, error) {
 	case addr := <-ready:
 		c.addr = addr
 		return c, nil
+	case <-closed:
+		c.stop(syscall.SIGKILL)
+		return nil, fmt.Errorf("child daemon exited before announcing its address (%v); log: %q", cmd.ProcessState, c.logLines())
 	case <-time.After(30 * time.Second):
 		c.stop(syscall.SIGKILL)
 		return nil, fmt.Errorf("child daemon never announced its address; log: %q", c.logLines())

@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
+	"time"
 
 	"revisionist/internal/harness"
 )
@@ -70,5 +73,24 @@ func TestUsageValidation(t *testing.T) {
 		if err := run(append(args, "-listen", "127.0.0.1:-1"), &out); !harness.IsUsage(err) {
 			t.Errorf("%s: want usage error, got %v", strings.Join(args, " "), err)
 		}
+	}
+}
+
+// TestStartChildExitsAtOnce: a kill-smoke child that exits before it
+// serves must fail the start as soon as its output closes, with its log,
+// not after the 30 s wait for an address. The child here is this test
+// binary running no tests: it prints PASS and exits.
+func TestStartChildExitsAtOnce(t *testing.T) {
+	start := time.Now()
+	c, err := startChild(exec.Command(os.Args[0], "-test.run=^$"))
+	if err == nil {
+		c.stop(os.Kill)
+		t.Fatal("a child that exits at once started")
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("the failed start took %v", took)
+	}
+	if !strings.Contains(err.Error(), "PASS") {
+		t.Fatalf("the error does not carry the child's log: %v", err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -156,7 +157,8 @@ func submit(cl *jobd.Client, cases []harness.Options) ([]string, error) {
 // verify awaits each job of ids and byte-compares its fetched report with
 // the single-process Check of its case through harness.MatchReport, which
 // writes the report to out; label names the tested path in a divergence. A
-// job that found violations must also carry a witness listing every one.
+// job that found violations must also carry a witness listing every one, in
+// order, with its schedule and message.
 func verify(out io.Writer, cl *jobd.Client, ids []string, cases []harness.Options, label string) error {
 	for i, opts := range cases {
 		rep, err := awaitReport(cl, ids[i])
@@ -173,6 +175,11 @@ func verify(out io.Writer, cl *jobd.Client, ids []string, cases []harness.Option
 		}
 		if nv := len(single.Explore.Violations); nv > 0 && (rep.Witness == nil || len(rep.Witness.Violations) != nv) {
 			return fmt.Errorf("job %s: witness artifact missing or incomplete", ids[i])
+		}
+		for k, v := range single.Explore.Violations {
+			if w := rep.Witness.Violations[k]; !slices.Equal(w.Schedule, v.Schedule) || w.Err != v.Err.Error() {
+				return fmt.Errorf("job %s: witness violation %d is %v, want %v", ids[i], k, w.Schedule, v.Schedule)
+			}
 		}
 	}
 	return nil

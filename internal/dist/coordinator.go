@@ -9,13 +9,13 @@
 // — and adds the per-subtree outcomes to the job's trace.Waves, whose merge
 // is the exact report the single-process trace.Explore produces: violations
 // in canonical schedule order, Runs/Truncated/Exhausted/Pruned/Distinct
-// identical, MaxRuns and MaxViolations re-cut at the exact run ordinal.
+// identical, MaxRuns and MaxViolations enforced at the exact run.
 //
 // Since wire version 3 the coordinator state is split in two layers: a Fleet
 // owns the worker population and multiplexes any number of concurrent job
 // sessions over it, and each session embeds the trace.Waves that makes one
 // job's report deterministic — its canonical waves, its merged visited-state
-// table, its frozen budget bases — next to its lease bookkeeping. Leases,
+// table, its bases — next to its lease bookkeeping. Leases,
 // results and failures are job-tagged on the wire; workers keep one mirror
 // table per announced job and drop it on retire. Because a lease is a pure
 // function of (wave state, subtree id), sharing a fleet cannot change any
@@ -33,10 +33,11 @@
 //
 // Failure handling: a worker that disconnects forfeits its outstanding
 // leases, which return to the pending queue and are re-leased. Workers only
-// report complete subtree outcomes, and a subtree outcome is a pure function
-// of (root, options, frozen table, budget base) — all wave-determined — so
-// re-execution is idempotent: no violation is duplicated or lost, whichever
-// worker finally completes the subtree.
+// report complete subtree outcomes, and the outcome the merge accepts is a
+// pure function of (root, options, frozen table) — all wave-determined —
+// because one run on lower bounds that overshoots a cutoff is re-leased on
+// exact bases. Re-execution is therefore idempotent: no violation is
+// duplicated or lost, whichever worker finally completes the subtree.
 package dist
 
 import (

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -91,7 +92,7 @@ type event struct {
 // population. All state is owned by the single Run goroutine; workers post
 // events, and Start/Cancel/Stats inject closures over a control channel, so
 // there is no locking anywhere in the scheduling path. Each session's wave
-// barriers, closure mirrors, and budget bases are its own (see session), so
+// barriers, closure mirrors, and bases are its own (see session), so
 // sharing the fleet cannot change any job's merged report.
 type Fleet struct {
 	resolve Resolver
@@ -112,7 +113,7 @@ type Fleet struct {
 
 	// loop-owned.
 	sessions map[string]*session
-	order    []*session // registration order, the round-robin fairness ring
+	order    []*session // the round-robin fairness ring, least recently served first
 	workers  map[*workerConn]bool
 
 	// stats mirrors: written by the loop after every step, read by Stats.
@@ -499,7 +500,9 @@ func (f *Fleet) onResult(w *workerConn, res *wire.Result) {
 
 // assign hands out pending subtrees, one lease per session per pass, so
 // concurrent jobs share the fleet fairly instead of the first-registered job
-// starving the rest.
+// starving the rest. A session that gets a lease moves to the back of the
+// ring: when slots free one at a time, each pass starts with the session
+// served longest ago.
 func (f *Fleet) assign() {
 	for progress := true; progress; {
 		progress = false
@@ -512,6 +515,9 @@ func (f *Fleet) assign() {
 			}
 			if f.assignOne(s) {
 				progress = true
+				if i := slices.Index(f.order, s); i >= 0 {
+					f.order = append(slices.Delete(f.order, i, i+1), s)
+				}
 			}
 		}
 	}
@@ -551,16 +557,16 @@ func (f *Fleet) assignOne(s *session) bool {
 			Job:   s.id,
 			ID:    id,
 			Root:  s.Frontier()[id],
-			Base:  s.Base(id),
 			Table: s.Log()[w.cursors[s.id]:],
 		}
+		lease.Base, lease.ViolBase = s.Base(id)
 		if err := w.c.Send(&wire.Msg{Kind: wire.KindLease, Lease: lease}); err != nil {
 			f.dropWorker(w)
 			continue
 		}
 		f.obs.Lease()
-		f.event(s.id, "lease", fmt.Sprintf("subtree %d -> worker %s (base %d, %d table entries)",
-			id, w.raw.RemoteAddr(), lease.Base, len(lease.Table)))
+		f.event(s.id, "lease", fmt.Sprintf("subtree %d -> worker %s (base %d, %d violations, %d table entries)",
+			id, w.raw.RemoteAddr(), lease.Base, lease.ViolBase, len(lease.Table)))
 		w.cursors[s.id] = len(s.Log())
 		w.inflight++
 		k := leaseKey{s.id, id}

@@ -9,13 +9,14 @@ import (
 
 // session is the per-job coordinator state of one distributed exploration.
 // Everything that makes the report deterministic — the canonical waves, the
-// frozen budget bases, the cutoff, the merged visited-state table with its
-// join log, and the merge — is the embedded trace.Waves, the same protocol
-// the in-process explorer drives. The session adds only lease bookkeeping,
-// scoped to one job: the fleet multiplexes many sessions over one worker
-// population, and because leases are pure functions of (wave state, subtree
-// id), a job's merged report cannot depend on which other jobs shared the
-// fleet. Only the fleet loop touches a session.
+// bases, the cutoff and the re-opened subtree it lands in, the merged
+// visited-state table with its join log, and the merge — is the embedded
+// trace.Waves, the same protocol the in-process explorer drives. The
+// session adds only lease bookkeeping, scoped to one job: the fleet
+// multiplexes many sessions over one worker population, and because leases
+// are pure functions of (wave state, subtree id), a job's merged report
+// cannot depend on which other jobs shared the fleet. Only the fleet loop
+// touches a session.
 type session struct {
 	*trace.Waves
 	id  string
@@ -52,12 +53,13 @@ func newSession(id string, job wire.Job, frontier [][]int, width int) *session {
 	return s
 }
 
-// fillPending queues every open subtree of the current wave.
+// fillPending queues every open subtree of the current wave that no worker
+// holds a lease on.
 func (s *session) fillPending() {
 	s.pending = s.pending[:0]
 	lo, hi := s.Window()
 	for i := lo; i < hi; i++ {
-		if s.Open(i) {
+		if s.Open(i) && s.assigned[i] == nil {
 			s.pending = append(s.pending, i)
 		}
 	}
@@ -72,26 +74,26 @@ func (s *session) requeueIfOpen(id int) {
 	}
 }
 
-// onOutcome records one complete subtree outcome (first result wins —
-// duplicates from re-leased subtrees are identical by determinism). It
-// reports whether the whole search is complete, and whether a wave barrier
-// was crossed, in which case the next wave's subtrees are pending.
+// onOutcome records one complete subtree outcome (first result wins; an
+// outcome that overshoots a cutoff is cleared again, see trace.Waves.Add).
+// It reports whether the whole search is complete, and whether a wave
+// barrier was crossed. Either way the pending queue then holds every open
+// subtree of the current wave that is not leased: the next wave's, or the
+// one subtree re-opened to run on exact bases.
 func (s *session) onOutcome(id int, o *trace.SubtreeOutcome) (complete, crossed bool) {
 	lo, _ := s.Window()
 	if s.Add(id, o) {
 		return true, false
 	}
-	if next, _ := s.Window(); next != lo {
-		s.fillPending()
-		return false, true
-	}
-	return false, false
+	s.fillPending()
+	next, _ := s.Window()
+	return false, next != lo
 }
 
 // restore replays a snapshot's completed outcomes through the wave protocol
-// (see trace.Waves.Restore), so the session's table, budget bases and join
-// log end up exactly as if those subtrees had just been leased and
-// completed, and queues the rest of the current wave. Returns true when the
+// (see trace.Waves.Restore), so the session's table, bases and join log end
+// up exactly as if those subtrees had just been leased and completed, and
+// queues the rest of the current wave. Returns true when the
 // snapshot already completes the whole search.
 func (s *session) restore(outcomes []*trace.SubtreeOutcome) bool {
 	n, complete := s.Restore(outcomes)
@@ -103,7 +105,7 @@ func (s *session) restore(outcomes []*trace.SubtreeOutcome) bool {
 // Progress is one session's resumable state in journal-serializable form:
 // the completed subtree outcomes, indexed by frontier position (nil = not
 // finished). Everything else a resumed session needs — the frontier itself,
-// the merged closure table, the frozen budget bases — is recomputed
+// the merged closure table, the bases — is recomputed
 // deterministically: the frontier from the job (planning is a pure
 // function), table and bases by replaying the outcomes through the same
 // wave barriers that built them, so a resumed report is byte-identical to

@@ -48,8 +48,8 @@ func frames(t *testing.T, msgs ...*wire.Msg) []byte {
 }
 
 // prunedOutcome explores one real subtree of a pruned, budgeted search with
-// violations: the outcome carries violations, cumulative distinct counts and
-// closures. Fingerprints are seeded per process, so each closure's Fp is
+// violations, on a violation base of 1: the outcome carries violations,
+// stops at the violation cutoff and carries closures. Fingerprints are seeded per process, so each closure's Fp is
 // replaced by its rank among the closures, in (Rem, Fp) order: the rest of
 // the outcome is a pure function of the subtree and pinned as is.
 func prunedOutcome(t *testing.T) *trace.SubtreeOutcome {
@@ -65,11 +65,11 @@ func prunedOutcome(t *testing.T) *trace.SubtreeOutcome {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := trace.RunSubtree(nprocs, factory, job.Opts, []int{0}, 0, nil)
+	o, err := trace.RunSubtree(nprocs, factory, job.Opts, []int{0}, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(o.Violations) == 0 || len(o.Closures) == 0 || len(o.DistCums) == 0 {
+	if len(o.Violations) == 0 || len(o.Closures) == 0 || !o.ViolCut {
 		t.Fatalf("outcome lacks the fields the golden pins: %+v", o)
 	}
 	sort.Slice(o.Closures, func(i, j int) bool {
@@ -83,18 +83,17 @@ func prunedOutcome(t *testing.T) *trace.SubtreeOutcome {
 }
 
 // TestResultFrameGolden pins the bytes of Result frames: one carrying a real
-// pruned subtree outcome, one hand-built with every field set, a failed run
-// included. Coordinators and workers of one wire version must agree on them
+// pruned subtree outcome, one hand-built with every wire field set, a failed
+// run included. Coordinators and workers of one wire version must agree on them
 // exactly.
 func TestResultFrameGolden(t *testing.T) {
 	full := &trace.SubtreeOutcome{
 		Runs: 9, Truncated: 2, Exhausted: false, Pruned: 3, Distinct: 4,
-		Violations: []trace.SubtreeViolation{{Ord: 1, TruncCum: 1, PrunedCum: 1, DistinctCum: 2,
-			Schedule: []int{0, 2, 1}, Err: "agreement violated: outputs [0 1]"}},
-		TruncBits: []uint64{0b100000010}, PruneBits: []uint64{0b1100}, DistCums: []int32{0, 2, 2, 3, 3, 3, 4, 4, 4},
-		RunErr: "trace: run failed on schedule [0 2 1 1]: boom", ErrOrd: 8,
-		ErrTruncCum: 2, ErrPrunedCum: 3, ErrDistinctCum: 4,
-		Closures: []trace.FpEntry{{Fp: 7, Rem: 3}, {Fp: 1 << 62, Rem: 1}},
+		Violations: []trace.SubtreeViolation{{Schedule: []int{0, 2, 1}, Err: "agreement violated: outputs [0 1]"}},
+		ViolCut:    true,
+		RunErr:     "trace: run failed on schedule [0 2 1 1]: boom",
+		Closures:   []trace.FpEntry{{Fp: 7, Rem: 3}, {Fp: 1 << 62, Rem: 1}},
+		Stopped:    true,
 	}
 	checkGolden(t, "result.golden", frames(t,
 		&wire.Msg{Kind: wire.KindResult, Result: &wire.Result{Job: "j0003", ID: 1, Outcome: prunedOutcome(t)}},
@@ -107,6 +106,6 @@ func TestResultFrameGolden(t *testing.T) {
 func TestLeaseFrameGolden(t *testing.T) {
 	delta := prunedOutcome(t).Closures
 	checkGolden(t, "lease.golden", frames(t,
-		&wire.Msg{Kind: wire.KindLease, Lease: &wire.Lease{Job: "j0003", ID: 9, Root: []int{1, 0}, Base: 57, Table: delta}},
+		&wire.Msg{Kind: wire.KindLease, Lease: &wire.Lease{Job: "j0003", ID: 9, Root: []int{1, 0}, Base: 57, ViolBase: 4, Table: delta}},
 	))
 }

@@ -71,8 +71,13 @@ import (
 // the queue-headroom attachment on jobs listings, and the JobInfo wave/
 // frontier progress fields — a version-5 peer would treat a trace request
 // as a protocol error and silently drop the new fields, so v5 peers get
-// the explicit reject.
-const Version = 6
+// the explicit reject. Version 7 credits subtree outcomes whole: a lease
+// carries Lease.ViolBase, a worker stops on it, and an outcome that
+// overshoots a cutoff is re-leased on exact bases instead of being trimmed
+// from per-run records, which results no longer carry. A version-6 worker
+// would ignore ViolBase, overshoot again on every re-lease and loop the
+// coordinator, so v6 peers get the explicit reject.
+const Version = 7
 
 // MaxFrame caps one frame's length (64 MiB): a corrupt or hostile length
 // prefix must not allocate unboundedly.
@@ -148,14 +153,16 @@ type Job struct {
 // visited-state delta — the closure entries published at that job's wave
 // barriers since this worker's last lease of it — bringing the worker's
 // per-job mirror exactly to the table frozen at this subtree's wave start.
-// Base is the frozen budget base: a lower bound on the runs the merge will
-// credit before this subtree.
+// Base and ViolBase are lower bounds on the runs and violations the merge
+// will credit before this subtree (trace.Waves.Base); the worker stops the
+// subtree on them.
 type Lease struct {
-	Job   string `json:",omitempty"`
-	ID    int
-	Root  []int
-	Base  int
-	Table []trace.FpEntry `json:",omitempty"`
+	Job      string `json:",omitempty"`
+	ID       int
+	Root     []int
+	Base     int
+	ViolBase int             `json:",omitempty"`
+	Table    []trace.FpEntry `json:",omitempty"`
 }
 
 // Result returns one complete subtree outcome of job Job.

@@ -20,13 +20,12 @@ func sampleMsgs() []*Msg {
 		{Kind: KindHello, Hello: &Hello{Version: Version, Slots: 4}},
 		{Kind: KindJob, Job: &Job{ID: "j0007", Protocol: "kset", Params: protocol.Params{N: 4, K: 3},
 			Opts: trace.ExploreOpts{MaxDepth: 20, MaxRuns: 1000, Prune: true, Engine: "seq"}}},
-		{Kind: KindLease, Lease: &Lease{Job: "j0007", ID: 7, Root: []int{0, 2, 1}, Base: 420,
+		{Kind: KindLease, Lease: &Lease{Job: "j0007", ID: 7, Root: []int{0, 2, 1}, Base: 420, ViolBase: 2,
 			Table: []trace.FpEntry{{Fp: 1 << 63, Rem: 9}, {Fp: 42, Rem: 1}}}},
 		{Kind: KindResult, Result: &Result{Job: "j0007", ID: 7, Outcome: &trace.SubtreeOutcome{
 			Runs: 12, Truncated: 3, Exhausted: true, Pruned: 2, Distinct: 5,
-			Violations: []trace.SubtreeViolation{{Ord: 4, TruncCum: 1, Schedule: []int{0, 1, 0}, Err: "disagreement"}},
-			TruncBits:  []uint64{0b1010}, ErrOrd: -1,
-			Closures: []trace.FpEntry{{Fp: 3, Rem: 2}},
+			Violations: []trace.SubtreeViolation{{Schedule: []int{0, 1, 0}, Err: "disagreement"}},
+			Closures:   []trace.FpEntry{{Fp: 3, Rem: 2}},
 		}}},
 		{Kind: KindFail, Fail: &Fail{Job: "j0007", Err: "unknown protocol"}},
 		{Kind: KindReject, Reject: &Reject{Got: 2, Want: 3, Err: "version skew"}},

@@ -204,7 +204,7 @@ func WorkCfg(ctx context.Context, conn net.Conn, cfg WorkConfig, resolve Resolve
 				if t.js.stopped.Load() {
 					continue // job retired while queued: drop the lease
 				}
-				outcome, err := trace.RunSubtree(t.js.nprocs, t.js.factory, t.js.opts, t.lease.Root, t.lease.Base, t.js.frozen)
+				outcome, err := trace.RunSubtree(t.js.nprocs, t.js.factory, t.js.opts, t.lease.Root, t.lease.Base, t.lease.ViolBase, t.js.frozen)
 				if err != nil {
 					// A run error is job-scoped capability skew: fail the job,
 					// keep serving the others.

@@ -68,8 +68,8 @@ func TestCheckpointedSearchMatchesReplay(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, root := range frontier {
-				got, gerr := trace.RunSubtree(p.N, restoring, full, root, 0, nil)
-				want, werr := trace.RunSubtree(p.N, replaying, full, root, 0, nil)
+				got, gerr := trace.RunSubtree(p.N, restoring, full, root, 0, 0, nil)
+				want, werr := trace.RunSubtree(p.N, replaying, full, root, 0, 0, nil)
 				if g, w := renderOutcome(t, got, gerr), renderOutcome(t, want, werr); g != w {
 					t.Errorf("subtree %v: checkpointed outcome %s, replaying outcome %s", root, g, w)
 				}

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -105,6 +106,63 @@ func TestStartProgress(t *testing.T) {
 	wantPrefix := fmt.Sprintf("progress: %d runs", rep.Explore.Runs)
 	if !bytes.HasPrefix([]byte(line), []byte(wantPrefix)) {
 		t.Fatalf("progress line %q does not start with %q", line, wantPrefix)
+	}
+}
+
+// TestOneWorkerNeverReruns: a one-worker search runs every subtree on exact
+// bases — the runs and violations of the subtrees before it are final when
+// it starts — so no outcome overshoots a cutoff and no subtree runs twice:
+// search_runs_total equals the report's Runs. The cases are cut by the run
+// budget, unpruned and pruned, and by a violation cutoff whose violations
+// span several subtrees of the pruned frontier.
+func TestOneWorkerNeverReruns(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		opts     Options
+		subtrees int // violated subtrees the case must span
+	}{
+		{"budget", Options{Protocol: "consensus", Params: protocol.Params{N: 3}, MaxDepth: 16, MaxRuns: 5000}, 0},
+		{"budget-pruned", Options{Protocol: "consensus", Params: protocol.Params{N: 3}, MaxDepth: 16, MaxRuns: 5000, Prune: true}, 0},
+		{"viol-pruned", Options{Protocol: "firstvalue-consensus", Params: protocol.Params{N: 3}, MaxDepth: 9, MaxViolations: 20, Prune: true}, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := trace.NewSearchObs(obs.NewRegistry())
+			opts := c.opts
+			opts.Workers, opts.Obs = 1, m
+			rep, err := Check(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Explore.Exhausted {
+				t.Fatalf("the case is not cut: %+v", rep.Explore)
+			}
+			if int(m.Runs()) != rep.Explore.Runs {
+				t.Fatalf("search_runs_total = %d, report Runs = %d: a subtree ran past its cutoff", m.Runs(), rep.Explore.Runs)
+			}
+			job, err := CheckJob(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nprocs, factory, err := Resolve(job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frontier, _, err := trace.SubtreePlan(nprocs, factory, job.Opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			violated := map[int]bool{}
+			for _, v := range rep.Explore.Violations {
+				for i, root := range frontier {
+					if len(v.Schedule) >= len(root) && slices.Equal(v.Schedule[:len(root)], root) {
+						violated[i] = true
+					}
+				}
+			}
+			if len(violated) < c.subtrees {
+				t.Fatalf("violations span %d subtrees, want at least %d", len(violated), c.subtrees)
+			}
+		})
 	}
 }
 

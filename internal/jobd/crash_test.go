@@ -84,7 +84,7 @@ func nextSnapshot(rnd *sched.Random, prev *dist.Progress, wave int) *dist.Progre
 	}
 	for k := 0; k < 2; k++ {
 		if i := rnd.IntN(frontier); p.Outcomes[i] == nil {
-			p.Outcomes[i] = &trace.SubtreeOutcome{Runs: 2*wave + k + 1, Exhausted: true, ErrOrd: -1}
+			p.Outcomes[i] = &trace.SubtreeOutcome{Runs: 2*wave + k + 1, Exhausted: true}
 		}
 	}
 	return p

@@ -22,8 +22,8 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 // progressOpts is the job of the journaled-progress golden: unpruned, so its
 // outcomes carry no fingerprints (those are seeded per process) and a later
-// process can resume them; budgeted, so outcomes carry truncation bitsets;
-// violating, so they carry violations.
+// process can resume them; budgeted and violating, so its subtrees stop on
+// both bases and its outcomes carry violations.
 var progressOpts = harness.Options{Protocol: "firstvalue-consensus", Params: protocol.Params{N: 3},
 	MaxDepth: 7, MaxRuns: 100000, MaxViolations: 100}
 
@@ -46,7 +46,7 @@ func progressRecord(t *testing.T) *jobd.Record {
 	}
 	p := &dist.Progress{Frontier: len(frontier), Outcomes: make([]*trace.SubtreeOutcome, len(frontier))}
 	for i := 0; i < len(frontier); i += 3 {
-		if p.Outcomes[i], err = trace.RunSubtree(nprocs, factory, job.Opts, frontier[i], 0, nil); err != nil {
+		if p.Outcomes[i], err = trace.RunSubtree(nprocs, factory, job.Opts, frontier[i], 0, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,9 +82,17 @@ func TestProgressRecordGolden(t *testing.T) {
 // TestJournaledProgressResumes restarts a daemon on a journal holding the
 // golden progress line: recovery re-queues the interrupted job, the fleet
 // resumes from the journaled outcomes (the log line proves some were
-// restored), and the finished report is byte-identical to the solo run.
+// restored), and the finished report is byte-identical to the solo run. The
+// same holds for the line as wire version 6 journaled it, whose outcomes
+// carry per-run records that this build ignores.
 func TestJournaledProgressResumes(t *testing.T) {
-	line, err := os.ReadFile(filepath.Join("testdata", "progress_record.golden"))
+	for _, golden := range []string{"progress_record.golden", "progress_record_v6.golden"} {
+		t.Run(golden, func(t *testing.T) { resumeJournaled(t, golden) })
+	}
+}
+
+func resumeJournaled(t *testing.T, golden string) {
+	line, err := os.ReadFile(filepath.Join("testdata", golden))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -387,7 +387,7 @@ func deltaLines(tb testing.TB) [][]byte {
 		tb.Fatal(err)
 	}
 	done := func(runs int) *trace.SubtreeOutcome {
-		return &trace.SubtreeOutcome{Runs: runs, Exhausted: true, ErrOrd: -1}
+		return &trace.SubtreeOutcome{Runs: runs, Exhausted: true}
 	}
 	for _, p := range []*dist.Progress{
 		{Wave: 1, Frontier: 3, Outcomes: []*trace.SubtreeOutcome{done(1), nil, nil}},

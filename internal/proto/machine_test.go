@@ -1,6 +1,8 @@
 package proto
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"revisionist/internal/sched"
@@ -41,3 +43,18 @@ func (p *instantOutput) NextOp() Op        { return Op{Kind: OpOutput, Val: p.v}
 func (p *instantOutput) ApplyScan([]Value) {}
 func (p *instantOutput) ApplyUpdate()      {}
 func (p *instantOutput) Clone() Process    { return &instantOutput{v: p.v} }
+
+// TestFingerprintRejectsUnknownProcess: a machine whose process has no
+// fingerprint encoding panics, naming the process type, instead of hashing
+// a rendering of it.
+func TestFingerprintRejectsUnknownProcess(t *testing.T) {
+	snap := shmem.NewMWSnapshot("M", shmem.Free{}, 1, nil)
+	m := Machines([]Process{&instantOutput{v: 9}}, snap, NewRunResult(1))[0]
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "*proto.instantOutput") {
+			t.Fatalf("recovered %v, want a panic naming the process type", r)
+		}
+	}()
+	var fp sched.FP
+	m.(sched.Fingerprinter).AppendFingerprint(&fp, nil)
+}

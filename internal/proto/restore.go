@@ -13,24 +13,20 @@ import (
 // machines in place — the contract checkpointed exploration needs.
 
 // AppendFingerprint implements sched.Fingerprinter. The driver flags carry
-// no process identity, so only the wrapped Process sees c. Processes with a
-// fast path implement sched.Fingerprinter themselves (all built-in
-// algorithms do); anything else falls back to a %#v rendering, which is
-// deterministic only for pointer-free, map-free process states and, with
-// no pids or input values rewritten, can only weaken an orbit collapse,
-// never merge distinct orbits.
+// no process identity, so only the wrapped Process sees c. The Process
+// must implement sched.Fingerprinter itself (all built-in algorithms do); a
+// process type that does not panics, naming the type.
 func (mc *procMachine) AppendFingerprint(fp *sched.FP, c *sched.Canon) {
 	mc.mustBeQuiescent()
 	fp.Byte(0x50)
 	fp.Bool(mc.started)
 	fp.Bool(mc.wantScan)
 	fp.Bool(mc.done)
-	if f, ok := mc.p.(sched.Fingerprinter); ok {
-		f.AppendFingerprint(fp, c)
-		return
+	f, ok := mc.p.(sched.Fingerprinter)
+	if !ok {
+		panic(fmt.Sprintf("proto: process of type %T has no fingerprint encoding (implement sched.Fingerprinter)", mc.p))
 	}
-	fp.Byte(0x51)
-	fp.Rendering(mc.p)
+	f.AppendFingerprint(fp, c)
 }
 
 // mustBeQuiescent panics in the middle of a multi-step snapshot operation,

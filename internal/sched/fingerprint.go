@@ -2,7 +2,6 @@ package sched
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/maphash"
 	"math"
 )
@@ -25,7 +24,7 @@ import (
 //   - Appends must be unambiguous under concatenation: start with a tag byte
 //     and length-prefix any variable-length data, so that two different
 //     configurations cannot serialize to the same byte stream. The FP
-//     methods are fixed-width (Str and Rendering carry their own length).
+//     methods are fixed-width (Str carries its own length).
 //   - Appending must not mutate the object, must not take scheduler steps,
 //     and must not allocate once warm — fingerprints are computed at every
 //     scheduler decision point, into a buffer each system reuses.
@@ -119,16 +118,6 @@ func (f *FP) Float64(x float64) {
 func (f *FP) Str(s string) {
 	f.Int(len(s))
 	f.b = append(f.b, s...)
-}
-
-// Rendering appends the %T%#v rendering of v, prefixed with its length:
-// the fallback encoding of values and processes that have no encoder. It is
-// deterministic only for pointer-free, map-free values, and it allocates.
-func (f *FP) Rendering(v any) {
-	at := len(f.b)
-	f.put64(0)
-	f.b = fmt.Appendf(f.b, "%T%#v", v, v)
-	binary.LittleEndian.PutUint64(f.b[at:], uint64(len(f.b)-at-8))
 }
 
 // fpSeed is the process-wide fingerprint seed: every fingerprint hash uses

@@ -33,9 +33,8 @@ const (
 // snapshot components that want a fast, collision-safe fingerprint path.
 // Composite values whose state embeds process ids or declared input values
 // (the Afek records, Paxos registers) rewrite them through c; a nil c is the
-// identity. Types that do not implement it fall back to a reflected
-// rendering (see AppendValue), which is slower and must not contain pointers
-// or maps.
+// identity. A value of any other type that is not a built-in shape (see
+// AppendValue) cannot be fingerprinted.
 type ValueFingerprinter interface {
 	AppendValueFingerprint(fp *sched.FP, c *sched.Canon)
 }
@@ -43,9 +42,8 @@ type ValueFingerprinter interface {
 // AppendValue appends one component value to the fingerprint under c (nil:
 // the identity). A scalar that c declares an input value encodes as its
 // renamed role token. Built-in scalar and slice shapes are dispatched
-// directly; composite protocol values implement ValueFingerprinter; anything
-// else takes the %#v fallback (sched.FP.Rendering), which is deterministic
-// only for pointer-free, map-free values.
+// directly; composite protocol values implement ValueFingerprinter. Any
+// other type panics, naming the type: it has no encoding to hash.
 func AppendValue(fp *sched.FP, v Value, c *sched.Canon) {
 	if c != nil { // the plain fingerprint skips the type switch
 		switch v.(type) {
@@ -99,8 +97,7 @@ func AppendValue(fp *sched.FP, v Value, c *sched.Canon) {
 			fp.Int(e)
 		}
 	default:
-		fp.Byte(0x0f)
-		fp.Rendering(v)
+		panic(fmt.Sprintf("shmem: value of type %T has no fingerprint encoding (implement ValueFingerprinter)", v))
 	}
 }
 

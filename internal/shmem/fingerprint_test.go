@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"revisionist/internal/sched"
@@ -84,6 +85,18 @@ func TestAppendValueUnambiguous(t *testing.T) {
 	}
 }
 
+// TestAppendValueRejectsUnknownTypes: a value of a type with no encoding
+// panics, naming the type, instead of being hashed through a rendering that
+// differs between processes once it reaches a pointer or a map.
+func TestAppendValueRejectsUnknownTypes(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "struct { A int }") {
+			t.Fatalf("recovered %v, want a panic naming the type", r)
+		}
+	}()
+	encodeValues(struct{ A int }{5})
+}
+
 // encodeValues returns the fingerprint stream of a value sequence under the
 // identity.
 func encodeValues(vs ...Value) []byte {
@@ -132,7 +145,7 @@ func TestFloatEncoding(t *testing.T) {
 func TestFingerprintStreamGolden(t *testing.T) {
 	cz := swapPair(t, [][]int{{0}, {1}}, map[any]int{"a": 0, "b": 1})
 	r := NewRegister("R", Free{}, nil)
-	r.Write(0, []Value{nil, 1, int64(2), 2.5, "a", "s", true, []int{3}, []float64{4}, struct{ A int }{5}})
+	r.Write(0, []Value{nil, 1, int64(2), 2.5, "a", "s", true, []int{3}, []float64{4}})
 	sw := NewSWSnapshot("S", Free{}, 2, nil)
 	sw.Update(0, "a")
 	sw.Update(1, 7)

@@ -418,7 +418,7 @@ func (ex *explorer) explore(i int, global func(fp uint64) (int, bool)) (*Subtree
 		ex.cache = &stateCache{global: global, local: StateTable{}}
 	}
 	ex.flat, ex.offs, ex.picks, ex.fps, ex.cps = ex.flat[:0], ex.offs[:1], ex.picks[:0], ex.fps[:0], ex.cps[:0]
-	ex.o = &SubtreeOutcome{ErrOrd: -1}
+	ex.o = &SubtreeOutcome{}
 	ex.ckpt = true
 	if err := ex.search(); err != nil {
 		return nil, err
@@ -432,12 +432,12 @@ func (ex *explorer) explore(i int, global func(fp uint64) (int, bool)) (*Subtree
 // search is the loop: run, account, check, backtrack, budget. Cut runs skip
 // the check and count as pruned, completed nodes are closed into the cache,
 // and the next run resumes from the deepest checkpoint at or above the
-// divergence depth. The budget and stop checks read the shared lower bounds
-// of exploreShared, and every run is recorded by ordinal so the merge can
-// re-cut the search at any run.
+// divergence depth. The budget and violation cutoffs read the shared lower
+// bounds of exploreShared, so the loop stops at or past the subtree's exact
+// stop (see Waves).
 func (ex *explorer) search() error {
 	sh, o := ex.sh, ex.o
-	if sh.maxRuns > 0 && sh.budgetBase(ex.i) >= sh.maxRuns {
+	if sh.maxRuns > 0 && sh.base(sh.runs, sh.runBase, ex.i) >= sh.maxRuns {
 		sh.cutAt(ex.i)
 		return nil // earlier subtrees alone exhaust the budget
 	}
@@ -452,21 +452,18 @@ func (ex *explorer) search() error {
 			sh.cutAt(ex.i)
 			return nil
 		}
-		sh.counters[ex.i].Add(1)
+		sh.runs[ex.i].Add(1)
 		res, err := ex.run(from)
 		if ex.capErr != nil {
 			sh.cutAt(ex.i)
 			return ex.capErr
 		}
-		ord := o.Runs
 		o.Runs++
 		if ex.trunc {
 			o.Truncated++
-			ex.mark(&o.TruncBits, ord)
 		}
 		if ex.cut {
 			o.Pruned++
-			ex.mark(&o.PruneBits, ord)
 		}
 		ex.opts.Obs.RunDone(ex.trunc, ex.cut, ex.opts.Symmetry)
 		if err == nil {
@@ -475,17 +472,16 @@ func (ex *explorer) search() error {
 		if err != nil {
 			o.err = fmt.Errorf("trace: run failed on schedule %v: %w", ex.picks, err)
 			o.RunErr = o.err.Error()
-			o.ErrOrd, o.ErrTruncCum = ord, o.Truncated
-			o.ErrPrunedCum, o.ErrDistinctCum = o.Pruned, o.Distinct
 			sh.cutAt(ex.i)
 			return nil
 		}
 		if !ex.cut {
 			if cerr := ex.sys.Check(res); cerr != nil {
-				o.Violations = append(o.Violations, SubtreeViolation{Ord: ord, TruncCum: o.Truncated,
-					PrunedCum: o.Pruned, DistinctCum: o.Distinct,
+				o.Violations = append(o.Violations, SubtreeViolation{
 					Schedule: append([]int(nil), ex.picks...), Err: cerr.Error()})
-				if len(o.Violations) >= sh.maxViol {
+				sh.viols[ex.i].Add(1)
+				if sh.base(sh.viols, sh.violBase, ex.i)+len(o.Violations) >= sh.maxViol {
+					o.ViolCut = true
 					sh.cutAt(ex.i)
 					return nil
 				}
@@ -494,9 +490,6 @@ func (ex *explorer) search() error {
 		d := ex.backtrack()
 		if ex.cache != nil {
 			ex.closeStates(d)
-			if sh.maxRuns > 0 {
-				o.DistCums = append(o.DistCums, int32(o.Distinct))
-			}
 		}
 		if d < 0 {
 			o.Exhausted = true
@@ -505,7 +498,7 @@ func (ex *explorer) search() error {
 		// The budget check sits after the backtrack, so a subtree that stops
 		// on budget has already learned whether it was exhausted, which the
 		// merge needs for the exact Exhausted flag.
-		if sh.maxRuns > 0 && sh.budgetBase(ex.i)+o.Runs >= sh.maxRuns {
+		if sh.maxRuns > 0 && sh.base(sh.runs, sh.runBase, ex.i)+o.Runs >= sh.maxRuns {
 			sh.cutAt(ex.i)
 			return nil
 		}
@@ -519,15 +512,6 @@ func (ex *explorer) search() error {
 			base = from.depth
 		}
 		ex.truncTo(base)
-	}
-}
-
-// mark records run ordinal ord in a per-run bitset of the outcome. Bitsets
-// are only tracked under a MaxRuns budget, the one cutoff the merge may
-// place at an arbitrary run.
-func (ex *explorer) mark(bits *[]uint64, ord int) {
-	if ex.sh.maxRuns > 0 {
-		setBit(bits, ord)
 	}
 }
 

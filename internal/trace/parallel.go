@@ -4,13 +4,13 @@
 // independent subtrees, so the planner splits the DFS prefix tree into
 // disjoint subtrees — it expands the first few decision levels into a
 // frontier of prefixes in canonical DFS order — and a pool of workers drains
-// them, a wave at a time, each worker with one explorer of its own.
-// Subtree outcomes carry enough per-run detail (violation ordinals,
-// truncation bits) that the merge can re-cut the search at exactly the run
-// where a single-subtree search would have stopped, so the report is
-// byte-identical for any worker count: violations in canonical schedule
-// order, Runs/Truncated/Exhausted exact, MaxRuns and MaxViolations enforced
-// through a budget handoff between subtrees.
+// them, a wave at a time, each worker with one explorer of its own. Each
+// subtree stops on live lower bounds of the runs and violations of the
+// subtrees before it, so its outcome is exact or overshoots the cutoff; the
+// wave protocol re-opens the one subtree a cutoff lands in, which then runs
+// on exact bases. The report is byte-identical for any worker count:
+// violations in canonical schedule order, Runs/Truncated/Exhausted exact,
+// MaxRuns and MaxViolations enforced at the exact run.
 package trace
 
 import (
@@ -161,12 +161,13 @@ func expandFrontier(nprocs int, factory Factory, opts ExploreOpts, target int) (
 // run; the wave protocol (Waves) only sees their outcomes afterwards.
 type exploreShared struct {
 	frontier [][]int
-	// counters[i] counts runs started in subtree i. Their prefix sum over the
-	// current wave is a monotone lower bound on the runs the merge will
-	// credit before subtree i — the atomic budget handoff: subtree i stops as
-	// soon as that bound plus its own runs reaches MaxRuns, which is provably
-	// at or past the cutoff, and the merge trims the overshoot.
-	counters []atomic.Int64
+	// runs[i] and viols[i] count the runs started and violations found in
+	// subtree i. With the exact totals before subtree lo, their prefix sums
+	// are monotone lower bounds on the runs and violations the merge will
+	// credit before subtree i — the atomic budget handoff: subtree i stops
+	// as soon as a bound plus its own count reaches MaxRuns or MaxViolations,
+	// which is at or past its exact stop.
+	runs, viols []atomic.Int64
 	// stopAfter is the smallest subtree index known to end the search (a
 	// MaxRuns, MaxViolations or run-error cutoff), published as soon as the
 	// subtree finds it; subtrees beyond it are skipped or abandoned, and the
@@ -174,23 +175,19 @@ type exploreShared struct {
 	stopAfter atomic.Int64
 	maxRuns   int
 	maxViol   int
-	// base is the exact number of runs credited before the current wave,
-	// whose first subtree is lo: the runs of completed waves, or a
-	// distributed lease's base.
-	base, lo int
-	// frozen pins every subtree's budget base to base. A pruned search needs
-	// it: its report must not depend on how far sibling subtrees of the same
-	// wave have got.
-	frozen bool
+	// runBase and violBase are the exact runs and violations credited
+	// before subtree lo: those of completed waves, of the wave's earlier
+	// subtrees for a re-run, or a distributed lease's bases.
+	runBase, violBase, lo int
 }
 
 func newExploreShared(frontier [][]int, opts ExploreOpts) *exploreShared {
 	sh := &exploreShared{
 		frontier: frontier,
-		counters: make([]atomic.Int64, len(frontier)),
+		runs:     make([]atomic.Int64, len(frontier)),
+		viols:    make([]atomic.Int64, len(frontier)),
 		maxRuns:  opts.MaxRuns,
 		maxViol:  opts.maxViolations(),
-		frozen:   opts.Prune,
 	}
 	sh.stopAfter.Store(math.MaxInt64)
 	return sh
@@ -205,25 +202,24 @@ func (sh *exploreShared) cutAt(i int) {
 	}
 }
 
-// budgetBase returns the current lower bound on runs preceding subtree i in
-// canonical order.
-func (sh *exploreShared) budgetBase(i int) int {
-	sum := sh.base
-	if !sh.frozen {
-		for j := sh.lo; j < i; j++ {
-			sum += int(sh.counters[j].Load())
-		}
+// base returns the current lower bound on the counts preceding subtree i in
+// canonical order: sh.runs with sh.runBase, or sh.viols with sh.violBase.
+func (sh *exploreShared) base(counts []atomic.Int64, exact, i int) int {
+	for j := sh.lo; j < i; j++ {
+		exact += int(counts[j].Load())
 	}
-	return sum
+	return exact
 }
 
 // runWaves drives the wave protocol in process: each wave's subtrees run on
 // the worker pool, and their outcomes are added in index order at the
-// barrier. Subtrees of one wave run in parallel; in a pruned search each
-// sees the visited-state table frozen at the wave start plus its own
-// closures, which the barrier max-merges. Workers therefore only
-// parallelize within a wave, and the report is the same for any worker
-// count, Pruned and Distinct included. An unpruned search is a single wave.
+// barrier; a subtree the wave protocol re-opens runs again, on exact bases,
+// until the window moves or the search completes. Subtrees of one wave run
+// in parallel; in a pruned search each sees the visited-state table frozen
+// at the wave start plus its own closures, which the barrier max-merges.
+// Workers therefore only parallelize within a wave, and the report is the
+// same for any worker count, Pruned and Distinct included. An unpruned
+// search is a single wave.
 func runWaves(nprocs int, factory Factory, opts ExploreOpts, frontier [][]int, width, workers int) (*ExploreReport, error) {
 	w := NewWaves(frontier, width, opts)
 	sh := newExploreShared(frontier, opts)
@@ -235,27 +231,41 @@ func runWaves(nprocs int, factory Factory, opts ExploreOpts, frontier [][]int, w
 	for {
 		lo, hi := w.Window()
 		waveStart := opts.Obs.WaveStart()
-		sh.lo, sh.base = lo, w.Base(lo)
-		outs := make([]*SubtreeOutcome, hi-lo)
-		errs := make([]error, hi-lo)
-		runOnPool(workers, hi-lo, func(k, j int) {
-			i := lo + j
-			if int64(i) > sh.stopAfter.Load() {
-				return
+		for {
+			var ids []int
+			for i := lo; i < hi; i++ {
+				if w.Open(i) {
+					ids = append(ids, i)
+				}
 			}
-			if exs[k] == nil {
-				exs[k] = newExplorer(nprocs, factory, opts, sh)
+			if len(ids) == 0 {
+				break
 			}
-			outs[j], errs[j] = exs[k].explore(i, w.table.lookup)
-		})
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
+			sh.lo = ids[0]
+			sh.runBase, sh.violBase = w.Base(ids[0])
+			outs := make([]*SubtreeOutcome, len(ids))
+			errs := make([]error, len(ids))
+			runOnPool(workers, len(ids), func(k, j int) {
+				if int64(ids[j]) > sh.stopAfter.Load() {
+					return
+				}
+				if exs[k] == nil {
+					exs[k] = newExplorer(nprocs, factory, opts, sh)
+				}
+				outs[j], errs[j] = exs[k].explore(ids[j], w.table.lookup)
+			})
+			for _, err := range errs {
+				if err != nil {
+					return nil, err
+				}
 			}
-		}
-		for j, o := range outs {
-			if o != nil {
-				w.Add(lo+j, o)
+			for j, o := range outs {
+				if o != nil {
+					w.Add(ids[j], o)
+				}
+			}
+			if next, _ := w.Window(); next != lo {
+				break
 			}
 		}
 		if next, _ := w.Window(); next == lo {

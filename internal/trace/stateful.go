@@ -48,7 +48,11 @@
 // fixed width (the wave protocol, waves.go), each subtree sees the merged
 // table frozen as of its wave start plus its own private closures, and
 // private closures are max-merged (order-independent) into the table only at
-// the wave barrier. Reads during a wave therefore take no lock.
+// the wave barrier. Reads during a wave therefore take no lock. Where a
+// subtree stops does depend on scheduling — it stops on live lower bounds of
+// the runs and violations before it — but the merge credits only its exact
+// outcome, a function of its root and the frozen table alone, and runs it
+// again on exact bases when it overshot a cutoff.
 package trace
 
 import (

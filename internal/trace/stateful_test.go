@@ -50,19 +50,21 @@ func consensusAgreeFactory(n int) Factory {
 		}
 		res := proto.NewRunResult(n)
 		snap := shmem.NewMWSnapshot("M", gate, m, nil)
-		return restorableSystem(snap, res, proto.Machines(procs, snap, res),
-			func(res *proto.RunResult) error {
-				var first proto.Value
-				for _, v := range res.DoneOutputs() {
-					if first == nil {
-						first = v
-					} else if v != first {
-						return fmt.Errorf("disagreement: %v vs %v", first, v)
-					}
-				}
-				return nil
-			})
+		return restorableSystem(snap, res, proto.Machines(procs, snap, res), agreement)
 	}
+}
+
+// agreement fails a run whose done processes output different values.
+func agreement(res *proto.RunResult) error {
+	var first proto.Value
+	for _, v := range res.DoneOutputs() {
+		if first == nil {
+			first = v
+		} else if v != first {
+			return fmt.Errorf("disagreement: %v vs %v", first, v)
+		}
+	}
+	return nil
 }
 
 // firstValueFactory builds n FirstValue processes racing on one component,
@@ -258,7 +260,7 @@ func TestRunSubtreeRootNotEnabled(t *testing.T) {
 	var builds atomic.Int64
 	none := func(int64) int { return 0 }
 	opts := ExploreOpts{MaxDepth: 10}
-	o, err := RunSubtree(2, shrinkingFactory(none, &builds), opts, []int{1}, 0, nil)
+	o, err := RunSubtree(2, shrinkingFactory(none, &builds), opts, []int{1}, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,22 +10,22 @@
 //     report byte for byte (pruned explorations share closed states only at
 //     wave barriers, so the wave structure is part of the report's identity).
 //     It is the in-process planner with a larger unpruned frontier.
-//   - RunSubtree runs the subtree loop on one leased subtree — same budget
-//     lower bound, same pruning against a frozen visited-state view — and
-//     returns its outcome.
-//   - Waves (waves.go) takes outcomes in any order and merges them.
+//   - RunSubtree runs the subtree loop on one leased subtree — stopping on
+//     lower bounds of the runs and violations credited before it, pruning
+//     against a frozen visited-state view — and returns its outcome.
+//   - Waves (waves.go) takes outcomes in any order, re-opens the one subtree
+//     whose outcome overshoots the cutoff, and merges them.
 //
-// Because every field an outcome carries is positioned by run ordinal, the
-// merge is independent of which worker produced which subtree, of arrival
-// order, and of how often a subtree was re-leased after a worker died: a
-// complete outcome for a given (root, options, frozen view, budget base) is
-// a pure value, so duplicates are identical and re-execution is idempotent.
+// An outcome is plain totals. A subtree run on lower bounds runs a prefix of
+// its DFS at least as long as the run on exact bases, so its outcome either
+// is the exact one or overshoots the cutoff, and the merge can tell which
+// from the totals and the exact bases. The exact outcome for a given (root,
+// options, frozen view) is a pure value, so the merge is independent of which
+// worker produced which subtree, of arrival order, and of how often a
+// subtree was re-leased after a worker died.
 package trace
 
-import (
-	"errors"
-	"math/bits"
-)
+import "errors"
 
 // ErrInterrupted is returned (alongside the partial report) when
 // ExploreOpts.Interrupted — or a distributed coordinator's context — stops a
@@ -41,29 +41,19 @@ type FpEntry struct {
 	Rem int
 }
 
-// SubtreeViolation is one violation found inside a subtree, positioned by
-// run ordinal so the merge can apply MaxViolations at the exact run where a
-// single-subtree search would have stopped. TruncCum and PrunedCum count the
-// truncated and cut runs among ordinals [0, Ord] (the violating run is never
-// cut); DistinctCum counts states closed before the violating run's
-// backtrack (a violation cutoff stops the loop before closures). The check's
-// error is kept as its message.
+// SubtreeViolation is one violation found inside a subtree: its schedule
+// and the check's error message.
 type SubtreeViolation struct {
-	Ord         int
-	TruncCum    int
-	PrunedCum   int
-	DistinctCum int
-	Schedule    []int
-	Err         string
+	Schedule []int
+	Err      string
 }
 
 // SubtreeOutcome is the result of exploring one subtree, in process or for a
-// lease, in wire-serializable form: the aggregate counts, the per-run detail
-// the deterministic merge needs (violation ordinals, truncation and prune
-// bitsets, cumulative distinct counts), a failed run if one ended the
-// subtree, and the subtree's newly closed states for the visited-state
-// table. TruncBits, PruneBits and DistCums are only tracked under a MaxRuns
-// budget, where the merge may need the counters of an arbitrary run prefix.
+// lease, in wire-serializable form: the subtree's totals, its violations in
+// DFS order, a failed run if one ended the subtree, and the subtree's newly
+// closed states for the visited-state table. The merge credits an outcome
+// whole; one that overshoots a cutoff is run again on exact bases (see
+// Waves).
 type SubtreeOutcome struct {
 	Runs      int
 	Truncated int
@@ -72,22 +62,16 @@ type SubtreeOutcome struct {
 	Distinct  int
 
 	Violations []SubtreeViolation `json:",omitempty"`
-	TruncBits  []uint64           `json:",omitempty"`
-	PruneBits  []uint64           `json:",omitempty"`
-	DistCums   []int32            `json:",omitempty"`
+	// ViolCut marks a subtree that stopped at the MaxViolations cutoff, on
+	// its last violation and before backtracking from that run.
+	ViolCut bool `json:",omitempty"`
 
 	// RunErr is a failed run's message ("" = none): an engine error or a
-	// replay divergence. ErrOrd positions it (-1 = none) and the cumulative
-	// counters, like a violation's, position the merge at it (the failing
-	// run counts its truncation). err keeps
-	// the failure's wrapped chain for an in-process Explore; it never
-	// crosses the wire.
-	RunErr         string `json:",omitempty"`
-	err            error
-	ErrOrd         int
-	ErrTruncCum    int
-	ErrPrunedCum   int
-	ErrDistinctCum int
+	// replay divergence. It ends the subtree with that run. err keeps the
+	// failure's wrapped chain for an in-process Explore; it never crosses
+	// the wire.
+	RunErr string `json:",omitempty"`
+	err    error
 
 	// Closures are the subtree's newly closed states, sorted by fingerprint,
 	// for publication into the coordinator's table at the wave barrier.
@@ -100,39 +84,6 @@ type SubtreeOutcome struct {
 	Stopped bool `json:",omitempty"`
 }
 
-// cuts reports whether this outcome ends the search at its subtree: a failed
-// run, the MaxViolations cutoff, or a MaxRuns budget stop (the only way a
-// completed subtree is not exhausted). Subtrees after a cutting one are
-// never merged.
-func (o *SubtreeOutcome) cuts(maxViol int) bool {
-	return o.RunErr != "" || len(o.Violations) >= maxViol || !o.Exhausted
-}
-
-// setBit marks run ordinal ord in a per-run bitset.
-func setBit(bits *[]uint64, ord int) {
-	w := ord >> 6
-	for len(*bits) <= w {
-		*bits = append(*bits, 0)
-	}
-	(*bits)[w] |= 1 << (ord & 63)
-}
-
-// countBits returns the number of marked ordinals in [0, n).
-func countBits(bs []uint64, n int) int {
-	c := 0
-	for w := 0; w*64 < n; w++ {
-		var word uint64
-		if w < len(bs) {
-			word = bs[w]
-		}
-		if (w+1)*64 > n {
-			word &= 1<<(uint(n)&63) - 1
-		}
-		c += bits.OnesCount64(word)
-	}
-	return c
-}
-
 // SubtreePlan computes the frontier of disjoint subtree-root prefixes, in
 // canonical DFS order, and the wave width a distributed exploration must use
 // to reproduce the single-process Explore report exactly. It also validates
@@ -143,9 +94,9 @@ func countBits(bs []uint64, n int) int {
 // For a pruned search the frontier size and wave width are the fixed,
 // worker-independent ones of the in-process explorer — the cache-sharing
 // structure is part of the report — and closed states may only be shared
-// across (never within) waves, with budget bases frozen at wave starts. For
-// an unpruned search the report is independent of the sharding, so the plan
-// is one wave over a modest frontier and any valid budget lower bound works.
+// across (never within) waves. For an unpruned search the report is
+// independent of the sharding, so the plan is one wave over a modest
+// frontier. Either way any lower bounds serve as a subtree's bases.
 // A frontier of length <= 1 means the tree is too small to shard: run
 // Explore locally instead.
 func SubtreePlan(nprocs int, factory Factory, opts ExploreOpts) (frontier [][]int, waveWidth int, err error) {
@@ -162,19 +113,20 @@ func SubtreePlan(nprocs int, factory Factory, opts ExploreOpts) (frontier [][]in
 const distFrontierTarget = 64
 
 // RunSubtree explores the subtree rooted at root to completion with the
-// in-process subtree loop: the MaxRuns budget is checked against the leased
-// base (a lower bound on the runs the merge will credit before this subtree)
-// and, when opts.Prune is set, runs are pruned against frozen — the caller's
-// read-only view of previously closed states, which must not change while
-// the call runs (the coordinator guarantees this by publishing closures only
-// at wave barriers). The outcome carries the subtree's own closures; the
-// caller owns publishing them. A root pick that is not enabled is a replay
-// divergence, reported as the outcome's failed run.
-func RunSubtree(nprocs int, factory Factory, opts ExploreOpts, root []int, base int, frozen func(fp uint64) (int, bool)) (*SubtreeOutcome, error) {
+// in-process subtree loop. base and violBase are lower bounds on the runs
+// and violations the merge will credit before this subtree: the loop stops
+// once they plus its own count reach MaxRuns or MaxViolations. When
+// opts.Prune is set, runs are pruned against frozen — the caller's read-only
+// view of previously closed states, which must not change while the call
+// runs (the coordinator guarantees this by publishing closures only at wave
+// barriers). The outcome carries the subtree's own closures; the caller owns
+// publishing them. A root pick that is not enabled is a replay divergence,
+// reported as the outcome's failed run.
+func RunSubtree(nprocs int, factory Factory, opts ExploreOpts, root []int, base, violBase int, frozen func(fp uint64) (int, bool)) (*SubtreeOutcome, error) {
 	if err := validateOpts(opts); err != nil {
 		return nil, err
 	}
 	sh := newExploreShared([][]int{root}, opts)
-	sh.base = base
+	sh.runBase, sh.violBase = base, violBase
 	return newExplorer(nprocs, factory, opts, sh).explore(0, frozen)
 }

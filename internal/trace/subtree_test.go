@@ -6,15 +6,21 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"revisionist/internal/algorithms"
+	"revisionist/internal/proto"
 	"revisionist/internal/sched"
+	"revisionist/internal/shmem"
 )
 
 // driveSubtrees replays the distributed coordinator's protocol in-process
-// and single-threaded: plan, run every open subtree of each wave against a
-// mirror of the table frozen at the wave start, add the outcomes, merge. It
-// is the reference composition the exported hooks must satisfy without any
-// transport in the way.
-func driveSubtrees(t *testing.T, nprocs int, factory Factory, opts ExploreOpts) *ExploreReport {
+// and single-threaded. Each pass over a wave runs every open subtree on the
+// bases Waves gives before any of the pass's outcomes is in — lower bounds,
+// as a fleet's concurrent leases see them — against a mirror of the table
+// frozen at the wave start, and adds the outcomes in reverse order. Passes
+// repeat until the window moves, running the subtrees the protocol
+// re-opened, which now have exact bases and must never re-open again. It
+// returns the merged report, its error, and how many subtrees re-opened.
+func driveSubtrees(t *testing.T, nprocs int, factory Factory, opts ExploreOpts) (*ExploreReport, int, error) {
 	t.Helper()
 	frontier, width, err := SubtreePlan(nprocs, factory, opts)
 	if err != nil {
@@ -22,71 +28,125 @@ func driveSubtrees(t *testing.T, nprocs int, factory Factory, opts ExploreOpts) 
 	}
 	w := NewWaves(frontier, width, opts)
 	mirror, synced := StateTable{}, 0
+	ran := make([]bool, len(frontier))
+	reopens := 0
 	for complete := false; !complete; {
 		for _, e := range w.Log()[synced:] {
 			mirror.Join(e)
 		}
 		synced = len(w.Log())
 		lo, hi := w.Window()
-		for i := lo; i < hi && !complete; i++ {
+		var ids, reruns []int
+		var outs []*SubtreeOutcome
+		for i := lo; i < hi; i++ {
 			if !w.Open(i) {
 				continue
 			}
-			o, err := RunSubtree(nprocs, factory, opts, frontier[i], w.Base(i), mirror.lookup)
+			if ran[i] {
+				reopens++
+				reruns = append(reruns, i)
+			}
+			ran[i] = true
+			runs, viols := w.Base(i)
+			o, err := RunSubtree(nprocs, factory, opts, frontier[i], runs, viols, mirror.lookup)
 			if err != nil {
 				t.Fatal(err)
 			}
-			complete = w.Add(i, o)
+			ids, outs = append(ids, i), append(outs, o)
 		}
-		if next, _ := w.Window(); !complete && next == lo {
-			t.Fatalf("wave at subtree %d did not advance", lo)
+		if len(ids) == 0 {
+			t.Fatalf("wave at subtree %d has no open subtree but did not advance", lo)
+		}
+		for k := len(ids) - 1; k >= 0; k-- {
+			complete = w.Add(ids[k], outs[k]) || complete
+		}
+		for _, i := range reruns {
+			if w.Open(i) {
+				t.Fatalf("subtree %d re-opened after a re-run on exact bases", i)
+			}
 		}
 	}
 	rep, err := w.Merge(false)
-	if err != nil {
-		if rep == nil {
-			t.Fatal(err)
-		}
-		// a run-error report is still comparable; surface unexpected kinds
-		if errors.Is(err, ErrInterrupted) {
-			t.Fatal(err)
-		}
+	if err != nil && (rep == nil || errors.Is(err, ErrInterrupted)) {
+		t.Fatal(err)
 	}
-	return rep
+	return rep, reopens, err
+}
+
+// firstValueAgree is firstValueFactory checked for agreement: processes that
+// both write before either scans again disagree, so violations are dense.
+// With poison set, process 1 also panics when a scan shows process 2's
+// input, a run error that only some schedules reach. Its systems fingerprint
+// and restore, so a pruned search reaches both.
+func firstValueAgree(n int, poison bool) Factory {
+	return func(gate sched.Stepper) System {
+		procs := make([]proto.Process, n)
+		for i := range procs {
+			procs[i] = algorithms.NewFirstValue(0, 100+i)
+		}
+		if poison {
+			procs[1] = &poisoned{procs[1].(*algorithms.FirstValue)}
+		}
+		res := proto.NewRunResult(n)
+		snap := shmem.NewMWSnapshot("M", gate, 1, nil)
+		return restorableSystem(snap, res, proto.Machines(procs, snap, res), agreement)
+	}
+}
+
+// poisoned is a FirstValue process that panics on scanning the value 102.
+type poisoned struct{ *algorithms.FirstValue }
+
+func (p *poisoned) ApplyScan(view []proto.Value) {
+	if view[0] == 102 {
+		panic("reached the poisoned interleaving")
+	}
+	p.FirstValue.ApplyScan(view)
+}
+
+func (p *poisoned) Clone() proto.Process {
+	return &poisoned{p.FirstValue.Clone().(*algorithms.FirstValue)}
+}
+
+func (p *poisoned) RestoreFrom(src proto.Process) {
+	p.FirstValue.RestoreFrom(src.(*poisoned).FirstValue)
 }
 
 // TestSubtreeHooksMatchExplore drives the exported lease/run/merge hooks the
-// way a coordinator does and requires the exact Explore report — pruned and
-// plain, exhaustive and budget-cut.
+// way a coordinator does, on lower bounds and out of order, and requires the
+// exact Explore report and error — pruned and plain, exhaustive and cut by
+// the budget, the violation cutoff and a failed run. The budget and
+// violation cuts land past the first subtree, where the lower bounds fall
+// short, so the subtree they land in must be re-opened and run again.
 func TestSubtreeHooksMatchExplore(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		nprocs  int
 		factory Factory
 		opts    ExploreOpts
+		reopens bool
 	}{
-		{"firstvalue-3-plain", 3, firstValueFactory(3), ExploreOpts{MaxDepth: 12}},
-		{"firstvalue-3-pruned", 3, firstValueFactory(3), ExploreOpts{MaxDepth: 12, Prune: true}},
-		{"consensus-2-viol", 2, consensusAgreeFactory(2), ExploreOpts{MaxDepth: 12, MaxViolations: 3}},
-		{"consensus-2-budget", 2, consensusAgreeFactory(2), ExploreOpts{MaxDepth: 16, MaxRuns: 900}},
-		{"consensus-2-pruned-budget", 2, consensusAgreeFactory(2), ExploreOpts{MaxDepth: 16, MaxRuns: 900, Prune: true}},
+		{"firstvalue-3-plain", 3, firstValueFactory(3), ExploreOpts{MaxDepth: 12}, false},
+		{"firstvalue-3-pruned", 3, firstValueFactory(3), ExploreOpts{MaxDepth: 12, Prune: true}, false},
+		{"agree-3-viol", 3, firstValueAgree(3, false), ExploreOpts{MaxDepth: 12, MaxViolations: 10}, true},
+		{"agree-3-pruned-viol", 3, firstValueAgree(3, false), ExploreOpts{MaxDepth: 12, MaxViolations: 10, Prune: true}, true},
+		{"consensus-2-viol", 2, consensusAgreeFactory(2), ExploreOpts{MaxDepth: 12, MaxViolations: 3}, false},
+		{"consensus-2-budget", 2, consensusAgreeFactory(2), ExploreOpts{MaxDepth: 16, MaxRuns: 900}, true},
+		{"consensus-2-pruned-budget", 2, consensusAgreeFactory(2), ExploreOpts{MaxDepth: 16, MaxRuns: 900, Prune: true}, false},
+		{"consensus-3-pruned-budget", 3, consensusAgreeFactory(3), ExploreOpts{MaxDepth: 12, MaxRuns: 900, Prune: true}, true},
+		{"poisoned-3-error", 3, firstValueAgree(3, true), ExploreOpts{MaxDepth: 12, MaxViolations: 30}, false},
+		{"poisoned-3-pruned-error", 3, firstValueAgree(3, true), ExploreOpts{MaxDepth: 12, MaxViolations: 30, Prune: true}, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			want, err := Explore(c.nprocs, c.factory, c.opts)
-			if err != nil {
-				t.Fatal(err)
+			want, wantErr := Explore(c.nprocs, c.factory, c.opts)
+			got, reopens, gotErr := driveSubtrees(t, c.nprocs, c.factory, c.opts)
+			if fmt.Sprint(wantErr) != fmt.Sprint(gotErr) {
+				t.Fatalf("hook-driven error %v, want %v", gotErr, wantErr)
 			}
-			got := driveSubtrees(t, c.nprocs, c.factory, c.opts)
-			if want.Runs != got.Runs || want.Truncated != got.Truncated ||
-				want.Exhausted != got.Exhausted || want.Pruned != got.Pruned ||
-				want.Distinct != got.Distinct || len(want.Violations) != len(got.Violations) {
+			if fmt.Sprintf("%+v", want) != fmt.Sprintf("%+v", got) {
 				t.Fatalf("hook-driven report diverges:\nwant %+v\ngot  %+v", want, got)
 			}
-			for i := range want.Violations {
-				if fmt.Sprint(want.Violations[i].Schedule) != fmt.Sprint(got.Violations[i].Schedule) ||
-					want.Violations[i].Err.Error() != got.Violations[i].Err.Error() {
-					t.Fatalf("violation %d diverges", i)
-				}
+			if c.reopens && reopens == 0 {
+				t.Fatalf("no subtree re-opened: the cutoff never landed past a lower bound")
 			}
 		})
 	}

@@ -5,20 +5,22 @@
 // arriving in any order, any number of times. Both see the same rules:
 //
 //   - the frontier is drained in canonical waves of a fixed width;
-//   - a subtree's budget base is frozen when its wave opens (pruned search)
-//     or is any lower bound on the runs credited before it (unpruned);
+//   - a subtree runs on lower bounds of the runs and violations credited
+//     before it (Base), so its outcome is exact or overshoots the cutoff;
+//   - outcomes are judged in canonical order against exact bases: one that
+//     overshoots is cleared and its subtree re-opened, now with exact bases,
+//     and the search ends there;
 //   - the first subtree whose outcome cuts the search (a failed run, the
 //     MaxViolations cutoff, a MaxRuns stop) ends it: nothing past it merges;
 //   - at a barrier the wave's closures are max-merged into the visited-state
 //     table, which the next wave prunes against;
-//   - the final merge re-cuts the outcomes at the exact run ordinal and, for
-//     an exhausted pruned search, reports Distinct = |table|.
+//   - the final merge credits every outcome whole and, for an exhausted
+//     pruned search, reports Distinct = |table|.
 package trace
 
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // StateTable maps configuration fingerprints to the largest remaining depth
@@ -43,9 +45,9 @@ func (t StateTable) lookup(fp uint64) (int, bool) {
 
 // Waves is the wave protocol's state for one search: the canonical frontier
 // of subtree roots, the current wave window, the outcomes added so far, the
-// frozen budget base, the known cutoff, and the merged visited-state table
-// with its append-only join log. It is not safe for concurrent use; its
-// caller serializes Add calls.
+// totals of completed waves, the known cutoff, and the merged visited-state
+// table with its append-only join log. It is not safe for concurrent use;
+// its caller serializes Add calls.
 type Waves struct {
 	frontier [][]int
 	width    int
@@ -57,11 +59,12 @@ type Waves struct {
 	// lo and hi bound the current wave [lo, hi); lo == len(frontier) once
 	// every wave has merged.
 	lo, hi int
-	// base counts runs in completed waves: the frozen budget base of the
-	// current wave. stopAfter is the smallest subtree known to cut the search
-	// (len(frontier) while none is).
-	base      int
-	stopAfter int
+	// runs and viols total the runs and violations of completed waves: the
+	// exact bases of the current wave's first subtree. stopAfter is the
+	// smallest subtree known to cut the search (len(frontier) while none
+	// is).
+	runs, viols int
+	stopAfter   int
 
 	// table is the merged visited-state table; log lists every closure that
 	// raised it, in join order, so a mirror can catch up from any prefix.
@@ -97,21 +100,19 @@ func (w *Waves) Open(id int) bool {
 	return id >= w.lo && id < w.hi && id <= w.stopAfter && w.outcomes[id] == nil
 }
 
-// Base returns the budget base of subtree id: a lower bound on the runs the
-// merge credits before it. A pruned search uses the base frozen at the wave
-// start, which is part of its report's identity; an unpruned one may use any
-// lower bound, and takes the runs of the earlier outcomes already added.
-func (w *Waves) Base(id int) int {
-	if w.prune {
-		return w.base
-	}
-	base := 0
-	for _, o := range w.outcomes[:id] {
+// Base returns the runs and violations of the outcomes already added before
+// subtree id: lower bounds on what the merge credits before it, and exact
+// once every earlier outcome is in. (An earlier outcome that overshoots ends
+// the search before id, so id's bases then do not matter.)
+func (w *Waves) Base(id int) (runs, viols int) {
+	runs, viols = w.runs, w.viols
+	for _, o := range w.outcomes[w.lo:id] {
 		if o != nil {
-			base += o.Runs
+			runs += o.Runs
+			viols += len(o.Violations)
 		}
 	}
-	return base
+	return runs, viols
 }
 
 // Log returns the table's join log. It only grows; entries past a prefix
@@ -124,53 +125,87 @@ func (w *Waves) Outcomes() []*SubtreeOutcome {
 	return append([]*SubtreeOutcome(nil), w.outcomes...)
 }
 
-// Add records subtree id's complete outcome and reports whether the search
-// is complete. An outcome outside the current wave or for a subtree that
-// already has one is ignored: outcomes are pure functions of their subtree,
-// wave and base, so a duplicate is identical and a stale one was merged.
+// Add records subtree id's outcome and reports whether the search is
+// complete. An outcome outside the current wave or for a subtree that
+// already has one is ignored: an accepted outcome is the subtree's exact
+// one, so a duplicate is identical or overshoots, and a stale one was
+// merged. An outcome that overshoots is cleared again once the outcomes
+// before it are in, which re-opens its subtree (see Open).
 func (w *Waves) Add(id int, o *SubtreeOutcome) bool {
 	if id >= w.lo && id < w.hi && w.outcomes[id] == nil {
 		w.outcomes[id] = o
-		if id < w.stopAfter && o.cuts(w.maxViol) {
-			w.stopAfter = id
+		// A subtree that stops short of exhaustion on lower bounds stops
+		// short on exact ones too, no later, so the search ends at or
+		// before it.
+		if !o.Exhausted {
+			w.stopAfter = min(w.stopAfter, id)
 		}
 	}
 	return w.advance()
 }
 
-// advance crosses the wave barrier once every subtree the merge can reach
-// has an outcome. A cutoff inside the wave ends the search there and
-// publishes nothing; otherwise the wave's runs join the frozen base, its
+// advance judges the wave's outcomes in canonical order against their exact
+// bases and crosses the wave barrier once every subtree the merge can reach
+// has an exact outcome. An overshooting outcome is cleared and ends the
+// search at its subtree. A cutoff inside the wave ends the search there and
+// publishes nothing; otherwise the wave's totals join the bases, its
 // closures are max-merged into the table, and the next wave opens.
 func (w *Waves) advance() bool {
 	if w.lo >= len(w.frontier) {
 		return true
 	}
-	for _, o := range w.outcomes[w.lo:min(w.hi, w.stopAfter+1)] {
+	runs, viols := w.runs, w.viols
+	for i := w.lo; i < min(w.hi, w.stopAfter+1); i++ {
+		o := w.outcomes[i]
 		if o == nil {
 			return false
 		}
+		if w.overshoots(o, runs, viols) {
+			w.outcomes[i] = nil
+			w.stopAfter = i
+			return false
+		}
+		runs += o.Runs
+		viols += len(o.Violations)
 	}
 	if w.stopAfter < w.hi {
 		return true
 	}
 	for _, o := range w.outcomes[w.lo:w.hi] {
-		w.base += o.Runs
 		for _, e := range o.Closures {
 			if w.table.Join(e) {
 				w.log = append(w.log, e)
 			}
 		}
 	}
+	w.runs, w.viols = runs, viols
 	w.lo, w.hi = w.hi, min(w.hi+w.width, len(w.frontier))
 	return w.lo >= len(w.frontier)
+}
+
+// overshoots reports whether o, run on lower bounds, went past the point
+// where the subtree stops on the exact bases runs and viols. The exact run
+// stops at the first of: the violation that brings the total to
+// MaxViolations (before backtracking), the run that brings it to MaxRuns
+// (after backtracking), a failed run, exhaustion. It overshoots when o holds
+// more violations than that cutoff allows, or exactly as many without having
+// stopped on the last one, or more runs than the budget leaves. A stopped
+// outcome is partial and never judged.
+func (w *Waves) overshoots(o *SubtreeOutcome, runs, viols int) bool {
+	if o.Stopped {
+		return false
+	}
+	vrem := w.maxViol - viols
+	return len(o.Violations) > vrem || (len(o.Violations) == vrem && !o.ViolCut) ||
+		(w.maxRuns > 0 && runs+o.Runs > w.maxRuns)
 }
 
 // Restore replays a snapshot's outcomes (indexed like the frontier, nil
 // where missing) through Add, wave by wave, so the table, bases and log end
 // up exactly as if those subtrees had just completed. Outcomes past a
-// discovered cutoff are ignored, as live ones would be. It returns how many
-// outcomes it added and whether they complete the search.
+// discovered cutoff are ignored, as live ones would be, and one that
+// overshoots is cleared and its subtree re-opened. It returns how many
+// outcomes it kept and whether they complete the search.
 func (w *Waves) Restore(outcomes []*SubtreeOutcome) (restored int, complete bool) {
 	for {
 		lo, hi := w.lo, w.hi
@@ -178,33 +213,35 @@ func (w *Waves) Restore(outcomes []*SubtreeOutcome) (restored int, complete bool
 			if outcomes[i] == nil || w.outcomes[i] != nil {
 				continue
 			}
-			restored++
-			if w.Add(i, outcomes[i]) {
-				return restored, true
+			if complete = w.Add(i, outcomes[i]); complete {
+				break
 			}
 		}
-		if w.lo == lo {
-			return restored, false
+		if complete || w.lo == lo {
+			break
 		}
 	}
+	for _, o := range w.outcomes {
+		if o != nil {
+			restored++
+		}
+	}
+	return restored, complete
 }
 
 // Merge folds the outcomes, in canonical order, into the report a
-// single-subtree search would have produced: it credits each subtree's runs
-// against the MaxRuns budget, re-applies the MaxViolations and run-error
-// cutoffs at their exact run ordinals, and trims the overshoot past the
-// first cutoff. A stopped outcome ends the merge with the report so far and
-// ErrInterrupted; so does a missing one when interrupted is set (the caller
-// was cancelled mid-search), which is otherwise an internal error.
+// single-subtree search would have produced, crediting each whole: the
+// subtree that ends the search — a failed run, the MaxViolations cutoff, a
+// MaxRuns stop — is the last one credited, and a budget spent exactly at a
+// subtree's end stops the merge before the next. A stopped outcome ends the
+// merge with the report so far and ErrInterrupted; so does a missing one
+// when interrupted is set (the caller was cancelled mid-search), which is
+// otherwise an internal error.
 func (w *Waves) Merge(interrupted bool) (*ExploreReport, error) {
 	rep := &ExploreReport{}
 	for i, o := range w.outcomes {
-		budgetRem := math.MaxInt
-		if w.maxRuns > 0 {
-			budgetRem = w.maxRuns - rep.Runs
-			if budgetRem <= 0 {
-				return rep, nil // budget spent before this subtree
-			}
+		if w.maxRuns > 0 && rep.Runs >= w.maxRuns {
+			return rep, nil // budget spent before this subtree
 		}
 		if o == nil {
 			if interrupted {
@@ -212,61 +249,31 @@ func (w *Waves) Merge(interrupted bool) (*ExploreReport, error) {
 			}
 			return nil, fmt.Errorf("trace: internal: subtree %v was never explored", w.frontier[i])
 		}
-		if o.Stopped {
-			credit(rep, o)
+		rep.Runs += o.Runs
+		rep.Truncated += o.Truncated
+		rep.Pruned += o.Pruned
+		rep.Distinct += o.Distinct
+		for _, v := range o.Violations {
+			// A report prints nothing of a violation's error but its
+			// message, and a distributed outcome carries nothing else.
+			rep.Violations = append(rep.Violations, Violation{Schedule: v.Schedule, Err: errors.New(v.Err)})
+		}
+		switch {
+		case o.Stopped:
 			return rep, ErrInterrupted
-		}
-		violRem := w.maxViol - len(rep.Violations)
-		// MaxViolations cutoff inside this subtree? (Violation ordinals
-		// always precede a run error's, since the loop stops on error.)
-		if len(o.Violations) >= violRem && o.Violations[violRem-1].Ord+1 <= budgetRem {
-			v := o.Violations[violRem-1]
-			rep.Runs += v.Ord + 1
-			rep.Truncated += v.TruncCum
-			rep.Pruned += v.PrunedCum
-			rep.Distinct += v.DistinctCum
-			addViolations(rep, o.Violations[:violRem])
-			return rep, nil
-		}
-		// Run-error cutoff?
-		if o.ErrOrd >= 0 && o.ErrOrd+1 <= budgetRem {
-			rep.Runs += o.ErrOrd + 1
-			rep.Truncated += o.ErrTruncCum
-			rep.Pruned += o.ErrPrunedCum
-			rep.Distinct += o.ErrDistinctCum
-			addViolations(rep, o.Violations)
-			if o.err != nil {
-				return rep, o.err
-			}
+		case o.err != nil:
+			return rep, o.err
+		case o.RunErr != "":
 			return rep, errors.New(o.RunErr)
-		}
-		// MaxRuns cutoff inside this subtree? (The boundary case — budget
-		// spent exactly at the subtree's recorded runs without exhausting it
-		// — is a subtree that stopped on budget with more prefixes left to
-		// explore.)
-		if budgetRem < o.Runs || (budgetRem == o.Runs && !o.Exhausted) {
-			rep.Runs += budgetRem
-			rep.Truncated += countBits(o.TruncBits, budgetRem)
-			rep.Pruned += countBits(o.PruneBits, budgetRem)
-			if len(o.DistCums) >= budgetRem {
-				rep.Distinct += int(o.DistCums[budgetRem-1])
+		case !o.Exhausted:
+			if len(rep.Violations) >= w.maxViol || (w.maxRuns > 0 && rep.Runs >= w.maxRuns) {
+				return rep, nil // this subtree ends the search
 			}
-			k := 0 // violations are in ordinal order
-			for k < len(o.Violations) && o.Violations[k].Ord < budgetRem {
-				k++
-			}
-			addViolations(rep, o.Violations[:k])
-			return rep, nil
-		}
-		// No cutoff here: credit the whole subtree.
-		if !o.Exhausted {
 			if interrupted {
-				credit(rep, o)
 				return rep, ErrInterrupted
 			}
 			return nil, fmt.Errorf("trace: internal: partial subtree %v survived merging", w.frontier[i])
 		}
-		credit(rep, o)
 	}
 	rep.Exhausted = true
 	if w.prune {
@@ -278,23 +285,4 @@ func (w *Waves) Merge(interrupted bool) (*ExploreReport, error) {
 		rep.Distinct = len(w.table)
 	}
 	return rep, nil
-}
-
-// credit adds one whole subtree outcome — counters and violations — to the
-// merged report.
-func credit(rep *ExploreReport, o *SubtreeOutcome) {
-	rep.Runs += o.Runs
-	rep.Truncated += o.Truncated
-	rep.Pruned += o.Pruned
-	rep.Distinct += o.Distinct
-	addViolations(rep, o.Violations)
-}
-
-// addViolations appends violations to the report. Their errors are the
-// checks' messages: a report prints nothing else, and a distributed outcome
-// carries nothing else.
-func addViolations(rep *ExploreReport, vs []SubtreeViolation) {
-	for _, v := range vs {
-		rep.Violations = append(rep.Violations, Violation{Schedule: v.Schedule, Err: errors.New(v.Err)})
-	}
 }
