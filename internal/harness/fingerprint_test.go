@@ -55,15 +55,10 @@ func seededSystem(tb testing.TB, i int, pr *protocol.Protocol) seededInstance {
 	res := proto.NewRunResult(len(procs))
 	snap := shmem.NewMWSnapshot("M", eng, m, nil)
 	sys := protoSystem(j, snap, res, proto.Machines(procs, snap, res))
-	run, err := eng.RunMachines(sys.Machines)
-	if err != nil && !IsStarved(err) {
+	if _, err := eng.RunMachines(sys.Machines); err != nil && !IsStarved(err) {
 		tb.Fatal(err)
 	}
-	in := seededInstance{sys: sys, snap: snap, cz: j.cz, p: p}
-	for _, st := range run.Trace {
-		in.schedule = append(in.schedule, st.PID)
-	}
-	return in
+	return seededInstance{sys: sys, snap: snap, cz: j.cz, p: p, schedule: probe.picks}
 }
 
 // TestFingerprintStreamGolden pins the fingerprint byte stream of every

@@ -279,11 +279,12 @@ func TestCanonicalFingerprintNoOpWithoutSymmetry(t *testing.T) {
 }
 
 // decisionProbe is a seeded random strategy that calls at before every
-// scheduling decision, up to maxSteps decisions.
+// scheduling decision, up to maxSteps decisions, and records its picks.
 type decisionProbe struct {
 	rng      *rand.Rand
 	maxSteps int
 	at       func(step int)
+	picks    []int
 }
 
 func (d *decisionProbe) Pick(step int, enabled []int) int {
@@ -291,5 +292,7 @@ func (d *decisionProbe) Pick(step int, enabled []int) int {
 		return sched.Halt
 	}
 	d.at(step)
-	return enabled[d.rng.Intn(len(enabled))]
+	pick := enabled[d.rng.Intn(len(enabled))]
+	d.picks = append(d.picks, pick)
+	return pick
 }

@@ -7,7 +7,7 @@ import (
 
 // Stepper gates base-object operations. Shared objects (package shmem) call
 // Step immediately before executing an operation; the engine behind the
-// Stepper decides when the operation is admitted and records it in the trace.
+// Stepper decides when the operation is admitted and counts it.
 // *SeqEngine implements Stepper.
 type Stepper interface {
 	Step(pid int, op Op)
@@ -116,13 +116,6 @@ func newEngineConfig(opts []Option) engineConfig {
 		o(&c)
 	}
 	return c
-}
-
-// traceCap bounds the initial trace preallocation: enough for short runs
-// (exploration, protocol instances) to never regrow, small enough that the
-// per-run fixed cost stays negligible.
-func traceCap(maxSteps int) int {
-	return min(maxSteps, 64)
 }
 
 // Machine-contract violation messages. The reference runner in this

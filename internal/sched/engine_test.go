@@ -89,22 +89,39 @@ func equivalenceStrategies(n int) map[string]func() sched.Strategy {
 	}
 }
 
-// sameResult fails t unless two runs' results agree field by field: the
-// reference runner's and the SeqEngine's, or a fresh and a restarted
-// engine's.
-func sameResult(t *testing.T, ref, got *sched.Result, referr, goterr error) {
+// outcome is one run: its Result and error, and the steps a step hook saw.
+type outcome struct {
+	res   *sched.Result
+	steps []sched.StepRecord
+	err   error
+}
+
+// runRecorded runs the machines build returns on a new engine from mk, with
+// every granted step recorded through the step hook.
+func runRecorded(mk func(int, sched.Strategy, ...sched.Option) engine, n int, strat sched.Strategy,
+	build func(gate sched.Stepper) []sched.Machine, opts ...sched.Option) outcome {
+	var o outcome
+	eng := mk(n, strat, append(opts, sched.RecordSteps(&o.steps))...)
+	o.res, o.err = eng.RunMachines(build(eng))
+	return o
+}
+
+// sameResult fails t unless two runs agree: the steps their hooks saw and
+// their results field by field. They are the reference runner's and the
+// SeqEngine's, or a fresh and a restarted engine's.
+func sameResult(t *testing.T, ref, got outcome) {
 	t.Helper()
-	if (referr == nil) != (goterr == nil) {
-		t.Fatalf("error mismatch: ref=%v got=%v", referr, goterr)
+	if (ref.err == nil) != (got.err == nil) {
+		t.Fatalf("error mismatch: ref=%v got=%v", ref.err, got.err)
 	}
-	if !reflect.DeepEqual(ref.Trace, got.Trace) {
-		t.Fatalf("traces differ:\nref: %v\ngot: %v", ref.Trace, got.Trace)
+	if !reflect.DeepEqual(ref.steps, got.steps) {
+		t.Fatalf("granted steps differ:\nref: %v\ngot: %v", ref.steps, got.steps)
 	}
-	if !reflect.DeepEqual(ref.StepsBy, got.StepsBy) || !reflect.DeepEqual(ref.Finished, got.Finished) {
-		t.Fatalf("results differ: ref=%+v got=%+v", ref, got)
+	if !reflect.DeepEqual(ref.res.StepsBy, got.res.StepsBy) || !reflect.DeepEqual(ref.res.Finished, got.res.Finished) {
+		t.Fatalf("results differ: ref=%+v got=%+v", ref.res, got.res)
 	}
-	if ref.Halted != got.Halted || ref.Steps != got.Steps {
-		t.Fatalf("halted/steps differ: ref=%+v got=%+v", ref, got)
+	if ref.res.Halted != got.res.Halted || ref.res.Steps != got.res.Steps {
+		t.Fatalf("halted/steps differ: ref=%+v got=%+v", ref.res, got.res)
 	}
 }
 
@@ -120,13 +137,11 @@ func TestEnginesProduceIdenticalTraces(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for wname, build := range workloads {
 				t.Run(wname, func(t *testing.T) {
-					var res [2]*sched.Result
-					var errs [2]error
+					var out [2]outcome
 					for i, e := range engines {
-						eng := e.mk(n, mk())
-						res[i], errs[i] = eng.RunMachines(build(eng))
+						out[i] = runRecorded(e.mk, n, mk(), build)
 					}
-					sameResult(t, res[0], res[1], errs[0], errs[1])
+					sameResult(t, out[0], out[1])
 				})
 			}
 		})
@@ -184,11 +199,8 @@ func TestEnginesAgreeOnBodyPanic(t *testing.T) {
 			}
 			return gateOp(eng, pid, "X", -1)
 		}))
-		if rerr == nil || !strings.Contains(rerr.Error(), "process 1 panicked") {
+		if rerr == nil || !strings.Contains(rerr.Error(), "process 1 panicked: protocol bug") {
 			t.Fatalf("%s: err = %v, want process 1 panic", e.name, rerr)
-		}
-		if len(res.PanicVals) != 1 || res.PanicVals[0] != "protocol bug" {
-			t.Fatalf("%s: PanicVals = %v", e.name, res.PanicVals)
 		}
 		if res.Finished[0] || res.Finished[1] {
 			t.Fatalf("%s: finished = %v, want none", e.name, res.Finished)
@@ -275,13 +287,13 @@ func TestRunMachinesMatchesAcrossEngines(t *testing.T) {
 	const n = 4
 	for name, mk := range equivalenceStrategies(n) {
 		t.Run(name, func(t *testing.T) {
-			var res [2]*sched.Result
-			var errs [2]error
+			var out [2]outcome
 			for i, e := range engines {
-				eng := e.mk(n, mk())
-				res[i], errs[i] = eng.RunMachines(asMachines(stepsMachines(eng, n)))
+				out[i] = runRecorded(e.mk, n, mk(), func(gate sched.Stepper) []sched.Machine {
+					return asMachines(stepsMachines(gate, n))
+				})
 			}
-			sameResult(t, res[0], res[1], errs[0], errs[1])
+			sameResult(t, out[0], out[1])
 		})
 	}
 }
@@ -340,21 +352,22 @@ func TestAugWorkloadTraceIdenticalAcrossEngines(t *testing.T) {
 	const f, m, ops = 4, 3, 6
 	for _, registers := range []bool{false, true} {
 		for seed := int64(0); seed < 12; seed++ {
-			var res [2]*sched.Result
+			var out [2]outcome
 			var snaps [2]*augsnap.AugSnapshot
 			for i, e := range engines {
-				eng := e.mk(f, sched.NewRandom(seed), sched.WithMaxSteps(1<<22))
-				if registers {
-					snaps[i] = augsnap.NewOver(shmem.NewRegSWSnapshot("H", eng, f, augsnap.HComp{}), f, m)
-				} else {
-					snaps[i] = augsnap.New(eng, f, m)
-				}
-				var err error
-				if res[i], err = eng.RunMachines(augWorkload(snaps[i], f, m, ops, seed)); err != nil {
-					t.Fatalf("%s registers=%v seed %d: %v", e.name, registers, seed, err)
+				out[i] = runRecorded(e.mk, f, sched.NewRandom(seed), func(gate sched.Stepper) []sched.Machine {
+					if registers {
+						snaps[i] = augsnap.NewOver(shmem.NewRegSWSnapshot("H", gate, f, augsnap.HComp{}), f, m)
+					} else {
+						snaps[i] = augsnap.New(gate, f, m)
+					}
+					return augWorkload(snaps[i], f, m, ops, seed)
+				}, sched.WithMaxSteps(1<<22))
+				if out[i].err != nil {
+					t.Fatalf("%s registers=%v seed %d: %v", e.name, registers, seed, out[i].err)
 				}
 			}
-			if !reflect.DeepEqual(res[0].Trace, res[1].Trace) {
+			if !reflect.DeepEqual(out[0].steps, out[1].steps) {
 				t.Fatalf("registers=%v seed %d: step traces differ", registers, seed)
 			}
 			if !reflect.DeepEqual(snaps[0].Log().Events, snaps[1].Log().Events) {
@@ -434,25 +447,25 @@ func bodyMachines(procs []proto.Process, snap proto.Snapshot, res *proto.RunResu
 // produce byte-identical traces and identical protocol results for the same
 // strategy.
 func TestMachineMatchesBodyAcrossEngines(t *testing.T) {
-	run := func(t *testing.T, e int, machines bool, strat sched.Strategy) (*proto.RunResult, *sched.Result) {
+	run := func(t *testing.T, e int, machines bool, strat sched.Strategy) (*proto.RunResult, []sched.StepRecord) {
 		t.Helper()
 		procs := []proto.Process{&scripted{comp: 0, writes: 3}, &scripted{comp: 1, writes: 3}}
 		res := proto.NewRunResult(2)
-		eng := engines[e].mk(2, strat, sched.WithMaxSteps(1<<16))
-		snap := shmem.NewMWSnapshot("M", eng, 2, nil)
-		ms := bodyMachines(procs, snap, res)
-		if machines {
-			ms = proto.Machines(procs, snap, res)
+		out := runRecorded(engines[e].mk, 2, strat, func(gate sched.Stepper) []sched.Machine {
+			snap := shmem.NewMWSnapshot("M", gate, 2, nil)
+			if machines {
+				return proto.Machines(procs, snap, res)
+			}
+			return bodyMachines(procs, snap, res)
+		}, sched.WithMaxSteps(1<<16))
+		if out.err != nil {
+			t.Fatal(out.err)
 		}
-		sres, err := eng.RunMachines(ms)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, sres
+		return res, out.steps
 	}
 	for name, mk := range equivalenceStrategies(2) {
 		t.Run(name, func(t *testing.T) {
-			refRes, refTrace := run(t, 0, false, mk())
+			refRes, refSteps := run(t, 0, false, mk())
 			for _, p := range []struct {
 				name     string
 				engine   int
@@ -462,9 +475,9 @@ func TestMachineMatchesBodyAcrossEngines(t *testing.T) {
 				{"seq/body", 1, false},
 				{"seq/machines", 1, true},
 			} {
-				res, sres := run(t, p.engine, p.machines, mk())
-				if !reflect.DeepEqual(sres.Trace, refTrace.Trace) {
-					t.Fatalf("%s: trace differs from runner/body:\nref: %v\ngot: %v", p.name, refTrace.Trace, sres.Trace)
+				res, steps := run(t, p.engine, p.machines, mk())
+				if !reflect.DeepEqual(steps, refSteps) {
+					t.Fatalf("%s: steps differ from runner/body:\nref: %v\ngot: %v", p.name, refSteps, steps)
 				}
 				if !reflect.DeepEqual(res, refRes) {
 					t.Fatalf("%s: run result differs: ref %+v, got %+v", p.name, refRes, res)
@@ -481,21 +494,20 @@ func TestRegisterBuiltMachinesMatchAcrossEngines(t *testing.T) {
 	for name, mk := range equivalenceStrategies(3) {
 		t.Run(name, func(t *testing.T) {
 			var res [2]*proto.RunResult
-			var sres [2]*sched.Result
-			var errs [2]error
+			var out [2]outcome
 			for i, e := range engines {
 				procs := []proto.Process{&scripted{comp: 0, writes: 2}, &scripted{comp: 1, writes: 2}, &scripted{comp: 0, writes: 1}}
 				res[i] = proto.NewRunResult(3)
-				eng := e.mk(3, mk(), sched.WithMaxSteps(1<<16))
-				snap := shmem.NewRegMWSnapshot("M", eng, 2, 3, nil)
-				sres[i], errs[i] = eng.RunMachines(proto.Machines(procs, snap, res[i]))
+				out[i] = runRecorded(e.mk, 3, mk(), func(gate sched.Stepper) []sched.Machine {
+					return proto.Machines(procs, shmem.NewRegMWSnapshot("M", gate, 2, 3, nil), res[i])
+				}, sched.WithMaxSteps(1<<16))
 			}
-			sameResult(t, sres[0], sres[1], errs[0], errs[1])
+			sameResult(t, out[0], out[1])
 			if !reflect.DeepEqual(res[0], res[1]) {
 				t.Fatalf("run results differ: runner %+v, seq %+v", res[0], res[1])
 			}
-			if sres[1].Steps <= res[1].OpsBy[0]+res[1].OpsBy[1]+res[1].OpsBy[2] {
-				t.Fatalf("%d steps for %v operations: register-built operations must take several steps", sres[1].Steps, res[1].OpsBy)
+			if out[1].res.Steps <= res[1].OpsBy[0]+res[1].OpsBy[1]+res[1].OpsBy[2] {
+				t.Fatalf("%d steps for %v operations: register-built operations must take several steps", out[1].res.Steps, res[1].OpsBy)
 			}
 		})
 	}

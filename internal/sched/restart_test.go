@@ -13,7 +13,7 @@ import (
 // restart must not allocate at all.
 
 // dirty runs a workload on eng that leaves every buffer non-zero: steps by
-// every pid, finished flags set, a long trace.
+// every pid, finished flags set.
 func dirty(t *testing.T, eng *sched.SeqEngine, n int) {
 	t.Helper()
 	eng.Restart(sched.RoundRobin{N: n}, nil)
@@ -30,22 +30,25 @@ func TestRestartMatchesFreshEngine(t *testing.T) {
 	const n = 4
 	for name, mk := range equivalenceStrategies(n) {
 		t.Run(name, func(t *testing.T) {
-			fresh := sched.NewSeqEngine(n, mk())
-			wantWide, wantWideErr := fresh.RunMachines(wideMachines(fresh, n))
-			fresh = sched.NewSeqEngine(n, mk())
-			wantMach, wantMachErr := fresh.RunMachines(asMachines(stepsMachines(fresh, n)))
+			wantWide := runRecorded(engines[1].mk, n, mk(), func(gate sched.Stepper) []sched.Machine { return wideMachines(gate, n) })
+			wantMach := runRecorded(engines[1].mk, n, mk(), func(gate sched.Stepper) []sched.Machine {
+				return asMachines(stepsMachines(gate, n))
+			})
 
-			eng := sched.NewSeqEngine(n, nil)
+			var got outcome
+			eng := sched.NewSeqEngine(n, nil, sched.RecordSteps(&got.steps))
 			for round := 0; round < 2; round++ {
 				dirty(t, eng, n)
+				got.steps = got.steps[:0]
 				eng.Restart(mk(), nil)
-				got, err := eng.RunMachines(wideMachines(eng, n))
-				sameResult(t, wantWide, got, wantWideErr, err)
+				got.res, got.err = eng.RunMachines(wideMachines(eng, n))
+				sameResult(t, wantWide, got)
 
 				dirty(t, eng, n)
+				got.steps = got.steps[:0]
 				eng.Restart(mk(), nil)
-				got, err = eng.RunMachines(asMachines(stepsMachines(eng, n)))
-				sameResult(t, wantMach, got, wantMachErr, err)
+				got.res, got.err = eng.RunMachines(asMachines(stepsMachines(eng, n)))
+				sameResult(t, wantMach, got)
 			}
 		})
 	}
@@ -77,7 +80,8 @@ func TestRestartFromCheckpointMatchesUninterrupted(t *testing.T) {
 	const n, at = 4, 5
 	for name, mk := range equivalenceStrategies(n) {
 		t.Run(name, func(t *testing.T) {
-			ref := sched.NewSeqEngine(n, nil)
+			var want outcome
+			ref := sched.NewSeqEngine(n, nil, sched.RecordSteps(&want.steps))
 			ms := stepsMachines(ref, n)
 			var cp *sched.SeqCheckpoint
 			var forked []stepsMachine
@@ -92,14 +96,18 @@ func TestRestartFromCheckpointMatchesUninterrupted(t *testing.T) {
 				}
 			}}
 			ref.Restart(log, nil)
-			want, wantErr := ref.RunMachines(asMachines(ms))
+			want.res, want.err = ref.RunMachines(asMachines(ms))
 			if cp == nil {
 				t.Fatalf("run ended before step %d", at)
 			}
 
-			eng := sched.NewSeqEngine(n, nil)
+			// The resumed run grants the steps past the checkpoint.
+			want.steps = want.steps[at:]
+			var got outcome
+			eng := sched.NewSeqEngine(n, nil, sched.RecordSteps(&got.steps))
 			for round := 0; round < 2; round++ {
 				dirty(t, eng, n)
+				got.steps = got.steps[:0]
 				strat := mk()
 				for step, en := range log.enabled[:at] {
 					strat.Pick(step, en)
@@ -111,8 +119,8 @@ func TestRestartFromCheckpointMatchesUninterrupted(t *testing.T) {
 					m.gate = eng
 					resumed[i] = &m
 				}
-				got, err := eng.RunMachines(resumed)
-				sameResult(t, want, got, wantErr, err)
+				got.res, got.err = eng.RunMachines(resumed)
+				sameResult(t, want, got)
 			}
 		})
 	}

@@ -30,7 +30,6 @@ type Runner struct {
 	n       int
 	ready   chan event
 	resume  []chan grant
-	trace   []StepRecord
 	stepsBy []int
 	onStep  func(StepRecord)
 	started bool
@@ -65,17 +64,15 @@ func (r *Runner) Step(pid int, op Op) {
 	if g.abort {
 		panic(abortSignal{})
 	}
-	rec := StepRecord{Seq: len(r.trace), PID: pid, Op: op}
-	r.trace = append(r.trace, rec)
 	r.stepsBy[pid]++
 	if r.onStep != nil {
-		r.onStep(rec)
+		r.onStep(StepRecord{Seq: r.core.step - 1, PID: pid, Op: op})
 	}
 }
 
 // RunMachines executes resumable step machines (see Machine) by running each
-// as a goroutine body that resumes until its process finishes. Traces are
-// identical to the sequential engine's direct dispatch of the same machines,
+// as a goroutine body that resumes until its process finishes. It grants the
+// same steps as the sequential engine's direct dispatch of the same machines,
 // and Machine contract violations (a Resume that takes no gated step, or
 // more than one) surface as the same errors instead of hanging the gate.
 // stepsBy[pid] is only ever written by pid's own goroutine during the run,
@@ -112,10 +109,8 @@ func (r *Runner) Run(body func(pid int)) (*Result, error) {
 		return nil, fmt.Errorf("%w (Runner.Run called twice)", ErrReused)
 	}
 	r.started = true
-	r.trace = make([]StepRecord, 0, traceCap(r.core.maxSteps))
 	r.stepsBy = make([]int, r.n)
 	finished := make([]bool, r.n)
-	var panics []any
 
 	for pid := 0; pid < r.n; pid++ {
 		go func(pid int) {
@@ -151,7 +146,6 @@ func (r *Runner) Run(body func(pid int)) (*Result, error) {
 				numFinished++
 				finished[e.pid] = !e.aborted && !e.panicked
 				if e.panicked {
-					panics = append(panics, e.panicVal)
 					if runErr == nil {
 						runErr = fmt.Errorf("sched: process %d panicked: %v", e.pid, e.panicVal)
 					}
@@ -196,13 +190,15 @@ func (r *Runner) Run(body func(pid int)) (*Result, error) {
 	}
 
 	r.closed = true
+	steps := 0
+	for _, s := range r.stepsBy {
+		steps += s
+	}
 	res := &Result{
-		Trace:     r.trace,
-		Steps:     len(r.trace),
-		StepsBy:   r.stepsBy,
-		Finished:  finished,
-		Halted:    halted,
-		PanicVals: panics,
+		Steps:    steps,
+		StepsBy:  r.stepsBy,
+		Finished: finished,
+		Halted:   halted,
 	}
 	return res, runErr
 }

@@ -21,7 +21,7 @@ import (
 	"strconv"
 )
 
-// OpKind classifies a base-object operation for traces and step accounting.
+// OpKind classifies a base-object operation.
 type OpKind int
 
 // Base-object operation kinds.
@@ -71,7 +71,7 @@ func (o Op) String() string {
 	return string(buf)
 }
 
-// StepRecord is one granted step in an execution trace.
+// StepRecord is one granted step, as a step hook (WithStepHook) sees it.
 type StepRecord struct {
 	Seq int // 0-based global sequence number
 	PID int
@@ -94,14 +94,12 @@ const Halt = -1
 // indicates a liveness bug (or a deliberately starved protocol).
 var ErrMaxSteps = errors.New("sched: step budget exceeded")
 
-// Result describes a finished (or halted) run. Trace, StepsBy and Finished
-// alias the engine's buffers: they stay valid until the engine is restarted
-// (see SeqEngine.Restart).
+// Result describes a finished (or halted) run. StepsBy and Finished alias
+// the engine's buffers: they stay valid until the engine is restarted (see
+// SeqEngine.Restart).
 type Result struct {
-	Trace     []StepRecord
-	Steps     int
-	StepsBy   []int // per-PID granted step counts
-	Finished  []bool
-	Halted    bool // Strategy returned Halt before all processes finished
-	PanicVals []any
+	Steps    int   // granted steps that took their operation: the sum of StepsBy
+	StepsBy  []int // per-PID granted step counts
+	Finished []bool
+	Halted   bool // Strategy returned Halt before all processes finished
 }

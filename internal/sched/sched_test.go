@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -26,31 +27,41 @@ func TestRoundRobinCompletes(t *testing.T) {
 	}
 }
 
+// RecordSteps returns a step hook that appends every granted step to
+// *steps. It is exported for the external test package.
+func RecordSteps(steps *[]StepRecord) Option {
+	return WithStepHook(func(rec StepRecord) { *steps = append(*steps, rec) })
+}
+
 func TestTraceIsSequentialAndComplete(t *testing.T) {
 	const n, steps = 3, 5
-	r := NewSeqEngine(n, RoundRobin{N: n})
+	var seen []StepRecord
+	r := NewSeqEngine(n, RoundRobin{N: n}, RecordSteps(&seen))
 	res, err := r.RunMachines(counterMachines(r, r.n, steps))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	for i, rec := range res.Trace {
+	if len(seen) != n*steps || res.Steps != len(seen) {
+		t.Fatalf("hook saw %d steps, Steps = %d, want %d", len(seen), res.Steps, n*steps)
+	}
+	for i, rec := range seen {
 		if rec.Seq != i {
-			t.Fatalf("trace[%d].Seq = %d", i, rec.Seq)
+			t.Fatalf("step %d: Seq = %d", i, rec.Seq)
 		}
 		if rec.PID < 0 || rec.PID >= n {
-			t.Fatalf("trace[%d].PID = %d", i, rec.PID)
+			t.Fatalf("step %d: PID = %d", i, rec.PID)
 		}
 	}
 }
 
 func TestRandomIsDeterministicPerSeed(t *testing.T) {
 	run := func(seed int64) []StepRecord {
-		r := NewSeqEngine(3, NewRandom(seed))
-		res, err := r.RunMachines(counterMachines(r, r.n, 8))
-		if err != nil {
+		var seen []StepRecord
+		r := NewSeqEngine(3, NewRandom(seed), RecordSteps(&seen))
+		if _, err := r.RunMachines(counterMachines(r, r.n, 8)); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		return res.Trace
+		return seen
 	}
 	a, b := run(42), run(42)
 	if len(a) != len(b) {
@@ -96,7 +107,8 @@ func TestMaxStepsAborts(t *testing.T) {
 
 func TestSoloStrategyRunsOnlyTarget(t *testing.T) {
 	const n = 3
-	r := NewSeqEngine(n, Solo{PID: 1, After: 0, Fallback: RoundRobin{N: n}})
+	var seen []StepRecord
+	r := NewSeqEngine(n, Solo{PID: 1, After: 0, Fallback: RoundRobin{N: n}}, RecordSteps(&seen))
 	res, err := r.RunMachines(counterMachines(r, r.n, 4))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -104,7 +116,7 @@ func TestSoloStrategyRunsOnlyTarget(t *testing.T) {
 	if !res.Halted {
 		t.Fatal("run should halt once pid 1 finishes")
 	}
-	for _, rec := range res.Trace {
+	for _, rec := range seen {
 		if rec.PID != 1 {
 			t.Fatalf("step by pid %d under solo(1)", rec.PID)
 		}
@@ -116,12 +128,13 @@ func TestSoloStrategyRunsOnlyTarget(t *testing.T) {
 
 func TestSubsetStrategy(t *testing.T) {
 	const n = 4
-	r := NewSeqEngine(n, Subset{PIDs: []int{1, 3}, Fallback: RoundRobin{N: n}})
+	var seen []StepRecord
+	r := NewSeqEngine(n, Subset{PIDs: []int{1, 3}, Fallback: RoundRobin{N: n}}, RecordSteps(&seen))
 	res, err := r.RunMachines(counterMachines(r, r.n, 6))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	for _, rec := range res.Trace {
+	for _, rec := range seen {
 		if rec.PID != 1 && rec.PID != 3 {
 			t.Fatalf("step by pid %d outside subset", rec.PID)
 		}
@@ -147,27 +160,21 @@ func TestCrashStrategy(t *testing.T) {
 }
 
 func TestReplayReproducesTrace(t *testing.T) {
-	r1 := NewSeqEngine(3, NewRandom(7))
-	res1, err := r1.RunMachines(counterMachines(r1, r1.n, 6))
-	if err != nil {
+	var first, replayed []StepRecord
+	r1 := NewSeqEngine(3, NewRandom(7), RecordSteps(&first))
+	if _, err := r1.RunMachines(counterMachines(r1, r1.n, 6)); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	choices := make([]int, len(res1.Trace))
-	for i, rec := range res1.Trace {
+	choices := make([]int, len(first))
+	for i, rec := range first {
 		choices[i] = rec.PID
 	}
-	r2 := NewSeqEngine(3, Replay{Choices: choices})
-	res2, err := r2.RunMachines(counterMachines(r2, r2.n, 6))
-	if err != nil {
+	r2 := NewSeqEngine(3, Replay{Choices: choices}, RecordSteps(&replayed))
+	if _, err := r2.RunMachines(counterMachines(r2, r2.n, 6)); err != nil {
 		t.Fatalf("replay Run: %v", err)
 	}
-	if len(res2.Trace) != len(res1.Trace) {
-		t.Fatalf("replay length %d, want %d", len(res2.Trace), len(res1.Trace))
-	}
-	for i := range res1.Trace {
-		if res1.Trace[i].PID != res2.Trace[i].PID {
-			t.Fatalf("replay diverges at %d", i)
-		}
+	if !reflect.DeepEqual(replayed, first) {
+		t.Fatalf("replay diverges:\ngot  %v\nwant %v", replayed, first)
 	}
 }
 
@@ -197,7 +204,7 @@ func TestStepHook(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	if len(seen) != res.Steps {
-		t.Fatalf("hook saw %d steps, trace has %d", len(seen), res.Steps)
+		t.Fatalf("hook saw %d steps, the result has %d", len(seen), res.Steps)
 	}
 }
 

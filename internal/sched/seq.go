@@ -12,12 +12,13 @@ import "fmt"
 // that takes several steps (a register-built snapshot, an augmented-snapshot
 // operation) is a Cursor that the machine steps once per Resume.
 //
-// The package's tests require SeqEngine to produce the same trace and
-// Result as a goroutine-per-process reference runner for the same
-// (Strategy, seed) and machines. An engine executes one run per
-// Restart: a second run without a Restart in between fails with ErrReused.
-// Restart keeps the engine's buffers, so a search that executes many short
-// runs keeps one engine and restarts it per run.
+// The package's tests require SeqEngine to grant the same steps and return
+// the same Result as a goroutine-per-process reference runner for the same
+// (Strategy, seed) and machines. The engine records no schedule: the
+// Strategy made the picks, and a step hook sees every step. An engine
+// executes one run per Restart: a second run without a Restart in between
+// fails with ErrReused. Restart keeps the engine's buffers, so a search that
+// executes many short runs keeps one engine and restarts it per run.
 type SeqEngine struct {
 	core schedCore
 
@@ -26,7 +27,6 @@ type SeqEngine struct {
 
 	// Run state. The slices are allocated by the first run and reused by
 	// every run after a Restart.
-	trace       []StepRecord
 	stepsBy     []int
 	parked      []bool
 	finished    []bool
@@ -73,12 +73,11 @@ func (e *SeqEngine) Step(pid int, op Op) {
 	if e.stepped {
 		panic(machineSecondStepMsg(pid, " "+op.String()))
 	}
-	rec := StepRecord{Seq: len(e.trace), PID: pid, Op: op}
-	e.trace = append(e.trace, rec)
 	e.stepsBy[pid]++
 	e.stepped = true
 	if e.onStep != nil {
-		e.onStep(rec)
+		// The grant of this step advanced core.step past it.
+		e.onStep(StepRecord{Seq: e.core.step - 1, PID: pid, Op: op})
 	}
 }
 
@@ -117,13 +116,11 @@ func (e *SeqEngine) RunMachines(machines []Machine) (*Result, error) {
 	if len(machines) != e.n {
 		return nil, fmt.Errorf("sched: got %d machines for %d processes", len(machines), e.n)
 	}
-	var panics []any
 	aborting := false
 	halted := false
 	var runErr error
 
 	recordPanic := func(pid int, v any) {
-		panics = append(panics, v)
 		if runErr == nil {
 			runErr = fmt.Errorf("sched: process %d panicked: %v", pid, v)
 		}
@@ -191,35 +188,33 @@ func (e *SeqEngine) RunMachines(machines []Machine) (*Result, error) {
 		}
 	}
 
+	steps := 0
+	for _, s := range e.stepsBy {
+		steps += s
+	}
 	e.res = Result{
-		Trace:     e.trace,
-		Steps:     len(e.trace),
-		StepsBy:   e.stepsBy,
-		Finished:  e.finished,
-		Halted:    halted,
-		PanicVals: panics,
+		Steps:    steps,
+		StepsBy:  e.stepsBy,
+		Finished: e.finished,
+		Halted:   halted,
 	}
 	return &e.res, runErr
 }
 
 // SeqCheckpoint is a frozen mid-run snapshot of a SeqEngine's scheduling
-// state: the granted-step count, the trace prefix, and which processes are
-// parked or finished. Together with a copy of the system state at the same
+// state: the granted-step count, each process's steps, and which processes
+// are parked or finished. Together with a copy of the system state at the same
 // point (see trace.System.Restore) it lets exhaustive exploration resume
 // runs from the deepest common schedule prefix instead of replaying every
 // schedule from scratch. A checkpoint may seed any number of resumed runs;
 // it changes only when CheckpointInto refills it.
 type SeqCheckpoint struct {
 	step        int
-	trace       []StepRecord
 	stepsBy     []int
 	parked      []bool
 	finished    []bool
 	numFinished int
 }
-
-// Depth returns the number of granted steps at the checkpoint.
-func (cp *SeqCheckpoint) Depth() int { return cp.step }
 
 // CheckpointInto captures the engine's current scheduling state in cp,
 // refilling its buffers: a search that keeps a stack of checkpoints reuses
@@ -229,7 +224,6 @@ func (cp *SeqCheckpoint) Depth() int { return cp.step }
 // decision point.
 func (e *SeqEngine) CheckpointInto(cp *SeqCheckpoint) {
 	cp.step = e.core.step
-	cp.trace = append(cp.trace[:0], e.trace...)
 	cp.stepsBy = append(cp.stepsBy[:0], e.stepsBy...)
 	cp.parked = append(cp.parked[:0], e.parked...)
 	cp.finished = append(cp.finished[:0], e.finished...)
@@ -244,10 +238,10 @@ func (e *SeqEngine) CheckpointInto(cp *SeqCheckpoint) {
 // entries for finished processes may be nil), and the engine's own step
 // budget applies.
 //
-// A run's *Result is the engine's own, and the buffers it aliases (Trace,
-// StepsBy, Finished) are the ones Restart clears and refills: a Result is
-// valid only until the next Restart of the engine that produced it. Copy
-// whatever must outlive it.
+// A run's *Result is the engine's own, and the buffers it aliases (StepsBy,
+// Finished) are the ones Restart clears and refills: a Result is valid only
+// until the next Restart of the engine that produced it. Copy whatever must
+// outlive it.
 //
 // Restart must not be called while a run is in progress, for example from
 // Strategy.Pick; it panics.
@@ -260,13 +254,11 @@ func (e *SeqEngine) Restart(strat Strategy, from *SeqCheckpoint) {
 	e.resumed = from != nil
 	e.allocRunState()
 	if from == nil {
-		e.trace = e.trace[:0]
 		clear(e.stepsBy)
 		clear(e.parked)
 		clear(e.finished)
 		e.numFinished = 0
 	} else {
-		e.trace = append(e.trace[:0], from.trace...)
 		copy(e.stepsBy, from.stepsBy)
 		copy(e.parked, from.parked)
 		copy(e.finished, from.finished)
@@ -280,7 +272,6 @@ func (e *SeqEngine) allocRunState() {
 	if e.stepsBy != nil {
 		return
 	}
-	e.trace = make([]StepRecord, 0, traceCap(e.core.maxSteps))
 	e.stepsBy = make([]int, e.n)
 	e.parked = make([]bool, e.n)
 	e.finished = make([]bool, e.n)

@@ -3,6 +3,7 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -197,22 +198,41 @@ func TestExploreInterrupted(t *testing.T) {
 // is never pruned, so done means subtree 0 has completed a run.
 func leftmostChecked(n int, factory Factory, done *atomic.Bool) Factory {
 	eng := sched.NewSeqEngine(n, sched.Lowest{})
-	res, err := eng.RunMachines(factory(eng).Machines)
-	if err != nil {
+	leftmost := &pidLog{gate: eng}
+	if _, err := eng.RunMachines(factory(leftmost).Machines); err != nil {
 		panic(err)
 	}
-	leftmost := fmt.Sprint(res.Trace)
 	return func(gate sched.Stepper) System {
-		sys := factory(gate)
+		log := &pidLog{gate: gate}
+		sys := factory(log)
+		if restore := sys.Restore; restore != nil {
+			sys.Restore = func(from System) {
+				restore(from)
+				log.pids = log.pids[:0]
+			}
+		}
 		check := sys.Check
 		sys.Check = func(res *sched.Result) error {
-			if fmt.Sprint(res.Trace) == leftmost {
+			// A run resumed from a checkpoint logs only the steps past it,
+			// and its Steps counts the checkpoint's too.
+			if res.Steps == len(log.pids) && slices.Equal(log.pids, leftmost.pids) {
 				done.Store(true)
 			}
 			return check(res)
 		}
 		return sys
 	}
+}
+
+// pidLog is a Stepper that forwards every step to gate and logs its pid.
+type pidLog struct {
+	gate sched.Stepper
+	pids []int
+}
+
+func (l *pidLog) Step(pid int, op sched.Op) {
+	l.gate.Step(pid, op)
+	l.pids = append(l.pids, pid)
 }
 
 // TestExploreInterruptedImmediately pins the degenerate case: a search
