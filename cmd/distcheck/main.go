@@ -87,11 +87,8 @@ func exitCode(err error) int {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("distcheck", flag.ContinueOnError)
-	shared := harness.BindFlags(fs, "consensus")
+	shared := harness.BindFlags(fs, "consensus").BindBounds(fs)
 	var (
-		depth   = fs.Int("depth", 20, "max schedule depth")
-		maxRuns = fs.Int("maxruns", 200_000, "max schedules")
-		maxViol = fs.Int("maxviol", 3, "stop after this many violations")
 		serve   = fs.String("serve", "", "coordinate on this TCP listen address (e.g. :9464)")
 		connect = fs.String("connect", "", "join the coordinator at this address as a worker")
 		smoke   = fs.Bool("smoke", false, "loopback self-check: coordinator + two local TCP workers vs the single-process run")
@@ -126,9 +123,9 @@ func run(args []string, out io.Writer) error {
 		Workers:       shared.Workers,
 		Prune:         shared.Prune,
 		Symmetry:      shared.Symmetry,
-		MaxDepth:      *depth,
-		MaxRuns:       *maxRuns,
-		MaxViolations: *maxViol,
+		MaxDepth:      shared.MaxDepth,
+		MaxRuns:       shared.MaxRuns,
+		MaxViolations: shared.MaxViolations,
 		Serve:         *serve,
 		Connect:       *connect,
 		Priority:      *prio,
@@ -193,7 +190,7 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "coordinator: serving %s n=%d on %s\n", job.Protocol, job.Params.N, ln.Addr())
 		rep, err := harness.ServeCheck(ctx, opts, ln)
-		return harness.CheckOutcome(out, rep, err, *depth, shared.Prune, shared.Symmetry, nil)
+		return harness.CheckOutcome(out, rep, err, shared.MaxDepth, shared.Prune, shared.Symmetry, nil)
 	default:
 		return smokeCheck(ctx, out, opts)
 	}

@@ -53,3 +53,20 @@ func TestModeValidation(t *testing.T) {
 		t.Fatal("two modes accepted")
 	}
 }
+
+// TestSearchBoundsBelowOneAreUsageErrors: -depth, -maxruns and -maxviol
+// below 1 are usage errors (exit 2) in every mode, not a silent switch to
+// the default bound.
+func TestSearchBoundsBelowOneAreUsageErrors(t *testing.T) {
+	for _, bound := range [][]string{
+		{"-depth", "-3"}, {"-depth", "0"},
+		{"-maxruns", "0"}, {"-maxruns", "-1"},
+		{"-maxviol", "0"}, {"-maxviol", "-2"},
+	} {
+		var out bytes.Buffer
+		err := run(append([]string{"-smoke", "-protocol", "firstvalue-consensus", "-n", "2"}, bound...), &out)
+		if exitCode(err) != 2 {
+			t.Errorf("%v: want exit 2, got %v", bound, err)
+		}
+	}
+}

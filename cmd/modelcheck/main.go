@@ -50,11 +50,8 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("modelcheck", flag.ContinueOnError)
-	shared := harness.BindFlags(fs, "consensus")
+	shared := harness.BindFlags(fs, "consensus").BindBounds(fs)
 	var (
-		depth    = fs.Int("depth", 20, "max schedule depth")
-		maxRuns  = fs.Int("maxruns", 200_000, "max schedules")
-		maxViol  = fs.Int("maxviol", 3, "stop after this many violations")
 		fuzz     = fs.Int("fuzz", 0, "fuzz iterations; > 0 switches to adversarial schedule search (-depth/-maxruns/-maxviol do not apply)")
 		seed     = fs.Int64("seed", 1, "fuzz search seed")
 		witness  = fs.String("witness", "", "write the violating schedules to FILE as a JSON witness")
@@ -89,9 +86,9 @@ func run(args []string, out io.Writer) error {
 		Prune:         shared.Prune,
 		Symmetry:      shared.Symmetry,
 		Seed:          *seed,
-		MaxDepth:      *depth,
-		MaxRuns:       *maxRuns,
-		MaxViolations: *maxViol,
+		MaxDepth:      shared.MaxDepth,
+		MaxRuns:       shared.MaxRuns,
+		MaxViolations: shared.MaxViolations,
 		Iterations:    *fuzz,
 		Interrupted:   func() bool { return ctx.Err() != nil },
 	}
@@ -129,12 +126,12 @@ func run(args []string, out io.Writer) error {
 			baseline = baseRep.Explore
 		}
 	}
-	exit := harness.CheckOutcome(out, rep, err, *depth, shared.Prune, shared.Symmetry, baseline)
+	exit := harness.CheckOutcome(out, rep, err, shared.MaxDepth, shared.Prune, shared.Symmetry, baseline)
 	if rep == nil {
 		return exit
 	}
 	if *witness != "" {
-		if werr := harness.WriteWitness(*witness, rep, *depth); werr != nil {
+		if werr := harness.WriteWitness(*witness, rep, shared.MaxDepth); werr != nil {
 			return werr
 		}
 		fmt.Fprintf(out, "wrote %d violation(s) to %s\n", len(rep.Explore.Violations), *witness)

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"revisionist/internal/harness"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -98,5 +100,31 @@ func TestFuzzMode(t *testing.T) {
 	}
 	if !bytes.Contains(out.Bytes(), []byte("best adversary")) {
 		t.Errorf("fuzz mode output missing summary:\n%s", out.String())
+	}
+}
+
+// TestSearchBoundsBelowOneAreUsageErrors: -depth, -maxruns and -maxviol
+// below 1 are usage errors (exit 2) that search nothing and write no
+// witness. Options reads 0 as "default", so a value below 1 used to search
+// under the default bound while the report and the witness echoed the flag.
+func TestSearchBoundsBelowOneAreUsageErrors(t *testing.T) {
+	for _, bound := range [][]string{
+		{"-depth", "-3"}, {"-depth", "0"},
+		{"-maxruns", "0"}, {"-maxruns", "-1"},
+		{"-maxviol", "0"}, {"-maxviol", "-2"},
+	} {
+		witness := filepath.Join(t.TempDir(), "w.json")
+		var out bytes.Buffer
+		args := append([]string{"-protocol", "firstvalue-consensus", "-n", "3", "-witness", witness}, bound...)
+		err := run(args, &out)
+		if !harness.IsUsage(err) {
+			t.Errorf("%v: want a usage error, got %v", bound, err)
+		}
+		if out.Len() > 0 {
+			t.Errorf("%v: searched anyway:\n%s", bound, out.String())
+		}
+		if _, serr := os.Stat(witness); serr == nil {
+			t.Errorf("%v: wrote a witness", bound)
+		}
 	}
 }

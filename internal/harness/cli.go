@@ -59,6 +59,9 @@ type Flags struct {
 	Symmetry bool
 	// Params carries the -n/-k/-x/-eps values; 0 means "schema default".
 	Params protocol.Params
+	// MaxDepth, MaxRuns and MaxViolations are the -depth, -maxruns and
+	// -maxviol values (see BindBounds).
+	MaxDepth, MaxRuns, MaxViolations int
 
 	protocolF     *string
 	listF, pruneF *bool
@@ -66,6 +69,7 @@ type Flags struct {
 	workersF      *int
 	nF, kF, xF    *int
 	epsF          *float64
+	bounds        bool
 }
 
 // BindFlags registers -protocol (defaulting to def), -list and the schema
@@ -102,6 +106,18 @@ func bindListFlags(fs *flag.FlagSet, def string) *Flags {
 // wall-clock does.
 func WorkersFlag(fs *flag.FlagSet) *int {
 	return fs.Int("workers", 0, "search worker-pool size (0 = GOMAXPROCS, 1 = sequential)")
+}
+
+// BindBounds registers the exhaustive search's bounds on fs: -depth,
+// -maxruns and -maxviol. Resolve requires each to be at least 1: Options
+// reads 0 as "default", so a smaller value would search under the default
+// bound while the report and the witness echo the flag.
+func (f *Flags) BindBounds(fs *flag.FlagSet) *Flags {
+	fs.IntVar(&f.MaxDepth, "depth", 20, "max schedule depth")
+	fs.IntVar(&f.MaxRuns, "maxruns", 200_000, "max schedules")
+	fs.IntVar(&f.MaxViolations, "maxviol", 3, "stop after this many violations")
+	f.bounds = true
+	return f
 }
 
 // PruneFlag registers just the -prune flag — the shared switch for
@@ -141,6 +157,10 @@ func (f *Flags) Resolve() error {
 	}
 	if f.nF != nil {
 		f.Params = protocol.Params{N: *f.nF, K: *f.kF, X: *f.xF, Eps: *f.epsF}
+	}
+	if f.bounds && min(f.MaxDepth, f.MaxRuns, f.MaxViolations) < 1 {
+		return &UsageError{Err: fmt.Errorf("harness: -depth, -maxruns and -maxviol must be >= 1, got %d, %d and %d",
+			f.MaxDepth, f.MaxRuns, f.MaxViolations)}
 	}
 	return nil
 }
