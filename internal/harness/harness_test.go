@@ -362,3 +362,35 @@ func TestCheckPrunedMatchesUnpruned(t *testing.T) {
 		})
 	}
 }
+
+// TestPrunedPlanSizes pins the pruned frontier. The planner expands whole
+// levels until one reaches its target of 32 subtrees, so a frontier may
+// overshoot the target by up to a level's branching factor. The frontier is
+// part of a pruned report (its waves decide which closed states each subtree
+// sees), so a changed size changes reports.
+func TestPrunedPlanSizes(t *testing.T) {
+	for _, c := range []struct {
+		n, depth        int
+		subtrees, waveW int
+	}{
+		{4, 12, 64, 8}, // 8 waves of 8
+		{3, 9, 72, 8},
+	} {
+		job, err := CheckJob(Options{Protocol: "firstvalue-consensus", Params: protocol.Params{N: c.n}, MaxDepth: c.depth, Prune: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nprocs, factory, err := Resolve(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frontier, width, err := trace.SubtreePlan(nprocs, factory, job.Opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(frontier) != c.subtrees || width != c.waveW {
+			t.Errorf("firstvalue-consensus n=%d depth %d: %d subtrees in waves of %d, want %d in waves of %d",
+				c.n, c.depth, len(frontier), width, c.subtrees, c.waveW)
+		}
+	}
+}

@@ -80,11 +80,11 @@ const maxFrontier = 512
 
 // plan computes the frontier of disjoint subtree roots, in canonical DFS
 // order, and the wave width to drain it with. A pruned search uses the
-// fixed, worker-independent frontier and wave width below, because the
-// cache-sharing structure is part of its report, whatever target the caller
-// asks for; an unpruned search aims at target subtrees and runs them as one
-// wave. A frontier of one root {} is the
-// sequential search.
+// worker-independent frontier target and wave width (pruneFrontierTarget,
+// pruneWaveWidth), because the cache-sharing structure is part of its
+// report, whatever target the caller asks for; an unpruned search aims at
+// target subtrees and runs them as one wave. A frontier of one root {} is
+// the sequential search.
 func plan(nprocs int, factory Factory, opts ExploreOpts, target int) (frontier [][]int, width int, err error) {
 	if opts.Prune {
 		target = pruneFrontierTarget

@@ -43,8 +43,8 @@
 // that looks the node up again reports.
 //
 // Determinism across worker counts: cache *visibility* is structured so the
-// report cannot depend on scheduling. The frontier is expanded to a fixed,
-// worker-independent size, subtrees are processed in canonical waves of
+// report cannot depend on scheduling. The frontier is expanded by whole
+// levels to a worker-independent size, subtrees run in canonical waves of
 // fixed width (the wave protocol, waves.go), each subtree sees the merged
 // table frozen as of its wave start plus its own private closures, and
 // private closures are max-merged (order-independent) into the table only at
@@ -62,9 +62,10 @@ import (
 	"revisionist/internal/sched"
 )
 
-// pruneFrontierTarget is the fixed frontier size of a pruned exploration:
-// worker-independent (the cache-sharing structure must not depend on
-// Workers), large enough to keep a pool busy.
+// pruneFrontierTarget is the frontier size a pruned exploration expands
+// toward, independent of Workers (the cache-sharing structure must not
+// depend on them). The frontier is the first whole level that reaches it,
+// so it may be larger: 64 subtrees for firstvalue-consensus n=4 depth 12.
 const pruneFrontierTarget = 32
 
 // pruneWaveWidth is the number of subtrees per wave: subtrees within a wave

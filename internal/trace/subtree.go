@@ -91,8 +91,9 @@ type SubtreeOutcome struct {
 // systems it builds), so a coordinator fails fast instead of shipping a
 // broken job to workers.
 //
-// For a pruned search the frontier size and wave width are the fixed,
-// worker-independent ones of the in-process explorer — the cache-sharing
+// For a pruned search the frontier (the first whole level of the schedule
+// tree with at least pruneFrontierTarget subtrees) and the wave width are
+// the worker-independent ones of the in-process explorer — the cache-sharing
 // structure is part of the report — and closed states may only be shared
 // across (never within) waves. For an unpruned search the report is
 // independent of the sharding, so the plan is one wave over a modest
