@@ -72,6 +72,33 @@ func TestE10Golden(t *testing.T) {
 	checkGolden(t, "e10.golden", out.Bytes())
 }
 
+// TestE9Golden pins the state-pruning table at one and two workers: a
+// pruned report does not depend on the worker count.
+func TestE9Golden(t *testing.T) {
+	for _, workers := range []string{"1", "2"} {
+		var out bytes.Buffer
+		if err := run([]string{"-section", "e9", "-workers", workers}, &out); err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, "e9.golden", out.Bytes())
+	}
+}
+
+// TestSectionGoldens pins the remaining sections: the layout figure, the
+// approximate-agreement table and the seeded simulation, falsification,
+// conversion and upper-bound experiments.
+func TestSectionGoldens(t *testing.T) {
+	for _, section := range []string{"f1", "t2", "e5b", "e6", "e7", "e8"} {
+		t.Run(section, func(t *testing.T) {
+			var out bytes.Buffer
+			if err := run([]string{"-section", section}, &out); err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, section+".golden", out.Bytes())
+		})
+	}
+}
+
 func TestUnknownSectionIsUsageError(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-section", "zzz"}, &out); err == nil {
