@@ -30,13 +30,6 @@ func (m *panicBefore) Resume() bool {
 	return m.taken < m.left
 }
 
-// stepCounter is a step hook that counts its calls.
-type stepCounter struct{ calls int }
-
-func (c *stepCounter) hook() sched.Option {
-	return sched.WithStepHook(func(sched.StepRecord) { c.calls++ })
-}
-
 // checkSteps fails t unless res.Steps equals want and the sum of StepsBy.
 func checkSteps(t *testing.T, tag string, res *sched.Result, want int) {
 	t.Helper()
@@ -106,16 +99,14 @@ func TestStepsCountGrantedOperations(t *testing.T) {
 	for _, c := range cases {
 		for _, e := range engines {
 			tag := c.name + "/" + e.name
-			var count stepCounter
-			eng := e.mk(c.n, c.strat(), append([]sched.Option{count.hook()}, c.opts...)...)
-			res, err := eng.RunMachines(c.machines(eng))
-			if (err != nil) != c.wantErr {
-				t.Fatalf("%s: err = %v, want error %v", tag, err, c.wantErr)
+			out := runRecorded(e.mk, c.n, c.strat(), c.machines, c.opts...)
+			if (out.err != nil) != c.wantErr {
+				t.Fatalf("%s: err = %v, want error %v", tag, out.err, c.wantErr)
 			}
-			if res.Steps == 0 {
+			if out.res.Steps == 0 {
 				t.Fatalf("%s: no steps taken", tag)
 			}
-			checkSteps(t, tag, res, count.calls)
+			checkSteps(t, tag, out.res, len(out.steps))
 		}
 	}
 }
@@ -125,8 +116,8 @@ func TestStepsCountGrantedOperations(t *testing.T) {
 // hook calls of the resumed suffix, the same as the uninterrupted run's.
 func TestResumedStepsCountCheckpoint(t *testing.T) {
 	const n, at = 3, 5
-	var refCount stepCounter
-	ref := sched.NewSeqEngine(n, nil, refCount.hook())
+	var refSteps, steps []sched.StepRecord
+	ref := sched.NewSeqEngine(n, nil, sched.RecordSteps(&refSteps))
 	ms := stepsMachines(ref, n)
 	var cp *sched.SeqCheckpoint
 	var forked []stepsMachine
@@ -145,15 +136,14 @@ func TestResumedStepsCountCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkSteps(t, "uninterrupted", want, refCount.calls)
+	checkSteps(t, "uninterrupted", want, len(refSteps))
 	if cp == nil {
 		t.Fatalf("no checkpoint at step %d", at)
 	}
 
-	var count stepCounter
-	eng := sched.NewSeqEngine(n, nil, count.hook())
+	eng := sched.NewSeqEngine(n, nil, sched.RecordSteps(&steps))
 	for round := 0; round < 2; round++ {
-		count.calls = 0
+		steps = steps[:0]
 		eng.Restart(sched.StrategyFunc(func(step int, enabled []int) int { return enabled[step%len(enabled)] }), cp)
 		resumed := make([]sched.Machine, n)
 		for i := range forked {
@@ -165,7 +155,7 @@ func TestResumedStepsCountCheckpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkSteps(t, "resumed", got, at+count.calls)
+		checkSteps(t, "resumed", got, at+len(steps))
 		if got.Steps != want.Steps {
 			t.Fatalf("resumed run took %d steps, the uninterrupted one %d", got.Steps, want.Steps)
 		}
