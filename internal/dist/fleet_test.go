@@ -270,31 +270,34 @@ func TestFleetCancel(t *testing.T) {
 	wg.Wait()
 }
 
-// TestFleetRejectsVersionSkew pins the explicit v2 compatibility error: a
-// peer announcing wire version 2 gets a reject frame naming both versions,
-// not a silent close, and Work surfaces it in its returned error.
+// TestFleetRejectsVersionSkew pins the explicit compatibility error: a peer
+// announcing an older wire version — version 2, or version 7, which cannot
+// decode the base64 closure lists of version 8 — gets a reject frame naming
+// both versions, not a silent close, and Work surfaces it in its returned
+// error.
 func TestFleetRejectsVersionSkew(t *testing.T) {
 	ln := dist.ListenPipe()
-	f, stop := startFleet(ln, harness.Resolve)
+	_, stop := startFleet(ln, harness.Resolve)
 	defer stop()
-	_ = f
-	conn, err := ln.Dial()
-	if err != nil {
-		t.Fatal(err)
+	for _, old := range []int{2, wire.Version - 1} {
+		conn, err := ln.Dial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := wire.NewConn(conn)
+		if err := c.Send(&wire.Msg{Kind: wire.KindHello, Hello: &wire.Hello{Version: old, Slots: 1}}); err != nil {
+			t.Fatal(err)
+		}
+		msg, err := c.Recv()
+		if err != nil {
+			t.Fatalf("v%d: want an explicit reject frame, got close: %v", old, err)
+		}
+		if msg.Kind != wire.KindReject || msg.Reject == nil {
+			t.Fatalf("v%d: want reject, got %q", old, msg.Kind)
+		}
+		if msg.Reject.Got != old || msg.Reject.Want != wire.Version || msg.Reject.Err == "" {
+			t.Fatalf("v%d: reject lacks versions or message: %+v", old, msg.Reject)
+		}
+		conn.Close()
 	}
-	c := wire.NewConn(conn)
-	if err := c.Send(&wire.Msg{Kind: wire.KindHello, Hello: &wire.Hello{Version: 2, Slots: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := c.Recv()
-	if err != nil {
-		t.Fatalf("want an explicit reject frame, got close: %v", err)
-	}
-	if msg.Kind != wire.KindReject || msg.Reject == nil {
-		t.Fatalf("want reject, got %q", msg.Kind)
-	}
-	if msg.Reject.Got != 2 || msg.Reject.Want != wire.Version || msg.Reject.Err == "" {
-		t.Fatalf("reject lacks versions or message: %+v", msg.Reject)
-	}
-	conn.Close()
 }

@@ -16,6 +16,30 @@ import (
 // buffer grows with the bytes, not with the promise.
 func recvAllocBound(n int) uint64 { return 128*uint64(n) + 1<<20 }
 
+// rawFrame frames a hand-written JSON body.
+func rawFrame(body string) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+}
+
+// legacyClosureBodies are the lease and result of sampleMsgs with their
+// closure lists in the JSON array form wire version 7 sent.
+var legacyClosureBodies = []string{
+	`{"Kind":"lease","Lease":{"Job":"j0007","ID":7,"Root":[0,2,1],"Base":420,"ViolBase":2,` +
+		`"Table":[{"Fp":9223372036854775808,"Rem":9},{"Fp":42,"Rem":1}]}}`,
+	`{"Kind":"result","Result":{"Job":"j0007","ID":7,"Outcome":{"Runs":12,"Truncated":3,"Exhausted":true,` +
+		`"Pruned":2,"Distinct":5,"Violations":[{"Schedule":[0,1,0],"Err":"disagreement"}],` +
+		`"Closures":[{"Fp":3,"Rem":2}]}}}`,
+}
+
+// corruptClosureBodies carry closure lists a decoder must reject: bad
+// base64, an entry cut short, an overlong Rem varint, and a number.
+var corruptClosureBodies = []string{
+	`{"Kind":"lease","Lease":{"Job":"j0007","ID":7,"Root":[0],"Base":0,"Table":"AAAA*AAAAAAA"}}`,
+	`{"Kind":"result","Result":{"Job":"j0007","ID":7,"Outcome":{"Runs":1,"Closures":"AwAAAAAA"}}}`,
+	`{"Kind":"result","Result":{"Job":"j0007","ID":7,"Outcome":{"Runs":1,"Closures":"AwAAAAAAAAD/////////////AQ=="}}}`,
+	`{"Kind":"lease","Lease":{"Job":"j0007","ID":7,"Root":[0],"Base":0,"Table":12}}`,
+}
+
 // frame encodes m as one wire frame.
 func frame(tb testing.TB, m *Msg) []byte {
 	tb.Helper()
@@ -47,6 +71,13 @@ func FuzzWireRecv(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})                           // empty body
 	f.Add(append([]byte{0, 0, 0, 2}, '{', '}'))         // no kind
 	f.Add(append([]byte{0, 0, 0, 9}, `{"Jobs":1`...))   // type mismatch, torn
+	// Closure lists in the version-7 array form, and corrupted string forms.
+	for _, body := range legacyClosureBodies {
+		f.Add(rawFrame(body))
+	}
+	for _, body := range corruptClosureBodies {
+		f.Add(rawFrame(body))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

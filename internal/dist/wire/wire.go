@@ -1,7 +1,10 @@
 // Package wire is the message format of the distributed schedule search:
 // length-prefixed JSON over any stream transport (an in-process pipe in
 // tests, TCP between machines). Every frame is a 4-byte big-endian length
-// followed by that many bytes of one JSON-encoded Msg envelope.
+// followed by that many bytes of one JSON-encoded Msg envelope. Frames are
+// JSON throughout, except that a closure list — a lease's visited-state
+// delta, a result's new closures — is one base64 string of packed entries
+// (trace.Closures), the bulk of a pruned search's traffic.
 //
 // The worker conversation is deliberately small. Since version 3 every job
 // carries an id and leases/results/fails are tagged with it, so one fleet
@@ -76,8 +79,12 @@ import (
 // overshoots a cutoff is re-leased on exact bases instead of being trimmed
 // from per-run records, which results no longer carry. A version-6 worker
 // would ignore ViolBase, overshoot again on every re-lease and loop the
-// coordinator, so v6 peers get the explicit reject.
-const Version = 7
+// coordinator, so v6 peers get the explicit reject. Version 8 ships closure
+// lists (Lease.Table, a result's Outcome.Closures) as one base64 string of
+// packed entries (trace.Closures) instead of a JSON array of objects, about
+// a third of the bytes: a version-7 peer cannot decode the string form, so
+// v7 peers get the explicit reject. Journals of either form still load.
+const Version = 8
 
 // MaxFrame caps one frame's length (64 MiB): a corrupt or hostile length
 // prefix must not allocate unboundedly.
@@ -151,8 +158,9 @@ type Job struct {
 
 // Lease hands one subtree of job Job to a worker. Table is the
 // visited-state delta — the closure entries published at that job's wave
-// barriers since this worker's last lease of it — bringing the worker's
-// per-job mirror exactly to the table frozen at this subtree's wave start.
+// barriers since this worker's last lease of it, encoded as one base64
+// string (trace.Closures) — bringing the worker's per-job mirror exactly to
+// the table frozen at this subtree's wave start.
 // Base and ViolBase are lower bounds on the runs and violations the merge
 // will credit before this subtree (trace.Waves.Base); the worker stops the
 // subtree on them.
@@ -161,8 +169,8 @@ type Lease struct {
 	ID       int
 	Root     []int
 	Base     int
-	ViolBase int             `json:",omitempty"`
-	Table    []trace.FpEntry `json:",omitempty"`
+	ViolBase int            `json:",omitempty"`
+	Table    trace.Closures `json:",omitempty"`
 }
 
 // Result returns one complete subtree outcome of job Job.

@@ -82,6 +82,32 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLegacyClosureFrames decodes lease and result frames whose closure
+// lists use the version-7 array form to the same messages as the packed
+// string form, and rejects frames whose closure lists are corrupt.
+func TestLegacyClosureFrames(t *testing.T) {
+	want := map[string]*Msg{}
+	for _, m := range sampleMsgs() {
+		if m.Kind == KindLease || m.Kind == KindResult {
+			want[m.Kind] = m
+		}
+	}
+	for _, body := range legacyClosureBodies {
+		got, err := NewConn(bytes.NewBuffer(rawFrame(body))).Recv()
+		if err != nil {
+			t.Fatalf("legacy frame %s: %v", body, err)
+		}
+		if !reflect.DeepEqual(got, want[got.Kind]) {
+			t.Fatalf("legacy %s frame decoded to\n%+v\nwant\n%+v", got.Kind, got, want[got.Kind])
+		}
+	}
+	for _, body := range corruptClosureBodies {
+		if m, err := NewConn(bytes.NewBuffer(rawFrame(body))).Recv(); err == nil {
+			t.Fatalf("corrupt frame %s decoded: %+v", body, m)
+		}
+	}
+}
+
 // TestFrameCap rejects oversized frames on both sides instead of allocating.
 func TestFrameCap(t *testing.T) {
 	var buf bytes.Buffer

@@ -193,6 +193,12 @@ func WorkCfg(ctx context.Context, conn net.Conn, cfg WorkConfig, resolve Resolve
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// The slot keeps one subtree runner, and so one explorer with its
+			// systems and checkpoint slots, while consecutive leases belong
+			// to the same job; it drops the runner on a job change or once
+			// the job is retired.
+			var cur *workerJob
+			var run *trace.SubtreeRunner
 			for {
 				t, ok := queue.pop()
 				if !ok {
@@ -201,14 +207,26 @@ func WorkCfg(ctx context.Context, conn net.Conn, cfg WorkConfig, resolve Resolve
 				if stopping.Load() {
 					return
 				}
+				if cur != nil && cur.stopped.Load() {
+					cur, run = nil, nil
+				}
 				if t.js.stopped.Load() {
 					continue // job retired while queued: drop the lease
 				}
-				outcome, err := trace.RunSubtree(t.js.nprocs, t.js.factory, t.js.opts, t.lease.Root, t.lease.Base, t.lease.ViolBase, t.js.frozen)
+				var err error
+				if t.js != cur {
+					cur = t.js
+					run, err = trace.NewSubtreeRunner(cur.nprocs, cur.factory, cur.opts)
+				}
+				var outcome *trace.SubtreeOutcome
+				if err == nil {
+					outcome, err = run.Run(t.lease.Root, t.lease.Base, t.lease.ViolBase, cur.frozen)
+				}
 				if err != nil {
 					// A run error is job-scoped capability skew: fail the job,
 					// keep serving the others.
 					t.js.stopped.Store(true)
+					cur, run = nil, nil
 					c.Send(&wire.Msg{Kind: wire.KindFail, Fail: &wire.Fail{Job: t.lease.Job, Err: err.Error()}})
 					continue
 				}

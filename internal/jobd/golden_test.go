@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -136,4 +137,62 @@ func resumeJournaled(t *testing.T, golden string) {
 	}
 	td.shutdown(t)
 	wg.Wait()
+}
+
+// TestPrunedProgressV7Loads loads a journal line written by wire version 7
+// (testdata/progress_record_pruned_v7.golden, a decode fixture that -update
+// does not rewrite): a pruned job whose outcomes carry their closures as
+// JSON arrays. The open-time compaction rewrites the line with packed
+// closures, and that journal loads to the same closures again.
+func TestPrunedProgressV7Loads(t *testing.T) {
+	legacy, err := os.ReadFile(filepath.Join("testdata", "progress_record_pruned_v7.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(legacy, []byte(`"Closures":[{`)) {
+		t.Fatal("fixture carries no closures in the array form")
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "jobs.jsonl")
+	load := func() ([]trace.Closures, []byte) {
+		t.Helper()
+		q, err := jobd.OpenQueue(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer q.Close()
+		rec := q.Get("j0001")
+		if rec == nil || rec.Progress == nil {
+			t.Fatalf("record or its progress did not load: %+v", rec)
+		}
+		var closures []trace.Closures
+		for _, o := range rec.Progress.Outcomes {
+			if o != nil {
+				closures = append(closures, o.Closures)
+			}
+		}
+		journal, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return closures, journal
+	}
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old, compacted := load()
+	if bytes.Contains(compacted, []byte(`"Closures":[`)) || !bytes.Contains(compacted, []byte(`"Closures":"`)) {
+		t.Fatalf("compaction kept the array form:\n%s", compacted)
+	}
+	cur, _ := load()
+	total := 0
+	for i := range old {
+		if !slices.Equal(old[i], cur[i]) {
+			t.Fatalf("outcome %d: array form loaded %v, packed form %v", i, old[i], cur[i])
+		}
+		total += len(old[i])
+	}
+	if total == 0 || len(cur) != len(old) {
+		t.Fatalf("loaded %d outcomes with %d closures, then %d outcomes", len(old), total, len(cur))
+	}
 }

@@ -526,6 +526,12 @@ func FuzzQueueLoad(f *testing.F) {
 	f.Add(bytes.Join([][]byte{d[0], d[1], d[3]}, nil))
 	f.Add(bytes.Join([][]byte{done, d[1]}, nil))
 	f.Add(bytes.Join([][]byte{d[0], d[1], d[2][:len(d[2])/2]}, nil))
+	// A delta whose outcome carries closures in the array form of wire
+	// version 7, and one whose packed closures are cut short.
+	f.Add(bytes.Join([][]byte{d[0], []byte(`{"Delta":{"ID":"j0001","Wave":1,"Frontier":2,"Outcomes":[{"At":1,"Outcome":` +
+		`{"Runs":4,"Exhausted":true,"Distinct":2,"Closures":[{"Fp":5,"Rem":3},{"Fp":18446744073709551615,"Rem":2}]}}]}}` + "\n")}, nil))
+	f.Add(bytes.Join([][]byte{d[0], []byte(`{"Delta":{"ID":"j0001","Wave":1,"Frontier":2,"Outcomes":[{"At":1,"Outcome":` +
+		`{"Runs":4,"Exhausted":true,"Distinct":2,"Closures":"BQAAAAAAAA"}}]}}` + "\n")}, nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// An in-memory crashfs keeps the fuzzer fast: no temp dirs, no real
 		// fsyncs — the loader and compactor see identical bytes either way.

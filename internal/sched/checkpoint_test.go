@@ -52,8 +52,9 @@ func (c *cpAt) Pick(step int, enabled []int) int {
 
 // TestSeqEngineCheckpointResume: checkpoint a run mid-flight, resume it with
 // forked machines on a restarted engine, and require the resumed run to
-// grant the uninterrupted run's steps past the checkpoint and return its
-// result: step counts, per-pid step counts, finished flags.
+// grant the uninterrupted run's steps past the checkpoint, return its
+// result (step counts, per-pid step counts) and leave every machine where
+// the uninterrupted run left it.
 func TestSeqEngineCheckpointResume(t *testing.T) {
 	const n, ops, at = 3, 4, 5
 	mkMachines := func(e *SeqEngine) ([]Machine, []*countMachine) {
@@ -69,7 +70,7 @@ func TestSeqEngineCheckpointResume(t *testing.T) {
 	// Reference: one uninterrupted run under round-robin.
 	var want []StepRecord
 	ref := NewSeqEngine(n, RoundRobin{N: n}, RecordSteps(&want))
-	refMs, _ := mkMachines(ref)
+	refMs, refCs := mkMachines(ref)
 	wantRes, err := ref.RunMachines(refMs)
 	if err != nil {
 		t.Fatal(err)
@@ -98,10 +99,11 @@ func TestSeqEngineCheckpointResume(t *testing.T) {
 		got = got[:0]
 		res.Restart(RoundRobin{N: n}, rec.cp)
 		forked := make([]Machine, n)
+		forkedCs := make([]*countMachine, n)
 		for i := range rec.forked {
 			m := rec.forked[i] // fresh copy per resume
 			m.e = res
-			forked[i] = &m
+			forked[i], forkedCs[i] = &m, &m
 		}
 		gotRes, err := res.RunMachines(forked)
 		if err != nil {
@@ -110,8 +112,13 @@ func TestSeqEngineCheckpointResume(t *testing.T) {
 		if !reflect.DeepEqual(got, want[at:]) {
 			t.Fatalf("round %d: resumed steps differ from the run's past the checkpoint:\ngot  %v\nwant %v", round, got, want[at:])
 		}
-		if gotRes.Steps != wantRes.Steps || !reflect.DeepEqual(gotRes.StepsBy, wantRes.StepsBy) || !reflect.DeepEqual(gotRes.Finished, wantRes.Finished) {
+		if gotRes.Steps != wantRes.Steps || !reflect.DeepEqual(gotRes.StepsBy, wantRes.StepsBy) {
 			t.Fatalf("round %d: resumed result differs: %+v vs %+v", round, gotRes, wantRes)
+		}
+		for pid, m := range forkedCs {
+			if m.left != refCs[pid].left {
+				t.Fatalf("round %d: pid %d has %d writes left, the uninterrupted run %d", round, pid, m.left, refCs[pid].left)
+			}
 		}
 	}
 }

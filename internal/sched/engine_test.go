@@ -89,25 +89,34 @@ func equivalenceStrategies(n int) map[string]func() sched.Strategy {
 	}
 }
 
-// outcome is one run: its Result and error, and the steps a step hook saw.
+// outcome is one run: its Result and error, the steps a step hook saw, and
+// which machines finished (sched.TrackFinished).
 type outcome struct {
-	res   *sched.Result
-	steps []sched.StepRecord
-	err   error
+	res      *sched.Result
+	steps    []sched.StepRecord
+	finished []bool
+	err      error
 }
 
 // runRecorded runs the machines build returns on a new engine from mk, with
-// every granted step recorded through the step hook.
+// every granted step recorded through the step hook and every machine's
+// completion tracked.
 func runRecorded(mk func(int, sched.Strategy, ...sched.Option) engine, n int, strat sched.Strategy,
 	build func(gate sched.Stepper) []sched.Machine, opts ...sched.Option) outcome {
 	var o outcome
 	eng := mk(n, strat, append(opts, sched.RecordSteps(&o.steps))...)
-	o.res, o.err = eng.RunMachines(build(eng))
+	o.run(eng, build(eng))
 	return o
 }
 
-// sameResult fails t unless two runs agree: the steps their hooks saw and
-// their results field by field. They are the reference runner's and the
+// run runs ms on eng into o, tracking which machines finish.
+func (o *outcome) run(eng engine, ms []sched.Machine) {
+	ms, o.finished = sched.TrackFinished(ms)
+	o.res, o.err = eng.RunMachines(ms)
+}
+
+// sameResult fails t unless two runs agree: the steps their hooks saw, the
+// machines that finished and their results field by field. They are the reference runner's and the
 // SeqEngine's, or a fresh and a restarted engine's.
 func sameResult(t *testing.T, ref, got outcome) {
 	t.Helper()
@@ -117,11 +126,11 @@ func sameResult(t *testing.T, ref, got outcome) {
 	if !reflect.DeepEqual(ref.steps, got.steps) {
 		t.Fatalf("granted steps differ:\nref: %v\ngot: %v", ref.steps, got.steps)
 	}
-	if !reflect.DeepEqual(ref.res.StepsBy, got.res.StepsBy) || !reflect.DeepEqual(ref.res.Finished, got.res.Finished) {
+	if !reflect.DeepEqual(ref.res.StepsBy, got.res.StepsBy) || ref.res.Steps != got.res.Steps {
 		t.Fatalf("results differ: ref=%+v got=%+v", ref.res, got.res)
 	}
-	if ref.res.Halted != got.res.Halted || ref.res.Steps != got.res.Steps {
-		t.Fatalf("halted/steps differ: ref=%+v got=%+v", ref.res, got.res)
+	if !reflect.DeepEqual(ref.finished, got.finished) {
+		t.Fatalf("finished machines differ: ref=%v got=%v", ref.finished, got.finished)
 	}
 }
 
@@ -151,15 +160,16 @@ func TestEnginesProduceIdenticalTraces(t *testing.T) {
 func TestEnginesAgreeOnStepBudget(t *testing.T) {
 	for _, e := range engines {
 		eng := e.mk(2, sched.RoundRobin{N: 2}, sched.WithMaxSteps(9))
-		res, rerr := eng.RunMachines(engineMachines(eng, 2, -1))
+		ms, finished := sched.TrackFinished(engineMachines(eng, 2, -1))
+		res, rerr := eng.RunMachines(ms)
 		if !errors.Is(rerr, sched.ErrMaxSteps) {
 			t.Fatalf("%s: err = %v, want ErrMaxSteps", e.name, rerr)
 		}
 		if res.Steps != 9 {
 			t.Fatalf("%s: steps = %d, want 9", e.name, res.Steps)
 		}
-		if res.Finished[0] || res.Finished[1] {
-			t.Fatalf("%s: starved processes reported finished", e.name)
+		if finished[0] || finished[1] {
+			t.Fatalf("%s: starved processes finished", e.name)
 		}
 	}
 }
@@ -172,14 +182,15 @@ func TestEnginesAgreeOnHalt(t *testing.T) {
 			}
 			return enabled[0]
 		}))
-		res, err := eng.RunMachines(engineMachines(eng, 3, 10))
+		ms, finished := sched.TrackFinished(engineMachines(eng, 3, 10))
+		res, err := eng.RunMachines(ms)
 		if err != nil {
 			t.Fatalf("%s: %v", e.name, err)
 		}
-		if !res.Halted || res.Steps != 5 {
-			t.Fatalf("%s: halted=%v steps=%d, want halted at 5", e.name, res.Halted, res.Steps)
+		if res.Steps != 5 {
+			t.Fatalf("%s: steps=%d, want a halt at 5", e.name, res.Steps)
 		}
-		for pid, f := range res.Finished {
+		for pid, f := range finished {
 			if f {
 				t.Fatalf("%s: pid %d finished after halt", e.name, pid)
 			}
@@ -190,7 +201,7 @@ func TestEnginesAgreeOnHalt(t *testing.T) {
 func TestEnginesAgreeOnBodyPanic(t *testing.T) {
 	for _, e := range engines {
 		eng := e.mk(2, sched.RoundRobin{N: 2})
-		res, rerr := eng.RunMachines(sched.Processes(2, func(pid, i int) sched.Cursor {
+		ms, finished := sched.TrackFinished(sched.Processes(2, func(pid, i int) sched.Cursor {
 			switch {
 			case i == 1 && pid == 1:
 				panic("protocol bug")
@@ -199,11 +210,12 @@ func TestEnginesAgreeOnBodyPanic(t *testing.T) {
 			}
 			return gateOp(eng, pid, "X", -1)
 		}))
+		_, rerr := eng.RunMachines(ms)
 		if rerr == nil || !strings.Contains(rerr.Error(), "process 1 panicked: protocol bug") {
 			t.Fatalf("%s: err = %v, want process 1 panic", e.name, rerr)
 		}
-		if res.Finished[0] || res.Finished[1] {
-			t.Fatalf("%s: finished = %v, want none", e.name, res.Finished)
+		if finished[0] || finished[1] {
+			t.Fatalf("%s: finished = %v, want none", e.name, finished)
 		}
 	}
 }

@@ -110,7 +110,6 @@ func (r *Runner) Run(body func(pid int)) (*Result, error) {
 	}
 	r.started = true
 	r.stepsBy = make([]int, r.n)
-	finished := make([]bool, r.n)
 
 	for pid := 0; pid < r.n; pid++ {
 		go func(pid int) {
@@ -134,7 +133,6 @@ func (r *Runner) Run(body func(pid int)) (*Result, error) {
 	outstanding := r.n // processes running (not parked at gate, not finished)
 	numFinished := 0
 	aborting := false
-	halted := false
 	var runErr error
 
 	for numFinished < r.n {
@@ -144,7 +142,6 @@ func (r *Runner) Run(body func(pid int)) (*Result, error) {
 			outstanding--
 			if e.done {
 				numFinished++
-				finished[e.pid] = !e.aborted && !e.panicked
 				if e.panicked {
 					if runErr == nil {
 						runErr = fmt.Errorf("sched: process %d panicked: %v", e.pid, e.panicVal)
@@ -179,7 +176,6 @@ func (r *Runner) Run(body func(pid int)) (*Result, error) {
 			continue
 		}
 		if halt {
-			halted = true
 			aborting = true
 			continue
 		}
@@ -194,11 +190,5 @@ func (r *Runner) Run(body func(pid int)) (*Result, error) {
 	for _, s := range r.stepsBy {
 		steps += s
 	}
-	res := &Result{
-		Steps:    steps,
-		StepsBy:  r.stepsBy,
-		Finished: finished,
-		Halted:   halted,
-	}
-	return res, runErr
+	return &Result{Steps: steps, StepsBy: r.stepsBy}, runErr
 }

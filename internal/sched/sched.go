@@ -94,12 +94,10 @@ const Halt = -1
 // indicates a liveness bug (or a deliberately starved protocol).
 var ErrMaxSteps = errors.New("sched: step budget exceeded")
 
-// Result describes a finished (or halted) run. StepsBy and Finished alias
-// the engine's buffers: they stay valid until the engine is restarted (see
+// Result describes a finished (or halted) run. StepsBy aliases the engine's
+// buffer: it stays valid until the engine is restarted (see
 // SeqEngine.Restart).
 type Result struct {
-	Steps    int   // granted steps that took their operation: the sum of StepsBy
-	StepsBy  []int // per-PID granted step counts
-	Finished []bool
-	Halted   bool // Strategy returned Halt before all processes finished
+	Steps   int   // granted steps that took their operation: the sum of StepsBy
+	StepsBy []int // per-PID granted step counts
 }

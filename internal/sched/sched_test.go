@@ -10,7 +10,8 @@ import (
 func TestRoundRobinCompletes(t *testing.T) {
 	const n, steps = 4, 10
 	r := NewSeqEngine(n, RoundRobin{N: n})
-	res, err := r.RunMachines(counterMachines(r, r.n, steps))
+	ms, finished := TrackFinished(counterMachines(r, r.n, steps))
+	res, err := r.RunMachines(ms)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -21,10 +22,33 @@ func TestRoundRobinCompletes(t *testing.T) {
 		if c != steps {
 			t.Errorf("pid %d took %d steps, want %d", pid, c, steps)
 		}
-		if !res.Finished[pid] {
+		if !finished[pid] {
 			t.Errorf("pid %d not finished", pid)
 		}
 	}
+}
+
+// TrackFinished wraps machines so that finished[pid] records whether
+// machine pid finished its program: a Resume returned without parking. A
+// machine that panicked, or was dropped at its gate by a halt or an abort,
+// stays unset. It is exported for the external test package.
+func TrackFinished(ms []Machine) (tracked []Machine, finished []bool) {
+	tracked, finished = make([]Machine, len(ms)), make([]bool, len(ms))
+	for pid, m := range ms {
+		tracked[pid] = finishTracker{m: m, done: &finished[pid]}
+	}
+	return tracked, finished
+}
+
+type finishTracker struct {
+	m    Machine
+	done *bool
+}
+
+func (f finishTracker) Resume() bool {
+	parked := f.m.Resume()
+	*f.done = !parked
+	return parked
 }
 
 // RecordSteps returns a step hook that appends every granted step to
@@ -91,14 +115,15 @@ func TestRandomIsDeterministicPerSeed(t *testing.T) {
 
 func TestMaxStepsAborts(t *testing.T) {
 	r := NewSeqEngine(2, RoundRobin{N: 2}, WithMaxSteps(7))
-	res, err := r.RunMachines(counterMachines(r, 2, -1))
+	ms, finished := TrackFinished(counterMachines(r, 2, -1))
+	res, err := r.RunMachines(ms)
 	if !errors.Is(err, ErrMaxSteps) {
 		t.Fatalf("err = %v, want ErrMaxSteps", err)
 	}
 	if res.Steps != 7 {
 		t.Fatalf("steps = %d, want 7", res.Steps)
 	}
-	for pid, fin := range res.Finished {
+	for pid, fin := range finished {
 		if fin {
 			t.Errorf("pid %d reported finished after abort", pid)
 		}
@@ -109,20 +134,19 @@ func TestSoloStrategyRunsOnlyTarget(t *testing.T) {
 	const n = 3
 	var seen []StepRecord
 	r := NewSeqEngine(n, Solo{PID: 1, After: 0, Fallback: RoundRobin{N: n}}, RecordSteps(&seen))
-	res, err := r.RunMachines(counterMachines(r, r.n, 4))
+	ms, finished := TrackFinished(counterMachines(r, r.n, 4))
+	res, err := r.RunMachines(ms)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
-	}
-	if !res.Halted {
-		t.Fatal("run should halt once pid 1 finishes")
 	}
 	for _, rec := range seen {
 		if rec.PID != 1 {
 			t.Fatalf("step by pid %d under solo(1)", rec.PID)
 		}
 	}
-	if !res.Finished[1] || res.Finished[0] || res.Finished[2] {
-		t.Fatalf("finished = %v, want only pid 1", res.Finished)
+	// The run halts once pid 1 finishes: the others never finish.
+	if !finished[1] || finished[0] || finished[2] || res.Steps != 4 {
+		t.Fatalf("finished = %v after %d steps, want only pid 1 after 4", finished, res.Steps)
 	}
 }
 
@@ -130,8 +154,8 @@ func TestSubsetStrategy(t *testing.T) {
 	const n = 4
 	var seen []StepRecord
 	r := NewSeqEngine(n, Subset{PIDs: []int{1, 3}, Fallback: RoundRobin{N: n}}, RecordSteps(&seen))
-	res, err := r.RunMachines(counterMachines(r, r.n, 6))
-	if err != nil {
+	ms, finished := TrackFinished(counterMachines(r, r.n, 6))
+	if _, err := r.RunMachines(ms); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	for _, rec := range seen {
@@ -139,23 +163,24 @@ func TestSubsetStrategy(t *testing.T) {
 			t.Fatalf("step by pid %d outside subset", rec.PID)
 		}
 	}
-	if !res.Finished[1] || !res.Finished[3] {
-		t.Fatalf("subset processes should finish: %v", res.Finished)
+	if !finished[1] || !finished[3] {
+		t.Fatalf("subset processes should finish: %v", finished)
 	}
 }
 
 func TestCrashStrategy(t *testing.T) {
 	const n = 3
 	r := NewSeqEngine(n, Crash{Crashed: map[int]int{0: 0}, Inner: RoundRobin{N: n}})
-	res, err := r.RunMachines(counterMachines(r, r.n, 5))
+	ms, finished := TrackFinished(counterMachines(r, r.n, 5))
+	res, err := r.RunMachines(ms)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if res.StepsBy[0] != 0 {
 		t.Fatalf("crashed pid 0 took %d steps", res.StepsBy[0])
 	}
-	if !res.Finished[1] || !res.Finished[2] {
-		t.Fatalf("live processes should finish: %v", res.Finished)
+	if !finished[1] || !finished[2] {
+		t.Fatalf("live processes should finish: %v", finished)
 	}
 }
 
@@ -260,12 +285,13 @@ func TestHaltFromStrategyFunc(t *testing.T) {
 		}
 		return enabled[0]
 	}))
-	res, err := r.RunMachines(counterMachines(r, r.n, 100))
+	ms, finished := TrackFinished(counterMachines(r, r.n, 100))
+	res, err := r.RunMachines(ms)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if !res.Halted || res.Steps != 3 {
-		t.Fatalf("halted=%v steps=%d, want true/3", res.Halted, res.Steps)
+	if finished[0] || finished[1] || res.Steps != 3 {
+		t.Fatalf("finished=%v steps=%d, want a halt after 3 steps", finished, res.Steps)
 	}
 }
 

@@ -27,9 +27,10 @@ type SeqEngine struct {
 
 	// Run state. The slices are allocated by the first run and reused by
 	// every run after a Restart.
-	stepsBy     []int
-	parked      []bool
-	finished    []bool
+	stepsBy []int
+	parked  []bool
+	// numFinished counts the processes out of the run: finished, panicked
+	// or dropped.
 	numFinished int
 	// res is the Result every run returns a pointer to, refilled per run.
 	res Result
@@ -117,7 +118,6 @@ func (e *SeqEngine) RunMachines(machines []Machine) (*Result, error) {
 		return nil, fmt.Errorf("sched: got %d machines for %d processes", len(machines), e.n)
 	}
 	aborting := false
-	halted := false
 	var runErr error
 
 	recordPanic := func(pid int, v any) {
@@ -143,7 +143,6 @@ func (e *SeqEngine) RunMachines(machines []Machine) (*Result, error) {
 			case parked:
 				e.parked[pid] = true
 			default:
-				e.finished[pid] = true
 				e.numFinished++
 			}
 		}
@@ -170,7 +169,6 @@ func (e *SeqEngine) RunMachines(machines []Machine) (*Result, error) {
 			continue
 		}
 		if halt {
-			halted = true
 			aborting = true
 			continue
 		}
@@ -183,7 +181,6 @@ func (e *SeqEngine) RunMachines(machines []Machine) (*Result, error) {
 		case parked:
 			e.parked[pick] = true
 		default:
-			e.finished[pick] = true
 			e.numFinished++
 		}
 	}
@@ -192,18 +189,13 @@ func (e *SeqEngine) RunMachines(machines []Machine) (*Result, error) {
 	for _, s := range e.stepsBy {
 		steps += s
 	}
-	e.res = Result{
-		Steps:    steps,
-		StepsBy:  e.stepsBy,
-		Finished: e.finished,
-		Halted:   halted,
-	}
+	e.res = Result{Steps: steps, StepsBy: e.stepsBy}
 	return &e.res, runErr
 }
 
 // SeqCheckpoint is a frozen mid-run snapshot of a SeqEngine's scheduling
-// state: the granted-step count, each process's steps, and which processes
-// are parked or finished. Together with a copy of the system state at the same
+// state: the granted-step count, each process's steps, which processes are
+// parked, and how many are out of the run. Together with a copy of the system state at the same
 // point (see trace.System.Restore) it lets exhaustive exploration resume
 // runs from the deepest common schedule prefix instead of replaying every
 // schedule from scratch. A checkpoint may seed any number of resumed runs;
@@ -212,7 +204,6 @@ type SeqCheckpoint struct {
 	step        int
 	stepsBy     []int
 	parked      []bool
-	finished    []bool
 	numFinished int
 }
 
@@ -226,7 +217,6 @@ func (e *SeqEngine) CheckpointInto(cp *SeqCheckpoint) {
 	cp.step = e.core.step
 	cp.stepsBy = append(cp.stepsBy[:0], e.stepsBy...)
 	cp.parked = append(cp.parked[:0], e.parked...)
-	cp.finished = append(cp.finished[:0], e.finished...)
 	cp.numFinished = e.numFinished
 }
 
@@ -238,10 +228,9 @@ func (e *SeqEngine) CheckpointInto(cp *SeqCheckpoint) {
 // entries for finished processes may be nil), and the engine's own step
 // budget applies.
 //
-// A run's *Result is the engine's own, and the buffers it aliases (StepsBy,
-// Finished) are the ones Restart clears and refills: a Result is valid only
-// until the next Restart of the engine that produced it. Copy whatever must
-// outlive it.
+// A run's *Result is the engine's own, and the buffer it aliases (StepsBy)
+// is one Restart clears and refills: a Result is valid only until the next
+// Restart of the engine that produced it. Copy whatever must outlive it.
 //
 // Restart must not be called while a run is in progress, for example from
 // Strategy.Pick; it panics.
@@ -256,12 +245,10 @@ func (e *SeqEngine) Restart(strat Strategy, from *SeqCheckpoint) {
 	if from == nil {
 		clear(e.stepsBy)
 		clear(e.parked)
-		clear(e.finished)
 		e.numFinished = 0
 	} else {
 		copy(e.stepsBy, from.stepsBy)
 		copy(e.parked, from.parked)
-		copy(e.finished, from.finished)
 		e.numFinished, e.core.step = from.numFinished, from.step
 	}
 }
@@ -274,5 +261,4 @@ func (e *SeqEngine) allocRunState() {
 	}
 	e.stepsBy = make([]int, e.n)
 	e.parked = make([]bool, e.n)
-	e.finished = make([]bool, e.n)
 }

@@ -258,7 +258,8 @@ func capabilities(sys *System, opts ExploreOpts) error {
 // system and engine checkpoint for the next push. An in-process search
 // keeps one explorer per worker across every subtree and wave the worker
 // drains (explore empties the path and the checkpoint stack and keeps the
-// rest); a distributed worker builds one per leased subtree (RunSubtree).
+// rest); a distributed worker keeps one per slot across the consecutive
+// leases of a job (SubtreeRunner).
 // The frontier planner drives the same strategy, one probe run at a time.
 type explorer struct {
 	nprocs  int

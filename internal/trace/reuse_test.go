@@ -8,7 +8,7 @@ import (
 )
 
 // resultChecked wraps factory so that every system it builds fails its check
-// with an error naming the Result it got: Steps, StepsBy and Finished. Every
+// with an error naming the Result it got: Steps and StepsBy. Every
 // checked run of a search is then a violation whose error records the
 // Result, and replaying the violation on a fresh engine (ReplayViolation)
 // must reproduce it. The explorer restarts one engine and restores one live
@@ -18,7 +18,7 @@ func resultChecked(factory Factory) Factory {
 	return func(gate sched.Stepper) System {
 		sys := factory(gate)
 		sys.Check = func(res *sched.Result) error {
-			return fmt.Errorf("steps=%d by=%v finished=%v", res.Steps, res.StepsBy, res.Finished)
+			return fmt.Errorf("steps=%d by=%v", res.Steps, res.StepsBy)
 		}
 		return sys
 	}
@@ -27,11 +27,11 @@ func resultChecked(factory Factory) Factory {
 // TestCheckSeesFreshEngineResult: on every run of a search — unpruned and
 // pruned, both with runs resumed from checkpoints, on 1 and 2 workers — the
 // Result handed to System.Check equals the one a fresh engine produces for
-// the same schedule: Steps, StepsBy and Finished. The depth bounds truncate
-// most runs, so processes that did not finish sit beside ones that did, and
+// the same schedule: Steps and StepsBy. The depth bounds truncate most runs,
+// so processes that did not finish sit beside ones that did, and
 // firstvalue's checkpoints hold finished processes; a restart that left a
-// previous run's step counts or finished flags behind, or resumed without
-// the checkpoint's, is caught.
+// previous run's step counts behind, or resumed without the checkpoint's, is
+// caught.
 func TestCheckSeesFreshEngineResult(t *testing.T) {
 	systems := []struct {
 		name     string

@@ -12,7 +12,8 @@
 //     It is the in-process planner with a larger unpruned frontier.
 //   - RunSubtree runs the subtree loop on one leased subtree — stopping on
 //     lower bounds of the runs and violations credited before it, pruning
-//     against a frozen visited-state view — and returns its outcome.
+//     against a frozen visited-state view — and returns its outcome; a
+//     SubtreeRunner runs many in turn on one explorer.
 //   - Waves (waves.go) takes outcomes in any order, re-opens the one subtree
 //     whose outcome overshoots the cutoff, and merges them.
 //
@@ -74,8 +75,9 @@ type SubtreeOutcome struct {
 	err    error
 
 	// Closures are the subtree's newly closed states, sorted by fingerprint,
-	// for publication into the coordinator's table at the wave barrier.
-	Closures []FpEntry `json:",omitempty"`
+	// for publication into the coordinator's table at the wave barrier. They
+	// cross the wire and the journal as one base64 string (see Closures).
+	Closures Closures `json:",omitempty"`
 
 	// Stopped marks an outcome abandoned by ExploreOpts.Interrupted: it is
 	// incomplete, so the merge credits it and ends with ErrInterrupted. A
@@ -122,12 +124,40 @@ const distFrontierTarget = 64
 // runs (the coordinator guarantees this by publishing closures only at wave
 // barriers). The outcome carries the subtree's own closures; the caller owns
 // publishing them. A root pick that is not enabled is a replay divergence,
-// reported as the outcome's failed run.
+// reported as the outcome's failed run. It is a one-shot SubtreeRunner.
 func RunSubtree(nprocs int, factory Factory, opts ExploreOpts, root []int, base, violBase int, frozen func(fp uint64) (int, bool)) (*SubtreeOutcome, error) {
+	r, err := NewSubtreeRunner(nprocs, factory, opts)
+	if err != nil {
+		return nil, err
+	}
+	return r.Run(root, base, violBase, frozen)
+}
+
+// SubtreeRunner runs leased subtrees of one search, one at a time, on one
+// explorer: its engine, live system, pristine root and checkpoint slots are
+// built by the first subtree and reused by every later one, as an
+// in-process worker reuses its explorer across the subtrees it drains. A
+// distributed worker keeps one per slot while consecutive leases belong to
+// the same job. It is not safe for concurrent use.
+type SubtreeRunner struct {
+	ex *explorer
+}
+
+// NewSubtreeRunner validates opts and returns a runner for subtrees of the
+// nprocs-process search over factory's systems.
+func NewSubtreeRunner(nprocs int, factory Factory, opts ExploreOpts) (*SubtreeRunner, error) {
 	if err := validateOpts(opts); err != nil {
 		return nil, err
 	}
-	sh := newExploreShared([][]int{root}, opts)
+	return &SubtreeRunner{ex: newExplorer(nprocs, factory, opts, nil)}, nil
+}
+
+// Run explores the subtree rooted at root as RunSubtree does. Each call
+// starts from fresh shared state, so its outcome is what a one-shot
+// RunSubtree returns for the same arguments.
+func (r *SubtreeRunner) Run(root []int, base, violBase int, frozen func(fp uint64) (int, bool)) (*SubtreeOutcome, error) {
+	sh := newExploreShared([][]int{root}, r.ex.opts)
 	sh.runBase, sh.violBase = base, violBase
-	return newExplorer(nprocs, factory, opts, sh).explore(0, frozen)
+	r.ex.sh = sh
+	return r.ex.explore(0, frozen)
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -246,5 +247,76 @@ func TestExploreInterruptedImmediately(t *testing.T) {
 	}
 	if rep == nil || rep.Runs != 0 || rep.Exhausted {
 		t.Fatalf("bad empty partial report %+v", rep)
+	}
+}
+
+// TestSubtreeRunnerMatchesRunSubtree runs every subtree of a plan on one
+// SubtreeRunner, in reverse canonical order and each twice, on varying bases
+// and against a populated frozen table, and requires each outcome to equal a
+// one-shot RunSubtree's, in wire form: a reused explorer carries no state from one lease
+// into the next, after a failed run and a violation cutoff included. The
+// runner builds its systems once, the one-shots once per subtree.
+func TestSubtreeRunnerMatchesRunSubtree(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		nprocs  int
+		factory Factory
+		opts    ExploreOpts
+	}{
+		{"consensus-3-pruned", 3, consensusAgreeFactory(3), ExploreOpts{MaxDepth: 12, Prune: true}},
+		{"agree-3-pruned-viol", 3, firstValueAgree(3, false), ExploreOpts{MaxDepth: 12, MaxViolations: 10, Prune: true}},
+		{"consensus-2-budget", 2, consensusAgreeFactory(2), ExploreOpts{MaxDepth: 16, MaxRuns: 900}},
+		{"poisoned-3-pruned-error", 3, firstValueAgree(3, true), ExploreOpts{MaxDepth: 12, MaxViolations: 30, Prune: true}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var built [2]atomic.Int64
+			counted := func(k int) Factory {
+				return func(gate sched.Stepper) System {
+					built[k].Add(1)
+					return c.factory(gate)
+				}
+			}
+			frontier, _, err := SubtreePlan(c.nprocs, c.factory, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The frozen table holds the closures of the first subtree, as a
+			// later wave's would.
+			table := StateTable{}
+			if c.opts.Prune {
+				o, err := RunSubtree(c.nprocs, c.factory, c.opts, frontier[0], 0, 0, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range o.Closures {
+					table.Join(e)
+				}
+			}
+			r, err := NewSubtreeRunner(c.nprocs, counted(0), c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := len(frontier) - 1; i >= 0; i-- {
+				for round := 0; round < 2; round++ {
+					base, violBase := 7*i*round, i%2
+					got, err := r.Run(frontier[i], base, violBase, table.lookup)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := RunSubtree(c.nprocs, counted(1), c.opts, frontier[i], base, violBase, table.lookup)
+					if err != nil {
+						t.Fatal(err)
+					}
+					g, _ := json.Marshal(got)
+					w, _ := json.Marshal(want)
+					if string(g) != string(w) {
+						t.Fatalf("subtree %d round %d: runner outcome diverges:\nwant %s\ngot  %s", i, round, w, g)
+					}
+				}
+			}
+			if len(frontier) < 2 || built[0].Load() >= built[1].Load() {
+				t.Fatalf("runner built %d systems over %d subtrees, one-shots %d", built[0].Load(), len(frontier), built[1].Load())
+			}
+		})
 	}
 }
