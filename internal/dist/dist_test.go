@@ -20,6 +20,7 @@ import (
 	"revisionist/internal/dist/wire"
 	"revisionist/internal/harness"
 	"revisionist/internal/protocol"
+	"revisionist/internal/sched"
 	"revisionist/internal/trace"
 )
 
@@ -445,4 +446,55 @@ func TestDistBadWorkerAmongGood(t *testing.T) {
 		t.Fatalf("a single stale worker sank the run: %v", err)
 	}
 	reportsEqual(t, "bad-among-good", single, rep)
+}
+
+// TestDistWorkerSlotKeepsExplorer: a one-slot worker runs every lease of a
+// pruned job on one explorer, so it builds its systems — a live system, a
+// pristine root and the checkpoint slots — once, not once per lease, and
+// the report stays byte-identical to Explore.
+func TestDistWorkerSlotKeepsExplorer(t *testing.T) {
+	job := checkJob(t, "consensus", protocol.Params{N: 3}, true)
+	nprocs, factory, err := harness.Resolve(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := trace.Explore(nprocs, factory, job.Opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frontier, _, err := trace.SubtreePlan(nprocs, factory, job.Opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var built atomic.Int64
+	counting := func(j wire.Job) (int, trace.Factory, error) {
+		n, f, err := harness.Resolve(j)
+		if err != nil {
+			return 0, nil, err
+		}
+		return n, func(gate sched.Stepper) trace.System {
+			built.Add(1)
+			return f(gate)
+		}, nil
+	}
+	ln := dist.ListenPipe()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		conn, err := ln.Dial()
+		if err != nil {
+			return
+		}
+		dist.Work(context.Background(), conn, 1, counting)
+	}()
+	rep, err := dist.Serve(context.Background(), ln, job, harness.Resolve)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reportsEqual(t, "one-slot", single, rep)
+	if bound := int64(2 + job.Opts.MaxDepth); len(frontier) < 8 || built.Load() > bound {
+		t.Fatalf("worker built %d systems for %d subtrees, want at most %d", built.Load(), len(frontier), bound)
+	}
 }

@@ -195,11 +195,12 @@ func (e *SeqEngine) RunMachines(machines []Machine) (*Result, error) {
 
 // SeqCheckpoint is a frozen mid-run snapshot of a SeqEngine's scheduling
 // state: the granted-step count, each process's steps, which processes are
-// parked, and how many are out of the run. Together with a copy of the system state at the same
-// point (see trace.System.Restore) it lets exhaustive exploration resume
-// runs from the deepest common schedule prefix instead of replaying every
-// schedule from scratch. A checkpoint may seed any number of resumed runs;
-// it changes only when CheckpointInto refills it.
+// parked, and how many are out of the run. Together with a copy of the
+// system state at the same point (see trace.System.Restore) it lets
+// exhaustive exploration resume runs from the deepest common schedule
+// prefix instead of replaying every schedule from scratch. A checkpoint may
+// seed any number of resumed runs; it changes only when CheckpointInto
+// refills it.
 type SeqCheckpoint struct {
 	step        int
 	stepsBy     []int

@@ -50,10 +50,10 @@ func (c *Closures) UnmarshalJSON(data []byte) error {
 		if err := json.Unmarshal(data, &legacy); err != nil {
 			return err
 		}
-		*c = nil
-		if len(legacy) > 0 {
-			*c = legacy
+		if len(legacy) == 0 {
+			legacy = nil
 		}
+		*c = legacy
 		return nil
 	case len(data) < 2 || data[0] != '"':
 		return fmt.Errorf("trace: closures: want a base64 string, got %.20q", data)
